@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import parity
@@ -95,7 +96,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        scenario = _with_seed(scenario, args.seed)
+        scenario = replace(scenario, seed=args.seed)
     if args.library:
         try:
             lib = ApprovedLibrary.from_file_text(
@@ -104,8 +105,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot load library: {exc}", file=sys.stderr)
             return 2
-        scenario = _with_library(
-            scenario, {v: tuple(lib.approved_for(v)) for v in lib.variants()}
+        scenario = replace(
+            scenario,
+            approved_library={v: tuple(lib.approved_for(v)) for v in lib.variants()},
         )
 
     outdir = Path(args.out)
@@ -134,18 +136,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.findings and not args.expect_findings:
         return 1
     return 0
-
-
-def _with_seed(scenario, seed):
-    from dataclasses import replace
-
-    return replace(scenario, seed=seed)
-
-
-def _with_library(scenario, library):
-    from dataclasses import replace
-
-    return replace(scenario, approved_library=library)
 
 
 def _build_report(result: ScenarioResult) -> dict:

@@ -17,6 +17,15 @@ Block layout on disk (append-only, one record per block):
 block_hash covers ``index|prev_hash|entries_root``; entries_root is a
 binary Merkle root over the entry lines (leaf = SHA-256 of the line,
 duplicate-last when a level is odd). Block 0 links from 64 zero hex chars.
+
+Only ``LedgerBlock`` encodes this layout, and the reader never decodes the
+header: it parses the entry lines, rebuilds the block from them, and
+accepts the record only if re-encoding reproduces its bytes exactly,
+length line included. Every entry must also pass the admission rule that
+append applies: well-formed, and per vehicle key a checkpoint_seq that
+strictly increases along the chain. That rule is what rejects a block
+whose last entry line was duplicated, which duplicate-last Merkle levels
+alone would not notice.
 """
 
 from __future__ import annotations
@@ -244,120 +253,97 @@ class AppendResult:
         return self.block.entries if self.block else ()
 
 
-def _parse_records(blob: bytes) -> list[tuple[int, bytes]]:
-    """Split a ledger file into (payload_start_offset, payload) records.
+def _admit(sub: Submission, last_seq: dict[str, int]) -> str | None:
+    """Admit ``sub`` after ``last_seq`` and record its sequence number, or
+    return why the chain cannot take it.
 
-    Structural failures raise _BrokenRecord carrying the index of the
-    record that could not be read.
+    The one admission rule, applied on append and again on every read.
     """
-    records = []
-    pos = 0
-    index = 0
-    while pos < len(blob):
-        newline = blob.find(b"\n", pos)
-        if newline < 0:
-            raise _BrokenRecord(index)
-        try:
-            length = int(blob[pos:newline].decode("ascii"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise _BrokenRecord(index) from exc
-        if length <= 0:
-            raise _BrokenRecord(index)
-        start = newline + 1
-        payload = blob[start : start + length]
-        if len(payload) != length:
-            raise _BrokenRecord(index)
-        records.append((start, payload))
-        pos = start + length
-        index += 1
-    return records
+    if not is_hex_digest(sub.vehicle_key):
+        return "malformed: vehicle_key is not a 256-bit hex digest"
+    if not is_hex_digest(sub.meta_digest):
+        return "malformed: meta_digest is not a 256-bit hex digest"
+    if sub.checkpoint_seq < 1:
+        return "malformed: checkpoint_seq must be >= 1"
+    if sub.sim_time < 0:
+        return "malformed: sim_time must be non-negative"
+    last = last_seq.get(sub.vehicle_key)
+    if last is not None and sub.checkpoint_seq <= last:
+        return f"replay: checkpoint_seq {sub.checkpoint_seq} <= {last}"
+    last_seq[sub.vehicle_key] = sub.checkpoint_seq
+    return None
 
 
-class _BrokenRecord(Exception):
-    def __init__(self, index: int):
-        super().__init__(index)
-        self.index = index
+def _read_chain(path: str | Path) -> tuple[list[LedgerBlock], VerifyResult]:
+    """Walk a ledger file once, rebuilding every block from its entries.
 
-
-def _verify_payload(index: int, payload: bytes, prev_hash: str) -> LedgerBlock | None:
-    """Recompute one block from its payload bytes; None means broken."""
-    try:
-        text = payload.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    lines = text.split("\n")
-    if not lines or lines[-1] != "":
-        return None
-    lines = lines[:-1]
-    if len(lines) < 2:
-        return None
-    header = lines[0].split("|")
-    if len(header) != 4:
-        return None
-    idx_text, stored_prev, stored_root, stored_hash = header
-    if idx_text != str(index) or stored_prev != prev_hash:
-        return None
-    if not (is_hex_digest(stored_prev) or stored_prev == GENESIS_PREV):
-        return None
-    root = merkle_root([_entry_leaf(line) for line in lines[1:]]).hex()
-    if root != stored_root:
-        return None
-    if _block_hash(index, stored_prev, stored_root) != stored_hash:
-        return None
-    try:
-        entries = tuple(Submission.from_wire(line) for line in lines[1:])
-    except (ValueError, KeyError):
-        return None
-    for entry, line in zip(entries, lines[1:]):
-        if entry.wire_line() != line:
-            return None
-        if not is_hex_digest(entry.meta_digest) or not is_hex_digest(entry.vehicle_key):
-            return None
-    return LedgerBlock(
-        index=index,
-        prev_hash=stored_prev,
-        entries=entries,
-        entries_root=stored_root,
-        block_hash=stored_hash,
-    )
-
-
-def verify_chain(path: str | Path) -> VerifyResult:
-    """Recompute every block hash and linkage in a persisted ledger.
-
-    Returns the first index at which any recomputation fails. An empty
-    file is not a ledger and raises LedgerFormatError instead.
+    A record is accepted only if ``LedgerBlock.build`` over its parsed
+    entry lines re-encodes to exactly the bytes on disk, length line and
+    header included, and every entry passes the append-side admission
+    rule against the blocks before it. Returns the blocks up to the first
+    one that fails, and the verdict. An empty file raises LedgerFormatError.
     """
     blob = Path(path).read_bytes()
     if not blob:
         raise LedgerFormatError(f"{path}: empty file is not a ledger")
-    try:
-        records = _parse_records(blob)
-    except _BrokenRecord as exc:
-        return VerifyResult(valid=False, broken_at=exc.index)
+    blocks: list[LedgerBlock] = []
+    last_seq: dict[str, int] = {}
     prev = GENESIS_PREV
-    for index, (_, payload) in enumerate(records):
-        block = _verify_payload(index, payload, prev)
-        if block is None:
-            return VerifyResult(valid=False, broken_at=index)
+    pos = 0
+    while pos < len(blob):
+        try:
+            newline = blob.index(b"\n", pos)
+            end = newline + 1 + int(blob[pos:newline])
+            lines = blob[newline + 1 : end].decode("utf-8").split("\n")
+            block = LedgerBlock.build(
+                len(blocks), prev, [Submission.from_wire(line) for line in lines[1:-1]]
+            )
+        except ValueError:  # includes UnicodeDecodeError
+            break
+        record = block.file_record()
+        if not blob.startswith(record, pos) or any(
+            _admit(sub, last_seq) for sub in block.entries
+        ):
+            break
+        blocks.append(block)
         prev = block.block_hash
-    return VerifyResult(valid=True)
+        pos += len(record)
+    else:
+        return blocks, VerifyResult(valid=True)
+    return blocks, VerifyResult(valid=False, broken_at=len(blocks))
+
+
+def verify_chain(path: str | Path) -> VerifyResult:
+    """Re-encode every block of a persisted ledger; report the first broken.
+
+    An empty file is not a ledger and raises LedgerFormatError instead.
+    """
+    return _read_chain(path)[1]
 
 
 def load_ledger(path: str | Path) -> list[LedgerBlock]:
-    """Load and verify a persisted ledger."""
-    result = verify_chain(path)
+    """Load a persisted ledger; any broken block raises LedgerFormatError."""
+    blocks, result = _read_chain(path)
     if not result.valid:
         raise LedgerFormatError(f"{path}: chain {result.describe()}")
-    blob = Path(path).read_bytes()
-    blocks = []
-    prev = GENESIS_PREV
-    for index, (_, payload) in enumerate(_parse_records(blob)):
-        block = _verify_payload(index, payload, prev)
-        assert block is not None  # verify_chain already passed
-        blocks.append(block)
-        prev = block.block_hash
     return blocks
+
+
+def _history(blocks: Iterable[LedgerBlock], vehicle_key: str) -> list[HistoryEntry]:
+    """One vehicle's entries in chain order, which is checkpoint order:
+    the admission rule makes its sequence numbers strictly increase."""
+    return [
+        HistoryEntry(
+            checkpoint_seq=sub.checkpoint_seq,
+            meta_digest=sub.meta_digest,
+            trigger=sub.trigger.value,
+            sim_time=sub.sim_time,
+            block_index=block.index,
+        )
+        for block in blocks
+        for sub in block.entries
+        if sub.vehicle_key == vehicle_key
+    ]
 
 
 class FullNode:
@@ -377,7 +363,6 @@ class FullNode:
         self.policy = policy or VerdictPolicy()
         self.chain: list[LedgerBlock] = []
         self._last_seq: dict[str, int] = {}
-        self._history: dict[str, list[HistoryEntry]] = {}
         self._variants: dict[str, str] = {}
         self._ledger_path = Path(ledger_path) if ledger_path else None
         if self._ledger_path:
@@ -408,50 +393,21 @@ class FullNode:
         rejected: list[tuple[Submission, str]] = []
         seq_cursor = dict(self._last_seq)
         for sub in submissions:
-            problem = self._malformed(sub)
+            problem = _admit(sub, seq_cursor)
             if problem:
-                rejected.append((sub, f"malformed: {problem}"))
-                continue
-            last = seq_cursor.get(sub.vehicle_key)
-            if last is not None and sub.checkpoint_seq <= last:
-                rejected.append(
-                    (sub, f"replay: checkpoint_seq {sub.checkpoint_seq} <= {last}")
-                )
-                continue
-            seq_cursor[sub.vehicle_key] = sub.checkpoint_seq
-            accepted.append(sub)
+                rejected.append((sub, problem))
+            else:
+                accepted.append(sub)
         if not accepted:
             return AppendResult(block=None, rejected=tuple(rejected))
         prev = self.chain[-1].block_hash if self.chain else GENESIS_PREV
         block = LedgerBlock.build(len(self.chain), prev, accepted)
         self.chain.append(block)
         self._last_seq = seq_cursor
-        for sub in accepted:
-            self._history.setdefault(sub.vehicle_key, []).append(
-                HistoryEntry(
-                    checkpoint_seq=sub.checkpoint_seq,
-                    meta_digest=sub.meta_digest,
-                    trigger=sub.trigger.value,
-                    sim_time=sub.sim_time,
-                    block_index=block.index,
-                )
-            )
         if self._ledger_path:
             with self._ledger_path.open("ab") as fh:
                 fh.write(block.file_record())
         return AppendResult(block=block, rejected=tuple(rejected))
-
-    @staticmethod
-    def _malformed(sub: Submission) -> str | None:
-        if not is_hex_digest(sub.vehicle_key):
-            return "vehicle_key is not a 256-bit hex digest"
-        if not is_hex_digest(sub.meta_digest):
-            return "meta_digest is not a 256-bit hex digest"
-        if sub.checkpoint_seq < 1:
-            return "checkpoint_seq must be >= 1"
-        if sub.sim_time < 0:
-            return "sim_time must be non-negative"
-        return None
 
     # -- endpoint interface (what a light client buffer talks to) -----------
 
@@ -481,30 +437,9 @@ class FullNode:
 
     def query_history(self, vehicle_key: str) -> list[HistoryEntry]:
         """Complete checkpoint-ordered history; empty for unknown keys."""
-        return sorted(
-            self._history.get(vehicle_key, ()), key=lambda e: e.checkpoint_seq
-        )
-
-    def save(self, path: str | Path) -> None:
-        """Write the whole chain (for nodes not bound to a path)."""
-        with Path(path).open("wb") as fh:
-            for block in self.chain:
-                fh.write(block.file_record())
+        return _history(self.chain, vehicle_key)
 
 
 def history_from_file(path: str | Path, vehicle_key: str) -> list[HistoryEntry]:
     """Rebuild one vehicle's history from a persisted ledger."""
-    entries = []
-    for block in load_ledger(path):
-        for sub in block.entries:
-            if sub.vehicle_key == vehicle_key:
-                entries.append(
-                    HistoryEntry(
-                        checkpoint_seq=sub.checkpoint_seq,
-                        meta_digest=sub.meta_digest,
-                        trigger=sub.trigger.value,
-                        sim_time=sub.sim_time,
-                        block_index=block.index,
-                    )
-                )
-    return sorted(entries, key=lambda e: e.checkpoint_seq)
+    return _history(load_ledger(path), vehicle_key)

@@ -8,10 +8,12 @@ checkpoint is also what unlocks eviction down in the node stores — the
 checkpoint floor advances to cover everything the mirror has seen, and
 only covered records may be dropped.
 
-Outbound, the master feeds a light client buffer. Checkpoints queue while
-connectivity is down and drain strictly in order once it returns; an
-acknowledged checkpoint leaves the queue, a rejected one stays and raises
-an alert, and nothing is ever dropped.
+Outbound, the master feeds a light client buffer. Each checkpoint queues
+as the Submission the full node will receive, stamped with the vehicle key
+current at capture time. Submissions queue while connectivity is down and
+drain strictly in order once it returns; an acknowledged one leaves the
+queue, a rejected one stays and raises an alert, and nothing is ever
+dropped.
 """
 
 from __future__ import annotations
@@ -58,15 +60,6 @@ class MetaHash:
     trigger: EventType
 
 
-@dataclass
-class LightClientBuffer:
-    """Uplink queue between the master unit and the external full node."""
-
-    pending: list[MetaHash] = field(default_factory=list)
-    submitted: set[int] = field(default_factory=set)
-    connectivity: Connectivity = Connectivity.ONLINE
-
-
 @dataclass(frozen=True)
 class Submission:
     """Wire unit delivered to the full node, one per checkpoint.
@@ -101,6 +94,14 @@ class Submission:
             trigger=EventType(trigger),
             sim_time=int(sim_time),
         )
+
+
+@dataclass
+class LightClientBuffer:
+    """Uplink queue between the master unit and the external full node."""
+
+    pending: list[Submission] = field(default_factory=list)
+    connectivity: Connectivity = Connectivity.ONLINE
 
 
 @dataclass(frozen=True)
@@ -141,24 +142,13 @@ class MasterNode:
         self.capture_interval_s = capture_interval_s
         self.mileage_stride_km = mileage_stride_km
         self.buffer = LightClientBuffer()
-        self.meta_hashes: list[MetaHash] = []  # retained copies, newest last
+        self.vehicle_key = ""  # stamped on each checkpoint as it is captured
         self.alerts: list[str] = []
         self.last_capture_time = 0
         self._mirror: dict[str, AuditRecord] = {}
         self._high_sequence = 0
         self._checkpoint_seq = 0
         self._mileage_mark = initial_odometer_km // mileage_stride_km
-        self._vehicle_key = ""
-        self._key_by_seq: dict[int, str] = {}
-
-    # -- identity ---------------------------------------------------------
-
-    def set_vehicle_key(self, key_hex: str) -> None:
-        self._vehicle_key = key_hex
-
-    @property
-    def vehicle_key(self) -> str:
-        return self._vehicle_key
 
     # -- mirror -----------------------------------------------------------
 
@@ -198,9 +188,15 @@ class MasterNode:
             trigger=trigger,
         )
         self.network.advance_checkpoint_floor(self._high_sequence + 1)
-        self.meta_hashes.append(mh)
-        self.buffer.pending.append(mh)
-        self._key_by_seq[mh.checkpoint_seq] = self._vehicle_key
+        self.buffer.pending.append(
+            Submission(
+                vehicle_key=self.vehicle_key,
+                checkpoint_seq=mh.checkpoint_seq,
+                meta_digest=mh.digest,
+                trigger=mh.trigger,
+                sim_time=mh.sim_time,
+            )
+        )
         self.last_capture_time = sim_time
         if trigger is EventType.MILEAGE_THRESHOLD and odometer_km is not None:
             self._mileage_mark = odometer_km // self.mileage_stride_km
@@ -235,21 +231,10 @@ class MasterNode:
         """
         if not self.online or not self.buffer.pending:
             return 0
-        batch = [
-            Submission(
-                vehicle_key=self._key_by_seq[mh.checkpoint_seq],
-                checkpoint_seq=mh.checkpoint_seq,
-                meta_digest=mh.digest,
-                trigger=mh.trigger,
-                sim_time=mh.sim_time,
-            )
-            for mh in self.buffer.pending
-        ]
-        outcome = endpoint.submit(batch)
+        outcome = endpoint.submit(list(self.buffer.pending))
         accepted_seqs = {seq for _, seq in outcome.accepted}
-        self.buffer.submitted.update(accepted_seqs)
         self.buffer.pending = [
-            mh for mh in self.buffer.pending if mh.checkpoint_seq not in accepted_seqs
+            s for s in self.buffer.pending if s.checkpoint_seq not in accepted_seqs
         ]
         for submission, reason in outcome.rejected:
             self.alerts.append(

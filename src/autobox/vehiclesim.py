@@ -307,7 +307,7 @@ class Vehicle:
             mileage_stride_km=config.mileage_stride_km,
             initial_odometer_km=config.initial_odometer_km,
         )
-        self.master.set_vehicle_key(self._current_key())
+        self.master.vehicle_key = self._current_key()
         self.link = _BufferedLink(self)
         self.tamper_flag = False
         self.tamper_details: dict[str, frozenset[str]] = {}
@@ -397,7 +397,7 @@ class Vehicle:
 
     def _capture(self, trigger: EventType) -> MetaHash:
         self._scrub_clusters()
-        self.master.set_vehicle_key(self._current_key())
+        self.master.vehicle_key = self._current_key()
         mh = self.master.capture_meta_hash(trigger, self.clock, self.true_odometer)
         self.captures.append(mh)
         self.ground_truth.log(
@@ -503,10 +503,6 @@ class Vehicle:
             )
 
     # -- event dispatch ---------------------------------------------------------
-
-    def inject_fault(self, event: ScenarioEvent) -> None:
-        """Apply a fault/attack event to vehicle state (ground truth logged)."""
-        self.handle_event(event)
 
     def handle_event(self, event: ScenarioEvent) -> None:
         self.clock = event.sim_time

@@ -9,10 +9,12 @@ the four attack scenarios, outage replay, and byte-level determinism.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -116,7 +118,7 @@ def test_criterion_3_constrained_memory_budget():
         node_id = node_id_for_serial("budget-node")
         node = network.add_node(node_id)
         master = MasterNode(network)
-        master.set_vehicle_key("ab" * 32)
+        master.vehicle_key = "ab" * 32
         metadata = make_metadata("ECU")
         sequence_of: dict[str, int] = {}
         puts = evictions = 0
@@ -342,22 +344,25 @@ def test_criterion_7_outage_resilience():
         assert not result.findings
 
 
+def _criterion_8_fixtures():
+    baseline, rollback, vin_rewrite, swap, reflash = _attack_scenarios()
+    outage = make_scenario(
+        events=(_event(ScenarioEventKind.CONNECTIVITY_OUTAGE, 1000, end=9000),),
+        duration_s=10_800,
+    )
+    return {
+        "baseline": baseline,
+        "rollback": rollback,
+        "vin_rewrite": vin_rewrite,
+        "swap": swap,
+        "reflash": reflash,
+        "outage": outage,
+    }
+
+
 def test_criterion_8_bit_level_determinism(tmp_path):
     with criterion(8, "every fixture scenario twice: byte-identical artifacts"):
-        baseline, rollback, vin_rewrite, swap, reflash = _attack_scenarios()
-        outage = make_scenario(
-            events=(_event(ScenarioEventKind.CONNECTIVITY_OUTAGE, 1000, end=9000),),
-            duration_s=10_800,
-        )
-        fixtures = {
-            "baseline": baseline,
-            "rollback": rollback,
-            "vin_rewrite": vin_rewrite,
-            "swap": swap,
-            "reflash": reflash,
-            "outage": outage,
-        }
-        for name, scenario in fixtures.items():
+        for name, scenario in _criterion_8_fixtures().items():
             library = seeded_library(scenario)
             final = replace(scenario, approved_library=library)
             artifacts = []
@@ -434,3 +439,60 @@ def test_criterion_8_cli_machine_reports_deterministic(tmp_path):
             assert (tmp_path / "one" / artifact).read_bytes() == (
                 tmp_path / "two" / artifact
             ).read_bytes(), artifact
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_ARTIFACTS = Path(__file__).parent / "data" / "golden_artifacts.tsv"
+GOLDEN_SCENARIOS = ("demo", "odometer_rollback")
+
+
+def golden_artifact_digests(workdir: Path) -> dict[str, str]:
+    """SHA-256 of every machine artifact, keyed ``<scenario>/<file>``.
+
+    Each scenario is audited against the library its own calibration run
+    observed: the JSON fixtures through the CLI, the criterion-8 fixtures
+    through ``run_scenario`` with the files written as ``run`` writes them.
+    """
+    for stem in GOLDEN_SCENARIOS:
+        scenario = REPO_ROOT / "scenarios" / f"{stem}.json"
+        library = workdir / f"{stem}.library.tsv"
+        assert cli.main(
+            ["run", str(scenario), "-o", str(workdir / "calibration" / stem),
+             "--emit-library", str(library), "--expect-findings"]
+        ) == 0
+        assert cli.main(
+            ["run", str(scenario), "-o", str(workdir / "audit" / stem),
+             "--library", str(library), "--expect-findings"]
+        ) == 0
+    for name, scenario in _criterion_8_fixtures().items():
+        outdir = workdir / "audit" / name
+        outdir.mkdir(parents=True)
+        final = replace(scenario, approved_library=seeded_library(scenario))
+        result = run_scenario(final, ledger_path=outdir / cli.LEDGER_FILE)
+        (outdir / cli.VERDICTS_FILE).write_bytes(result.verdicts_text().encode())
+        (outdir / cli.GROUND_TRUTH_FILE).write_bytes(
+            result.ground_truth_text().encode()
+        )
+        for snap_name, blob in result.cluster_snapshots:
+            (outdir / snap_name).write_bytes(blob)
+        (outdir / cli.REPORT_FILE).write_bytes(
+            (json.dumps(cli._build_report(result), indent=2, sort_keys=True) + "\n").encode()
+        )
+    audit = workdir / "audit"
+    return {
+        path.relative_to(audit).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(audit.glob("*/*"))
+    }
+
+
+def test_criterion_8_golden_artifacts(tmp_path):
+    """Refactors keep every artifact byte: digests pinned in tests/data.
+
+    A change that means to alter artifact bytes rewrites the file from
+    ``golden_artifact_digests`` as ``<name> <TAB> <sha256>`` lines.
+    """
+    with criterion(8, "fixture and criterion-8 artifacts match the golden digests"):
+        golden = dict(
+            line.split("\t") for line in GOLDEN_ARTIFACTS.read_text().splitlines()
+        )
+        assert golden_artifact_digests(tmp_path) == golden

@@ -15,6 +15,7 @@ from autobox.ledger import (
     UnknownVehicleError,
     VerdictPolicy,
     VerdictStatus,
+    VerifyResult,
     history_from_file,
     load_ledger,
     merkle_root,
@@ -32,6 +33,18 @@ def make_submission(seq=1, key="ab" * 32, digest="cd" * 32, t=100, trigger=Event
         trigger=trigger,
         sim_time=t,
     )
+
+
+def record_spans(blob):
+    """(length line start, payload start, payload end) of every record."""
+    spans = []
+    pos = 0
+    while pos < len(blob):
+        newline = blob.index(b"\n", pos)
+        end = newline + 1 + int(blob[pos:newline])
+        spans.append((pos, newline + 1, end))
+        pos = end
+    return spans
 
 
 def merkle_oracle(leaves):
@@ -156,6 +169,36 @@ class TestVerifyChain:
         result = verify_chain(path)
         assert not result.valid
         assert result.broken_at == 2
+
+    def test_first_broken_block_reported_before_later_truncation(self, tmp_path):
+        path = self.make_ledger(tmp_path)
+        blob = bytearray(path.read_bytes())
+        spans = record_spans(blob)
+        blob[spans[1][2] - 3] ^= 0x01  # inside block 1's entry line
+        path.write_bytes(bytes(blob[: spans[3][1] + 10]))  # cut inside block 3
+        assert verify_chain(path) == VerifyResult(valid=False, broken_at=1)
+
+    @pytest.mark.parametrize("prefix", [b"+", b" ", b"0"])
+    def test_non_canonical_length_line_breaks_that_block(self, tmp_path, prefix):
+        path = self.make_ledger(tmp_path)
+        blob = path.read_bytes()
+        start = record_spans(blob)[2][0]
+        path.write_bytes(blob[:start] + prefix + blob[start:])
+        assert verify_chain(path) == VerifyResult(valid=False, broken_at=2)
+
+    def test_duplicated_last_entry_is_not_valid(self, tmp_path):
+        """Odd Merkle levels duplicate their last node, so a copy of the
+        last entry line keeps the root; the replay rule still rejects it."""
+        path = tmp_path / "ledger.txt"
+        node = FullNode(ledger_path=path)
+        node.append_submissions([make_submission(seq=s, t=s) for s in (1, 2, 3)])
+        blob = path.read_bytes()
+        payload = blob[blob.index(b"\n") + 1 :]
+        forged = payload + payload.splitlines(keepends=True)[-1]
+        path.write_bytes(str(len(forged)).encode() + b"\n" + forged)
+        assert verify_chain(path) == VerifyResult(valid=False, broken_at=0)
+        with pytest.raises(LedgerFormatError):
+            load_ledger(path)
 
     def test_empty_file_is_format_error(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -1,0 +1,26 @@
+"""The benchmark wraps autobox functions by name; keep every name alive.
+
+``perfbench/tracing.py`` is loaded from its file, unchanged, so deleting or
+renaming a traced function fails here rather than in a benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_every_traced_function_resolves_to_a_callable():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.FUNCTIONS
+    for name, (owner_path, attr) in tracing.FUNCTIONS.items():
+        module_name, _, class_name = owner_path.partition(".")
+        owner = importlib.import_module(f"autobox.{module_name}")
+        if class_name:
+            owner = getattr(owner, class_name)
+        assert callable(getattr(owner, attr, None)), name
