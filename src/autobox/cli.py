@@ -10,6 +10,9 @@ Commands:
 report.json into the output directory (default: $AUTOBOX_OUT). All
 machine-readable outputs are deterministic for identical inputs; wall
 timing appears only in the human summary on stdout.
+
+Exit codes: 0 clean, 1 findings or corruption, 2 bad input (a missing or
+unreadable file, a malformed ledger, snapshot or scenario).
 """
 
 from __future__ import annotations
@@ -89,9 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"error: no such scenario file: {args.scenario}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        return _unreadable(args.scenario, exc)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -191,13 +193,17 @@ def _print_summary(result: ScenarioResult, elapsed: float) -> None:
     print(f"findings: {'yes' if result.findings else 'none'} ({elapsed:.2f}s)")
 
 
+def _unreadable(name: str, exc: OSError) -> int:
+    """Report an input that cannot be read (missing, a directory, ...)."""
+    print(f"{name}: error: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    path = Path(args.ledger)
-    if not path.exists():
-        print(f"error: no such ledger file: {path}", file=sys.stderr)
-        return 2
     try:
-        result = verify_chain(path)
+        result = verify_chain(args.ledger)
+    except OSError as exc:
+        return _unreadable(args.ledger, exc)
     except LedgerFormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
@@ -209,12 +215,10 @@ def _cmd_history(args: argparse.Namespace) -> int:
     if not is_hex_digest(args.vehicle_key):
         print("error: vehicle key must be 64 lowercase hex chars", file=sys.stderr)
         return 2
-    path = Path(args.ledger)
-    if not path.exists():
-        print(f"error: no such ledger file: {path}", file=sys.stderr)
-        return 2
     try:
-        entries = history_from_file(path, args.vehicle_key)
+        entries = history_from_file(args.ledger, args.vehicle_key)
+    except OSError as exc:
+        return _unreadable(args.ledger, exc)
     except LedgerFormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
@@ -244,14 +248,13 @@ def _cmd_history(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     status = 0
     for name in args.snapshots:
-        path = Path(name)
-        if not path.exists():
-            print(f"{name}: error: no such file", file=sys.stderr)
-            status = 2
+        try:
+            blob = Path(name).read_bytes()
+        except OSError as exc:
+            status = _unreadable(name, exc)
             continue
         try:
-            cluster = parity.load_snapshot(path.read_bytes())
-            report = parity.scrub(cluster)
+            report = parity.scrub(parity.load_snapshot(blob))
         except parity.ClusterError as exc:
             print(f"{name}: format error: {exc}", file=sys.stderr)
             status = 2

@@ -8,6 +8,11 @@ every stored record with a digest of its bytes, which pins a corruption to
 the device whose records stop verifying. Locate via record hashes, repair
 via XOR.
 
+One device list holds the data devices at 0..d-1 and parity at d, where
+the PARITY sentinel resolves; a list beside it holds recorded lengths.
+XOR folds stores read as little-endian ints: zero bytes on the right of a
+store are high-order zero digits, so unequal stores need no padding.
+
 Single-fault model throughout: two devices disagreeing at once is reported
 as uncorrectable, never silently "fixed".
 
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 PARITY = "parity"
 
@@ -35,6 +40,13 @@ class MultiFaultError(RuntimeError):
     """More than one device is corrupt; single-parity cannot repair this."""
 
 
+def _xor(stores: Iterable[bytes]) -> int:
+    acc = 0
+    for store in stores:
+        acc ^= int.from_bytes(store, "little")
+    return acc
+
+
 def compute_parity(data_stores: Sequence[bytes]) -> bytes:
     """Byte-wise XOR across stores, shorter stores reading as zeroes.
 
@@ -43,13 +55,7 @@ def compute_parity(data_stores: Sequence[bytes]) -> bytes:
     """
     if len(data_stores) < 2:
         raise ClusterError("parity needs at least 2 data stores")
-    width = max(len(s) for s in data_stores)
-    if width == 0:
-        return b""
-    acc = 0
-    for store in data_stores:
-        acc ^= int.from_bytes(bytes(store).ljust(width, b"\x00"), "big")
-    return acc.to_bytes(width, "big")
+    return _xor(data_stores).to_bytes(max(len(s) for s in data_stores), "little")
 
 
 @dataclass(frozen=True)
@@ -74,24 +80,35 @@ class ParityCluster:
         if device_count < 2:
             raise ClusterError("cluster needs at least 2 data devices")
         self.device_count = device_count
-        self._stores = [bytearray() for _ in range(device_count)]
-        self._parity = bytearray()
-        self._lengths = [0] * device_count  # recorded lengths survive erasure
+        self._devices = [bytearray() for _ in range(device_count + 1)]
+        self._lengths = [0] * (device_count + 1)  # recorded lengths survive erasure
         self._index: dict[str, RecordLocation] = {}
+
+    def _resolve(self, device: DeviceRef) -> int:
+        """Position of a device in the device list; parity sits at d."""
+        if device == PARITY:
+            return self.device_count
+        if not isinstance(device, int) or not 0 <= device < self.device_count:
+            raise ClusterError(f"no device {device!r}")
+        return device
+
+    def _data_index(self, device: DeviceRef) -> int:
+        idx = self._resolve(device)
+        if idx == self.device_count:
+            raise ClusterError("parity is not a data device")
+        return idx
 
     # -- views -----------------------------------------------------------
 
     def data_store(self, device: int) -> bytes:
-        return bytes(self._stores[device])
+        return bytes(self._devices[self._data_index(device)])
 
     @property
     def parity_store(self) -> bytes:
-        return bytes(self._parity)
+        return bytes(self._devices[self.device_count])
 
     def recorded_length(self, device: DeviceRef) -> int:
-        if device == PARITY:
-            return max(self._lengths, default=0)
-        return self._lengths[self._data_index(device)]
+        return self._lengths[self._resolve(device)]
 
     @property
     def record_index(self) -> dict[str, RecordLocation]:
@@ -99,11 +116,6 @@ class ParityCluster:
 
     def has_record(self, record_key: str) -> bool:
         return record_key in self._index
-
-    def _data_index(self, device: DeviceRef) -> int:
-        if not isinstance(device, int) or not 0 <= device < self.device_count:
-            raise ClusterError(f"no data device {device!r}")
-        return device
 
     # -- writes ----------------------------------------------------------
 
@@ -116,16 +128,17 @@ class ParityCluster:
         idx = self._data_index(device)
         if record_key in self._index:
             raise ClusterError(f"record {record_key[:12]}… already indexed")
-        store = self._stores[idx]
+        store = self._devices[idx]
         if len(store) != self._lengths[idx]:
             raise ClusterError(f"device {idx} is erased; repair before appending")
-        offset = self._lengths[idx]
+        offset, end = len(store), len(store) + len(payload)
         store.extend(payload)
-        self._lengths[idx] = len(store)
-        if len(self._parity) < len(store):
-            self._parity.extend(b"\x00" * (len(store) - len(self._parity)))
-        for j, b in enumerate(payload):
-            self._parity[offset + j] ^= b
+        parity = self._devices[self.device_count]
+        if len(parity) < end:
+            parity.extend(bytes(end - len(parity)))
+        parity[offset:end] = _xor((parity[offset:end], payload)).to_bytes(len(payload), "little")
+        self._lengths[idx] = end
+        self._lengths[self.device_count] = max(self._lengths[self.device_count], end)
         loc = RecordLocation(
             device=idx,
             offset=offset,
@@ -145,7 +158,7 @@ class ParityCluster:
         """
         if xor_mask % 256 == 0:
             raise ClusterError("xor_mask must change the byte")
-        target = self._parity if device == PARITY else self._stores[self._data_index(device)]
+        target = self._devices[self._resolve(device)]
         if not 0 <= offset < len(target):
             raise ClusterError(f"offset {offset} outside device {device!r}")
         pre = target[offset]
@@ -154,21 +167,26 @@ class ParityCluster:
 
     def erase_device(self, device: DeviceRef) -> None:
         """Discard a device's content; its recorded length is kept."""
-        if device == PARITY:
-            self._parity = bytearray()
-        else:
-            self._stores[self._data_index(device)] = bytearray()
+        self._devices[self._resolve(device)] = bytearray()
 
     def write_back(self, device: DeviceRef, content: bytes) -> None:
-        expected = self.recorded_length(device)
-        if len(content) != expected:
+        idx = self._resolve(device)
+        if len(content) != self._lengths[idx]:
             raise ClusterError(
-                f"device {device!r} expects {expected} bytes, got {len(content)}"
+                f"device {device!r} expects {self._lengths[idx]} bytes, got {len(content)}"
             )
-        if device == PARITY:
-            self._parity = bytearray(content)
-        else:
-            self._stores[self._data_index(device)] = bytearray(content)
+        self._devices[idx] = bytearray(content)
+
+
+def _stale_records(cluster: ParityCluster, device: int, content: bytes) -> list[str]:
+    """Keys of the device's records whose bytes in content miss their hash."""
+    return [
+        key
+        for key, loc in cluster._index.items()
+        if loc.device == device
+        and hashlib.sha256(content[loc.offset : loc.offset + loc.length]).hexdigest()
+        != loc.record_hash
+    ]
 
 
 def scrub(cluster: ParityCluster) -> ScrubReport:
@@ -177,30 +195,23 @@ def scrub(cluster: ParityCluster) -> ScrubReport:
     Record-hash mismatches locate the corrupt data device; a parity
     mismatch with all records intact indicts the parity device itself.
     """
-    mismatched: dict[int, set[str]] = {}
-    for key, loc in cluster.record_index.items():
-        store = cluster.data_store(loc.device)
-        chunk = store[loc.offset : loc.offset + loc.length]
-        if hashlib.sha256(chunk).hexdigest() != loc.record_hash:
-            mismatched.setdefault(loc.device, set()).add(key)
-    if len(mismatched) > 1:
+    d = cluster.device_count
+    stale = {
+        i: keys
+        for i in range(d)
+        if (keys := _stale_records(cluster, i, cluster._devices[i]))
+    }
+    if len(stale) > 1:
         raise MultiFaultError(
-            f"record-hash mismatches on devices {sorted(mismatched)}; uncorrectable"
+            f"record-hash mismatches on devices {sorted(stale)}; uncorrectable"
         )
+    if stale:
+        device, keys = stale.popitem()
+        return ScrubReport(clean=False, device=device, records=frozenset(keys))
     # Appends keep the parity device exactly as long as the longest data
     # device, so a length drift is itself a parity fault (e.g. erasure whose
     # true parity happened to be all zeroes).
-    parity_ok = len(cluster.parity_store) == cluster.recorded_length(PARITY)
-    width = max(cluster.recorded_length(PARITY), len(cluster.parity_store))
-    if parity_ok and width:
-        acc = int.from_bytes(cluster.parity_store.ljust(width, b"\x00"), "big")
-        for i in range(cluster.device_count):
-            acc ^= int.from_bytes(cluster.data_store(i).ljust(width, b"\x00"), "big")
-        parity_ok = acc == 0
-    if mismatched:
-        device, keys = next(iter(mismatched.items()))
-        return ScrubReport(clean=False, device=device, records=frozenset(keys))
-    if not parity_ok:
+    if len(cluster._devices[d]) != cluster._lengths[d] or _xor(cluster._devices):
         return ScrubReport(clean=False, device=PARITY)
     return ScrubReport(clean=True)
 
@@ -208,35 +219,19 @@ def scrub(cluster: ParityCluster) -> ScrubReport:
 def reconstruct(cluster: ParityCluster, device: DeviceRef) -> bytes:
     """Rebuild one device as the XOR of all the others.
 
-    For a data device the result is checked against the record index; a
-    residual mismatch means a second device is also bad.
+    The result is checked against the device's records; a residual
+    mismatch means a second device is also bad.
     """
-    if device == PARITY:
-        return compute_parity([cluster.data_store(i) for i in range(cluster.device_count)])
-    idx = cluster._data_index(device)
-    width = max(
-        cluster.recorded_length(PARITY),
-        max(len(cluster.data_store(i)) for i in range(cluster.device_count)),
-        len(cluster.parity_store),
-    )
-    length = cluster.recorded_length(idx)
-    if width == 0 or length == 0:
-        return b""
-    acc = int.from_bytes(cluster.parity_store.ljust(width, b"\x00"), "big")
-    for i in range(cluster.device_count):
-        if i == idx:
-            continue
-        acc ^= int.from_bytes(cluster.data_store(i).ljust(width, b"\x00"), "big")
-    content = acc.to_bytes(width, "big")[:length]
-    for key, loc in cluster.record_index.items():
-        if loc.device != idx:
-            continue
-        chunk = content[loc.offset : loc.offset + loc.length]
-        if hashlib.sha256(chunk).hexdigest() != loc.record_hash:
-            raise MultiFaultError(
-                f"reconstruction of device {idx} fails verification for "
-                f"record {key[:12]}…; a second device must be corrupt"
-            )
+    idx = cluster._resolve(device)
+    length = cluster._lengths[idx]
+    others = [store for i, store in enumerate(cluster._devices) if i != idx]
+    content = (_xor(others) & ((1 << 8 * length) - 1)).to_bytes(length, "little")
+    stale = _stale_records(cluster, idx, content)
+    if stale:
+        raise MultiFaultError(
+            f"reconstruction of device {idx} fails verification for "
+            f"record {stale[0][:12]}…; a second device must be corrupt"
+        )
     return content
 
 
@@ -256,36 +251,30 @@ def repair(cluster: ParityCluster, device: DeviceRef) -> bytes:
 
 
 def save_snapshot(cluster: ParityCluster) -> bytes:
-    lengths = [len(cluster.data_store(i)) for i in range(cluster.device_count)]
-    for i, n in enumerate(lengths):
-        if n != cluster.recorded_length(i):
+    d = cluster.device_count
+    for i in range(d):
+        if len(cluster._devices[i]) != cluster._lengths[i]:
             raise ClusterError(f"device {i} is erased; snapshot requires intact stores")
     header = "d={} lengths={} parity_len={}\n".format(
-        cluster.device_count,
-        ",".join(str(n) for n in lengths),
-        len(cluster.parity_store),
+        d, ",".join(str(n) for n in cluster._lengths[:d]), len(cluster._devices[d])
     )
-    chunks = [header.encode("utf-8")]
-    chunks.extend(cluster.data_store(i) for i in range(cluster.device_count))
-    chunks.append(cluster.parity_store)
-    index_lines = []
-    for key in sorted(cluster.record_index):
-        loc = cluster.record_index[key]
-        index_lines.append(
-            f"{key}\t{loc.device}\t{loc.offset}\t{loc.length}\t{loc.record_hash}\n"
-        )
-    chunks.append("".join(index_lines).encode("utf-8"))
-    return b"".join(chunks)
+    index = "".join(
+        f"{key}\t{loc.device}\t{loc.offset}\t{loc.length}\t{loc.record_hash}\n"
+        for key, loc in sorted(cluster._index.items())
+    )
+    return b"".join([header.encode("utf-8"), *cluster._devices, index.encode("utf-8")])
+
+
+# Deletes every character an index line may hold: lowercase hex, tab, newline.
+_INDEX_CHARS = str.maketrans("", "", "0123456789abcdef\t\n")
 
 
 def load_snapshot(blob: bytes) -> ParityCluster:
-    newline = blob.find(b"\n")
-    if newline < 0:
+    header, newline, body = blob.partition(b"\n")
+    if not newline:
         raise ClusterError("snapshot missing header line")
     try:
-        parts = dict(
-            item.split("=", 1) for item in blob[:newline].decode("utf-8").split()
-        )
+        parts = dict(item.split("=", 1) for item in header.decode("utf-8").split())
         device_count = int(parts["d"])
         lengths = [int(n) for n in parts["lengths"].split(",") if n]
         parity_len = int(parts["parity_len"])
@@ -294,23 +283,29 @@ def load_snapshot(blob: bytes) -> ParityCluster:
     if len(lengths) != device_count:
         raise ClusterError("snapshot header lengths disagree with device count")
     cluster = ParityCluster(device_count)
-    pos = newline + 1
-    for i, n in enumerate(lengths):
-        cluster._stores[i] = bytearray(blob[pos : pos + n])
-        cluster._lengths[i] = n
-        if len(cluster._stores[i]) != n:
-            raise ClusterError("snapshot truncated inside store bytes")
+    pos = 0
+    for i, n in enumerate(lengths + [parity_len]):
+        cluster._devices[i] = bytearray(body[pos : pos + n])
+        if len(cluster._devices[i]) != n:
+            raise ClusterError(f"snapshot truncated inside device {i}")
         pos += n
-    cluster._parity = bytearray(blob[pos : pos + parity_len])
-    if len(cluster._parity) != parity_len:
-        raise ClusterError("snapshot truncated inside parity bytes")
-    pos += parity_len
-    for line in blob[pos:].decode("utf-8").splitlines():
-        key, device, offset, length, record_hash = line.split("\t")
-        cluster._index[key] = RecordLocation(
-            device=int(device),
-            offset=int(offset),
-            length=int(length),
-            record_hash=record_hash,
-        )
+    cluster._lengths = lengths + [max(lengths)]
+    text = body[pos:].decode("latin-1")  # never fails; the filter below rejects non-ASCII
+    if text.translate(_INDEX_CHARS):
+        raise ClusterError("snapshot index holds characters outside hex, tab and newline")
+    for line in text.splitlines():
+        try:
+            key, device, offset, length, record_hash = line.split("\t")
+            loc = RecordLocation(int(device), int(offset), int(length), record_hash)
+        except ValueError:
+            raise ClusterError(f"malformed snapshot index line {line[:80]!r}") from None
+        if (
+            key in cluster._index
+            or len(key) != 64
+            or len(record_hash) != 64
+            or loc.device >= device_count
+            or loc.offset + loc.length > lengths[loc.device]
+        ):
+            raise ClusterError(f"snapshot index line names no record {line[:80]!r}")
+        cluster._index[key] = loc
     return cluster

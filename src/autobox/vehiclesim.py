@@ -163,6 +163,19 @@ class VehicleConfig:
                 raise ScenarioError("parity cluster members must be unique")
         if self.initial_odometer_km < 0:
             raise ScenarioError("initial_odometer_km must be non-negative")
+        for name in ("capture_interval_s", "mileage_stride_km"):
+            if getattr(self, name) < 1:
+                raise ScenarioError(f"{name} must be at least 1")
+
+    def longest_record_line(self, duration_s: int) -> int:
+        """Bytes of the longest record line a module emits by duration_s.
+
+        Key, module id, event type, sim time and payload hash, tab-joined,
+        plus the newline: what ``DhtNode.record_size`` charges a store.
+        """
+        module_id = max(len(m.module_id.encode("utf-8")) for m in self.modules)
+        event_type = max(len(t.value) for t in EventType)
+        return 64 + module_id + event_type + len(str(duration_s)) + 64 + 4 + 1
 
 
 @dataclass(frozen=True)
@@ -840,6 +853,10 @@ def _parse_vehicle(obj: dict[str, Any]) -> VehicleConfig:
 
 def parse_scenario(obj: dict[str, Any]) -> Scenario:
     """Validate a JSON-compatible object tree into a Scenario."""
+    try:
+        duration = int(obj["duration_s"])
+    except KeyError:
+        raise ScenarioError("scenario needs duration_s") from None
     if "fleet" in obj:
         lanes = []
         for i, lane in enumerate(obj["fleet"]):
@@ -859,6 +876,13 @@ def parse_scenario(obj: dict[str, Any]) -> Scenario:
         lanes = [VehicleLane(config=config, events=events)]
     else:
         raise ScenarioError("scenario needs a 'vehicle' or 'fleet' section")
+    for lane in lanes:
+        longest = lane.config.longest_record_line(duration)
+        if lane.config.dht_store_limit_bytes < longest:
+            raise ScenarioError(
+                f"dht_store_limit_bytes {lane.config.dht_store_limit_bytes} cannot "
+                f"hold a {longest}-byte record line"
+            )
     library = None
     if obj.get("approved_library") is not None:
         library = {
@@ -869,10 +893,6 @@ def parse_scenario(obj: dict[str, Any]) -> Scenario:
     policy = VerdictPolicy(
         critical_variants=frozenset(policy_obj.get("critical_variants", ()))
     )
-    try:
-        duration = int(obj["duration_s"])
-    except KeyError:
-        raise ScenarioError("scenario needs duration_s") from None
     return Scenario(
         scenario_id=str(obj.get("id", "scenario")),
         seed=int(obj.get("seed", 0)),

@@ -111,3 +111,45 @@ def seeded_library(scenario):
     builder = replace(scenario, approved_library=None)
     result = run_scenario(builder)
     return result.observed_library()
+
+
+SNAPSHOT_KEY = "aa" * 32  # the record on device 0, 6 bytes long
+
+
+def two_device_snapshot() -> bytes:
+    from autobox.parity import ParityCluster, save_snapshot
+
+    cluster = ParityCluster(2)
+    cluster.append_record(0, SNAPSHOT_KEY, b"abcdef")
+    cluster.append_record(1, "bb" * 32, b"ghi")
+    return save_snapshot(cluster)
+
+
+def _edit_index_line(field: int, value: str):
+    def edit(blob: bytes) -> bytes:
+        start = blob.index(SNAPSHOT_KEY.encode())
+        end = blob.index(b"\n", start)
+        fields = blob[start:end].decode().split("\t")
+        fields[field] = value
+        return blob[:start] + "\t".join(fields).encode() + blob[end:]
+
+    return edit
+
+
+def _repeat_index_line(blob: bytes) -> bytes:
+    start = blob.index(SNAPSHOT_KEY.encode())
+    end = blob.index(b"\n", start) + 1
+    return blob + blob[start:end]
+
+
+# Index-line edits a snapshot loader must refuse: id -> blob transform.
+BAD_INDEX_EDITS = {
+    "device-out-of-range": _edit_index_line(1, "7"),
+    "device-not-int": _edit_index_line(1, "x"),
+    "length-past-device": _edit_index_line(3, "99"),
+    "negative-offset": _edit_index_line(2, "-1"),
+    "hash-not-hex": _edit_index_line(4, "zz" * 32),
+    "four-fields": lambda blob: blob + b"cc" * 32 + b"\t0\t0\t1\n",
+    "repeated-key": _repeat_index_line,
+    "not-utf8": lambda blob: blob + b"\xff\xfe\n",
+}

@@ -8,7 +8,7 @@ from autobox import cli
 from autobox.ledger import load_ledger
 from autobox.parity import ParityCluster, save_snapshot
 
-from conftest import VIN
+from conftest import BAD_INDEX_EDITS, VIN, two_device_snapshot
 
 BASE_MODULES = [
     {
@@ -215,6 +215,10 @@ class TestVerify:
     def test_missing_file_exit_two(self, tmp_path):
         assert cli.main(["verify", str(tmp_path / "nope.txt")]) == 2
 
+    def test_directory_exit_two(self, tmp_path, capsys):
+        assert cli.main(["verify", str(tmp_path)]) == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestHistory:
     def test_known_key_rows_ascending(self, tmp_path, capsys):
@@ -262,6 +266,10 @@ class TestHistory:
         rc, out = seeded_run(tmp_path)
         assert cli.main(["history", str(out / cli.LEDGER_FILE), "zz-not-hex"]) == 2
 
+    def test_directory_exit_two(self, tmp_path, capsys):
+        assert cli.main(["history", str(tmp_path), "99" * 32]) == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestAudit:
     def make_snapshot(self, tmp_path, corrupt=False):
@@ -289,6 +297,17 @@ class TestAudit:
         path = tmp_path / "junk.snap"
         path.write_bytes(b"junk")
         assert cli.main(["audit", str(path)]) == 2
+
+    @pytest.mark.parametrize("edit", sorted(BAD_INDEX_EDITS))
+    def test_bad_index_line_exit_two(self, tmp_path, capsys, edit):
+        path = tmp_path / "edited.snap"
+        path.write_bytes(BAD_INDEX_EDITS[edit](two_device_snapshot()))
+        assert cli.main(["audit", str(path)]) == 2
+        assert "format error" in capsys.readouterr().err
+
+    def test_directory_exit_two(self, tmp_path, capsys):
+        assert cli.main(["audit", str(tmp_path)]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_run_output_snapshots_audit_clean(self, tmp_path, capsys):
         rc, out = seeded_run(tmp_path)

@@ -17,6 +17,8 @@ from autobox.parity import (
     scrub,
 )
 
+from conftest import BAD_INDEX_EDITS, two_device_snapshot
+
 
 def xor_oracle(stores: list[bytes]) -> bytes:
     """Independent byte-loop parity computation."""
@@ -237,6 +239,15 @@ class TestSnapshot:
     def test_garbage_rejected(self):
         with pytest.raises(ClusterError):
             load_snapshot(b"not a snapshot")
+
+    def test_two_device_snapshot_loads_clean(self):
+        assert scrub(load_snapshot(two_device_snapshot())).clean
+
+    @pytest.mark.parametrize("edit", sorted(BAD_INDEX_EDITS))
+    def test_bad_index_line_rejected(self, edit):
+        blob = BAD_INDEX_EDITS[edit](two_device_snapshot())
+        with pytest.raises(ClusterError):
+            load_snapshot(blob)
 
 
 class TestParityProperties:

@@ -1,7 +1,8 @@
 """The benchmark wraps autobox functions by name; keep every name alive.
 
 ``perfbench/tracing.py`` is loaded from its file, unchanged, so deleting or
-renaming a traced function fails here rather than in a benchmark run.
+renaming a traced function, or an attribute its count hooks read, fails
+here rather than in a benchmark run.
 """
 
 from __future__ import annotations
@@ -10,13 +11,21 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from autobox import vehiclesim
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def test_every_traced_function_resolves_to_a_callable():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_function_resolves_to_a_callable():
+    tracing = load_tracing()
     assert tracing.FUNCTIONS
     for name, (owner_path, attr) in tracing.FUNCTIONS.items():
         module_name, _, class_name = owner_path.partition(".")
@@ -24,3 +33,18 @@ def test_every_traced_function_resolves_to_a_callable():
         if class_name:
             owner = getattr(owner, class_name)
         assert callable(getattr(owner, attr, None)), name
+
+
+def test_count_hooks_read_live_attributes():
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        vehiclesim.run_scenario(vehiclesim.load_scenario(ROOT / "scenarios" / "demo.json"))
+    finally:
+        tracer.uninstall()
+    for name in (
+        "parity.scrub.bytes",
+        "parity.append_record.bytes",
+        "masternode.capture_meta_hash.records",
+    ):
+        assert tracer.counts[name] > 0, name

@@ -683,6 +683,40 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="unique"):
             parse_scenario(obj)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capture_interval_s", 0),
+            ("capture_interval_s", -5),
+            ("mileage_stride_km", 0),
+            ("mileage_stride_km", -1),
+        ],
+    )
+    def test_non_positive_period_rejected(self, field, value):
+        obj = self.scenario_obj()
+        obj["vehicle"][field] = value
+        with pytest.raises(ScenarioError, match=field):
+            parse_scenario(obj)
+
+    def test_store_limit_below_record_line_rejected(self, tmp_path):
+        obj = self.scenario_obj()
+        obj["vehicle"]["dht_store_limit_bytes"] = 100
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ScenarioError, match="dht_store_limit_bytes"):
+            load_scenario(path)
+
+    def test_store_limit_bound_is_the_longest_record_line(self):
+        # 64-hex key, "ECU", "MileageThreshold", "3600", 64-hex hash,
+        # four tabs and the newline.
+        longest = 64 + 3 + len("MileageThreshold") + 4 + 64 + 4 + 1
+        obj = self.scenario_obj()
+        obj["vehicle"]["dht_store_limit_bytes"] = longest
+        parse_scenario(obj)
+        obj["vehicle"]["dht_store_limit_bytes"] = longest - 1
+        with pytest.raises(ScenarioError, match="dht_store_limit_bytes"):
+            parse_scenario(obj)
+
     def test_unordered_events_rejected(self):
         scenario = make_scenario(
             events=(
