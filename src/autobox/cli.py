@@ -115,7 +115,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    result = run_scenario(scenario, ledger_path=outdir / LEDGER_FILE)
+    try:
+        result = run_scenario(scenario, ledger_path=outdir / LEDGER_FILE)
+    except ScenarioError as exc:  # an event the simulation refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - started
 
     (outdir / VERDICTS_FILE).write_bytes(result.verdicts_text().encode("utf-8"))

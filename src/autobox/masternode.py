@@ -3,7 +3,9 @@
 The head unit mirrors every record the in-vehicle table accepts, so a
 checkpoint is a pure function of the mirror: the meta digest folds the
 (record key, payload hash) pairs sorted by key, making it independent of
-insertion order and reproducible from any node dump. Capturing a
+insertion order and reproducible from any node dump. The mirror holds
+exactly those pairs as raw 64-byte ``key‖payload_hash`` strings in sorted
+order, so a capture is one join and one hash. Capturing a
 checkpoint is also what unlocks eviction down in the node stores — the
 checkpoint floor advances to cover everything the mirror has seen, and
 only covered records may be dropped.
@@ -19,6 +21,7 @@ dropped.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Protocol
@@ -118,7 +121,9 @@ def meta_digest(pairs: Iterable[tuple[str, str]]) -> str:
     """Fold (record_key, payload_hash) pairs into one order-free digest.
 
     Pairs are sorted by record key and concatenated as raw digest bytes.
-    The empty set hashes to SHA-256 of the empty byte string.
+    The empty set hashes to SHA-256 of the empty byte string. This is the
+    reference definition; ``MasterNode`` keeps its mirror in this order
+    already and hashes it directly.
     """
     h = hashlib.sha256()
     for key, payload in sorted(pairs):
@@ -145,7 +150,7 @@ class MasterNode:
         self.vehicle_key = ""  # stamped on each checkpoint as it is captured
         self.alerts: list[str] = []
         self.last_capture_time = 0
-        self._mirror: dict[str, AuditRecord] = {}
+        self._pairs: list[bytes] = []  # raw key‖payload_hash, sorted by key
         self._high_sequence = 0
         self._checkpoint_seq = 0
         self._mileage_mark = initial_odometer_km // mileage_stride_km
@@ -153,17 +158,30 @@ class MasterNode:
     # -- mirror -----------------------------------------------------------
 
     def mirror_update(self, record: AuditRecord, sequence: int) -> None:
-        """Fold one accepted record into the full mirror (idempotent)."""
-        self._mirror.setdefault(record.record_key, record)
+        """Fold one accepted record into the full mirror (idempotent).
+
+        Keys are fixed-length lowercase hex, so raw-byte order is the key
+        order ``meta_digest`` sorts by; a key already mirrored is kept.
+        """
+        pair = bytes.fromhex(record.record_key + record.payload_hash)
+        key = pair[:32]
+        i = bisect_left(self._pairs, key)
+        if i == len(self._pairs) or self._pairs[i][:32] != key:
+            self._pairs.insert(i, pair)
         if sequence > self._high_sequence:
             self._high_sequence = sequence
 
     @property
     def mirror_size(self) -> int:
-        return len(self._mirror)
+        return len(self._pairs)
 
-    def mirrored(self, record_key: str) -> AuditRecord | None:
-        return self._mirror.get(record_key)
+    def mirrored(self, record_key: str) -> str | None:
+        """Payload hash mirrored under a record key, or None."""
+        key = bytes.fromhex(record_key)
+        i = bisect_left(self._pairs, key)
+        if i < len(self._pairs) and self._pairs[i][:32] == key:
+            return self._pairs[i][32:].hex()
+        return None
 
     # -- checkpoints --------------------------------------------------------
 
@@ -176,13 +194,11 @@ class MasterNode:
                 f"mirror at sequence {self._high_sequence} lags network "
                 f"sequence {self.network.sequence}; quiesce and retry"
             )
-        digest = meta_digest(
-            (r.record_key, r.payload_hash) for r in self._mirror.values()
-        )
+        digest = hashlib.sha256(b"".join(self._pairs)).hexdigest()
         self._checkpoint_seq += 1
         mh = MetaHash(
             digest=digest,
-            covered_records=len(self._mirror),
+            covered_records=len(self._pairs),
             checkpoint_seq=self._checkpoint_seq,
             sim_time=sim_time,
             trigger=trigger,

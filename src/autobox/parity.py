@@ -8,6 +8,14 @@ every stored record with a digest of its bytes, which pins a corruption to
 the device whose records stop verifying. Locate via record hashes, repair
 via XOR.
 
+Checking every record at every scrub costs a hash call per record, so the
+cluster also keeps a running SHA-256 of the bytes appended to each data
+device. A live device is exactly the concatenation of its appended records,
+so a device whose whole-content digest matches holds no stale record; only
+the devices that differ get the per-record check. A cluster loaded from a
+snapshot has no write history, and all of its devices take the per-record
+check.
+
 One device list holds the data devices at 0..d-1 and parity at d, where
 the PARITY sentinel resolves; a list beside it holds recorded lengths.
 XOR folds stores read as little-endian ints: zero bytes on the right of a
@@ -83,6 +91,11 @@ class ParityCluster:
         self._devices = [bytearray() for _ in range(device_count + 1)]
         self._lengths = [0] * (device_count + 1)  # recorded lengths survive erasure
         self._index: dict[str, RecordLocation] = {}
+        # Running SHA-256 of each data device's appended bytes; None where
+        # the write history is unknown (a cluster loaded from a snapshot).
+        self._appended: list[hashlib._Hash | None] = [
+            hashlib.sha256() for _ in range(device_count)
+        ]
 
     def _resolve(self, device: DeviceRef) -> int:
         """Position of a device in the device list; parity sits at d."""
@@ -133,6 +146,8 @@ class ParityCluster:
             raise ClusterError(f"device {idx} is erased; repair before appending")
         offset, end = len(store), len(store) + len(payload)
         store.extend(payload)
+        if (appended := self._appended[idx]) is not None:
+            appended.update(payload)
         parity = self._devices[self.device_count]
         if len(parity) < end:
             parity.extend(bytes(end - len(parity)))
@@ -179,7 +194,14 @@ class ParityCluster:
 
 
 def _stale_records(cluster: ParityCluster, device: int, content: bytes) -> list[str]:
-    """Keys of the device's records whose bytes in content miss their hash."""
+    """Keys of the device's records whose bytes in content miss their hash.
+
+    Content equal to everything appended to the device holds none; one
+    whole-device digest settles that before any record is hashed.
+    """
+    appended = cluster._appended[device] if device < cluster.device_count else None
+    if appended is not None and hashlib.sha256(content).digest() == appended.digest():
+        return []
     return [
         key
         for key, loc in cluster._index.items()
@@ -190,10 +212,12 @@ def _stale_records(cluster: ParityCluster, device: int, content: bytes) -> list[
 
 
 def scrub(cluster: ParityCluster) -> ScrubReport:
-    """Check every record hash and the parity invariant.
+    """Check every data device's records and the parity invariant.
 
-    Record-hash mismatches locate the corrupt data device; a parity
-    mismatch with all records intact indicts the parity device itself.
+    A device whose digest matches its appended bytes is intact as a whole;
+    any other device has each record hash checked. Record-hash mismatches
+    locate the corrupt data device; a parity mismatch with all records
+    intact indicts the parity device itself.
     """
     d = cluster.device_count
     stale = {
@@ -290,6 +314,7 @@ def load_snapshot(blob: bytes) -> ParityCluster:
             raise ClusterError(f"snapshot truncated inside device {i}")
         pos += n
     cluster._lengths = lengths + [max(lengths)]
+    cluster._appended = [None] * device_count
     text = body[pos:].decode("latin-1")  # never fails; the filter below rejects non-ASCII
     if text.translate(_INDEX_CHARS):
         raise ClusterError("snapshot index holds characters outside hex, tab and newline")

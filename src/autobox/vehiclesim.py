@@ -295,10 +295,12 @@ class Vehicle:
         }
         self.network = DhtNetwork(store_limit_bytes=config.dht_store_limit_bytes)
         self.node_of: dict[str, str] = {}
+        self.module_of: dict[str, str] = {}  # node id -> module id
         for m in config.modules:
             node_id = node_id_for_serial(m.serial_number)
             self.network.add_node(node_id)
             self.node_of[m.module_id] = node_id
+            self.module_of[node_id] = m.module_id
         self.clusters: list[_SimCluster] = []
         for members in config.parity_clusters:
             data_members = members[:-1]
@@ -342,12 +344,6 @@ class Vehicle:
     def vehicle_key(self) -> str:
         return self.master.vehicle_key
 
-    def _module_of_node(self, node_id: str) -> str | None:
-        for module_id, nid in self.node_of.items():
-            if nid == node_id:
-                return module_id
-        return None
-
     # -- record plumbing ------------------------------------------------------
 
     def _entry_node(self, emitter: str) -> str | None:
@@ -383,10 +379,10 @@ class Vehicle:
             self.ground_truth.log(
                 self.clock,
                 "eviction",
-                node_module=self._module_of_node(receipt.stored_at),
+                node_module=self.module_of.get(receipt.stored_at),
                 evicted=sorted(receipt.evicted),
             )
-        holder = self._module_of_node(receipt.stored_at)
+        holder = self.module_of.get(receipt.stored_at)
         if holder is not None:
             for cluster in self.clusters:
                 device = cluster.device_of.get(holder)
@@ -617,6 +613,8 @@ class Vehicle:
         new_node = node_id_for_serial(replacement.serial_number)
         self.network.add_node(new_node)
         self.node_of[module_id] = new_node
+        del self.module_of[old_node]
+        self.module_of[new_node] = module_id
         self.modules[module_id] = replacement
         # The donor unit arrives with its donor vehicle's protected data.
         self.scd[module_id] = replace(self.scd[module_id], vin=replacement.vin)
@@ -794,10 +792,26 @@ def parse_metadata(obj: dict[str, Any]) -> ModuleMetadata:
     return md
 
 
+_REQUIRED = object()
+
+
+def _int_field(obj: dict[str, Any], name: str, default: Any = _REQUIRED) -> int:
+    """``int(obj[name])``, or of the default when given and name is absent.
+
+    A value int() refuses (a string that is no number, null, a list, an
+    infinity) is a ScenarioError naming the field.
+    """
+    value = obj[name] if default is _REQUIRED else obj.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _parse_event(index: int, obj: dict[str, Any]) -> ScenarioEvent:
     try:
         kind = ScenarioEventKind(obj["kind"])
-        sim_time = int(obj["sim_time"])
+        sim_time = _int_field(obj, "sim_time")
     except KeyError as exc:
         raise ScenarioError(f"events[{index}]: missing {exc.args[0]!r}") from exc
     except ValueError as exc:
@@ -823,7 +837,7 @@ def _parse_event(index: int, obj: dict[str, Any]) -> ScenarioEvent:
             end=int(obj["end"]) if "end" in obj else None,
             token=obj.get("token"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"events[{index}]: {exc}") from exc
 
 
@@ -833,17 +847,17 @@ def _parse_vehicle(obj: dict[str, Any]) -> VehicleConfig:
             vin=str(obj["vin"]),
             variant_code=str(obj["variant_code"]),
             modules=tuple(parse_metadata(m) for m in obj["modules"]),
-            dht_store_limit_bytes=int(obj.get("dht_store_limit_bytes", 2048)),
+            dht_store_limit_bytes=_int_field(obj, "dht_store_limit_bytes", 2048),
             parity_clusters=tuple(
                 tuple(str(m) for m in members)
                 for members in obj.get("parity_clusters", [])
             ),
-            capture_interval_s=int(obj.get("capture_interval_s", 3600)),
-            mileage_stride_km=int(obj.get("mileage_stride_km", 1000)),
+            capture_interval_s=_int_field(obj, "capture_interval_s", 3600),
+            mileage_stride_km=_int_field(obj, "mileage_stride_km", 1000),
             tamper_clear_token=str(
                 obj.get("tamper_clear_token", DEFAULT_TAMPER_CLEAR_TOKEN)
             ),
-            initial_odometer_km=int(obj.get("initial_odometer_km", 0)),
+            initial_odometer_km=_int_field(obj, "initial_odometer_km", 0),
         )
     except KeyError as exc:
         raise ScenarioError(f"vehicle: missing field {exc.args[0]!r}") from exc
@@ -854,7 +868,7 @@ def _parse_vehicle(obj: dict[str, Any]) -> VehicleConfig:
 def parse_scenario(obj: dict[str, Any]) -> Scenario:
     """Validate a JSON-compatible object tree into a Scenario."""
     try:
-        duration = int(obj["duration_s"])
+        duration = _int_field(obj, "duration_s")
     except KeyError:
         raise ScenarioError("scenario needs duration_s") from None
     if "fleet" in obj:
@@ -895,7 +909,7 @@ def parse_scenario(obj: dict[str, Any]) -> Scenario:
     )
     return Scenario(
         scenario_id=str(obj.get("id", "scenario")),
-        seed=int(obj.get("seed", 0)),
+        seed=_int_field(obj, "seed", 0),
         duration_s=duration,
         lanes=tuple(lanes),
         approved_library=library,
@@ -904,9 +918,10 @@ def parse_scenario(obj: dict[str, Any]) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from autobox.ledger import load_ledger
 from autobox.parity import ParityCluster, save_snapshot
 
 from conftest import BAD_INDEX_EDITS, VIN, two_device_snapshot
+
+DEMO_SCENARIO = Path(__file__).parent.parent / "scenarios" / "demo.json"
 
 BASE_MODULES = [
     {
@@ -138,6 +141,49 @@ class TestRun:
         rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
         assert rc == 2
         assert "NOPE" in capsys.readouterr().err
+
+    def test_event_past_duration_exit_two(self, tmp_path, capsys):
+        obj = json.loads(DEMO_SCENARIO.read_text())
+        obj["events"].append({"sim_time": 999999, "kind": "Drive", "km": 10})
+        path = write_scenario(tmp_path, obj)
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: event scheduled past")
+
+    @pytest.mark.parametrize("value", ["abc", None, []], ids=["abc", "null", "list"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "vehicle.capture_interval_s",
+            "vehicle.dht_store_limit_bytes",
+            "vehicle.mileage_stride_km",
+            "vehicle.initial_odometer_km",
+            "duration_s",
+            "seed",
+        ],
+    )
+    def test_non_integer_field_exit_two(self, tmp_path, capsys, field, value):
+        obj = scenario_obj()
+        *parents, name = field.split(".")
+        target = obj
+        for parent in parents:
+            target = target[parent]
+        target[name] = value
+        path = write_scenario(tmp_path, obj)
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be an integer")
+        assert "Traceback" not in err
+
+    def test_non_utf8_scenario_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(scenario_obj()).encode("utf-8"))
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err
+        assert "Traceback" not in err
 
     def test_autobox_out_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AUTOBOX_OUT", str(tmp_path / "env-out"))

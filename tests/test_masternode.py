@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -69,7 +70,7 @@ class TestMirror:
         network, node, master = single_node_setup()
         record = make_record(sim_time=1)
         put_and_mirror(network, node, master, record)
-        assert master.mirrored(record.record_key) == record
+        assert master.mirrored(record.record_key) == record.payload_hash
 
     def test_duplicate_mirror_update_idempotent(self):
         network, node, master = single_node_setup()
@@ -92,6 +93,36 @@ class TestMirror:
             receipt = network.put(nodes[rng.randrange(8)], record)
             master.mirror_update(record, receipt.sequence)
         assert master.mirror_size == 100
+
+    def test_repeated_key_keeps_first_payload(self):
+        _, _, master = single_node_setup()
+        record = make_record(sim_time=1)
+        master.mirror_update(record, 1)
+        master.mirror_update(replace(record, payload_hash="00" * 32), 2)
+        assert master.mirror_size == 1
+        assert master.mirrored(record.record_key) == record.payload_hash
+
+    def test_unknown_key_not_mirrored(self):
+        _, _, master = single_node_setup()
+        master.mirror_update(make_record(sim_time=1), 1)
+        assert master.mirrored("00" * 32) is None
+        assert master.mirrored("ff" * 32) is None
+
+    def test_random_orders_with_repeats_match_reference_digest(self):
+        """Any insertion order, keys repeated: the capture equals meta_digest."""
+        rng = random.Random(62)
+        records = [make_record("ECU", sim_time=t) for t in range(40)]
+        reference = meta_digest((r.record_key, r.payload_hash) for r in records)
+        for _ in range(8):
+            _, _, master = single_node_setup()
+            feed = records + [rng.choice(records) for _ in range(25)]
+            rng.shuffle(feed)
+            for sequence, record in enumerate(feed, 1):
+                master.mirror_update(record, sequence)
+            assert master.mirror_size == len(records)
+            mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10)
+            assert mh.digest == reference
+            assert mh.covered_records == len(records)
 
 
 class TestCapture:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from autobox.parity import (
     ClusterError,
     MultiFaultError,
     ParityCluster,
+    ScrubReport,
     compute_parity,
     load_snapshot,
     reconstruct,
@@ -28,6 +30,25 @@ def xor_oracle(stores: list[bytes]) -> bytes:
         for j, b in enumerate(store):
             out[j] ^= b
     return bytes(out)
+
+
+def per_record_scrub(cluster: ParityCluster) -> ScrubReport:
+    """Reference scrub: hash every record, then check parity byte by byte."""
+    stale: dict[int, set[str]] = {}
+    for key, loc in cluster.record_index.items():
+        record = cluster.data_store(loc.device)[loc.offset : loc.offset + loc.length]
+        if hashlib.sha256(record).hexdigest() != loc.record_hash:
+            stale.setdefault(loc.device, set()).add(key)
+    if len(stale) > 1:
+        raise MultiFaultError(f"stale records on devices {sorted(stale)}")
+    if stale:
+        device, keys = stale.popitem()
+        return ScrubReport(clean=False, device=device, records=frozenset(keys))
+    parity = cluster.parity_store
+    stores = [cluster.data_store(i) for i in range(cluster.device_count)]
+    if len(parity) != cluster.recorded_length(PARITY) or any(xor_oracle(stores + [parity])):
+        return ScrubReport(clean=False, device=PARITY)
+    return ScrubReport(clean=True)
 
 
 def build_cluster(rng: random.Random, d: int, records_per_device=3, max_len=200):
@@ -153,6 +174,96 @@ class TestScrub:
         report = scrub(cluster)
         assert not report.clean
         assert report.device == PARITY
+
+
+class TestScrubAgainstPerRecordReference:
+    """Scrub skips the record hashes of devices whose digest still matches
+    their appended bytes; every fault must still be reported exactly as the
+    per-record reference reports it."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_flip_first_middle_last_byte_of_every_device(self, d):
+        rng = random.Random(100 + d)
+        cluster, originals = build_cluster(rng, d)
+        for device in range(d):
+            length = len(originals[device])
+            for offset in (0, length // 2, length - 1):
+                cluster.corrupt_byte(device, offset)
+                report = scrub(cluster)
+                assert not report.clean
+                assert report.device == device
+                assert report == per_record_scrub(cluster)
+                repair(cluster, device)
+                assert cluster.data_store(device) == originals[device]
+                assert scrub(cluster).clean
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_erase_every_device(self, d):
+        rng = random.Random(110 + d)
+        cluster, originals = build_cluster(rng, d)
+        for device in [*range(d), PARITY]:
+            cluster.erase_device(device)
+            report = scrub(cluster)
+            assert report.device == device
+            assert report == per_record_scrub(cluster)
+            repair(cluster, device)
+            assert scrub(cluster).clean
+
+    def test_parity_only_flip(self):
+        rng = random.Random(120)
+        cluster, _ = build_cluster(rng, 3)
+        for offset in (0, len(cluster.parity_store) - 1):
+            cluster.corrupt_byte(PARITY, offset)
+            report = scrub(cluster)
+            assert report == ScrubReport(clean=False, device=PARITY)
+            assert report == per_record_scrub(cluster)
+            repair(cluster, PARITY)
+            assert scrub(cluster).clean
+
+    def test_two_flipped_devices_raise_like_reference(self):
+        rng = random.Random(121)
+        cluster, _ = build_cluster(rng, 3)
+        cluster.corrupt_byte(0, 1)
+        cluster.corrupt_byte(2, 1)
+        for check in (scrub, per_record_scrub):
+            with pytest.raises(MultiFaultError):
+                check(cluster)
+
+    def test_loaded_snapshot_flip_located(self):
+        rng = random.Random(122)
+        cluster, _ = build_cluster(rng, 3)
+        blob = save_snapshot(cluster)
+        for device in range(3):
+            loaded = load_snapshot(blob)
+            loaded.corrupt_byte(device, len(loaded.data_store(device)) - 1)
+            report = scrub(loaded)
+            assert report.device == device
+            assert report == per_record_scrub(loaded)
+
+    def test_loaded_empty_device_takes_record_check(self):
+        """An empty device's digest matches an empty write history, but a
+        loaded cluster has none: its zero-length record with a forged hash
+        must still be reported."""
+        cluster = ParityCluster(2)
+        cluster.append_record(0, "aa" * 32, b"")
+        cluster.append_record(1, "bb" * 32, b"ghi")
+        empty_hash = hashlib.sha256(b"").hexdigest().encode()
+        loaded = load_snapshot(save_snapshot(cluster).replace(empty_hash, b"0" * 64))
+        report = scrub(loaded)
+        assert report == ScrubReport(clean=False, device=0, records=frozenset({"aa" * 32}))
+        assert report == per_record_scrub(loaded)
+
+    def test_append_to_loaded_cluster(self):
+        rng = random.Random(123)
+        cluster, _ = build_cluster(rng, 2)
+        loaded = load_snapshot(save_snapshot(cluster))
+        loc = loaded.append_record(1, "ee" * 32, b"appended after load")
+        assert scrub(loaded).clean
+        loaded.corrupt_byte(1, loc.offset)
+        report = scrub(loaded)
+        assert report == ScrubReport(clean=False, device=1, records=frozenset({"ee" * 32}))
+        repair(loaded, 1)
+        assert scrub(loaded).clean
 
 
 class TestReconstruct:

@@ -698,6 +698,28 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=field):
             parse_scenario(obj)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sim_time", None),
+            ("sim_time", []),
+            ("sim_time", float("inf")),
+            ("km", float("inf")),
+        ],
+    )
+    def test_non_integer_event_field_rejected(self, field, value):
+        obj = self.scenario_obj()
+        obj["events"][0][field] = value
+        with pytest.raises(ScenarioError, match=r"events\[0\]"):
+            parse_scenario(obj)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), "1e3"])
+    def test_non_integer_duration_rejected(self, value):
+        obj = self.scenario_obj()
+        obj["duration_s"] = value
+        with pytest.raises(ScenarioError, match="duration_s must be an integer"):
+            parse_scenario(obj)
+
     def test_store_limit_below_record_line_rejected(self, tmp_path):
         obj = self.scenario_obj()
         obj["vehicle"]["dht_store_limit_bytes"] = 100
