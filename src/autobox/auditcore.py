@@ -14,6 +14,12 @@ field values because the newline is the field separator.
 All digests are SHA-256 and are rendered as lowercase hex wherever a
 textual encoding is needed. Timestamps are simulated-clock integers;
 nothing in this package reads the wall clock.
+
+A metadata instance is hashed once: ``ModuleMetadata.payload_hash``
+memoises the digest of its canonical form on the instance. That is safe
+because metadata is frozen and every mutation (reflash, tamper, swap)
+replaces the instance, so the new one hashes afresh. Record keys still
+depend on the emission time and are computed per record.
 """
 
 from __future__ import annotations
@@ -23,10 +29,13 @@ import re
 from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 # 17 chars, uppercase alphanumerics minus I/O/Q (easily confused glyphs).
 VIN_RE = re.compile(r"^[A-HJ-NPR-Z0-9]{17}$")
+# An explicit class: \d and re.I would admit non-ASCII digits and A-F.
+HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 PAYLOAD_SUMMARY_LIMIT = 64  # bytes, keeps records friendly to tiny stores
 
@@ -58,7 +67,8 @@ def sha256_hex(data: bytes) -> str:
 
 
 def is_hex_digest(value: str) -> bool:
-    return len(value) == 64 and all(c in "0123456789abcdef" for c in value)
+    """64 lowercase hex chars; fullmatch, since ``$`` admits a trailing newline."""
+    return HEX_DIGEST_RE.fullmatch(value) is not None
 
 
 def validate_vin(vin: str) -> None:
@@ -72,7 +82,8 @@ class ModuleMetadata:
 
     This is the unit of hashing: any single-field change produces a new
     payload digest. Mutations (reflash, tamper, swap) are modeled by
-    replacing the instance, never by in-place edits.
+    replacing the instance, never by in-place edits, which is what lets
+    ``payload_hash`` be computed once per instance.
     """
 
     module_id: str
@@ -95,6 +106,14 @@ class ModuleMetadata:
         for name, value in _field_items(self):
             if isinstance(value, str) and "\n" in value:
                 raise MetadataError(f"newline in field {name!r} breaks canonical form")
+
+    @cached_property
+    def payload_hash(self) -> str:
+        """SHA-256 hex of the canonical form, memoised on the instance.
+
+        A MetadataError is not cached: invalid metadata raises on every read.
+        """
+        return sha256_hex(canonical_serialize(self))
 
 
 @dataclass(frozen=True)
@@ -219,7 +238,7 @@ def identity_hash(
     """Produce the audit record a module emits to self-identify."""
     if sim_time < 0:
         raise ValueError("sim_time must be non-negative")
-    payload_hash = sha256_hex(canonical_serialize(metadata))
+    payload_hash = metadata.payload_hash
     summary = f"{metadata.module_id}@{metadata.software_version}"
     summary = summary.encode("utf-8")[:PAYLOAD_SUMMARY_LIMIT].decode("utf-8", "ignore")
     return AuditRecord(

@@ -12,7 +12,9 @@ machine-readable outputs are deterministic for identical inputs; wall
 timing appears only in the human summary on stdout.
 
 Exit codes: 0 clean, 1 findings or corruption, 2 bad input (a missing or
-unreadable file, a malformed ledger, snapshot or scenario).
+unreadable file, a malformed ledger, snapshot or scenario), 3 internal
+error (an exception no command handles: a defect in autobox, reported as
+one ``internal error:`` line on stderr instead of a traceback).
 """
 
 from __future__ import annotations
@@ -286,7 +288,11 @@ def main(argv: list[str] | None = None) -> int:
         "history": _cmd_history,
         "audit": _cmd_audit,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except Exception as exc:  # no traceback escapes, and 1 stays "findings"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

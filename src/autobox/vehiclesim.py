@@ -47,6 +47,7 @@ from .auditcore import (
     SharedCriticalData,
     derive_vehicle_key,
     identity_hash,
+    is_hex_digest,
     validate_vin,
 )
 from .dht import (
@@ -82,6 +83,11 @@ METADATA_FIELDS = (
 )
 
 DEFAULT_TAMPER_CLEAR_TOKEN = "SERVICE-TOOL"
+
+# Periodic captures one vehicle may take over a scenario (duration_s //
+# capture_interval_s): about 13 months at hourly captures. A longer
+# scenario is refused rather than left to run for days.
+MAX_PERIODIC_CAPTURES = 10_000
 
 
 class ScenarioError(ValueError):
@@ -607,10 +613,15 @@ class Vehicle:
                 f"replacement module_id {replacement.module_id!r} does not fit "
                 f"slot {module_id!r}"
             )
+        new_node = node_id_for_serial(replacement.serial_number)
+        if self.module_of.get(new_node, module_id) != module_id:
+            raise ScenarioError(
+                f"replacement serial {replacement.serial_number!r} is already "
+                f"fitted in {self.module_of[new_node]!r}"
+            )
         old = self.modules[module_id]
         old_node = self.node_of[module_id]
         self.network.remove_node(old_node)
-        new_node = node_id_for_serial(replacement.serial_number)
         self.network.add_node(new_node)
         self.node_of[module_id] = new_node
         del self.module_of[old_node]
@@ -652,10 +663,14 @@ class Vehicle:
         device: int | str
         if event.device == parity.PARITY:
             device = parity.PARITY
-        elif event.device is None:
-            raise ScenarioError("MemoryCorruption needs a device index or 'parity'")
         else:
-            device = int(event.device)
+            try:
+                device = int(event.device)
+            except (TypeError, ValueError, OverflowError):
+                raise ScenarioError(
+                    f"MemoryCorruption needs a device index or 'parity', "
+                    f"got {event.device!r}"
+                ) from None
         offset = event.byte_offset or 0
         try:
             pre, post = cluster.store.corrupt_byte(device, offset)
@@ -740,22 +755,27 @@ class Vehicle:
 
 
 def _coerce_scd_value(field_name: str, value: Any) -> Any:
-    if field_name == "airbag_status":
-        return AirbagStatus(value)
-    if field_name in ("odometer_km", "service_event_count"):
-        coerced = int(value)
-        if coerced < 0:
-            raise ScenarioError(f"{field_name} cannot be negative")
-        return coerced
-    if field_name == "vin":
-        validate_vin(str(value))
-        return str(value)
-    return value
+    """A forged shared-data value as its field's type, or a ScenarioError."""
+    try:
+        if field_name == "airbag_status":
+            return AirbagStatus(value)
+        if field_name == "vin":
+            validate_vin(str(value))
+            return str(value)
+        coerced = int(value)  # odometer_km, service_event_count
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"EepromTamper {field_name}: {exc}") from None
+    if coerced < 0:
+        raise ScenarioError(f"{field_name} cannot be negative")
+    return coerced
 
 
 def _coerce_metadata_value(field_name: str, value: Any) -> Any:
     if field_name in ("design_date", "manufacture_date"):
-        return date.fromisoformat(str(value))
+        try:
+            return date.fromisoformat(str(value))
+        except ValueError as exc:
+            raise ScenarioError(f"EepromTamper {field_name}: {exc}") from None
     return str(value)
 
 
@@ -770,7 +790,19 @@ def _jsonable(value: Any) -> Any:
 # -- scenario files --------------------------------------------------------
 
 
+def _expect(value: Any, kind: type, where: str) -> Any:
+    """``value`` when it has the JSON shape ``kind`` (dict or list).
+
+    Anything else is a ScenarioError naming where it was found.
+    """
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ScenarioError(f"{where} must be {shape}, got {type(value).__name__}")
+    return value
+
+
 def parse_metadata(obj: dict[str, Any]) -> ModuleMetadata:
+    _expect(obj, dict, "module metadata")
     try:
         md = ModuleMetadata(
             module_id=str(obj["module_id"]),
@@ -784,11 +816,11 @@ def parse_metadata(obj: dict[str, Any]) -> ModuleMetadata:
             serial_number=str(obj["serial_number"]),
             vin=str(obj["vin"]),
         )
+        md.validate()
     except KeyError as exc:
         raise ScenarioError(f"module metadata missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a bad date, a MetadataError
         raise ScenarioError(f"module metadata: {exc}") from exc
-    md.validate()
     return md
 
 
@@ -808,7 +840,16 @@ def _int_field(obj: dict[str, Any], name: str, default: Any = _REQUIRED) -> int:
         raise ScenarioError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _str_field(obj: dict[str, Any], name: str) -> str | None:
+    """``obj[name]`` when it is a string, None when absent."""
+    value = obj.get(name)
+    if value is not None and not isinstance(value, str):
+        raise ScenarioError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _parse_event(index: int, obj: dict[str, Any]) -> ScenarioEvent:
+    _expect(obj, dict, f"events[{index}]")
     try:
         kind = ScenarioEventKind(obj["kind"])
         sim_time = _int_field(obj, "sim_time")
@@ -826,31 +867,36 @@ def _parse_event(index: int, obj: dict[str, Any]) -> ScenarioEvent:
             sim_time=sim_time,
             kind=kind,
             km=int(obj["km"]) if "km" in obj else None,
-            module_id=obj.get("module_id"),
-            new_version=obj.get("new_version"),
-            field=obj.get("field"),
+            module_id=_str_field(obj, "module_id"),
+            new_version=_str_field(obj, "new_version"),
+            field=_str_field(obj, "field"),
             forged_value=obj.get("forged_value"),
             replacement=replacement,
             cluster=int(obj["cluster"]) if "cluster" in obj else None,
             device=obj.get("device"),
             byte_offset=int(obj["byte_offset"]) if "byte_offset" in obj else None,
             end=int(obj["end"]) if "end" in obj else None,
-            token=obj.get("token"),
+            token=_str_field(obj, "token"),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"events[{index}]: {exc}") from exc
 
 
 def _parse_vehicle(obj: dict[str, Any]) -> VehicleConfig:
+    _expect(obj, dict, "vehicle")
     try:
         config = VehicleConfig(
             vin=str(obj["vin"]),
             variant_code=str(obj["variant_code"]),
-            modules=tuple(parse_metadata(m) for m in obj["modules"]),
+            modules=tuple(
+                parse_metadata(m) for m in _expect(obj["modules"], list, "modules")
+            ),
             dht_store_limit_bytes=_int_field(obj, "dht_store_limit_bytes", 2048),
             parity_clusters=tuple(
-                tuple(str(m) for m in members)
-                for members in obj.get("parity_clusters", [])
+                tuple(str(m) for m in _expect(members, list, f"parity_clusters[{i}]"))
+                for i, members in enumerate(
+                    _expect(obj.get("parity_clusters", []), list, "parity_clusters")
+                )
             ),
             capture_interval_s=_int_field(obj, "capture_interval_s", 3600),
             mileage_stride_km=_int_field(obj, "mileage_stride_km", 1000),
@@ -861,7 +907,10 @@ def _parse_vehicle(obj: dict[str, Any]) -> VehicleConfig:
         )
     except KeyError as exc:
         raise ScenarioError(f"vehicle: missing field {exc.args[0]!r}") from exc
-    config.validate()
+    try:
+        config.validate()
+    except MetadataError as exc:  # the vehicle's own VIN
+        raise ScenarioError(f"vehicle: {exc}") from exc
     return config
 
 
@@ -873,10 +922,12 @@ def parse_scenario(obj: dict[str, Any]) -> Scenario:
         raise ScenarioError("scenario needs duration_s") from None
     if "fleet" in obj:
         lanes = []
-        for i, lane in enumerate(obj["fleet"]):
+        for i, lane in enumerate(_expect(obj["fleet"], list, "fleet")):
+            _expect(lane, dict, f"fleet[{i}]")
             config = _parse_vehicle(lane.get("vehicle", {}))
             events = tuple(
-                _parse_event(j, e) for j, e in enumerate(lane.get("events", []))
+                _parse_event(j, e)
+                for j, e in enumerate(_expect(lane.get("events", []), list, "events"))
             )
             lanes.append(VehicleLane(config=config, events=events))
         if not lanes:
@@ -886,7 +937,10 @@ def parse_scenario(obj: dict[str, Any]) -> Scenario:
             raise ScenarioError("fleet VINs must be unique")
     elif "vehicle" in obj:
         config = _parse_vehicle(obj["vehicle"])
-        events = tuple(_parse_event(i, e) for i, e in enumerate(obj.get("events", [])))
+        events = tuple(
+            _parse_event(i, e)
+            for i, e in enumerate(_expect(obj.get("events", []), list, "events"))
+        )
         lanes = [VehicleLane(config=config, events=events)]
     else:
         raise ScenarioError("scenario needs a 'vehicle' or 'fleet' section")
@@ -897,15 +951,27 @@ def parse_scenario(obj: dict[str, Any]) -> Scenario:
                 f"dht_store_limit_bytes {lane.config.dht_store_limit_bytes} cannot "
                 f"hold a {longest}-byte record line"
             )
+        if duration // lane.config.capture_interval_s > MAX_PERIODIC_CAPTURES:
+            raise ScenarioError(
+                f"duration_s {duration} at capture_interval_s "
+                f"{lane.config.capture_interval_s} exceeds "
+                f"{MAX_PERIODIC_CAPTURES} periodic captures"
+            )
     library = None
     if obj.get("approved_library") is not None:
-        library = {
-            str(variant): tuple(str(d) for d in digests)
-            for variant, digests in obj["approved_library"].items()
-        }
-    policy_obj = obj.get("policy", {})
+        library = {}
+        approved = _expect(obj["approved_library"], dict, "approved_library")
+        for variant, digests in approved.items():
+            where = f"approved_library[{variant!r}]"
+            library[str(variant)] = tuple(_expect(digests, list, where))
+            if not all(isinstance(d, str) and is_hex_digest(d) for d in digests):
+                raise ScenarioError(f"{where} must hold 64-char lowercase hex digests")
+    policy_obj = _expect(obj.get("policy", {}), dict, "policy")
+    critical = policy_obj.get("critical_variants", [])
     policy = VerdictPolicy(
-        critical_variants=frozenset(policy_obj.get("critical_variants", ()))
+        critical_variants=frozenset(
+            str(v) for v in _expect(critical, list, "policy.critical_variants")
+        )
     )
     return Scenario(
         scenario_id=str(obj.get("id", "scenario")),

@@ -153,3 +153,15 @@ BAD_INDEX_EDITS = {
     "repeated-key": _repeat_index_line,
     "not-utf8": lambda blob: blob + b"\xff\xfe\n",
 }
+
+
+def record_spans(blob: bytes) -> list[tuple[int, int, int]]:
+    """(length line start, payload start, payload end) of every ledger record."""
+    spans = []
+    pos = 0
+    while pos < len(blob):
+        newline = blob.index(b"\n", pos)
+        end = newline + 1 + int(blob[pos:newline])
+        spans.append((pos, newline + 1, end))
+        pos = end
+    return spans

@@ -10,13 +10,17 @@ import pytest
 from autobox.auditcore import (
     EventType,
     MetadataError,
+    ModuleMetadata,
     canonical_serialize,
     compute_record_key,
     derive_vehicle_key,
     identity_hash,
+    is_hex_digest,
+    sha256_hex,
 )
 
 from conftest import (
+    BCM_PAYLOAD_DIGEST,
     DATA_DIR,
     ECU_PAYLOAD_DIGEST,
     ECU_REFLASH_T42_KEY,
@@ -85,6 +89,75 @@ class TestGoldenVectors:
         record = identity_hash(ecu_metadata, 42, EventType.REFLASH)
         assert record.payload_hash == ECU_PAYLOAD_DIGEST
         assert record.record_key == ECU_REFLASH_T42_KEY
+
+
+def metadata_vectors() -> list[tuple[ModuleMetadata, str]]:
+    """The golden vectors that are module metadata, parsed back to instances."""
+    out = []
+    for line in (DATA_DIR / "hash_vectors.txt").read_text().splitlines():
+        canonical_hex, digest = line.split("\t")
+        items = dict(
+            pair.split("=", 1) for pair in bytes.fromhex(canonical_hex).decode().split("\n")
+        )
+        if "design_date" not in items:  # record-key and vehicle-key vectors
+            continue
+        for name in ("design_date", "manufacture_date"):
+            items[name] = date.fromisoformat(items[name])
+        out.append((ModuleMetadata(**items), digest))
+    return out
+
+
+class TestPayloadHash:
+    def test_equals_digest_of_canonical_form(self, ecu_metadata, bcm_metadata):
+        assert ecu_metadata.payload_hash == ECU_PAYLOAD_DIGEST
+        assert bcm_metadata.payload_hash == BCM_PAYLOAD_DIGEST
+        vectors = metadata_vectors()
+        assert len(vectors) == 2
+        for md in [ecu_metadata, bcm_metadata] + [md for md, _ in vectors]:
+            assert md.payload_hash == sha256_hex(canonical_serialize(md))
+        for md, digest in vectors:
+            assert md.payload_hash == digest
+
+    def test_replaced_instance_hashes_afresh(self, ecu_metadata):
+        before = ecu_metadata.payload_hash
+        bumped = replace(ecu_metadata, software_version="1.4.3")
+        assert bumped.payload_hash == sha256_hex(canonical_serialize(bumped))
+        assert bumped.payload_hash != before
+        assert ecu_metadata.payload_hash == before
+        assert replace(bumped, software_version="1.4.2").payload_hash == before
+
+    def test_invalid_metadata_raises_on_every_read(self):
+        bad = make_metadata(supplier_id="a\nb")
+        for _ in range(2):
+            with pytest.raises(MetadataError):
+                bad.payload_hash
+            with pytest.raises(MetadataError):
+                identity_hash(bad, 1, EventType.STARTUP_CHECK)
+
+
+def reference_is_hex_digest(value: str) -> bool:
+    return len(value) == 64 and all(c in "0123456789abcdef" for c in value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "0123456789abcdef" * 4,
+        "0123456789ABCDEF" * 4,
+        "a" * 63,
+        "a" * 65,
+        "a" * 64 + "\n",
+        "a" * 63 + "\n",
+        "a" * 63 + "\u0663",  # Arabic-Indic digit three
+        "a" * 63 + "\uff41",  # fullwidth small a
+        "",
+    ],
+    ids=["lower", "upper", "63", "65", "64+newline", "63+newline", "arabic-3",
+         "fullwidth-a", "empty"],
+)
+def test_is_hex_digest_matches_reference(value):
+    assert is_hex_digest(value) == reference_is_hex_digest(value)
+    assert is_hex_digest(value) == (value == "0123456789abcdef" * 4)
 
 
 class TestIdentityHash:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,61 @@ BASE_MODULES = [
     }
     for mid in ("ECU", "BCM", "TCM", "HeadUnit")
 ]
+
+
+def _set(*path_and_value):
+    """An edit that sets obj[path...] = value on a scenario object."""
+    *path, name, value = path_and_value
+
+    def edit(obj):
+        for key in path:
+            obj = obj[key]
+        obj[name] = value
+
+    return edit
+
+
+def _add_event(**fields):
+    return lambda obj: obj["events"].append({"sim_time": 13500, **fields})
+
+
+def _swap_in_fitted_serial(obj):
+    replacement = dict(obj["vehicle"]["modules"][0])  # ECU
+    replacement["serial_number"] = obj["vehicle"]["modules"][1]["serial_number"]
+    obj["events"].append(
+        {"sim_time": 13500, "kind": "ModuleSwap", "module_id": "ECU",
+         "replacement": replacement}
+    )
+
+
+# Edits of scenarios/demo.json that `run` must refuse with exit 2.
+BAD_DEMO_EDITS = {
+    "vehicle-list": _set("vehicle", []),
+    "events-int": _set("events", 5),
+    "modules-int": _set("vehicle", "modules", 5),
+    "parity-clusters-int": _set("vehicle", "parity_clusters", 5),
+    "fleet-int": _set("fleet", 5),
+    "approved-library-list": _set("approved_library", [1]),
+    "policy-list": _set("policy", [1]),
+    "design-date-int": _set("vehicle", "modules", 0, "design_date", 5),
+    "corrupt-device-x": _add_event(
+        kind="MemoryCorruption", cluster=0, device="x", byte_offset=0
+    ),
+    "tamper-odometer-list": _add_event(
+        kind="EepromTamper", module_id="ECU", field="odometer_km", forged_value=[1]
+    ),
+    "swap-fitted-serial": _swap_in_fitted_serial,
+    "reflash-version-int": _add_event(
+        kind="UdsReflash", module_id="TCM", new_version=3
+    ),
+    "tamper-module-id-list": _add_event(
+        kind="EepromTamper", module_id=["ECU"], field="odometer_km", forged_value=1
+    ),
+    "library-digest-not-hex": _set("approved_library", {"EU-BASE": ["zz"]}),
+    "critical-variants-int": _set("policy", {"critical_variants": 5}),
+    "vehicle-vin-int": _set("vehicle", "vin", 5),
+    "module-id-empty": _set("vehicle", "modules", 0, "module_id", ""),
+}
 
 
 def scenario_obj(events=(), duration=3600, library=None):
@@ -184,6 +240,38 @@ class TestRun:
         err = capsys.readouterr().err
         assert "not UTF-8" in err
         assert "Traceback" not in err
+
+    def test_endless_duration_exit_two_at_once(self, tmp_path, capsys):
+        obj = json.loads(DEMO_SCENARIO.read_text())
+        obj["duration_s"] = 10**30
+        obj["events"] = []
+        path = write_scenario(tmp_path, obj)
+        started = time.perf_counter()
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration_s") and "periodic captures" in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_DEMO_EDITS))
+    def test_bad_scenario_shape_exit_two(self, tmp_path, capsys, case):
+        obj = json.loads(DEMO_SCENARIO.read_text())
+        BAD_DEMO_EDITS[case](obj)
+        path = write_scenario(tmp_path, obj)
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+    def test_internal_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulated defect")
+
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        rc = cli.main(["run", str(DEMO_SCENARIO), "-o", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: simulated defect\n"
 
     def test_autobox_out_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AUTOBOX_OUT", str(tmp_path / "env-out"))

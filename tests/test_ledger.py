@@ -10,6 +10,7 @@ from autobox.ledger import (
     GENESIS_PREV,
     ApprovedLibrary,
     FullNode,
+    LedgerBlock,
     LedgerFormatError,
     UnknownVariantError,
     UnknownVehicleError,
@@ -24,6 +25,8 @@ from autobox.ledger import (
 )
 from autobox.masternode import Submission
 
+from conftest import record_spans
+
 
 def make_submission(seq=1, key="ab" * 32, digest="cd" * 32, t=100, trigger=EventType.PERIODIC_INTERVAL):
     return Submission(
@@ -33,18 +36,6 @@ def make_submission(seq=1, key="ab" * 32, digest="cd" * 32, t=100, trigger=Event
         trigger=trigger,
         sim_time=t,
     )
-
-
-def record_spans(blob):
-    """(length line start, payload start, payload end) of every record."""
-    spans = []
-    pos = 0
-    while pos < len(blob):
-        newline = blob.index(b"\n", pos)
-        end = newline + 1 + int(blob[pos:newline])
-        spans.append((pos, newline + 1, end))
-        pos = end
-    return spans
 
 
 def merkle_oracle(leaves):
@@ -197,6 +188,18 @@ class TestVerifyChain:
         forged = payload + payload.splitlines(keepends=True)[-1]
         path.write_bytes(str(len(forged)).encode() + b"\n" + forged)
         assert verify_chain(path) == VerifyResult(valid=False, broken_at=0)
+        with pytest.raises(LedgerFormatError):
+            load_ledger(path)
+
+    def test_uppercase_vehicle_key_breaks_that_block(self, tmp_path):
+        """A hand-built block with correct hashes re-encodes to its own bytes,
+        uppercase key and all; only the admission check on read refuses it."""
+        path = self.make_ledger(tmp_path, blocks=2)
+        last = load_ledger(path)[-1]
+        forged = LedgerBlock.build(2, last.block_hash, [make_submission(key="AB" * 32)])
+        with path.open("ab") as fh:
+            fh.write(forged.file_record())
+        assert verify_chain(path) == VerifyResult(valid=False, broken_at=2)
         with pytest.raises(LedgerFormatError):
             load_ledger(path)
 

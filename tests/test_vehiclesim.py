@@ -8,6 +8,7 @@ import pytest
 from autobox.auditcore import AirbagStatus, EventType
 from autobox.ledger import VerdictStatus
 from autobox.vehiclesim import (
+    MAX_PERIODIC_CAPTURES,
     GroundTruthLog,
     Scenario,
     ScenarioError,
@@ -739,6 +740,17 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="dht_store_limit_bytes"):
             parse_scenario(obj)
 
+    def test_run_length_bound(self):
+        obj = self.scenario_obj()
+        obj["events"] = []
+        interval = 3600
+        obj["vehicle"]["capture_interval_s"] = interval
+        obj["duration_s"] = MAX_PERIODIC_CAPTURES * interval + interval - 1
+        parse_scenario(obj)
+        obj["duration_s"] += 1
+        with pytest.raises(ScenarioError, match="periodic captures"):
+            parse_scenario(obj)
+
     def test_unordered_events_rejected(self):
         scenario = make_scenario(
             events=(
@@ -772,6 +784,55 @@ class TestScenarioParsing:
         )
         with pytest.raises(ScenarioError, match="NOPE"):
             run_scenario(scenario)
+
+
+class TestRefusedEventsLeaveStateAlone:
+    def test_swap_to_a_fitted_serial_rejected_before_any_change(self):
+        vehicle = Vehicle(make_vehicle_config(), GroundTruthLog())
+        vehicle.boot()
+        nodes = vehicle.network.node_ids()
+        node_of, module_of = dict(vehicle.node_of), dict(vehicle.module_of)
+        modules = dict(vehicle.modules)
+        bcm_serial = vehicle.modules["BCM"].serial_number
+        swap = event(
+            ScenarioEventKind.MODULE_SWAP,
+            100,
+            module_id="ECU",
+            replacement=replace(vehicle.modules["ECU"], serial_number=bcm_serial),
+        )
+        with pytest.raises(ScenarioError, match="already fitted"):
+            vehicle.handle_event(swap)
+        assert vehicle.network.node_ids() == nodes
+        assert (vehicle.node_of, vehicle.module_of) == (node_of, module_of)
+        assert vehicle.modules == modules
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            (ScenarioEventKind.MEMORY_CORRUPTION, dict(cluster=0, device="x")),
+            (ScenarioEventKind.MEMORY_CORRUPTION, dict(cluster=0, device=[1])),
+            (ScenarioEventKind.MEMORY_CORRUPTION, dict(cluster=0)),
+            (ScenarioEventKind.EEPROM_TAMPER,
+             dict(module_id="ECU", field="odometer_km", forged_value=[1])),
+            (ScenarioEventKind.EEPROM_TAMPER,
+             dict(module_id="ECU", field="odometer_km", forged_value="abc")),
+            (ScenarioEventKind.EEPROM_TAMPER,
+             dict(module_id="ECU", field="airbag_status", forged_value="Melted")),
+            (ScenarioEventKind.EEPROM_TAMPER,
+             dict(module_id="ECU", field="vin", forged_value="short")),
+            (ScenarioEventKind.EEPROM_TAMPER,
+             dict(module_id="ECU", field="design_date", forged_value="yesterday")),
+        ],
+        ids=["device-x", "device-list", "device-missing", "odometer-list",
+             "odometer-abc", "airbag-unknown", "vin-short", "date-not-iso"],
+    )
+    def test_bad_event_value_is_scenario_error(self, kind, fields):
+        vehicle = Vehicle(make_vehicle_config(), GroundTruthLog())
+        vehicle.boot()
+        scd, modules = dict(vehicle.scd), dict(vehicle.modules)
+        with pytest.raises(ScenarioError):
+            vehicle.handle_event(event(kind, 100, **fields))
+        assert (vehicle.scd, vehicle.modules) == (scd, modules)
 
 
 class TestDetectionCompleteness:
