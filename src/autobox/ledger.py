@@ -18,26 +18,28 @@ block_hash covers ``index|prev_hash|entries_root``; entries_root is a
 binary Merkle root over the entry lines (leaf = SHA-256 of the line,
 duplicate-last when a level is odd). Block 0 links from 64 zero hex chars.
 
-Only ``LedgerBlock`` encodes this layout, and the reader never decodes the
-header: it parses the entry lines, rebuilds the block from them, and
-accepts the record only if re-encoding reproduces its bytes exactly,
-length line included. Every entry must also pass the admission rule that
-append applies: well-formed, and per vehicle key a checkpoint_seq that
-strictly increases along the chain. That rule is what rejects a block
-whose last entry line was duplicated, which duplicate-last Merkle levels
-alone would not notice.
+The reader checks the bytes in place instead of parsing and re-encoding
+them. ``RECORD_HEAD``, beside ``LedgerBlock.file_record``, matches the
+length and header lines, and ``masternode.WIRE_LINE``, beside
+``Submission.wire_line``, each entry line, numbers only in canonical
+spelling. The length line must count the payload exactly and the header
+must equal the one recomputed from the raw entry bytes. Per vehicle key,
+checkpoint_seq must strictly increase along the chain, as on append: that
+rejects a duplicated last entry line, which keeps the Merkle root. An
+empty file is a valid chain of 0 blocks, the truncation at boundary 0.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .auditcore import is_hex_digest, sha256_hex
-from .masternode import Submission, SubmitOutcome
+from .masternode import WIRE_LINE, Submission, SubmitOutcome
 
 GENESIS_PREV = "0" * 64
 
@@ -175,14 +177,6 @@ def merkle_root(leaves: Sequence[bytes]) -> bytes:
     return level[0]
 
 
-def _entry_leaf(wire_line: str) -> bytes:
-    return hashlib.sha256(wire_line.encode("utf-8")).digest()
-
-
-def _block_hash(index: int, prev_hash: str, entries_root: str) -> str:
-    return sha256_hex(f"{index}|{prev_hash}|{entries_root}".encode("utf-8"))
-
-
 @dataclass(frozen=True)
 class LedgerBlock:
     index: int
@@ -192,26 +186,35 @@ class LedgerBlock:
     block_hash: str
 
     @classmethod
-    def build(cls, index: int, prev_hash: str, entries: Sequence[Submission]) -> "LedgerBlock":
+    def build(
+        cls,
+        index: int,
+        prev_hash: str,
+        entries: Sequence[Submission],
+        leaves: Sequence[bytes] | None = None,
+    ) -> "LedgerBlock":
+        """Seal entries into a block; a caller holding their raw wire lines
+        passes ``leaves``, the SHA-256 of each, instead of re-encoding."""
         if not entries:
             raise ValueError("a block must carry at least one submission")
-        root = merkle_root([_entry_leaf(s.wire_line()) for s in entries]).hex()
-        return cls(
-            index=index,
-            prev_hash=prev_hash,
-            entries=tuple(entries),
-            entries_root=root,
-            block_hash=_block_hash(index, prev_hash, root),
-        )
+        if leaves is None:
+            leaves = [hashlib.sha256(s.wire_line().encode("utf-8")).digest() for s in entries]
+        root = merkle_root(leaves).hex()
+        block_hash = sha256_hex(f"{index}|{prev_hash}|{root}".encode("utf-8"))
+        return cls(index, prev_hash, tuple(entries), root, block_hash)
 
-    def payload_text(self) -> str:
-        header = f"{self.index}|{self.prev_hash}|{self.entries_root}|{self.block_hash}"
-        lines = [header] + [s.wire_line() for s in self.entries]
-        return "".join(line + "\n" for line in lines)
+    def header(self) -> str:
+        return f"{self.index}|{self.prev_hash}|{self.entries_root}|{self.block_hash}"
 
     def file_record(self) -> bytes:
-        payload = self.payload_text().encode("utf-8")
+        lines = [self.header()] + [s.wire_line() for s in self.entries]
+        payload = "".join(line + "\n" for line in lines).encode("utf-8")
         return str(len(payload)).encode("ascii") + b"\n" + payload
+
+
+# A record's length line (the payload's byte count, canonical decimal) and
+# header line; the reader compares the header with ``LedgerBlock.header``.
+RECORD_HEAD = re.compile(rb"([1-9][0-9]*)\n([^\n]*)\n")
 
 
 @dataclass(frozen=True)
@@ -253,70 +256,63 @@ class AppendResult:
         return self.block.entries if self.block else ()
 
 
-def _admit(sub: Submission, last_seq: dict[str, int]) -> str | None:
-    """Admit ``sub`` after ``last_seq`` and record its sequence number, or
-    return why the chain cannot take it.
+def _advance(last_seq: dict[str, int], vehicle_key: str, seq: int) -> str | None:
+    """Record ``seq`` as the vehicle's latest, or say why it is a replay.
 
-    The one admission rule, applied on append and again on every read.
+    With ``WIRE_LINE`` this is the admission rule, on append and on read.
     """
-    if not is_hex_digest(sub.vehicle_key):
-        return "malformed: vehicle_key is not a 256-bit hex digest"
-    if not is_hex_digest(sub.meta_digest):
-        return "malformed: meta_digest is not a 256-bit hex digest"
-    if sub.checkpoint_seq < 1:
-        return "malformed: checkpoint_seq must be >= 1"
-    if sub.sim_time < 0:
-        return "malformed: sim_time must be non-negative"
-    last = last_seq.get(sub.vehicle_key)
-    if last is not None and sub.checkpoint_seq <= last:
-        return f"replay: checkpoint_seq {sub.checkpoint_seq} <= {last}"
-    last_seq[sub.vehicle_key] = sub.checkpoint_seq
+    last = last_seq.get(vehicle_key, 0)
+    if seq <= last:
+        return f"replay: checkpoint_seq {seq} <= {last}"
+    last_seq[vehicle_key] = seq
     return None
 
 
 def _read_chain(path: str | Path) -> tuple[list[LedgerBlock], VerifyResult]:
-    """Walk a ledger file once, rebuilding every block from its entries.
+    """Walk a ledger file once, matching each record in place.
 
-    A record is accepted only if ``LedgerBlock.build`` over its parsed
-    entry lines re-encodes to exactly the bytes on disk, length line and
-    header included, and every entry passes the append-side admission
-    rule against the blocks before it. Returns the blocks up to the first
-    one that fails, and the verdict. An empty file raises LedgerFormatError.
+    A record must match ``RECORD_HEAD``, hold exactly the entry lines its
+    length line counts, each matching ``WIRE_LINE`` and advancing its
+    vehicle's sequence, and carry the header recomputed from their bytes.
+    Returns the blocks up to the first one that fails, and the verdict.
     """
     blob = Path(path).read_bytes()
-    if not blob:
-        raise LedgerFormatError(f"{path}: empty file is not a ledger")
     blocks: list[LedgerBlock] = []
     last_seq: dict[str, int] = {}
-    prev = GENESIS_PREV
-    pos = 0
+    prev, pos = GENESIS_PREV, 0
     while pos < len(blob):
-        try:
-            newline = blob.index(b"\n", pos)
-            end = newline + 1 + int(blob[pos:newline])
-            lines = blob[newline + 1 : end].decode("utf-8").split("\n")
-            block = LedgerBlock.build(
-                len(blocks), prev, [Submission.from_wire(line) for line in lines[1:-1]]
-            )
-        except ValueError:  # includes UnicodeDecodeError
+        head = RECORD_HEAD.match(blob, pos)
+        if head is None:
             break
-        record = block.file_record()
-        if not blob.startswith(record, pos) or any(
-            _admit(sub, last_seq) for sub in block.entries
-        ):
+        entries, leaves = [], []
+        try:  # ValueError: no entry line, or an int past its digit limit
+            pos, end = head.end(), head.start(2) + int(head[1])
+            while pos < end <= len(blob):
+                line = WIRE_LINE.match(blob, pos, end - 1)
+                if line is None or blob[line.end()] != 0x0A:
+                    break
+                sub = Submission.from_match(line)
+                if _advance(last_seq, sub.vehicle_key, sub.checkpoint_seq):
+                    break
+                entries.append(sub)
+                leaves.append(hashlib.sha256(line[0]).digest())
+                pos = line.end() + 1
+            block = LedgerBlock.build(len(blocks), prev, entries, leaves)
+        except ValueError:
+            break
+        if pos != end or block.header().encode("ascii") != head[2]:
             break
         blocks.append(block)
         prev = block.block_hash
-        pos += len(record)
     else:
         return blocks, VerifyResult(valid=True)
     return blocks, VerifyResult(valid=False, broken_at=len(blocks))
 
 
 def verify_chain(path: str | Path) -> VerifyResult:
-    """Re-encode every block of a persisted ledger; report the first broken.
+    """Check every block of a persisted ledger; report the first broken.
 
-    An empty file is not a ledger and raises LedgerFormatError instead.
+    An empty file is a valid chain of 0 blocks.
     """
     return _read_chain(path)[1]
 
@@ -393,7 +389,10 @@ class FullNode:
         rejected: list[tuple[Submission, str]] = []
         seq_cursor = dict(self._last_seq)
         for sub in submissions:
-            problem = _admit(sub, seq_cursor)
+            if WIRE_LINE.fullmatch(sub.wire_line().encode("utf-8")):
+                problem = _advance(seq_cursor, sub.vehicle_key, sub.checkpoint_seq)
+            else:
+                problem = "malformed: not a canonical wire line"
             if problem:
                 rejected.append((sub, problem))
             else:

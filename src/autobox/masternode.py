@@ -21,6 +21,7 @@ dropped.
 from __future__ import annotations
 
 import hashlib
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,7 +68,7 @@ class MetaHash:
 class Submission:
     """Wire unit delivered to the full node, one per checkpoint.
 
-    Encoding: pipe-separated ``vehicle_key|seq|digest|trigger|sim_time``.
+    Encoding: ``vehicle_key|seq|digest|trigger|sim_time``, see ``WIRE_LINE``.
     """
 
     vehicle_key: str
@@ -77,26 +78,26 @@ class Submission:
     sim_time: int
 
     def wire_line(self) -> str:
-        return "|".join(
-            (
-                self.vehicle_key,
-                str(self.checkpoint_seq),
-                self.meta_digest,
-                self.trigger.value,
-                str(self.sim_time),
-            )
+        return (
+            f"{self.vehicle_key}|{self.checkpoint_seq}|{self.meta_digest}"
+            f"|{self.trigger.value}|{self.sim_time}"
         )
 
     @classmethod
-    def from_wire(cls, line: str) -> "Submission":
-        key, seq, digest, trigger, sim_time = (p.strip() for p in line.strip().split("|"))
-        return cls(
-            vehicle_key=key,
-            checkpoint_seq=int(seq),
-            meta_digest=digest,
-            trigger=EventType(trigger),
-            sim_time=int(sim_time),
-        )
+    def from_match(cls, line: re.Match[bytes]) -> "Submission":
+        """The submission whose wire line ``WIRE_LINE`` matched."""
+        key, seq, digest, trigger, sim_time = line.groups()
+        return cls(key.decode(), int(seq), digest.decode(), _TRIGGERS[trigger], int(sim_time))
+
+
+_TRIGGERS = {t.value.encode(): t for t in EventType}
+
+# The admissible wire line in the one spelling ``wire_line`` writes: 64-hex
+# key, checkpoint_seq >= 1, 64-hex digest, trigger, sim_time >= 0.
+WIRE_LINE = re.compile(
+    rb"([0-9a-f]{64})\|([1-9][0-9]*)\|([0-9a-f]{64})\|(%s)\|(0|[1-9][0-9]*)"
+    % b"|".join(map(re.escape, _TRIGGERS))
+)
 
 
 @dataclass

@@ -812,7 +812,7 @@ def parse_metadata(obj: dict[str, Any]) -> ModuleMetadata:
             supplier_id=str(obj["supplier_id"]),
             production_lot=str(obj["production_lot"]),
             software_version=str(obj["software_version"]),
-            variant_code=str(obj["variant_code"]),
+            variant_code=_variant_code(obj),
             serial_number=str(obj["serial_number"]),
             vin=str(obj["vin"]),
         )
@@ -822,6 +822,15 @@ def parse_metadata(obj: dict[str, Any]) -> ModuleMetadata:
     except (TypeError, ValueError) as exc:  # a bad date, a MetadataError
         raise ScenarioError(f"module metadata: {exc}") from exc
     return md
+
+
+def _variant_code(obj: dict[str, Any]) -> str:
+    """``obj["variant_code"]`` as a string with only printable characters:
+    a tab or line break in it would split an approved-library line."""
+    value = str(obj["variant_code"])
+    if not value.isprintable():
+        raise ScenarioError(f"variant_code must be printable, got {value!r}")
+    return value
 
 
 _REQUIRED = object()
@@ -887,7 +896,7 @@ def _parse_vehicle(obj: dict[str, Any]) -> VehicleConfig:
     try:
         config = VehicleConfig(
             vin=str(obj["vin"]),
-            variant_code=str(obj["variant_code"]),
+            variant_code=_variant_code(obj),
             modules=tuple(
                 parse_metadata(m) for m in _expect(obj["modules"], list, "modules")
             ),
@@ -920,6 +929,8 @@ def parse_scenario(obj: dict[str, Any]) -> Scenario:
         duration = _int_field(obj, "duration_s")
     except KeyError:
         raise ScenarioError("scenario needs duration_s") from None
+    if duration < 0:
+        raise ScenarioError("duration_s must be non-negative")
     if "fleet" in obj:
         lanes = []
         for i, lane in enumerate(_expect(obj["fleet"], list, "fleet")):

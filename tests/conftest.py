@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from autobox.auditcore import ModuleMetadata
+from autobox.auditcore import EventType, ModuleMetadata, is_hex_digest
+from autobox.ledger import GENESIS_PREV, LedgerBlock, LedgerFormatError, VerifyResult
+from autobox.masternode import Submission
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -165,3 +167,67 @@ def record_spans(blob: bytes) -> list[tuple[int, int, int]]:
         spans.append((pos, newline + 1, end))
         pos = end
     return spans
+
+
+# -- the ledger reader that parsed and re-encoded every block ---------------
+# Kept verbatim, with the wire parse and the admission rule it called, as
+# the reference the in-place reader must agree with. It refused an empty
+# file; the current reader reads one as a chain of 0 blocks.
+
+
+def reference_from_wire(line: str) -> Submission:
+    key, seq, digest, trigger, sim_time = (p.strip() for p in line.strip().split("|"))
+    return Submission(
+        vehicle_key=key,
+        checkpoint_seq=int(seq),
+        meta_digest=digest,
+        trigger=EventType(trigger),
+        sim_time=int(sim_time),
+    )
+
+
+def reference_admit(sub: Submission, last_seq: dict[str, int]) -> str | None:
+    if not is_hex_digest(sub.vehicle_key):
+        return "malformed: vehicle_key is not a 256-bit hex digest"
+    if not is_hex_digest(sub.meta_digest):
+        return "malformed: meta_digest is not a 256-bit hex digest"
+    if sub.checkpoint_seq < 1:
+        return "malformed: checkpoint_seq must be >= 1"
+    if sub.sim_time < 0:
+        return "malformed: sim_time must be non-negative"
+    last = last_seq.get(sub.vehicle_key)
+    if last is not None and sub.checkpoint_seq <= last:
+        return f"replay: checkpoint_seq {sub.checkpoint_seq} <= {last}"
+    last_seq[sub.vehicle_key] = sub.checkpoint_seq
+    return None
+
+
+def reference_read_chain(path: str | Path) -> tuple[list[LedgerBlock], VerifyResult]:
+    blob = Path(path).read_bytes()
+    if not blob:
+        raise LedgerFormatError(f"{path}: empty file is not a ledger")
+    blocks: list[LedgerBlock] = []
+    last_seq: dict[str, int] = {}
+    prev = GENESIS_PREV
+    pos = 0
+    while pos < len(blob):
+        try:
+            newline = blob.index(b"\n", pos)
+            end = newline + 1 + int(blob[pos:newline])
+            lines = blob[newline + 1 : end].decode("utf-8").split("\n")
+            block = LedgerBlock.build(
+                len(blocks), prev, [reference_from_wire(line) for line in lines[1:-1]]
+            )
+        except ValueError:  # includes UnicodeDecodeError
+            break
+        record = block.file_record()
+        if not blob.startswith(record, pos) or any(
+            reference_admit(sub, last_seq) for sub in block.entries
+        ):
+            break
+        blocks.append(block)
+        prev = block.block_hash
+        pos += len(record)
+    else:
+        return blocks, VerifyResult(valid=True)
+    return blocks, VerifyResult(valid=False, broken_at=len(blocks))

@@ -83,6 +83,9 @@ BAD_DEMO_EDITS = {
     "critical-variants-int": _set("policy", {"critical_variants": 5}),
     "vehicle-vin-int": _set("vehicle", "vin", 5),
     "module-id-empty": _set("vehicle", "modules", 0, "module_id", ""),
+    "duration-negative": lambda obj: obj.update(duration_s=-5, events=[]),
+    "variant-code-tab": _set("vehicle", "variant_code", "EU\tBASE"),
+    "module-variant-code-tab": _set("vehicle", "modules", 0, "variant_code", "EU\tBASE"),
 }
 
 
@@ -340,11 +343,23 @@ class TestVerify:
         assert cli.main(["verify", str(path)]) == 1
         assert "broken-at" in capsys.readouterr().out
 
-    def test_empty_file_format_error_exit_two(self, tmp_path, capsys):
+    def test_empty_file_valid_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_bytes(b"")
-        assert cli.main(["verify", str(path)]) == 2
-        assert "format error" in capsys.readouterr().err
+        assert cli.main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        assert cli.main(["history", str(path), "ab" * 32, "--machine"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_run_without_checkpoint_leaves_a_valid_ledger(self, tmp_path, capsys):
+        obj = json.loads(DEMO_SCENARIO.read_text())
+        obj.update(duration_s=100, events=[])
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_scenario(tmp_path, obj)), "-o", str(out)]) == 0
+        assert (out / cli.LEDGER_FILE).read_bytes() == b""
+        capsys.readouterr()  # drop the run summary
+        assert cli.main(["verify", str(out / cli.LEDGER_FILE)]) == 0
+        assert capsys.readouterr() == ("valid\n", "")
 
     def test_missing_file_exit_two(self, tmp_path):
         assert cli.main(["verify", str(tmp_path / "nope.txt")]) == 2

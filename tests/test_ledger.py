@@ -203,11 +203,13 @@ class TestVerifyChain:
         with pytest.raises(LedgerFormatError):
             load_ledger(path)
 
-    def test_empty_file_is_format_error(self, tmp_path):
+    def test_empty_file_is_a_chain_of_zero_blocks(self, tmp_path):
+        """The truncation at block boundary 0, like every other boundary."""
         path = tmp_path / "empty.txt"
         path.write_bytes(b"")
-        with pytest.raises(LedgerFormatError):
-            verify_chain(path)
+        assert verify_chain(path) == VerifyResult(valid=True)
+        assert load_ledger(path) == []
+        assert history_from_file(path, "ab" * 32) == []
 
     def test_load_ledger_roundtrip(self, tmp_path):
         path = self.make_ledger(tmp_path, blocks=3)

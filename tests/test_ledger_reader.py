@@ -1,0 +1,205 @@
+"""The in-place ledger reader against the reader it replaced.
+
+``reference_read_chain`` (conftest.py) parsed every entry line, rebuilt the
+block and compared its re-encoding with the bytes on disk. The current
+reader must return the same blocks and verdict on every golden fixture
+ledger, on the byte-substitution and truncation corpus of ``test_fuzz.py``,
+and on targeted edits. A targeted edit recomputes the Merkle root, the
+block hash and the links after it, so only the canonical-spelling, length,
+index and sequence checks can refuse it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from autobox import ledger
+from autobox.ledger import GENESIS_PREV, FullNode, VerifyResult, merkle_root
+from autobox.vehiclesim import load_scenario, run_scenario
+
+from conftest import record_spans, reference_read_chain
+from test_acceptance import GOLDEN_ARTIFACTS, golden_artifact_digests
+from test_fuzz import DEMO_SCENARIO, SUBSTITUTIONS, TRUNCATIONS
+from test_ledger import make_submission
+
+
+def assert_same_reading(path, blob: bytes, where) -> VerifyResult:
+    path.write_bytes(blob)
+    blocks, result = ledger._read_chain(path)
+    assert (blocks, result) == reference_read_chain(path), where
+    return result
+
+
+def test_golden_fixture_ledgers(tmp_path):
+    digests = golden_artifact_digests(tmp_path / "golden")
+    golden = dict(line.split("\t") for line in GOLDEN_ARTIFACTS.read_text().splitlines())
+    ledgers = sorted(name for name in digests if name.endswith("/ledger.txt"))
+    assert len(ledgers) == 8
+    for name in ledgers:
+        assert digests[name] == golden[name], name
+        blob = (tmp_path / "golden" / "audit" / name).read_bytes()
+        result = assert_same_reading(tmp_path / "ledger.txt", blob, name)
+        assert result.valid, name
+
+
+def test_fuzz_corpus(tmp_path):
+    """The seeds and counts of test_fuzz.py, plus every block boundary."""
+    source = tmp_path / "demo.txt"
+    run_scenario(load_scenario(DEMO_SCENARIO), ledger_path=source)
+    blob = source.read_bytes()
+    path = tmp_path / "ledger.txt"
+    rng = random.Random(20201)
+    for _ in range(SUBSTITUTIONS):
+        offset = rng.randrange(len(blob))
+        value = rng.choice([b for b in range(256) if b != blob[offset]])
+        mutated = bytearray(blob)
+        mutated[offset] = value
+        assert_same_reading(path, bytes(mutated), f"byte {offset} -> {value:#04x}")
+    rng = random.Random(20202)
+    cuts = {rng.randrange(1, len(blob)) for _ in range(TRUNCATIONS)}
+    cuts |= {end for _, _, end in record_spans(blob)}
+    for cut in sorted(cuts):
+        assert_same_reading(path, blob[:cut], f"cut at {cut}")
+
+
+# -- targeted edits -----------------------------------------------------------
+
+EDITED = 10  # index of the block every targeted edit changes
+KEY_A, KEY_B, KEY_C = "ab" * 32, "ef" * 32, "0c" * 32
+
+
+def seal(records) -> bytes:
+    """Ledger bytes of ``[index, entry lines, length spelling]`` records,
+    with roots, hashes and links recomputed over the bytes as spelled."""
+    out, prev = [], GENESIS_PREV.encode()
+    for index, lines, spell in records:
+        root = merkle_root([hashlib.sha256(line).digest() for line in lines]).hex().encode()
+        block_hash = hashlib.sha256(b"|".join((index, prev, root))).hexdigest().encode()
+        payload = b"".join(
+            line + b"\n" for line in [b"|".join((index, prev, root, block_hash)), *lines]
+        )
+        out.append(spell(str(len(payload)).encode()) + b"\n" + payload)
+        prev = block_hash
+    return b"".join(out)
+
+
+@pytest.fixture
+def records(tmp_path):
+    """Twelve blocks; block EDITED carries vehicle A's seq 11 at sim_time 110,
+    then entries of vehicles B and C, and a length line of three digits."""
+    path = tmp_path / "source.txt"
+    node = FullNode(ledger_path=path)
+    for i in range(12):
+        subs = [make_submission(seq=i + 1, key=KEY_A, t=10 * (i + 1))]
+        if i % 2 == 0:
+            subs.append(make_submission(seq=i // 2 + 1, key=KEY_B, t=10 * (i + 1)))
+        if i % 5 == 0:
+            subs.append(make_submission(seq=i // 5 + 1, key=KEY_C, t=10 * (i + 1)))
+        assert node.append_submissions(subs).block is not None
+    records = [
+        [str(b.index).encode(), [s.wire_line().encode() for s in b.entries], _as_is]
+        for b in node.chain
+    ]
+    assert seal(records) == path.read_bytes()
+    assert len(records[EDITED][1]) == 3 and records[EDITED][1][0].split(b"|")[1] == b"11"
+    return records
+
+
+def _as_is(text: bytes) -> bytes:
+    return text
+
+
+def _arabic_indic(digits: bytes) -> bytes:
+    return "".join(chr(0x660 + int(d)) for d in digits.decode()).encode()
+
+
+# Spellings int() reads as the same number: only the canonical check refuses them.
+SPELLINGS = {
+    "plus": lambda v: b"+" + v,
+    "leading-zero": lambda v: b"0" + v,
+    "underscore": lambda v: v[:1] + b"_" + v[1:],
+    "arabic-indic": _arabic_indic,
+}
+
+
+def _entry_field(field: int, edit):
+    def apply(records):
+        fields = records[EDITED][1][0].split(b"|")
+        fields[field] = edit(fields[field])
+        records[EDITED][1][0] = b"|".join(fields)
+
+    return apply
+
+
+def _index(edit):
+    def apply(records):
+        records[EDITED][0] = edit(records[EDITED][0])
+
+    return apply
+
+
+def _length(edit):
+    def apply(records):
+        records[EDITED][2] = edit
+
+    return apply
+
+
+def _append_line(records):
+    records[EDITED][1].append(records[EDITED][1][-1])
+
+
+def _crlf_entries(records):
+    records[EDITED][1] = [line + b"\r" for line in records[EDITED][1]]
+
+
+def _swap_blocks(records):
+    records[EDITED], records[EDITED + 1] = records[EDITED + 1], records[EDITED]
+
+
+TARGETED_EDITS = {
+    **{f"seq-{n}": _entry_field(1, f) for n, f in SPELLINGS.items()},
+    **{f"sim-time-{n}": _entry_field(4, f) for n, f in SPELLINGS.items()},
+    **{f"index-{n}": _index(f) for n, f in SPELLINGS.items()},
+    **{f"length-{n}": _length(f) for n, f in SPELLINGS.items()},
+    "space-before-seq": _entry_field(1, lambda v: b" " + v),
+    "space-after-key": _entry_field(0, lambda v: v + b" "),
+    "crlf-entry-lines": _crlf_entries,
+    "uppercase-key": _entry_field(0, bytes.upper),
+    "uppercase-digest": _entry_field(2, bytes.upper),
+    "unknown-trigger": _entry_field(3, lambda v: b"Bogus"),
+    "duplicated-last-entry": _append_line,
+    "checkpoint-seq-0": _entry_field(1, lambda v: b"0"),
+    "negative-sim-time": _entry_field(4, lambda v: b"-5"),
+    "seq-past-int-digit-limit": _entry_field(1, lambda v: b"1" * 5000),
+    "two-blocks-swapped": _swap_blocks,
+    "right-prev-wrong-index": _index(lambda v: b"11"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TARGETED_EDITS))
+def test_targeted_edit_breaks_the_edited_block(records, tmp_path, case):
+    TARGETED_EDITS[case](records)
+    result = assert_same_reading(tmp_path / "ledger.txt", seal(records), case)
+    assert result == VerifyResult(valid=False, broken_at=EDITED)
+
+
+def test_duplicated_last_entry_keeps_the_merkle_root(records):
+    """The CVE-2012-2459 shape: a copy of the third entry line changes no
+    hash, so only the sequence rule refuses that edit."""
+    leaves = [hashlib.sha256(line).digest() for line in records[EDITED][1]]
+    assert merkle_root(leaves + leaves[-1:]) == merkle_root(leaves)
+
+
+def test_crlf_file_breaks_block_zero(records, tmp_path):
+    blob = seal(records).replace(b"\n", b"\r\n")
+    result = assert_same_reading(tmp_path / "ledger.txt", blob, "crlf file")
+    assert result == VerifyResult(valid=False, broken_at=0)
+
+
+def test_unedited_records_stay_valid(records, tmp_path):
+    result = assert_same_reading(tmp_path / "ledger.txt", seal(records), "unedited")
+    assert result == VerifyResult(valid=True)

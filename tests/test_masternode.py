@@ -14,6 +14,7 @@ from autobox.masternode import (
     MasterNode,
     Submission,
     SubmitOutcome,
+    WIRE_LINE,
     UnquiescedCaptureError,
     meta_digest,
 )
@@ -261,13 +262,15 @@ class TestSubmissionWire:
         )
         line = sub.wire_line()
         assert line == f"{VKEY}|4|{'cd' * 32}|Reflash|777"
-        assert Submission.from_wire(line) == sub
+        match = WIRE_LINE.fullmatch(line.encode())
+        assert match is not None
+        assert Submission.from_match(match) == sub
 
-    def test_wire_parse_tolerates_spacing(self):
-        line = f"{VKEY} | 4 | {'cd' * 32} | Reflash | 777"
-        sub = Submission.from_wire(line)
-        assert sub.checkpoint_seq == 4
-        assert sub.trigger is EventType.REFLASH
+    @pytest.mark.parametrize("trigger", list(EventType))
+    def test_every_trigger_is_admissible(self, trigger):
+        sub = Submission(VKEY, 1, "cd" * 32, trigger, 0)
+        match = WIRE_LINE.fullmatch(sub.wire_line().encode())
+        assert match is not None and Submission.from_match(match) == sub
 
 
 class TestEvictionCoupling:

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` is loaded from its file, unchanged, so deleting or
 renaming a traced function, or an attribute its count hooks read, fails
-here rather than in a benchmark run.
+here rather than in a benchmark run. So does a ledger command that stops
+passing through the seam the benchmark counts it at.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from autobox import vehiclesim
+from autobox import cli, vehiclesim
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -48,3 +49,25 @@ def test_count_hooks_read_live_attributes():
         "masternode.capture_meta_hash.records",
     ):
         assert tracer.counts[name] > 0, name
+
+
+def test_ledger_commands_pass_their_traced_seams(tmp_path, capsys):
+    """One verify_chain span per ``verify`` and one load_ledger span per
+    ``history``: the benchmark predicts load_ledger.calls from queries."""
+    path = tmp_path / "ledger.txt"
+    result = vehiclesim.run_scenario(
+        vehiclesim.load_scenario(ROOT / "scenarios" / "demo.json"), ledger_path=path
+    )
+    key = result.blocks[0].entries[0].vehicle_key
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert tracer.command(cli.main, ["verify", str(path)]) == 0
+        for _ in range(2):
+            assert tracer.command(cli.main, ["history", str(path), key, "--machine"]) == 0
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("ledger.verify_chain") == 1
+    assert names.count("ledger.load_ledger") == 2
+    assert capsys.readouterr().out.startswith("valid\n")
