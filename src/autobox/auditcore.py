@@ -141,8 +141,8 @@ class SharedCriticalData:
 class AuditRecord:
     """One hashed, timestamped, typed event as stored in the DHT.
 
-    record_key is recomputable from the other fields, which is what makes
-    node store dumps independently auditable.
+    record_key is recomputable from the other fields (``verify_key``), so a
+    DHT store refuses a record whose key does not match its contents.
     """
 
     record_key: str
@@ -168,19 +168,6 @@ class AuditRecord:
                 self.payload_hash,
             )
         )
-
-    @classmethod
-    def from_dump_line(cls, line: str) -> "AuditRecord":
-        key, module_id, event, sim_time, payload_hash = line.rstrip("\n").split("\t")
-        record = cls(
-            record_key=key,
-            module_id=module_id,
-            event_type=EventType(event),
-            sim_time=int(sim_time),
-            payload_hash=payload_hash,
-            payload_summary="",
-        )
-        return record
 
 
 @dataclass(frozen=True)

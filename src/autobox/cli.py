@@ -60,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("AUTOBOX_OUT", "autobox-out"),
         help="output directory (default: $AUTOBOX_OUT or ./autobox-out)",
     )
-    run_p.add_argument("--seed", type=int, default=None, help="override scenario seed")
     run_p.add_argument(
         "--expect-findings",
         action="store_true",
@@ -100,8 +99,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
     if args.library:
         try:
             lib = ApprovedLibrary.from_file_text(

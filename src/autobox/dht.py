@@ -9,10 +9,10 @@ has at least one strictly closer peer in the bucket that covers the key,
 because every member of that bucket flips the same distance-dominating bit.
 
 Node stores are byte-bounded. A record's accounted size is the byte length
-of its dump line plus the newline, so the budget is auditable straight off
-the store dump. Records become eviction-eligible only once a checkpoint
-covers them (checkpoint_floor); filling a store with uncovered records
-raises CheckpointRequired instead of silently dropping data.
+of its dump line plus the newline: the bytes the same record takes on a
+parity-cluster device. Records become eviction-eligible only once a
+checkpoint covers them (checkpoint_floor); filling a store with uncovered
+records raises CheckpointRequired instead of silently dropping data.
 """
 
 from __future__ import annotations
@@ -123,16 +123,6 @@ class StoreReceipt:
     evicted: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class GetResult:
-    record: AuditRecord | None
-    partitioned: bool = False
-
-    @property
-    def found(self) -> bool:
-        return self.record is not None
-
-
 @dataclass
 class _Stored:
     record: AuditRecord
@@ -210,11 +200,6 @@ class DhtNode:
         self._used += size
         return evicted
 
-    def dump(self) -> str:
-        """Line-delimited store dump, sorted by record key, for audits."""
-        lines = sorted(e.record.dump_line() for e in self._store.values())
-        return "".join(line + "\n" for line in lines)
-
 
 class DhtNetwork:
     """The closed in-vehicle network of DHT nodes.
@@ -269,9 +254,6 @@ class DhtNetwork:
     def node_ids(self) -> list[str]:
         return list(self._nodes)
 
-    def live_node_ids(self) -> list[str]:
-        return [n for n in self._nodes if n not in self._failed]
-
     def is_live(self, node_id: str) -> bool:
         return node_id in self._nodes and node_id not in self._failed
 
@@ -325,14 +307,6 @@ class DhtNetwork:
             current, current_dist = best, best_dist
             hops += 1
 
-    def _probe_order(self, key: str) -> list[str]:
-        key_int = int(key, 16)
-        return sorted(self._nodes, key=lambda n: self._ints[n] ^ key_int)
-
-    def _hop_budget(self, origin: str) -> int:
-        buckets = len(self._nodes[origin].routing_table) or 1
-        return 2 * buckets
-
     # -- operations ------------------------------------------------------
 
     def put(self, origin: str, record: AuditRecord) -> StoreReceipt:
@@ -365,53 +339,8 @@ class DhtNetwork:
             evicted=tuple(evicted),
         )
 
-    def get(self, origin: str, key: str) -> GetResult:
-        """Retrieve a record, probing fallback holders within a hop budget.
-
-        Probing continues through the next-closest nodes in key order so
-        fallback placements made while the owner was down remain readable.
-        A dead node encountered along the way marks the result partitioned:
-        absence cannot be distinguished from loss on that node.
-        """
-        target, hops = self.locate(origin, key)
-        budget = self._hop_budget(origin)
-        found = self._nodes[target].get(key)
-        if found is not None:
-            return GetResult(found)
-        partitioned = False
-        for node_id in self._probe_order(key):
-            if node_id == target:
-                continue
-            if hops >= budget:
-                break
-            hops += 1
-            if node_id in self._failed:
-                partitioned = True
-                continue
-            record = self._nodes[node_id].get(key)
-            if record is not None:
-                return GetResult(record)
-        return GetResult(None, partitioned=partitioned)
-
-    def last_known_hash(self, module_id: str) -> AuditRecord | None:
-        """Newest stored record for a module, searching live nodes only."""
-        best: AuditRecord | None = None
-        for node_id in self.live_node_ids():
-            for record in self._nodes[node_id].records():
-                if record.module_id != module_id:
-                    continue
-                if best is None or (record.sim_time, record.record_key) > (
-                    best.sim_time,
-                    best.record_key,
-                ):
-                    best = record
-        return best
-
     def advance_checkpoint_floor(self, floor: int) -> None:
         """Raise every node's eviction floor; floors never move backward."""
         for node in self._nodes.values():
             if floor > node.checkpoint_floor:
                 node.checkpoint_floor = floor
-
-    def store_dump(self, node_id: str) -> str:
-        return self._nodes[node_id].dump()

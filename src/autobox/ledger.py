@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .auditcore import is_hex_digest, sha256_hex
-from .masternode import WIRE_LINE, Submission, SubmitOutcome
+from .masternode import WIRE_LINE, Submission
 
 GENESIS_PREV = "0" * 64
 
@@ -407,15 +407,6 @@ class FullNode:
             with self._ledger_path.open("ab") as fh:
                 fh.write(block.file_record())
         return AppendResult(block=block, rejected=tuple(rejected))
-
-    # -- endpoint interface (what a light client buffer talks to) -----------
-
-    def submit(self, submissions: list[Submission]) -> SubmitOutcome:
-        result = self.append_submissions(submissions)
-        return SubmitOutcome(
-            accepted=tuple((s.vehicle_key, s.checkpoint_seq) for s in result.accepted),
-            rejected=result.rejected,
-        )
 
     # -- verdicts ------------------------------------------------------------
 

@@ -13,9 +13,9 @@ only covered records may be dropped.
 Outbound, the master feeds a light client buffer. Each checkpoint queues
 as the Submission the full node will receive, stamped with the vehicle key
 current at capture time. Submissions queue while connectivity is down and
-drain strictly in order once it returns; an acknowledged one leaves the
-queue, a rejected one stays and raises an alert, and nothing is ever
-dropped.
+drain strictly in order once it returns: each drain hands the whole
+backlog to the uplink, so nothing is dropped or reordered. What the full
+node then refuses is reported by the scenario run, not retried here.
 """
 
 from __future__ import annotations
@@ -108,14 +108,10 @@ class LightClientBuffer:
     connectivity: Connectivity = Connectivity.ONLINE
 
 
-@dataclass(frozen=True)
-class SubmitOutcome:
-    accepted: tuple[tuple[str, int], ...]  # (vehicle_key, checkpoint_seq)
-    rejected: tuple[tuple[Submission, str], ...] = ()
+class Uplink(Protocol):
+    """Takes each drained backlog, in checkpoint order, toward the full node."""
 
-
-class LedgerEndpoint(Protocol):
-    def submit(self, submissions: list[Submission]) -> SubmitOutcome: ...
+    def submit(self, submissions: list[Submission]) -> None: ...
 
 
 def meta_digest(pairs: Iterable[tuple[str, str]]) -> str:
@@ -149,7 +145,6 @@ class MasterNode:
         self.mileage_stride_km = mileage_stride_km
         self.buffer = LightClientBuffer()
         self.vehicle_key = ""  # stamped on each checkpoint as it is captured
-        self.alerts: list[str] = []
         self.last_capture_time = 0
         self._pairs: list[bytes] = []  # raw key‖payload_hash, sorted by key
         self._high_sequence = 0
@@ -240,21 +235,14 @@ class MasterNode:
     def online(self) -> bool:
         return self.buffer.connectivity is Connectivity.ONLINE
 
-    def submit_pending(self, endpoint: LedgerEndpoint) -> int:
-        """Drain the buffer in checkpoint order; returns checkpoints accepted.
+    def submit_pending(self, link: Uplink) -> int:
+        """Hand the backlog to the link in checkpoint order; returns its size.
 
-        Offline is a no-op. Rejected submissions stay pending (preserving
-        order for the next drain) and surface as alerts.
+        Offline is a no-op: the backlog waits, in order, for the next drain.
         """
         if not self.online or not self.buffer.pending:
             return 0
-        outcome = endpoint.submit(list(self.buffer.pending))
-        accepted_seqs = {seq for _, seq in outcome.accepted}
-        self.buffer.pending = [
-            s for s in self.buffer.pending if s.checkpoint_seq not in accepted_seqs
-        ]
-        for submission, reason in outcome.rejected:
-            self.alerts.append(
-                f"full node rejected checkpoint {submission.checkpoint_seq}: {reason}"
-            )
-        return len(accepted_seqs)
+        drained = self.buffer.pending
+        link.submit(drained)
+        self.buffer.pending = []
+        return len(drained)

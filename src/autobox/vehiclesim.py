@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .auditcore import (
     AirbagStatus,
@@ -45,6 +45,7 @@ from .auditcore import (
     MetadataError,
     ModuleMetadata,
     SharedCriticalData,
+    VIN_RE,
     derive_vehicle_key,
     identity_hash,
     is_hex_digest,
@@ -66,21 +67,8 @@ from .ledger import (
     VerdictPolicy,
     VerdictStatus,
 )
-from .masternode import Connectivity, MasterNode, MetaHash, Submission, SubmitOutcome
+from .masternode import Connectivity, MasterNode, MetaHash, Submission
 from . import parity
-
-SCD_FIELDS = ("vin", "odometer_km", "airbag_status", "service_event_count")
-METADATA_FIELDS = (
-    "design_date",
-    "manufacture_date",
-    "manufacture_location",
-    "supplier_id",
-    "production_lot",
-    "software_version",
-    "variant_code",
-    "serial_number",
-    "vin",
-)
 
 DEFAULT_TAMPER_CLEAR_TOKEN = "SERVICE-TOOL"
 
@@ -172,6 +160,10 @@ class VehicleConfig:
         for name in ("capture_interval_s", "mileage_stride_km"):
             if getattr(self, name) < 1:
                 raise ScenarioError(f"{name} must be at least 1")
+        # An empty token would let a ClearTamperFlag event without one clear
+        # the flag; a non-string one could never be matched.
+        if not isinstance(self.tamper_clear_token, str) or not self.tamper_clear_token:
+            raise ScenarioError("tamper_clear_token must be a non-empty string")
 
     def longest_record_line(self, duration_s: int) -> int:
         """Bytes of the longest record line a module emits by duration_s.
@@ -220,9 +212,6 @@ class GroundTruthLog:
         """A writer that stamps every line with the originating vehicle."""
         return _BoundLog(self, vin)
 
-    def text(self) -> str:
-        return "".join(line + "\n" for line in self.lines)
-
 
 class _BoundLog:
     def __init__(self, log: GroundTruthLog, vin: str):
@@ -250,7 +239,7 @@ class _BufferedLink:
         self._vehicle = vehicle
         self.batches: list[DrainBatch] = []
 
-    def submit(self, submissions: list[Submission]) -> SubmitOutcome:
+    def submit(self, submissions: list[Submission]) -> None:
         v = self._vehicle
         self.batches.append(
             DrainBatch(
@@ -259,9 +248,6 @@ class _BufferedLink:
                 tamper_flag=v.tamper_flag,
                 submissions=tuple(submissions),
             )
-        )
-        return SubmitOutcome(
-            accepted=tuple((s.vehicle_key, s.checkpoint_seq) for s in submissions)
         )
 
 
@@ -578,12 +564,13 @@ class Vehicle:
         module_id = self._require_module(event.module_id)
         if event.field in SCD_FIELDS:
             old = self.scd[module_id]
-            value = _coerce_scd_value(event.field, event.forged_value)
+            value = SCD_FIELDS[event.field](event.field, event.forged_value)
             self.scd[module_id] = replace(old, **{event.field: value})
             pre = getattr(old, event.field)
-        elif event.field in METADATA_FIELDS:
+        elif event.field in MODULE_FIELDS and event.field != "module_id":
             old_md = self.modules[module_id]
-            value = _coerce_metadata_value(event.field, event.forged_value)
+            shape, _ = MODULE_FIELDS[event.field]
+            value = shape(event.field, event.forged_value)
             forged = replace(old_md, **{event.field: value})
             try:
                 forged.validate()
@@ -607,7 +594,7 @@ class Vehicle:
         replacement = event.replacement
         if replacement is None:
             raise ScenarioError("ModuleSwap needs replacement metadata")
-        replacement.validate()
+        _validated(replacement)
         if replacement.module_id != module_id:
             raise ScenarioError(
                 f"replacement module_id {replacement.module_id!r} does not fit "
@@ -660,17 +647,7 @@ class Vehicle:
         if event.cluster is None or not 0 <= event.cluster < len(self.clusters):
             raise ScenarioError(f"MemoryCorruption: unknown cluster {event.cluster!r}")
         cluster = self.clusters[event.cluster]
-        device: int | str
-        if event.device == parity.PARITY:
-            device = parity.PARITY
-        else:
-            try:
-                device = int(event.device)
-            except (TypeError, ValueError, OverflowError):
-                raise ScenarioError(
-                    f"MemoryCorruption needs a device index or 'parity', "
-                    f"got {event.device!r}"
-                ) from None
+        device = _device("MemoryCorruption device", event.device)
         offset = event.byte_offset or 0
         try:
             pre, post = cluster.store.corrupt_byte(device, offset)
@@ -754,31 +731,6 @@ class Vehicle:
                 self._capture(EventType.PERIODIC_INTERVAL)
 
 
-def _coerce_scd_value(field_name: str, value: Any) -> Any:
-    """A forged shared-data value as its field's type, or a ScenarioError."""
-    try:
-        if field_name == "airbag_status":
-            return AirbagStatus(value)
-        if field_name == "vin":
-            validate_vin(str(value))
-            return str(value)
-        coerced = int(value)  # odometer_km, service_event_count
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"EepromTamper {field_name}: {exc}") from None
-    if coerced < 0:
-        raise ScenarioError(f"{field_name} cannot be negative")
-    return coerced
-
-
-def _coerce_metadata_value(field_name: str, value: Any) -> Any:
-    if field_name in ("design_date", "manufacture_date"):
-        try:
-            return date.fromisoformat(str(value))
-        except ValueError as exc:
-            raise ScenarioError(f"EepromTamper {field_name}: {exc}") from None
-    return str(value)
-
-
 def _jsonable(value: Any) -> Any:
     if isinstance(value, Enum):
         return value.value
@@ -790,169 +742,200 @@ def _jsonable(value: Any) -> Any:
 # -- scenario files --------------------------------------------------------
 
 
-def _expect(value: Any, kind: type, where: str) -> Any:
-    """``value`` when it has the JSON shape ``kind`` (dict or list).
-
-    Anything else is a ScenarioError naming where it was found.
-    """
-    if not isinstance(value, kind):
-        shape = "an object" if kind is dict else "a list"
-        raise ScenarioError(f"{where} must be {shape}, got {type(value).__name__}")
-    return value
-
-
-def parse_metadata(obj: dict[str, Any]) -> ModuleMetadata:
-    _expect(obj, dict, "module metadata")
-    try:
-        md = ModuleMetadata(
-            module_id=str(obj["module_id"]),
-            design_date=date.fromisoformat(obj["design_date"]),
-            manufacture_date=date.fromisoformat(obj["manufacture_date"]),
-            manufacture_location=str(obj["manufacture_location"]),
-            supplier_id=str(obj["supplier_id"]),
-            production_lot=str(obj["production_lot"]),
-            software_version=str(obj["software_version"]),
-            variant_code=_variant_code(obj),
-            serial_number=str(obj["serial_number"]),
-            vin=str(obj["vin"]),
-        )
-        md.validate()
-    except KeyError as exc:
-        raise ScenarioError(f"module metadata missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:  # a bad date, a MetadataError
-        raise ScenarioError(f"module metadata: {exc}") from exc
-    return md
-
-
-def _variant_code(obj: dict[str, Any]) -> str:
-    """``obj["variant_code"]`` as a string with only printable characters:
-    a tab or line break in it would split an approved-library line."""
-    value = str(obj["variant_code"])
-    if not value.isprintable():
-        raise ScenarioError(f"variant_code must be printable, got {value!r}")
-    return value
-
-
+# One table per JSON object of a scenario file: field name -> (shape,
+# default). A shape checks one JSON value and builds the field from it;
+# _REQUIRED makes a field mandatory. Any other field name is refused, so a
+# misspelt field cannot silently fall back to its default.
 _REQUIRED = object()
+Shape = Callable[[str, Any], Any]
 
 
-def _int_field(obj: dict[str, Any], name: str, default: Any = _REQUIRED) -> int:
-    """``int(obj[name])``, or of the default when given and name is absent.
+def _fields(obj: Any, table: dict[str, tuple[Shape, Any]], noun: str) -> dict[str, Any]:
+    """The fields of the JSON object ``obj``, checked and built per ``table``."""
+    for name in _mapping(noun, obj):
+        if name not in table:
+            raise ScenarioError(f"unknown {noun} field {name!r}")
+    out = {}
+    for name, (shape, default) in table.items():
+        if name in obj:
+            out[name] = shape(name, obj[name])
+        elif default is _REQUIRED:
+            raise ScenarioError(f"missing {noun} field {name!r}")
+        else:
+            out[name] = default
+    return out
 
-    A value int() refuses (a string that is no number, null, a list, an
-    infinity) is a ScenarioError naming the field.
-    """
-    value = obj[name] if default is _REQUIRED else obj.get(name, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{name} must be an integer, got {value!r}") from None
+
+def _json(kind: type, what: str) -> Shape:
+    """A JSON value of exactly type ``kind``: JSON true is a bool, no integer."""
+
+    def shape(name: str, value: Any) -> Any:
+        if type(value) is not kind:
+            raise ScenarioError(f"{name} must be {what}, got {value!r}")
+        return value
+
+    return shape
 
 
-def _str_field(obj: dict[str, Any], name: str) -> str | None:
-    """``obj[name]`` when it is a string, None when absent."""
-    value = obj.get(name)
-    if value is not None and not isinstance(value, str):
-        raise ScenarioError(f"{name} must be a string, got {value!r}")
+_integer, _string = _json(int, "an integer"), _json(str, "a string")
+_array, _mapping = _json(list, "a list"), _json(dict, "an object")
+
+
+def _narrowed(shape: Shape, ok: Callable[[Any], bool], what: str) -> Shape:
+    """``shape`` restricted to the values for which ``ok`` holds."""
+
+    def narrowed(name: str, value: Any) -> Any:
+        if not ok(shape(name, value)):
+            raise ScenarioError(f"{name} must be {what}, got {value!r}")
+        return value
+
+    return narrowed
+
+
+def _parsed(convert: Callable[[str], Any], what: str) -> Shape:
+    """A JSON string turned into a value by ``convert``, which raises ValueError."""
+
+    def parsed(name: str, value: Any) -> Any:
+        try:
+            return convert(_string(name, value))
+        except ValueError:
+            raise ScenarioError(f"{name} must be {what}, got {value!r}") from None
+
+    return parsed
+
+
+_count = _narrowed(_integer, lambda n: n >= 0, "non-negative")
+# variant_code becomes a field of a tab-separated library line.
+_printable = _narrowed(_string, str.isprintable, "printable")
+_digest = _narrowed(_string, is_hex_digest, "a 64-char lowercase hex digest")
+_date = _parsed(date.fromisoformat, "an ISO date")
+_kind = _parsed(ScenarioEventKind, "an event kind")
+
+# The replicated fields the startup check compares, with the shape of a
+# value an EepromTamper event may forge into one of them.
+SCD_FIELDS = {
+    "vin": _narrowed(_string, VIN_RE.fullmatch, "a VIN"),
+    "odometer_km": _count,
+    "airbag_status": _parsed(AirbagStatus, "an airbag status"),
+    "service_event_count": _count,
+}
+
+
+def _device(name: str, value: Any) -> int | str:
+    if type(value) is not int and value != parity.PARITY:
+        raise ScenarioError(f"{name} must be a device index or 'parity', got {value!r}")
     return value
 
 
-def _parse_event(index: int, obj: dict[str, Any]) -> ScenarioEvent:
-    _expect(obj, dict, f"events[{index}]")
-    try:
-        kind = ScenarioEventKind(obj["kind"])
-        sim_time = _int_field(obj, "sim_time")
-    except KeyError as exc:
-        raise ScenarioError(f"events[{index}]: missing {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ScenarioError(f"events[{index}]: {exc}") from exc
-    if sim_time < 0:
-        raise ScenarioError(f"events[{index}]: sim_time must be non-negative")
-    replacement = None
-    if "replacement" in obj:
-        replacement = parse_metadata(obj["replacement"])
-    try:
-        return ScenarioEvent(
-            sim_time=sim_time,
-            kind=kind,
-            km=int(obj["km"]) if "km" in obj else None,
-            module_id=_str_field(obj, "module_id"),
-            new_version=_str_field(obj, "new_version"),
-            field=_str_field(obj, "field"),
-            forged_value=obj.get("forged_value"),
-            replacement=replacement,
-            cluster=int(obj["cluster"]) if "cluster" in obj else None,
-            device=obj.get("device"),
-            byte_offset=int(obj["byte_offset"]) if "byte_offset" in obj else None,
-            end=int(obj["end"]) if "end" in obj else None,
-            token=_str_field(obj, "token"),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"events[{index}]: {exc}") from exc
+def _list(item: Shape, noun: str) -> Shape:
+    """A JSON array of ``item`` values, as a tuple; an error names the index."""
+
+    def shape(name: str, value: Any) -> tuple[Any, ...]:
+        out = []
+        for i, element in enumerate(_array(name, value)):
+            try:
+                out.append(item(noun, element))
+            except ScenarioError as exc:
+                raise ScenarioError(f"{name}[{i}]: {exc}") from None
+        return tuple(out)
+
+    return shape
 
 
-def _parse_vehicle(obj: dict[str, Any]) -> VehicleConfig:
-    _expect(obj, dict, "vehicle")
-    try:
-        config = VehicleConfig(
-            vin=str(obj["vin"]),
-            variant_code=_variant_code(obj),
-            modules=tuple(
-                parse_metadata(m) for m in _expect(obj["modules"], list, "modules")
-            ),
-            dht_store_limit_bytes=_int_field(obj, "dht_store_limit_bytes", 2048),
-            parity_clusters=tuple(
-                tuple(str(m) for m in _expect(members, list, f"parity_clusters[{i}]"))
-                for i, members in enumerate(
-                    _expect(obj.get("parity_clusters", []), list, "parity_clusters")
-                )
-            ),
-            capture_interval_s=_int_field(obj, "capture_interval_s", 3600),
-            mileage_stride_km=_int_field(obj, "mileage_stride_km", 1000),
-            tamper_clear_token=str(
-                obj.get("tamper_clear_token", DEFAULT_TAMPER_CLEAR_TOKEN)
-            ),
-            initial_odometer_km=_int_field(obj, "initial_odometer_km", 0),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"vehicle: missing field {exc.args[0]!r}") from exc
-    try:
-        config.validate()
-    except MetadataError as exc:  # the vehicle's own VIN
-        raise ScenarioError(f"vehicle: {exc}") from exc
-    return config
+def _object(table: dict[str, tuple[Shape, Any]], build: Callable[..., Any]) -> Shape:
+    """A JSON object with the fields of ``table``, passed to ``build``."""
+    return lambda name, value: build(**_fields(value, table, name))
 
 
-def parse_scenario(obj: dict[str, Any]) -> Scenario:
+def _validated(built: Any) -> Any:
+    """``built``, refused unless its ``validate`` passes."""
+    try:
+        built.validate()
+    except MetadataError as exc:
+        raise ScenarioError(str(exc)) from None
+    return built
+
+
+def _library(name: str, value: Any) -> dict[str, tuple[str, ...]] | None:
+    """Variant -> approved digests; null, like absence, means no library."""
+    if value is None:
+        return None
+    digests = _list(_digest, "digest")
+    return {v: digests(f"{name}[{v!r}]", d) for v, d in _mapping(name, value).items()}
+
+
+MODULE_FIELDS = {
+    "module_id": (_string, _REQUIRED),
+    "design_date": (_date, _REQUIRED),
+    "manufacture_date": (_date, _REQUIRED),
+    "manufacture_location": (_string, _REQUIRED),
+    "supplier_id": (_string, _REQUIRED),
+    "production_lot": (_string, _REQUIRED),
+    "software_version": (_string, _REQUIRED),
+    "variant_code": (_printable, _REQUIRED),
+    "serial_number": (_string, _REQUIRED),
+    "vin": (_string, _REQUIRED),
+}
+_MODULE = _object(MODULE_FIELDS, lambda **f: _validated(ModuleMetadata(**f)))
+VEHICLE_FIELDS = {
+    "vin": (_string, _REQUIRED),
+    "variant_code": (_printable, _REQUIRED),
+    "modules": (_list(_MODULE, "module"), _REQUIRED),
+    "dht_store_limit_bytes": (_integer, 2048),
+    "parity_clusters": (_list(_list(_string, "member"), "cluster"), ()),
+    "capture_interval_s": (_integer, 3600),
+    "mileage_stride_km": (_integer, 1000),
+    "tamper_clear_token": (_string, DEFAULT_TAMPER_CLEAR_TOKEN),
+    "initial_odometer_km": (_integer, 0),
+}
+EVENT_FIELDS = {
+    "sim_time": (_count, _REQUIRED),
+    "kind": (_kind, _REQUIRED),
+    "km": (_integer, None),
+    "module_id": (_string, None),
+    "new_version": (_string, None),
+    "field": (_string, None),
+    "forged_value": (lambda name, value: value, None),
+    "replacement": (_MODULE, None),
+    "cluster": (_integer, None),
+    "device": (_device, None),
+    "byte_offset": (_integer, None),
+    "end": (_integer, None),
+    "token": (_string, None),
+}
+_EVENTS = _list(_object(EVENT_FIELDS, ScenarioEvent), "event")
+_VEHICLE = _object(VEHICLE_FIELDS, lambda **f: _validated(VehicleConfig(**f)))
+LANE_FIELDS = {"vehicle": (_VEHICLE, _REQUIRED), "events": (_EVENTS, ())}
+_LANE = _object(LANE_FIELDS, lambda vehicle, events: VehicleLane(vehicle, events))
+POLICY_FIELDS = {"critical_variants": (_list(_string, "variant"), ())}
+_POLICY = _object(POLICY_FIELDS, lambda **f: VerdictPolicy(frozenset(f["critical_variants"])))
+SCENARIO_FIELDS = {
+    "id": (_string, "scenario"),
+    "seed": (_integer, 0),
+    "duration_s": (_count, _REQUIRED),
+    "vehicle": (_VEHICLE, None),
+    "events": (_EVENTS, None),
+    "fleet": (_list(_LANE, "lane"), None),
+    "approved_library": (_library, None),
+    "policy": (_POLICY, VerdictPolicy()),
+}
+
+
+def parse_scenario(obj: Any) -> Scenario:
     """Validate a JSON-compatible object tree into a Scenario."""
-    try:
-        duration = _int_field(obj, "duration_s")
-    except KeyError:
-        raise ScenarioError("scenario needs duration_s") from None
-    if duration < 0:
-        raise ScenarioError("duration_s must be non-negative")
-    if "fleet" in obj:
-        lanes = []
-        for i, lane in enumerate(_expect(obj["fleet"], list, "fleet")):
-            _expect(lane, dict, f"fleet[{i}]")
-            config = _parse_vehicle(lane.get("vehicle", {}))
-            events = tuple(
-                _parse_event(j, e)
-                for j, e in enumerate(_expect(lane.get("events", []), list, "events"))
-            )
-            lanes.append(VehicleLane(config=config, events=events))
+    f = _fields(obj, SCENARIO_FIELDS, "scenario")
+    duration = f["duration_s"]
+    if f["fleet"] is not None:
+        if f["vehicle"] is not None or f["events"] is not None:
+            raise ScenarioError("a fleet scenario lists its vehicles and events in 'fleet'")
+        lanes = f["fleet"]
         if not lanes:
             raise ScenarioError("fleet must contain at least one vehicle")
         vins = [lane.config.vin for lane in lanes]
         if len(set(vins)) != len(vins):
             raise ScenarioError("fleet VINs must be unique")
-    elif "vehicle" in obj:
-        config = _parse_vehicle(obj["vehicle"])
-        events = tuple(
-            _parse_event(i, e)
-            for i, e in enumerate(_expect(obj.get("events", []), list, "events"))
-        )
-        lanes = [VehicleLane(config=config, events=events)]
+    elif f["vehicle"] is not None:
+        lanes = (VehicleLane(f["vehicle"], f["events"] or ()),)
     else:
         raise ScenarioError("scenario needs a 'vehicle' or 'fleet' section")
     for lane in lanes:
@@ -968,29 +951,13 @@ def parse_scenario(obj: dict[str, Any]) -> Scenario:
                 f"{lane.config.capture_interval_s} exceeds "
                 f"{MAX_PERIODIC_CAPTURES} periodic captures"
             )
-    library = None
-    if obj.get("approved_library") is not None:
-        library = {}
-        approved = _expect(obj["approved_library"], dict, "approved_library")
-        for variant, digests in approved.items():
-            where = f"approved_library[{variant!r}]"
-            library[str(variant)] = tuple(_expect(digests, list, where))
-            if not all(isinstance(d, str) and is_hex_digest(d) for d in digests):
-                raise ScenarioError(f"{where} must hold 64-char lowercase hex digests")
-    policy_obj = _expect(obj.get("policy", {}), dict, "policy")
-    critical = policy_obj.get("critical_variants", [])
-    policy = VerdictPolicy(
-        critical_variants=frozenset(
-            str(v) for v in _expect(critical, list, "policy.critical_variants")
-        )
-    )
     return Scenario(
-        scenario_id=str(obj.get("id", "scenario")),
-        seed=_int_field(obj, "seed", 0),
+        scenario_id=f["id"],
+        seed=f["seed"],
         duration_s=duration,
-        lanes=tuple(lanes),
-        approved_library=library,
-        policy=policy,
+        lanes=lanes,
+        approved_library=f["approved_library"],
+        policy=f["policy"],
     )
 
 
@@ -1003,8 +970,6 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: scenario must be a JSON object")
     return parse_scenario(obj)
 
 
@@ -1139,10 +1104,10 @@ def run_scenario(
                 captures=tuple(vehicle.captures),
                 tamper_flag=vehicle.tamper_flag,
                 tamper_details=dict(vehicle.tamper_details),
-                alerts=tuple(vehicle.alerts + vehicle.master.alerts),
+                alerts=tuple(vehicle.alerts),
             )
         )
-        all_alerts.extend(vehicle.alerts + vehicle.master.alerts)
+        all_alerts.extend(vehicle.alerts)
     all_alerts.extend(ledger_alerts)
 
     return ScenarioResult(

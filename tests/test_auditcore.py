@@ -213,13 +213,13 @@ class TestIdentityHash:
 
     def test_dump_line_roundtrip(self, ecu_metadata):
         record = identity_hash(ecu_metadata, 42, EventType.REFLASH)
-        line = record.dump_line()
-        parsed = record.from_dump_line(line)
-        assert parsed.record_key == record.record_key
-        assert parsed.payload_hash == record.payload_hash
-        assert parsed.sim_time == 42
-        assert parsed.event_type is EventType.REFLASH
-        assert parsed.verify_key()
+        key, module_id, event, sim_time, payload_hash = record.dump_line().split("\t")
+        assert key == record.record_key
+        assert module_id == "ECU"
+        assert payload_hash == record.payload_hash
+        assert int(sim_time) == 42
+        assert EventType(event) is EventType.REFLASH
+        assert compute_record_key(module_id, EventType(event), int(sim_time), payload_hash) == key
 
 
 class TestDeriveVehicleKey:

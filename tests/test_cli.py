@@ -86,6 +86,19 @@ BAD_DEMO_EDITS = {
     "duration-negative": lambda obj: obj.update(duration_s=-5, events=[]),
     "variant-code-tab": _set("vehicle", "variant_code", "EU\tBASE"),
     "module-variant-code-tab": _set("vehicle", "modules", 0, "variant_code", "EU\tBASE"),
+    "tamper-token-empty": _set("vehicle", "tamper_clear_token", ""),
+    "tamper-token-null": _set("vehicle", "tamper_clear_token", None),
+    "event-unknown-field": _add_event(kind="Drive", kms=12),
+    "module-unknown-field": _set("vehicle", "modules", 0, "serial", "ECU-SN-1"),
+    "event-sim-time-float": lambda obj: obj["events"].insert(0, {"sim_time": 1.9, "kind": "Drive"}),
+    "drive-km-numeric-string": _add_event(kind="Drive", km="12"),
+    "capture-interval-float": _set("vehicle", "capture_interval_s", 3600.9),
+    "corrupt-cluster-numeric-string": _add_event(
+        kind="MemoryCorruption", cluster="0", device=0, byte_offset=0
+    ),
+    "scenario-id-object": _set("id", {"a": 1}),
+    "module-id-int": _set("vehicle", "modules", 3, "module_id", 5),  # HeadUnit
+    "fleet-beside-vehicle": lambda obj: obj.update(fleet=[{"vehicle": obj["vehicle"]}]),
 }
 
 
@@ -209,7 +222,11 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: event scheduled past")
 
-    @pytest.mark.parametrize("value", ["abc", None, []], ids=["abc", "null", "list"])
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", None, [], 3600.9, True, "12"],
+        ids=["abc", "null", "list", "float", "bool", "numeric-string"],
+    )
     @pytest.mark.parametrize(
         "field",
         [
@@ -282,13 +299,6 @@ class TestRun:
         path = write_scenario(tmp_path, scenario_obj())
         assert cli.main(["run", str(path)]) == 0
         assert (tmp_path / "env-out" / cli.REPORT_FILE).exists()
-
-    def test_seed_override_lands_in_report(self, tmp_path):
-        path = write_scenario(tmp_path, scenario_obj())
-        out = tmp_path / "out"
-        assert cli.main(["run", str(path), "-o", str(out), "--seed", "99"]) == 0
-        report = json.loads((out / cli.REPORT_FILE).read_text())
-        assert report["seed"] == 99
 
 
 class TestDeterminism:

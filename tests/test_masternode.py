@@ -8,12 +8,10 @@ import pytest
 
 from autobox.auditcore import EventType, identity_hash
 from autobox.dht import DhtNetwork, node_id_for_serial
-from autobox.ledger import FullNode
 from autobox.masternode import (
     Connectivity,
     MasterNode,
     Submission,
-    SubmitOutcome,
     WIRE_LINE,
     UnquiescedCaptureError,
     meta_digest,
@@ -205,50 +203,46 @@ class TestTriggerPolicy:
         assert not master.trigger_policy(EventType.STARTUP_CHECK, 1, 0)
 
 
+class RecordingLink:
+    """An uplink that keeps every batch handed to it."""
+
+    def __init__(self):
+        self.batches = []
+
+    def submit(self, submissions):
+        self.batches.append(list(submissions))
+
+    def checkpoint_seqs(self):
+        return [s.checkpoint_seq for batch in self.batches for s in batch]
+
+
 class TestSubmitPending:
     def test_online_drains_all_in_order(self):
         _, _, master = single_node_setup()
-        node = FullNode()
-        node.register_vehicle(VKEY, "EU-BASE")
+        link = RecordingLink()
         for t in (10, 20, 30):
             master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
-        assert master.submit_pending(node) == 3
+        assert master.submit_pending(link) == 3
         assert master.buffer.pending == []
-        history = node.query_history(VKEY)
-        assert [e.checkpoint_seq for e in history] == [1, 2, 3]
+        assert link.checkpoint_seqs() == [1, 2, 3]
 
     def test_offline_is_noop(self):
         _, _, master = single_node_setup()
         master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10)
         master.set_connectivity(Connectivity.OFFLINE)
-        assert master.submit_pending(FullNode()) == 0
+        assert master.submit_pending(RecordingLink()) == 0
         assert len(master.buffer.pending) == 1
 
     def test_backlog_drains_without_gaps_after_outage(self):
         _, _, master = single_node_setup()
-        node = FullNode()
+        link = RecordingLink()
         master.set_connectivity(Connectivity.OFFLINE)
         for t in (10, 20):
             master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
-        assert master.submit_pending(node) == 0
+        assert master.submit_pending(link) == 0
         master.set_connectivity(Connectivity.ONLINE)
-        assert master.submit_pending(node) == 2
-        seqs = [e.checkpoint_seq for e in node.query_history(VKEY)]
-        assert seqs == [1, 2]
-
-    def test_rejected_submission_retained_and_alerted(self):
-        class RejectingEndpoint:
-            def submit(self, submissions):
-                return SubmitOutcome(
-                    accepted=(),
-                    rejected=tuple((s, "malformed: test") for s in submissions),
-                )
-
-        _, _, master = single_node_setup()
-        master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10)
-        assert master.submit_pending(RejectingEndpoint()) == 0
-        assert len(master.buffer.pending) == 1
-        assert master.alerts and "rejected" in master.alerts[0]
+        assert master.submit_pending(link) == 2
+        assert link.checkpoint_seqs() == [1, 2]
 
 
 class TestSubmissionWire:

@@ -1,20 +1,24 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
-from autobox.auditcore import AirbagStatus, EventType
+from autobox.auditcore import AirbagStatus, EventType, ModuleMetadata
 from autobox.ledger import VerdictStatus
 from autobox.vehiclesim import (
+    EVENT_FIELDS,
     MAX_PERIODIC_CAPTURES,
+    MODULE_FIELDS,
+    VEHICLE_FIELDS,
     GroundTruthLog,
     Scenario,
     ScenarioError,
     ScenarioEvent,
     ScenarioEventKind,
     Vehicle,
+    VehicleConfig,
     VehicleLane,
     load_scenario,
     parse_scenario,
@@ -310,6 +314,12 @@ class TestTamperClear:
         assert "tamper_flag_cleared" in events
         assert any(mh.trigger is EventType.SERVICE_NOTICE for mh in vehicle.captures)
 
+    @pytest.mark.parametrize("token", ["", None])
+    def test_empty_token_config_refused(self, token):
+        # An empty secret would match a ClearTamperFlag event with no token.
+        with pytest.raises(ScenarioError, match="tamper_clear_token"):
+            make_vehicle_config(tamper_clear_token=token).validate()
+
     def test_invalid_token_refused(self):
         vehicle = self.tampered_vehicle()
         vehicle.clock = 200
@@ -456,15 +466,6 @@ class TestFaults:
         ).read_bytes()
         assert not faulted.findings
 
-    def test_node_failure_last_known_hash_survives(self):
-        config = make_vehicle_config(dht_store_limit_bytes=1 << 20)
-        vehicle = Vehicle(config, GroundTruthLog())
-        vehicle.boot()
-        vehicle.handle_event(event(ScenarioEventKind.NODE_FAILURE, 100, module_id="ECU"))
-        found = vehicle.network.last_known_hash("ECU")
-        assert found is not None
-        assert found.sim_time == 0  # the boot sweep record
-
     def test_node_failure_then_recovery_keeps_sweeping(self):
         events = (
             event(ScenarioEventKind.NODE_FAILURE, 100, module_id="ECU"),
@@ -515,7 +516,8 @@ class TestFaults:
             vehicle._sweep_and_maybe_capture(EventType.OBD_PLUG_IN)
         for node_id in vehicle.network.node_ids():
             node = vehicle.network.node(node_id)
-            assert node.store_bytes == len(vehicle.network.store_dump(node_id).encode())
+            dumped = "".join(r.dump_line() + "\n" for r in node.records())
+            assert node.store_bytes == len(dumped.encode())
             assert node.store_bytes <= vehicle.config.dht_store_limit_bytes
 
 
@@ -706,6 +708,11 @@ class TestScenarioParsing:
             ("sim_time", []),
             ("sim_time", float("inf")),
             ("km", float("inf")),
+            ("sim_time", 1.9),
+            ("sim_time", True),
+            ("km", "12"),
+            ("cluster", "0"),
+            ("byte_offset", 2.0),
         ],
     )
     def test_non_integer_event_field_rejected(self, field, value):
@@ -720,6 +727,21 @@ class TestScenarioParsing:
         obj["duration_s"] = value
         with pytest.raises(ScenarioError, match="duration_s must be an integer"):
             parse_scenario(obj)
+
+    @pytest.mark.parametrize(
+        "table, cls",
+        [
+            (EVENT_FIELDS, ScenarioEvent),
+            (VEHICLE_FIELDS, VehicleConfig),
+            (MODULE_FIELDS, ModuleMetadata),
+        ],
+    )
+    def test_field_table_matches_its_dataclass(self, table, cls):
+        """A new dataclass field cannot be left out of scenario parsing."""
+        assert list(table) == [f.name for f in fields(cls)]
+        for f in fields(cls):
+            if f.default is not MISSING:
+                assert table[f.name][1] == f.default, f.name
 
     def test_store_limit_below_record_line_rejected(self, tmp_path):
         obj = self.scenario_obj()
@@ -821,10 +843,15 @@ class TestRefusedEventsLeaveStateAlone:
             (ScenarioEventKind.EEPROM_TAMPER,
              dict(module_id="ECU", field="vin", forged_value="short")),
             (ScenarioEventKind.EEPROM_TAMPER,
+             dict(module_id="ECU", field="vin", forged_value=VIN + "\n")),
+            (ScenarioEventKind.EEPROM_TAMPER,
              dict(module_id="ECU", field="design_date", forged_value="yesterday")),
+            (ScenarioEventKind.MODULE_SWAP,
+             dict(module_id="ECU", replacement=make_metadata("ECU", vin="BADVIN"))),
         ],
         ids=["device-x", "device-list", "device-missing", "odometer-list",
-             "odometer-abc", "airbag-unknown", "vin-short", "date-not-iso"],
+             "odometer-abc", "airbag-unknown", "vin-short", "vin-trailing-newline",
+             "date-not-iso", "swap-bad-vin"],
     )
     def test_bad_event_value_is_scenario_error(self, kind, fields):
         vehicle = Vehicle(make_vehicle_config(), GroundTruthLog())
