@@ -22,20 +22,20 @@ from .auditcore import (
     MetadataError,
     ModuleMetadata,
     SharedCriticalData,
-    VehicleKey,
     canonical_serialize,
     derive_vehicle_key,
     identity_hash,
 )
 from .dht import DhtNetwork, DhtNode, detect_discrepancy, node_id_for_serial, owner_of
 from .ledger import (
-    ApprovedLibrary,
     FullNode,
     LedgerBlock,
     Verdict,
     VerdictPolicy,
     VerdictStatus,
+    library_text,
     oem_checksum,
+    read_library,
     verify_chain,
 )
 from .masternode import MasterNode, MetaHash, Submission
@@ -54,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AirbagStatus",
-    "ApprovedLibrary",
     "AuditRecord",
     "DhtNetwork",
     "DhtNode",
@@ -73,7 +72,6 @@ __all__ = [
     "Submission",
     "Vehicle",
     "VehicleConfig",
-    "VehicleKey",
     "Verdict",
     "VerdictPolicy",
     "VerdictStatus",
@@ -82,10 +80,12 @@ __all__ = [
     "derive_vehicle_key",
     "detect_discrepancy",
     "identity_hash",
+    "library_text",
     "load_scenario",
     "node_id_for_serial",
     "oem_checksum",
     "owner_of",
+    "read_library",
     "reconstruct",
     "run_scenario",
     "scrub",

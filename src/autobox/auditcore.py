@@ -33,7 +33,8 @@ from functools import cached_property
 from typing import Iterable
 
 # 17 chars, uppercase alphanumerics minus I/O/Q (easily confused glyphs).
-VIN_RE = re.compile(r"^[A-HJ-NPR-Z0-9]{17}$")
+# Use fullmatch, as for every pattern here: ``$`` admits a trailing newline.
+VIN_RE = re.compile(r"[A-HJ-NPR-Z0-9]{17}")
 # An explicit class: \d and re.I would admit non-ASCII digits and A-F.
 HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
@@ -72,7 +73,7 @@ def is_hex_digest(value: str) -> bool:
 
 
 def validate_vin(vin: str) -> None:
-    if not VIN_RE.match(vin):
+    if not VIN_RE.fullmatch(vin):
         raise MetadataError(f"invalid VIN {vin!r}: need 17 chars from [A-HJ-NPR-Z0-9]")
 
 
@@ -129,13 +130,6 @@ class SharedCriticalData:
     airbag_status: AirbagStatus
     service_event_count: int
 
-    def validate(self) -> None:
-        validate_vin(self.vin)
-        if self.odometer_km < 0:
-            raise MetadataError("odometer_km must be non-negative")
-        if self.service_event_count < 0:
-            raise MetadataError("service_event_count must be non-negative")
-
 
 @dataclass(frozen=True)
 class AuditRecord:
@@ -168,19 +162,6 @@ class AuditRecord:
                 self.payload_hash,
             )
         )
-
-
-@dataclass(frozen=True)
-class VehicleKey:
-    """Opaque retrieval key derived from the vehicle's module serials.
-
-    The derivation is one-way (hash of sorted serials plus the most recent
-    software version), so holding the key reveals none of the inputs, and
-    the key rotates whenever the software payload legitimately changes.
-    """
-
-    key: str
-    derived_from_version: str
 
 
 def _field_items(metadata: ModuleMetadata) -> list[tuple[str, object]]:
@@ -240,8 +221,14 @@ def identity_hash(
     )
 
 
-def derive_vehicle_key(serials: Iterable[str], latest_version: str) -> VehicleKey:
-    """Fold the sorted serial set and newest software version into one key."""
+def derive_vehicle_key(serials: Iterable[str], latest_version: str) -> str:
+    """Fold the sorted serial set and newest software version into one key.
+
+    The result is the vehicle's opaque retrieval key, as 64 hex chars. The
+    derivation is one-way (hash of sorted serials plus the most recent
+    software version), so holding the key reveals none of the inputs, and
+    the key rotates whenever the software payload legitimately changes.
+    """
     unique = sorted(set(serials))
     if not unique:
         raise ValueError("serial set must be non-empty")
@@ -252,5 +239,4 @@ def derive_vehicle_key(serials: Iterable[str], latest_version: str) -> VehicleKe
         raise MetadataError("newline in version breaks canonical form")
     lines = [f"serial={s}" for s in unique]
     lines.append(f"version={latest_version}")
-    digest = sha256_hex("\n".join(lines).encode("utf-8"))
-    return VehicleKey(key=digest, derived_from_version=latest_version)
+    return sha256_hex("\n".join(lines).encode("utf-8"))

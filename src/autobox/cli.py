@@ -31,10 +31,11 @@ from pathlib import Path
 from . import parity
 from .auditcore import is_hex_digest
 from .ledger import (
-    ApprovedLibrary,
     LedgerFormatError,
     VerdictStatus,
     history_from_file,
+    library_text,
+    read_library,
     verify_chain,
 )
 from .vehiclesim import ScenarioError, ScenarioResult, load_scenario, run_scenario
@@ -101,16 +102,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     if args.library:
         try:
-            lib = ApprovedLibrary.from_file_text(
-                Path(args.library).read_text(encoding="utf-8")
-            )
+            library = read_library(Path(args.library).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             print(f"error: cannot load library: {exc}", file=sys.stderr)
             return 2
-        scenario = replace(
-            scenario,
-            approved_library={v: tuple(lib.approved_for(v)) for v in lib.variants()},
-        )
+        scenario = replace(scenario, approved_library=library)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -133,10 +129,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
     )
     if args.emit_library:
-        lib = ApprovedLibrary(
-            {v: list(d) for v, d in result.observed_library().items()}
-        )
-        Path(args.emit_library).write_bytes(lib.to_file_text().encode("utf-8"))
+        text = library_text(result.observed_library())
+        Path(args.emit_library).write_bytes(text.encode("utf-8"))
 
     _print_summary(result, elapsed)
     if result.findings and not args.expect_findings:
@@ -144,14 +138,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _statuses(result: ScenarioResult, vehicle_keys: tuple[str, ...]) -> list[str]:
+    """Status of each verdict on any of one vehicle's keys, in verdict order."""
+    return [
+        verdict.status.value
+        for _, verdict in result.verdicts
+        if verdict.vehicle_key in vehicle_keys
+    ]
+
+
 def _build_report(result: ScenarioResult) -> dict:
     vehicles = {}
     for v in result.vehicles:
         verdict_counts: dict[str, int] = {}
-        for _, verdict in result.verdicts:
-            if verdict.vehicle_key in v.vehicle_keys:
-                name = verdict.status.value
-                verdict_counts[name] = verdict_counts.get(name, 0) + 1
+        for name in _statuses(result, v.vehicle_keys):
+            verdict_counts[name] = verdict_counts.get(name, 0) + 1
         vehicles[v.vin] = {
             "variant_code": v.variant_code,
             "vehicle_keys": list(v.vehicle_keys),
@@ -176,11 +177,7 @@ def _build_report(result: ScenarioResult) -> dict:
 def _print_summary(result: ScenarioResult, elapsed: float) -> None:
     print(f"scenario {result.scenario.scenario_id}: {len(result.blocks)} block(s)")
     for v in result.vehicles:
-        statuses = [
-            verdict.status.value
-            for _, verdict in result.verdicts
-            if verdict.vehicle_key in v.vehicle_keys
-        ]
+        statuses = _statuses(result, v.vehicle_keys)
         if statuses and all(s == VerdictStatus.APPROVED.value for s in statuses):
             verdict_note = "Approved"
         elif statuses:

@@ -25,7 +25,7 @@ from .auditcore import AuditRecord, sha256_hex
 ID_BITS = 256
 
 DEFAULT_STORE_LIMIT_BYTES = 2048  # fits the constrained-ROM budget per node
-DEFAULT_BUCKET_CAPACITY = 4
+BUCKET_CAPACITY = 4  # peers kept per routing bucket (Kademlia's k)
 
 
 class NodeUnavailable(RuntimeError):
@@ -209,13 +209,8 @@ class DhtNetwork:
     is cheap at tens of nodes and keeps tables deterministic.
     """
 
-    def __init__(
-        self,
-        store_limit_bytes: int = DEFAULT_STORE_LIMIT_BYTES,
-        bucket_capacity: int = DEFAULT_BUCKET_CAPACITY,
-    ):
+    def __init__(self, store_limit_bytes: int = DEFAULT_STORE_LIMIT_BYTES):
         self.store_limit_bytes = store_limit_bytes
-        self.bucket_capacity = bucket_capacity
         self._nodes: dict[str, DhtNode] = {}
         self._ints: dict[str, int] = {}
         self._failed: set[str] = set()
@@ -275,7 +270,7 @@ class DhtNetwork:
                 # Overflowing buckets keep the k peers nearest to self;
                 # any non-empty selection preserves lookup exactness.
                 peers.sort(key=lambda p: self._ints[p] ^ self_int)
-                table[idx] = tuple(peers[: self.bucket_capacity])
+                table[idx] = tuple(peers[:BUCKET_CAPACITY])
             node.routing_table = table
 
     # -- lookups ---------------------------------------------------------

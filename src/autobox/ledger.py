@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .auditcore import is_hex_digest, sha256_hex
 from .masternode import WIRE_LINE, Submission
@@ -87,54 +87,38 @@ class VerdictPolicy:
     critical_variants: frozenset[str] = frozenset()
 
 
-class ApprovedLibrary:
-    """Per-variant sets of acceptable meta digests; mutations append-only."""
+def read_library(text: str) -> dict[str, tuple[str, ...]]:
+    """Parse an approved-library file: one ``variant<TAB>digest`` per line.
 
-    def __init__(self, approved: dict[str, Iterable[str]] | None = None):
-        self._approved: dict[str, set[str]] = {}
-        self.provenance: list[tuple[str, str, str]] = []
-        for variant, digests in (approved or {}).items():
-            for digest in digests:
-                self.add(variant, digest, note="initial load")
-
-    def add(self, variant: str, digest: str, note: str = "") -> None:
+    Blank lines are skipped; any other line that is not two tab-separated
+    fields with a hex digest raises ValueError naming the line.
+    """
+    library: dict[str, list[str]] = {}
+    for n, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"library line {n}: expected variant<TAB>digest")
+        variant, digest = fields
         if not is_hex_digest(digest):
-            raise ValueError(f"not a hex digest: {digest!r}")
-        self._approved.setdefault(variant, set()).add(digest)
-        self.provenance.append((variant, digest, note))
+            raise ValueError(f"library line {n}: not a hex digest: {digest!r}")
+        library.setdefault(variant, []).append(digest)
+    return {variant: tuple(digests) for variant, digests in library.items()}
 
-    def approved_for(self, variant: str) -> frozenset[str]:
-        if variant not in self._approved:
-            raise UnknownVariantError(f"no approved digests on file for variant {variant!r}")
-        return frozenset(self._approved[variant])
 
-    def variants(self) -> list[str]:
-        return sorted(self._approved)
-
-    def to_file_text(self) -> str:
-        lines = []
-        for variant in sorted(self._approved):
-            for digest in sorted(self._approved[variant]):
-                lines.append(f"{variant}\t{digest}\n")
-        return "".join(lines)
-
-    @classmethod
-    def from_file_text(cls, text: str) -> "ApprovedLibrary":
-        lib = cls()
-        for n, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                variant, digest = line.split("\t")
-            except ValueError as exc:
-                raise ValueError(f"library line {n}: expected variant<TAB>digest") from exc
-            lib.add(variant, digest, note="file load")
-        return lib
+def library_text(library: Mapping[str, Iterable[str]]) -> str:
+    """The approved-library file: variants, then digests, in sorted order."""
+    return "".join(
+        f"{variant}\t{digest}\n"
+        for variant in sorted(library)
+        for digest in sorted(set(library[variant]))
+    )
 
 
 def oem_checksum(
     submission: Submission,
-    library: ApprovedLibrary,
+    library: Mapping[str, Collection[str]],
     variant: str,
     *,
     policy: VerdictPolicy | None = None,
@@ -142,8 +126,9 @@ def oem_checksum(
 ) -> Verdict:
     """Check a submitted meta digest against the approved set for a variant."""
     policy = policy or VerdictPolicy()
-    approved = library.approved_for(variant)
-    if submission.meta_digest in approved:
+    if variant not in library:
+        raise UnknownVariantError(f"no approved digests on file for variant {variant!r}")
+    if submission.meta_digest in library[variant]:
         status, reason = VerdictStatus.APPROVED, f"meta digest approved for variant {variant}"
     elif tamper_flag:
         status = VerdictStatus.IMMOBILIZE
@@ -351,11 +336,14 @@ class FullNode:
 
     def __init__(
         self,
-        library: ApprovedLibrary | None = None,
+        library: Mapping[str, Iterable[str]] | None = None,
         policy: VerdictPolicy | None = None,
         ledger_path: str | Path | None = None,
     ):
-        self.library = library
+        # Variant -> approved meta digests, frozen once for every lookup.
+        self.library = (
+            None if library is None else {v: frozenset(d) for v, d in library.items()}
+        )
         self.policy = policy or VerdictPolicy()
         self.chain: list[LedgerBlock] = []
         self._last_seq: dict[str, int] = {}

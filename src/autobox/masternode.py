@@ -13,9 +13,10 @@ only covered records may be dropped.
 Outbound, the master feeds a light client buffer. Each checkpoint queues
 as the Submission the full node will receive, stamped with the vehicle key
 current at capture time. Submissions queue while connectivity is down and
-drain strictly in order once it returns: each drain hands the whole
-backlog to the uplink, so nothing is dropped or reordered. What the full
-node then refuses is reported by the scenario run, not retried here.
+drain strictly in order once it returns: each drain returns the whole
+backlog to the vehicle, which delivers it as one batch, so nothing is
+dropped or reordered. What the full node then refuses is reported by the
+scenario run, not retried here.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import hashlib
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .auditcore import AuditRecord, EventType
 from .dht import DhtNetwork
@@ -46,11 +46,6 @@ IMMEDIATE_TRIGGERS = frozenset(
 
 class UnquiescedCaptureError(RuntimeError):
     """The mirror lags the network; retry the capture after forwarding."""
-
-
-class Connectivity(str, Enum):
-    ONLINE = "Online"
-    OFFLINE = "Offline"
 
 
 @dataclass(frozen=True)
@@ -102,16 +97,9 @@ WIRE_LINE = re.compile(
 
 @dataclass
 class LightClientBuffer:
-    """Uplink queue between the master unit and the external full node."""
+    """Outbound queue between the master unit and the external full node."""
 
     pending: list[Submission] = field(default_factory=list)
-    connectivity: Connectivity = Connectivity.ONLINE
-
-
-class Uplink(Protocol):
-    """Takes each drained backlog, in checkpoint order, toward the full node."""
-
-    def submit(self, submissions: list[Submission]) -> None: ...
 
 
 def meta_digest(pairs: Iterable[tuple[str, str]]) -> str:
@@ -144,6 +132,7 @@ class MasterNode:
         self.capture_interval_s = capture_interval_s
         self.mileage_stride_km = mileage_stride_km
         self.buffer = LightClientBuffer()
+        self.online = True  # uplink state; offline, the backlog waits
         self.vehicle_key = ""  # stamped on each checkpoint as it is captured
         self.last_capture_time = 0
         self._pairs: list[bytes] = []  # raw key‖payload_hash, sorted by key
@@ -228,21 +217,12 @@ class MasterNode:
 
     # -- uplink ------------------------------------------------------------
 
-    def set_connectivity(self, state: Connectivity) -> None:
-        self.buffer.connectivity = state
+    def submit_pending(self) -> list[Submission]:
+        """Drain the backlog, in checkpoint order, for delivery.
 
-    @property
-    def online(self) -> bool:
-        return self.buffer.connectivity is Connectivity.ONLINE
-
-    def submit_pending(self, link: Uplink) -> int:
-        """Hand the backlog to the link in checkpoint order; returns its size.
-
-        Offline is a no-op: the backlog waits, in order, for the next drain.
+        Offline returns ``[]``: the backlog waits, in order, for the next drain.
         """
-        if not self.online or not self.buffer.pending:
-            return 0
-        drained = self.buffer.pending
-        link.submit(drained)
-        self.buffer.pending = []
-        return len(drained)
+        if not self.online:
+            return []
+        drained, self.buffer.pending = self.buffer.pending, []
+        return drained

@@ -165,19 +165,17 @@ class ParityCluster:
 
     # -- fault injection and repair ---------------------------------------
 
-    def corrupt_byte(self, device: DeviceRef, offset: int, xor_mask: int = 0xFF) -> tuple[int, int]:
-        """Flip a stored byte in place, bypassing parity maintenance.
+    def corrupt_byte(self, device: DeviceRef, offset: int) -> tuple[int, int]:
+        """Invert a stored byte in place, bypassing parity maintenance.
 
         Models bit rot or direct memory modification. Returns (pre, post)
         byte values for ground-truth bookkeeping.
         """
-        if xor_mask % 256 == 0:
-            raise ClusterError("xor_mask must change the byte")
         target = self._devices[self._resolve(device)]
         if not 0 <= offset < len(target):
             raise ClusterError(f"offset {offset} outside device {device!r}")
         pre = target[offset]
-        target[offset] ^= xor_mask % 256
+        target[offset] ^= 0xFF
         return pre, target[offset]
 
     def erase_device(self, device: DeviceRef) -> None:

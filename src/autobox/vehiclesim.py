@@ -58,7 +58,6 @@ from .dht import (
     node_id_for_serial,
 )
 from .ledger import (
-    ApprovedLibrary,
     FullNode,
     LedgerBlock,
     UnknownVariantError,
@@ -67,7 +66,7 @@ from .ledger import (
     VerdictPolicy,
     VerdictStatus,
 )
-from .masternode import Connectivity, MasterNode, MetaHash, Submission
+from .masternode import MasterNode, MetaHash, Submission
 from . import parity
 
 DEFAULT_TAMPER_CLEAR_TOKEN = "SERVICE-TOOL"
@@ -208,19 +207,6 @@ class GroundTruthLog:
         entry.update(detail)
         self.lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
 
-    def bound(self, vin: str) -> "_BoundLog":
-        """A writer that stamps every line with the originating vehicle."""
-        return _BoundLog(self, vin)
-
-
-class _BoundLog:
-    def __init__(self, log: GroundTruthLog, vin: str):
-        self._log = log
-        self._vin = vin
-
-    def log(self, sim_time: int, event: str, **detail: Any) -> None:
-        self._log.log(sim_time, event, vin=self._vin, **detail)
-
 
 @dataclass(frozen=True)
 class DrainBatch:
@@ -232,31 +218,11 @@ class DrainBatch:
     submissions: tuple[Submission, ...]
 
 
-class _BufferedLink:
-    """Records drained batches so fleet merges can replay them in order."""
-
-    def __init__(self, vehicle: "Vehicle"):
-        self._vehicle = vehicle
-        self.batches: list[DrainBatch] = []
-
-    def submit(self, submissions: list[Submission]) -> None:
-        v = self._vehicle
-        self.batches.append(
-            DrainBatch(
-                sim_time=v.clock,
-                order_key=v.vehicle_key,
-                tamper_flag=v.tamper_flag,
-                submissions=tuple(submissions),
-            )
-        )
-
-
 @dataclass
 class _SimCluster:
-    members: tuple[str, ...]  # data members in order; parity hosted on the last
     store: parity.ParityCluster
-    device_of: dict[str, int]
-    parity_host: str
+    device_of: dict[str, int]  # data member -> device index
+    parity_host: str  # the cluster's last member
 
 
 @dataclass(frozen=True)
@@ -271,7 +237,7 @@ class Vehicle:
     def __init__(self, config: VehicleConfig, ground_truth: GroundTruthLog | None = None):
         config.validate()
         self.config = config
-        self.ground_truth = (ground_truth or GroundTruthLog()).bound(config.vin)
+        self.ground_truth = ground_truth or GroundTruthLog()
         self.clock = 0
         self.modules: dict[str, ModuleMetadata] = {
             m.module_id: m for m in config.modules
@@ -298,7 +264,6 @@ class Vehicle:
             data_members = members[:-1]
             self.clusters.append(
                 _SimCluster(
-                    members=data_members,
                     store=parity.ParityCluster(len(data_members)),
                     device_of={m: i for i, m in enumerate(data_members)},
                     parity_host=members[-1],
@@ -315,7 +280,8 @@ class Vehicle:
             initial_odometer_km=config.initial_odometer_km,
         )
         self.master.vehicle_key = self._current_key()
-        self.link = _BufferedLink(self)
+        # Drained uplink deliveries, replayed in order by the fleet merge.
+        self.batches: list[DrainBatch] = []
         self.tamper_flag = False
         self.tamper_details: dict[str, frozenset[str]] = {}
         self.alerts: list[str] = []
@@ -330,11 +296,15 @@ class Vehicle:
 
     def _current_key(self) -> str:
         serials = (m.serial_number for m in self.modules.values())
-        return derive_vehicle_key(serials, self.latest_version).key
+        return derive_vehicle_key(serials, self.latest_version)
 
     @property
     def vehicle_key(self) -> str:
         return self.master.vehicle_key
+
+    def _log(self, event: str, **detail: Any) -> None:
+        """Log ground truth stamped with the current time and this VIN."""
+        self.ground_truth.log(self.clock, event, vin=self.config.vin, **detail)
 
     # -- record plumbing ------------------------------------------------------
 
@@ -368,8 +338,7 @@ class Vehicle:
             receipt = self.network.put(origin, record)
         self.master.mirror_update(record, receipt.sequence)
         if receipt.evicted:
-            self.ground_truth.log(
-                self.clock,
+            self._log(
                 "eviction",
                 node_module=self.module_of.get(receipt.stored_at),
                 evicted=sorted(receipt.evicted),
@@ -401,8 +370,7 @@ class Vehicle:
         self.master.vehicle_key = self._current_key()
         mh = self.master.capture_meta_hash(trigger, self.clock, self.true_odometer)
         self.captures.append(mh)
-        self.ground_truth.log(
-            self.clock,
+        self._log(
             "capture",
             seq=mh.checkpoint_seq,
             digest=mh.digest,
@@ -412,13 +380,13 @@ class Vehicle:
         self._drain()
         return mh
 
-    def _drain(self) -> int:
-        if not self.master.online:
-            return 0
-        count = self.master.submit_pending(self.link)
-        if count:
-            self.ground_truth.log(self.clock, "drain", checkpoints=count)
-        return count
+    def _drain(self) -> None:
+        drained = self.master.submit_pending()
+        if drained:
+            self.batches.append(
+                DrainBatch(self.clock, self.vehicle_key, self.tamper_flag, tuple(drained))
+            )
+            self._log("drain", checkpoints=len(drained))
 
     def _sweep_and_maybe_capture(self, event_type: EventType) -> None:
         self._sweep(event_type)
@@ -437,8 +405,7 @@ class Vehicle:
             if report.clean:
                 continue
             parity.repair(cluster.store, report.device)
-            self.ground_truth.log(
-                self.clock,
+            self._log(
                 "parity_repair",
                 cluster=i,
                 device=report.device,
@@ -449,7 +416,7 @@ class Vehicle:
 
     def boot(self) -> ConsistencyResult:
         """Power-on: scrub redundancy, self-identify, cross-check replicas."""
-        self.ground_truth.log(self.clock, "boot")
+        self._log("boot")
         self._scrub_clusters()
         self._sweep(EventType.STARTUP_CHECK)
         return self.startup_consistency_check()
@@ -481,18 +448,18 @@ class Vehicle:
             self.tamper_details.update(flagged)
             summary = {f: sorted(mods) for f, mods in flagged.items()}
             self.alerts.append(f"t={self.clock} tamper flag set: {summary}")
-            self.ground_truth.log(self.clock, "tamper_flag_set", fields=summary)
+            self._log("tamper_flag_set", fields=summary)
         return ConsistencyResult(ok=not flagged, flagged=flagged)
 
     def clear_tamper_flag(self, token: str) -> bool:
         """Authorized clear; records a service event. Wrong token refuses."""
         if token != self.config.tamper_clear_token:
             self.alerts.append(f"t={self.clock} tamper clear refused: bad token")
-            self.ground_truth.log(self.clock, "tamper_clear_refused")
+            self._log("tamper_clear_refused")
             return False
         self.tamper_flag = False
         self.tamper_details = {}
-        self.ground_truth.log(self.clock, "tamper_flag_cleared")
+        self._log("tamper_flag_cleared")
         self._bump_service_count()
         self._sweep_and_maybe_capture(EventType.SERVICE_NOTICE)
         return True
@@ -517,9 +484,7 @@ class Vehicle:
         self.true_odometer += km
         for module_id, data in self.scd.items():
             self.scd[module_id] = replace(data, odometer_km=data.odometer_km + km)
-        self.ground_truth.log(
-            self.clock, "drive", km=km, odometer_km=self.true_odometer
-        )
+        self._log("drive", km=km, odometer_km=self.true_odometer)
         if self.master.trigger_policy(
             EventType.MILEAGE_THRESHOLD, self.clock, self.true_odometer
         ):
@@ -527,16 +492,16 @@ class Vehicle:
             self._capture(EventType.MILEAGE_THRESHOLD)
 
     def _on_obd_plug_in(self, event: ScenarioEvent) -> None:
-        self.ground_truth.log(self.clock, "obd_plug_in")
+        self._log("obd_plug_in")
         self._sweep_and_maybe_capture(EventType.OBD_PLUG_IN)
 
     def _on_config_change(self, event: ScenarioEvent) -> None:
-        self.ground_truth.log(self.clock, "config_change")
+        self._log("config_change")
         self._sweep_and_maybe_capture(EventType.CONFIG_CHANGE)
 
     def _on_service_notice(self, event: ScenarioEvent) -> None:
         self._bump_service_count()
-        self.ground_truth.log(self.clock, "service_notice")
+        self._log("service_notice")
         self._sweep_and_maybe_capture(EventType.SERVICE_NOTICE)
 
     def _on_uds_reflash(self, event: ScenarioEvent) -> None:
@@ -546,8 +511,7 @@ class Vehicle:
         old = self.modules[module_id]
         self.modules[module_id] = replace(old, software_version=event.new_version)
         self.latest_version = event.new_version
-        self.ground_truth.log(
-            self.clock,
+        self._log(
             "uds_reflash",
             module=module_id,
             pre=old.software_version,
@@ -580,8 +544,7 @@ class Vehicle:
             pre = getattr(old_md, event.field)
         else:
             raise ScenarioError(f"EepromTamper: unknown field {event.field!r}")
-        self.ground_truth.log(
-            self.clock,
+        self._log(
             "eeprom_tamper",
             module=module_id,
             field=event.field,
@@ -623,8 +586,7 @@ class Vehicle:
                 cluster.store.erase_device(device)
             elif cluster.parity_host == module_id:
                 cluster.store.erase_device(parity.PARITY)
-        self.ground_truth.log(
-            self.clock,
+        self._log(
             "module_swap",
             module=module_id,
             pre_serial=old.serial_number,
@@ -636,12 +598,12 @@ class Vehicle:
     def _on_node_failure(self, event: ScenarioEvent) -> None:
         module_id = self._require_module(event.module_id)
         self.network.fail_node(self.node_of[module_id])
-        self.ground_truth.log(self.clock, "node_failure", module=module_id)
+        self._log("node_failure", module=module_id)
 
     def _on_node_recovery(self, event: ScenarioEvent) -> None:
         module_id = self._require_module(event.module_id)
         self.network.recover_node(self.node_of[module_id])
-        self.ground_truth.log(self.clock, "node_recovery", module=module_id)
+        self._log("node_recovery", module=module_id)
 
     def _on_memory_corruption(self, event: ScenarioEvent) -> None:
         if event.cluster is None or not 0 <= event.cluster < len(self.clusters):
@@ -653,8 +615,7 @@ class Vehicle:
             pre, post = cluster.store.corrupt_byte(device, offset)
         except parity.ClusterError as exc:
             raise ScenarioError(str(exc)) from exc
-        self.ground_truth.log(
-            self.clock,
+        self._log(
             "memory_corruption",
             cluster=event.cluster,
             device=event.device,
@@ -664,12 +625,12 @@ class Vehicle:
         )
 
     def _on_connectivity_outage(self, event: ScenarioEvent) -> None:
-        self.master.set_connectivity(Connectivity.OFFLINE)
-        self.ground_truth.log(self.clock, "connectivity_down", until=event.end)
+        self.master.online = False
+        self._log("connectivity_down", until=event.end)
 
     def _on_connectivity_restored(self) -> None:
-        self.master.set_connectivity(Connectivity.ONLINE)
-        self.ground_truth.log(self.clock, "connectivity_up")
+        self.master.online = True
+        self._log("connectivity_up")
         self._drain()
 
     def _on_reboot(self, event: ScenarioEvent) -> None:
@@ -1043,13 +1004,8 @@ def run_scenario(
         vehicle.run(lane.events, scenario.duration_s)
         vehicles.append(vehicle)
 
-    library = None
-    if scenario.approved_library is not None:
-        library = ApprovedLibrary(
-            {v: list(d) for v, d in scenario.approved_library.items()}
-        )
     full_node = FullNode(
-        library=library, policy=scenario.policy, ledger_path=ledger_path
+        library=scenario.approved_library, policy=scenario.policy, ledger_path=ledger_path
     )
     for vehicle in vehicles:
         for key, variant in vehicle.registrations:
@@ -1057,7 +1013,7 @@ def run_scenario(
 
     batches = []
     for vehicle in vehicles:
-        batches.extend(vehicle.link.batches)
+        batches.extend(vehicle.batches)
     batches.sort(key=lambda b: (b.sim_time, b.order_key))
 
     verdicts: list[tuple[int, Verdict]] = []
@@ -1068,7 +1024,7 @@ def run_scenario(
             ledger_alerts.append(
                 f"t={batch.sim_time} rejected checkpoint {submission.checkpoint_seq}: {reason}"
             )
-        if result.block is None or library is None:
+        if result.block is None or full_node.library is None:
             continue
         for submission in result.block.entries:
             try:

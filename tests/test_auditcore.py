@@ -17,6 +17,7 @@ from autobox.auditcore import (
     identity_hash,
     is_hex_digest,
     sha256_hex,
+    validate_vin,
 )
 
 from conftest import (
@@ -68,6 +69,13 @@ class TestCanonicalSerialize:
     def test_empty_serial_rejected(self):
         with pytest.raises(MetadataError):
             canonical_serialize(make_metadata(serial_number=""))
+
+
+def test_validate_vin_refuses_trailing_newline():
+    """The whole string must be a VIN: ``$`` alone admits a final newline."""
+    validate_vin("1HGBH41JXMN109186")
+    with pytest.raises(MetadataError):
+        validate_vin("1HGBH41JXMN109186\n")
 
 
 class TestGoldenVectors:
@@ -226,17 +234,16 @@ class TestDeriveVehicleKey:
     def test_serial_order_irrelevant(self):
         a = derive_vehicle_key({"S2", "S1"}, "1.0")
         b = derive_vehicle_key({"S1", "S2"}, "1.0")
-        assert a.key == b.key
+        assert a == b
 
     def test_matches_golden_vector(self):
         vk = derive_vehicle_key({"ECU-SN-0001", "BCM-SN-0002"}, "1.4.2")
-        assert vk.key == TWO_SERIAL_VEHICLE_KEY
-        assert vk.derived_from_version == "1.4.2"
+        assert vk == TWO_SERIAL_VEHICLE_KEY
 
     def test_version_bump_rotates_key(self):
         assert (
-            derive_vehicle_key({"S1"}, "1.0").key
-            != derive_vehicle_key({"S1"}, "1.1").key
+            derive_vehicle_key({"S1"}, "1.0")
+            != derive_vehicle_key({"S1"}, "1.1")
         )
 
     def test_distinct_serial_sets_distinct_keys(self):
@@ -248,17 +255,17 @@ class TestDeriveVehicleKey:
             {"A2"},
             {"A1"},
         ]
-        keys = [derive_vehicle_key(serials, "2.0").key for serials in corpora]
+        keys = [derive_vehicle_key(serials, "2.0") for serials in corpora]
         assert len(set(keys)) == len(keys)
 
     def test_permutation_invariance_quantified(self):
         rng = random.Random(1817)
         serials = [f"SN-{i:04d}" for i in range(12)]
-        reference = derive_vehicle_key(serials, "7.7").key
+        reference = derive_vehicle_key(serials, "7.7")
         for _ in range(50):
             shuffled = serials[:]
             rng.shuffle(shuffled)
-            assert derive_vehicle_key(shuffled, "7.7").key == reference
+            assert derive_vehicle_key(shuffled, "7.7") == reference
 
     def test_empty_serials_rejected(self):
         with pytest.raises(ValueError):
@@ -266,4 +273,4 @@ class TestDeriveVehicleKey:
 
     def test_no_raw_serial_leaks_into_key(self):
         vk = derive_vehicle_key({"SECRETSERIAL"}, "1.0")
-        assert "SECRETSERIAL".lower() not in vk.key
+        assert "SECRETSERIAL".lower() not in vk

@@ -478,6 +478,34 @@ class TestAudit:
         assert "clean" in capsys.readouterr().out
 
 
+# Library files `run --library` must refuse with exit 2: file text (None:
+# no file at all) and the line number the error names (None: no line).
+BAD_LIBRARIES = {
+    "no-tab": ("EU-BASE " + "aa" * 32 + "\n", 1),
+    "three-fields": ("EU-BASE\t" + "aa" * 32 + "\nEU-BASE\tx\t" + "bb" * 32 + "\n", 2),
+    "digest-not-hex": ("\nEU-BASE\t" + "zz" * 32 + "\n", 2),
+    "missing-file": (None, None),
+}
+
+
+class TestLibraryRefused:
+    @pytest.mark.parametrize("case", sorted(BAD_LIBRARIES))
+    def test_bad_library_exit_two(self, tmp_path, capsys, case):
+        text, line = BAD_LIBRARIES[case]
+        lib = tmp_path / "lib.tsv"
+        if text is not None:
+            lib.write_text(text)
+        path = write_scenario(tmp_path, scenario_obj())
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "-o", str(out), "--library", str(lib)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot load library: ")
+        if line is not None:
+            assert f"library line {line}:" in err[0]
+        assert not out.exists()  # refused before anything ran
+
+
 class TestEmittedLibraryFormat:
     def test_emitted_library_is_sorted_tsv(self, tmp_path):
         builder = write_scenario(tmp_path, scenario_obj())

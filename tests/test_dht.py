@@ -6,6 +6,7 @@ import pytest
 
 from autobox.auditcore import EventType, identity_hash
 from autobox.dht import (
+    BUCKET_CAPACITY,
     CheckpointRequired,
     DhtNetwork,
     NodeUnavailable,
@@ -107,7 +108,7 @@ class TestRouting:
         network = build_network(ids)
         for node_id in ids:
             for bucket in network.node(node_id).routing_table.values():
-                assert 0 < len(bucket) <= network.bucket_capacity
+                assert 0 < len(bucket) <= BUCKET_CAPACITY
                 assert node_id not in bucket
 
     def test_routing_tables_are_partial_at_scale(self):

@@ -8,7 +8,6 @@ import pytest
 from autobox.auditcore import EventType
 from autobox.ledger import (
     GENESIS_PREV,
-    ApprovedLibrary,
     FullNode,
     LedgerBlock,
     LedgerFormatError,
@@ -18,9 +17,11 @@ from autobox.ledger import (
     VerdictStatus,
     VerifyResult,
     history_from_file,
+    library_text,
     load_ledger,
     merkle_root,
     oem_checksum,
+    read_library,
     verify_chain,
 )
 from autobox.masternode import Submission
@@ -220,35 +221,21 @@ class TestVerifyChain:
 
 
 class TestApprovedLibrary:
-    def test_lookup_and_unknown_variant(self):
-        lib = ApprovedLibrary({"EU-BASE": ["aa" * 32]})
-        assert lib.approved_for("EU-BASE") == frozenset({"aa" * 32})
-        with pytest.raises(UnknownVariantError):
-            lib.approved_for("US-TURBO")
-
-    def test_append_only_with_provenance(self):
-        lib = ApprovedLibrary()
-        lib.add("EU-BASE", "aa" * 32, note="release 1.0")
-        lib.add("EU-BASE", "bb" * 32, note="release 1.1")
-        assert len(lib.provenance) == 2
-        assert lib.approved_for("EU-BASE") == frozenset({"aa" * 32, "bb" * 32})
-
     def test_file_roundtrip(self):
-        lib = ApprovedLibrary({"B": ["bb" * 32], "A": ["aa" * 32, "cc" * 32]})
-        text = lib.to_file_text()
+        lib = {"B": ("bb" * 32,), "A": ("cc" * 32, "aa" * 32)}
+        text = library_text(lib)
         lines = text.splitlines()
         assert lines == sorted(lines)
-        loaded = ApprovedLibrary.from_file_text(text)
-        assert loaded.approved_for("A") == lib.approved_for("A")
-        assert loaded.approved_for("B") == lib.approved_for("B")
+        loaded = read_library(text)
+        assert {v: set(d) for v, d in loaded.items()} == {v: set(d) for v, d in lib.items()}
 
     def test_bad_digest_rejected(self):
         with pytest.raises(ValueError):
-            ApprovedLibrary().add("X", "nothex")
+            read_library("X\tnothex\n")
 
 
 class TestOemChecksum:
-    LIB = ApprovedLibrary({"EU-BASE": ["aa" * 32], "CRIT": ["aa" * 32]})
+    LIB = {"EU-BASE": ("aa" * 32,), "CRIT": ("aa" * 32,)}
 
     def test_approved(self):
         verdict = oem_checksum(make_submission(digest="aa" * 32), self.LIB, "EU-BASE")
@@ -279,7 +266,7 @@ class TestOemChecksum:
     def test_soundness_exhaustive_on_small_library(self):
         """Approved iff digest in the variant's approved set."""
         digests = [f"{i:064x}" for i in range(6)]
-        lib = ApprovedLibrary({"V": digests[:3]})
+        lib = {"V": digests[:3]}
         for digest in digests:
             verdict = oem_checksum(make_submission(digest=digest), lib, "V")
             expected = digest in digests[:3]
@@ -288,14 +275,14 @@ class TestOemChecksum:
 
 class TestFullNodeEvaluateAndHistory:
     def test_evaluate_uses_registration(self):
-        lib = ApprovedLibrary({"EU-BASE": ["aa" * 32]})
+        lib = {"EU-BASE": ["aa" * 32]}
         node = FullNode(library=lib)
         node.register_vehicle("ab" * 32, "EU-BASE")
         verdict = node.evaluate(make_submission(digest="aa" * 32))
         assert verdict.status is VerdictStatus.APPROVED
 
     def test_unregistered_vehicle_raises(self):
-        node = FullNode(library=ApprovedLibrary({"EU-BASE": ["aa" * 32]}))
+        node = FullNode(library={"EU-BASE": ["aa" * 32]})
         with pytest.raises(UnknownVehicleError):
             node.evaluate(make_submission())
 
@@ -323,7 +310,7 @@ class TestFullNodeEvaluateAndHistory:
         assert from_file == live
 
     def test_verdict_output_line_format(self):
-        lib = ApprovedLibrary({"EU-BASE": ["aa" * 32]})
+        lib = {"EU-BASE": ["aa" * 32]}
         node = FullNode(library=lib)
         node.register_vehicle("ab" * 32, "EU-BASE")
         verdict = node.evaluate(make_submission(digest="aa" * 32))

@@ -9,7 +9,6 @@ import pytest
 from autobox.auditcore import EventType, identity_hash
 from autobox.dht import DhtNetwork, node_id_for_serial
 from autobox.masternode import (
-    Connectivity,
     MasterNode,
     Submission,
     WIRE_LINE,
@@ -203,46 +202,33 @@ class TestTriggerPolicy:
         assert not master.trigger_policy(EventType.STARTUP_CHECK, 1, 0)
 
 
-class RecordingLink:
-    """An uplink that keeps every batch handed to it."""
-
-    def __init__(self):
-        self.batches = []
-
-    def submit(self, submissions):
-        self.batches.append(list(submissions))
-
-    def checkpoint_seqs(self):
-        return [s.checkpoint_seq for batch in self.batches for s in batch]
-
-
 class TestSubmitPending:
     def test_online_drains_all_in_order(self):
         _, _, master = single_node_setup()
-        link = RecordingLink()
         for t in (10, 20, 30):
             master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
-        assert master.submit_pending(link) == 3
+        drained = master.submit_pending()
+        assert len(drained) == 3
         assert master.buffer.pending == []
-        assert link.checkpoint_seqs() == [1, 2, 3]
+        assert [s.checkpoint_seq for s in drained] == [1, 2, 3]
 
     def test_offline_is_noop(self):
         _, _, master = single_node_setup()
         master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10)
-        master.set_connectivity(Connectivity.OFFLINE)
-        assert master.submit_pending(RecordingLink()) == 0
+        master.online = False
+        assert master.submit_pending() == []
         assert len(master.buffer.pending) == 1
 
     def test_backlog_drains_without_gaps_after_outage(self):
         _, _, master = single_node_setup()
-        link = RecordingLink()
-        master.set_connectivity(Connectivity.OFFLINE)
+        master.online = False
         for t in (10, 20):
             master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
-        assert master.submit_pending(link) == 0
-        master.set_connectivity(Connectivity.ONLINE)
-        assert master.submit_pending(link) == 2
-        assert link.checkpoint_seqs() == [1, 2]
+        assert master.submit_pending() == []
+        master.online = True
+        drained = master.submit_pending()
+        assert len(drained) == 2
+        assert [s.checkpoint_seq for s in drained] == [1, 2]
 
 
 class TestSubmissionWire:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,9 @@ from conftest import (
     make_vehicle_config,
     seeded_library,
 )
+
+
+DEMO_SCENARIO = Path(__file__).parent.parent / "scenarios" / "demo.json"
 
 
 def event(kind: ScenarioEventKind, sim_time: int, **kw) -> ScenarioEvent:
@@ -310,7 +315,7 @@ class TestTamperClear:
         vehicle.clock = 200
         assert vehicle.clear_tamper_flag(vehicle.config.tamper_clear_token)
         assert not vehicle.tamper_flag
-        events = [json.loads(line)["event"] for line in vehicle.ground_truth._log.lines]
+        events = [json.loads(line)["event"] for line in vehicle.ground_truth.lines]
         assert "tamper_flag_cleared" in events
         assert any(mh.trigger is EventType.SERVICE_NOTICE for mh in vehicle.captures)
 
@@ -569,6 +574,22 @@ class TestDeterminism:
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
         assert a.verdicts_text() == b.verdicts_text()
         assert a.ground_truth_text() == b.ground_truth_text()
+
+
+class TestReleasedAfterRun:
+    def test_no_vehicle_outlives_the_run_without_cyclic_gc(self):
+        """Nothing a run keeps refers back to a Vehicle, so reference
+        counting alone frees each vehicle with its stores and mirror."""
+        scenario = load_scenario(DEMO_SCENARIO)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_scenario(scenario)
+            alive = [obj for obj in gc.get_objects() if isinstance(obj, Vehicle)]
+        finally:
+            gc.enable()
+        assert result.blocks
+        assert alive == []
 
 
 class TestFleet:
