@@ -31,7 +31,6 @@ from .ledger import (
     FullNode,
     LedgerBlock,
     Verdict,
-    VerdictPolicy,
     VerdictStatus,
     library_text,
     oem_checksum,
@@ -73,7 +72,6 @@ __all__ = [
     "Vehicle",
     "VehicleConfig",
     "Verdict",
-    "VerdictPolicy",
     "VerdictStatus",
     "canonical_serialize",
     "compute_parity",

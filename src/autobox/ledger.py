@@ -76,17 +76,6 @@ class Verdict:
         )
 
 
-@dataclass(frozen=True)
-class VerdictPolicy:
-    """How a failed checksum escalates.
-
-    A tamper-flagged vehicle immobilizes; a critical variant warrants an
-    emergency update; everything else is routed to service.
-    """
-
-    critical_variants: frozenset[str] = frozenset()
-
-
 def read_library(text: str) -> dict[str, tuple[str, ...]]:
     """Parse an approved-library file: one ``variant<TAB>digest`` per line.
 
@@ -121,11 +110,15 @@ def oem_checksum(
     library: Mapping[str, Collection[str]],
     variant: str,
     *,
-    policy: VerdictPolicy | None = None,
+    critical_variants: frozenset[str] = frozenset(),
     tamper_flag: bool = False,
 ) -> Verdict:
-    """Check a submitted meta digest against the approved set for a variant."""
-    policy = policy or VerdictPolicy()
+    """Check a submitted meta digest against the approved set for a variant.
+
+    A failed check escalates: a tamper-flagged vehicle immobilizes, a
+    critical variant warrants an emergency update, anything else is routed
+    to service.
+    """
     if variant not in library:
         raise UnknownVariantError(f"no approved digests on file for variant {variant!r}")
     if submission.meta_digest in library[variant]:
@@ -133,7 +126,7 @@ def oem_checksum(
     elif tamper_flag:
         status = VerdictStatus.IMMOBILIZE
         reason = f"tamper flag set and meta digest not approved for variant {variant}"
-    elif variant in policy.critical_variants:
+    elif variant in critical_variants:
         status = VerdictStatus.EMERGENCY_OTA
         reason = f"meta digest not approved for critical variant {variant}"
     else:
@@ -337,14 +330,14 @@ class FullNode:
     def __init__(
         self,
         library: Mapping[str, Iterable[str]] | None = None,
-        policy: VerdictPolicy | None = None,
+        critical_variants: frozenset[str] = frozenset(),
         ledger_path: str | Path | None = None,
     ):
         # Variant -> approved meta digests, frozen once for every lookup.
         self.library = (
             None if library is None else {v: frozenset(d) for v, d in library.items()}
         )
-        self.policy = policy or VerdictPolicy()
+        self.critical_variants = critical_variants
         self.chain: list[LedgerBlock] = []
         self._last_seq: dict[str, int] = {}
         self._variants: dict[str, str] = {}
@@ -407,7 +400,7 @@ class FullNode:
             submission,
             self.library,
             variant,
-            policy=self.policy,
+            critical_variants=self.critical_variants,
             tamper_flag=tamper_flag,
         )
 

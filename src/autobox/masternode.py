@@ -1,5 +1,9 @@
 """Master unit: full mirror, checkpoint meta-hashes, buffered uplink.
 
+The master mirrors, captures, queues and drains. When to checkpoint (each
+interval, each mileage stride, each service or reflash event) is the
+vehicle timeline's call; ``capture_meta_hash`` captures whenever asked.
+
 The head unit mirrors every record the in-vehicle table accepts, so a
 checkpoint is a pure function of the mirror: the meta digest folds the
 (record key, payload hash) pairs sorted by key, making it independent of
@@ -29,19 +33,6 @@ from typing import Iterable
 
 from .auditcore import AuditRecord, EventType
 from .dht import DhtNetwork
-
-DEFAULT_CAPTURE_INTERVAL_S = 3600
-DEFAULT_MILEAGE_STRIDE_KM = 1000
-
-# Events that always warrant an immediate checkpoint.
-IMMEDIATE_TRIGGERS = frozenset(
-    {
-        EventType.OBD_PLUG_IN,
-        EventType.CONFIG_CHANGE,
-        EventType.REFLASH,
-        EventType.SERVICE_NOTICE,
-    }
-)
 
 
 class UnquiescedCaptureError(RuntimeError):
@@ -118,27 +109,16 @@ def meta_digest(pairs: Iterable[tuple[str, str]]) -> str:
 
 
 class MasterNode:
-    """The single logical actor coordinating checkpoints for one vehicle."""
+    """The head unit of one vehicle: mirror, checkpoints and their backlog."""
 
-    def __init__(
-        self,
-        network: DhtNetwork,
-        *,
-        capture_interval_s: int = DEFAULT_CAPTURE_INTERVAL_S,
-        mileage_stride_km: int = DEFAULT_MILEAGE_STRIDE_KM,
-        initial_odometer_km: int = 0,
-    ):
+    def __init__(self, network: DhtNetwork):
         self.network = network
-        self.capture_interval_s = capture_interval_s
-        self.mileage_stride_km = mileage_stride_km
         self.buffer = LightClientBuffer()
         self.online = True  # uplink state; offline, the backlog waits
         self.vehicle_key = ""  # stamped on each checkpoint as it is captured
-        self.last_capture_time = 0
         self._pairs: list[bytes] = []  # raw key‖payload_hash, sorted by key
         self._high_sequence = 0
         self._checkpoint_seq = 0
-        self._mileage_mark = initial_odometer_km // mileage_stride_km
 
     # -- mirror -----------------------------------------------------------
 
@@ -170,9 +150,7 @@ class MasterNode:
 
     # -- checkpoints --------------------------------------------------------
 
-    def capture_meta_hash(
-        self, trigger: EventType, sim_time: int, odometer_km: int | None = None
-    ) -> MetaHash:
+    def capture_meta_hash(self, trigger: EventType, sim_time: int) -> MetaHash:
         """Checkpoint the mirror and unlock eviction of everything covered."""
         if self._high_sequence < self.network.sequence:
             raise UnquiescedCaptureError(
@@ -198,22 +176,7 @@ class MasterNode:
                 sim_time=mh.sim_time,
             )
         )
-        self.last_capture_time = sim_time
-        if trigger is EventType.MILEAGE_THRESHOLD and odometer_km is not None:
-            self._mileage_mark = odometer_km // self.mileage_stride_km
         return mh
-
-    def trigger_policy(
-        self, event_type: EventType, sim_time: int, odometer_km: int
-    ) -> bool:
-        """Decide capture-now (True) or defer (False) for an event."""
-        if event_type in IMMEDIATE_TRIGGERS:
-            return True
-        if event_type is EventType.PERIODIC_INTERVAL:
-            return sim_time - self.last_capture_time >= self.capture_interval_s
-        if event_type is EventType.MILEAGE_THRESHOLD:
-            return odometer_km // self.mileage_stride_km > self._mileage_mark
-        return False
 
     # -- uplink ------------------------------------------------------------
 

@@ -7,7 +7,9 @@ truth for every state transition. Identical (config, events, seed) inputs
 produce byte-identical ledger files, verdict streams and ground-truth
 logs; nothing reads the wall clock and nothing iterates in nondeterminism.
 
-Event handling in one line each:
+The timeline alone decides when the master unit checkpoints: each
+capture_interval_s after the last capture, on a mileage stride, and on
+every service or reflash event below. Event handling in one line each:
 
 * Drive advances every odometer replica and may cross a mileage stride.
 * ObdPlugIn / ConfigChange / ServiceNotice sweep all modules and capture.
@@ -63,7 +65,6 @@ from .ledger import (
     UnknownVariantError,
     UnknownVehicleError,
     Verdict,
-    VerdictPolicy,
     VerdictStatus,
 )
 from .masternode import MasterNode, MetaHash, Submission
@@ -188,7 +189,7 @@ class Scenario:
     duration_s: int
     lanes: tuple[VehicleLane, ...]
     approved_library: dict[str, tuple[str, ...]] | None = None
-    policy: VerdictPolicy = VerdictPolicy()
+    critical_variants: frozenset[str] = frozenset()
 
 
 class GroundTruthLog:
@@ -223,12 +224,6 @@ class _SimCluster:
     store: parity.ParityCluster
     device_of: dict[str, int]  # data member -> device index
     parity_host: str  # the cluster's last member
-
-
-@dataclass(frozen=True)
-class ConsistencyResult:
-    ok: bool
-    flagged: dict[str, frozenset[str]]  # field -> minority module ids
 
 
 class Vehicle:
@@ -273,12 +268,9 @@ class Vehicle:
         # Newest software version on board; silent modifications never
         # update this, which is exactly what makes them detectable.
         self.latest_version = max(m.software_version for m in config.modules)
-        self.master = MasterNode(
-            self.network,
-            capture_interval_s=config.capture_interval_s,
-            mileage_stride_km=config.mileage_stride_km,
-            initial_odometer_km=config.initial_odometer_km,
-        )
+        # Strides driven as of the last mileage capture.
+        self.mileage_mark = config.initial_odometer_km // config.mileage_stride_km
+        self.master = MasterNode(self.network)
         self.master.vehicle_key = self._current_key()
         # Drained uplink deliveries, replayed in order by the fleet merge.
         self.batches: list[DrainBatch] = []
@@ -286,11 +278,9 @@ class Vehicle:
         self.tamper_details: dict[str, frozenset[str]] = {}
         self.alerts: list[str] = []
         self.captures: list[MetaHash] = []
-        # (vehicle_key, variant) pairs the OEM knows about; rotations via
-        # official channels append here, silent swaps do not.
-        self.registrations: list[tuple[str, str]] = [
-            (self.master.vehicle_key, config.variant_code)
-        ]
+        # Vehicle keys the OEM knows about, all of config.variant_code;
+        # rotations via official channels append here, silent swaps do not.
+        self.registrations: list[str] = [self.master.vehicle_key]
 
     # -- identity -----------------------------------------------------------
 
@@ -354,21 +344,18 @@ class Vehicle:
                         (record.dump_line() + "\n").encode("utf-8"),
                     )
 
-    def _sweep(self, event_type: EventType) -> int:
-        """Every module self-identifies into the table; returns count."""
-        emitted = 0
+    def _sweep(self, event_type: EventType) -> None:
+        """Every module self-identifies into the table."""
         for module_id, metadata in self.modules.items():
             record = identity_hash(metadata, self.clock, event_type)
             self._put_record(module_id, record, event_type)
-            emitted += 1
-        return emitted
 
     # -- checkpoints ------------------------------------------------------------
 
     def _capture(self, trigger: EventType) -> MetaHash:
         self._scrub_clusters()
         self.master.vehicle_key = self._current_key()
-        mh = self.master.capture_meta_hash(trigger, self.clock, self.true_odometer)
+        mh = self.master.capture_meta_hash(trigger, self.clock)
         self.captures.append(mh)
         self._log(
             "capture",
@@ -388,10 +375,10 @@ class Vehicle:
             )
             self._log("drain", checkpoints=len(drained))
 
-    def _sweep_and_maybe_capture(self, event_type: EventType) -> None:
-        self._sweep(event_type)
-        if self.master.trigger_policy(event_type, self.clock, self.true_odometer):
-            self._capture(event_type)
+    def _checkpoint(self, trigger: EventType) -> None:
+        """Sweep every module into the table, then capture it."""
+        self._sweep(trigger)
+        self._capture(trigger)
 
     # -- cluster health ---------------------------------------------------------
 
@@ -414,14 +401,14 @@ class Vehicle:
 
     # -- vehicle-level operations -------------------------------------------------
 
-    def boot(self) -> ConsistencyResult:
+    def boot(self) -> None:
         """Power-on: scrub redundancy, self-identify, cross-check replicas."""
         self._log("boot")
         self._scrub_clusters()
         self._sweep(EventType.STARTUP_CHECK)
-        return self.startup_consistency_check()
+        self.startup_consistency_check()
 
-    def startup_consistency_check(self) -> ConsistencyResult:
+    def startup_consistency_check(self) -> None:
         """Compare shared-data replicas across modules; flag disagreement.
 
         Any flagged field latches the tamper flag on every module until an
@@ -449,7 +436,6 @@ class Vehicle:
             summary = {f: sorted(mods) for f, mods in flagged.items()}
             self.alerts.append(f"t={self.clock} tamper flag set: {summary}")
             self._log("tamper_flag_set", fields=summary)
-        return ConsistencyResult(ok=not flagged, flagged=flagged)
 
     def clear_tamper_flag(self, token: str) -> bool:
         """Authorized clear; records a service event. Wrong token refuses."""
@@ -461,7 +447,7 @@ class Vehicle:
         self.tamper_details = {}
         self._log("tamper_flag_cleared")
         self._bump_service_count()
-        self._sweep_and_maybe_capture(EventType.SERVICE_NOTICE)
+        self._checkpoint(EventType.SERVICE_NOTICE)
         return True
 
     def _bump_service_count(self) -> None:
@@ -485,24 +471,23 @@ class Vehicle:
         for module_id, data in self.scd.items():
             self.scd[module_id] = replace(data, odometer_km=data.odometer_km + km)
         self._log("drive", km=km, odometer_km=self.true_odometer)
-        if self.master.trigger_policy(
-            EventType.MILEAGE_THRESHOLD, self.clock, self.true_odometer
-        ):
-            self._sweep(EventType.MILEAGE_THRESHOLD)
-            self._capture(EventType.MILEAGE_THRESHOLD)
+        strides = self.true_odometer // self.config.mileage_stride_km
+        if strides > self.mileage_mark:
+            self.mileage_mark = strides
+            self._checkpoint(EventType.MILEAGE_THRESHOLD)
 
     def _on_obd_plug_in(self, event: ScenarioEvent) -> None:
         self._log("obd_plug_in")
-        self._sweep_and_maybe_capture(EventType.OBD_PLUG_IN)
+        self._checkpoint(EventType.OBD_PLUG_IN)
 
     def _on_config_change(self, event: ScenarioEvent) -> None:
         self._log("config_change")
-        self._sweep_and_maybe_capture(EventType.CONFIG_CHANGE)
+        self._checkpoint(EventType.CONFIG_CHANGE)
 
     def _on_service_notice(self, event: ScenarioEvent) -> None:
         self._bump_service_count()
         self._log("service_notice")
-        self._sweep_and_maybe_capture(EventType.SERVICE_NOTICE)
+        self._checkpoint(EventType.SERVICE_NOTICE)
 
     def _on_uds_reflash(self, event: ScenarioEvent) -> None:
         module_id = self._require_module(event.module_id)
@@ -520,9 +505,8 @@ class Vehicle:
         record = identity_hash(self.modules[module_id], self.clock, EventType.REFLASH)
         self._put_record(module_id, record, EventType.REFLASH)
         # Official channel: the OEM learns the rotated vehicle key.
-        self.registrations.append((self._current_key(), self.config.variant_code))
-        if self.master.trigger_policy(EventType.REFLASH, self.clock, self.true_odometer):
-            self._capture(EventType.REFLASH)
+        self.registrations.append(self._current_key())
+        self._capture(EventType.REFLASH)
 
     def _on_eeprom_tamper(self, event: ScenarioEvent) -> None:
         module_id = self._require_module(event.module_id)
@@ -680,16 +664,14 @@ class Vehicle:
         self._scrub_clusters()  # leave redundant stores healthy at rest
 
     def _run_periodic_until(self, horizon: int) -> None:
+        """Checkpoint each capture interval after the last capture, to horizon."""
         while True:
-            next_tick = self.master.last_capture_time + self.config.capture_interval_s
+            last = self.captures[-1].sim_time if self.captures else 0
+            next_tick = last + self.config.capture_interval_s
             if next_tick > horizon:
                 return
             self.clock = next_tick
-            if self.master.trigger_policy(
-                EventType.PERIODIC_INTERVAL, next_tick, self.true_odometer
-            ):
-                self._sweep(EventType.PERIODIC_INTERVAL)
-                self._capture(EventType.PERIODIC_INTERVAL)
+            self._checkpoint(EventType.PERIODIC_INTERVAL)
 
 
 def _jsonable(value: Any) -> Any:
@@ -869,7 +851,7 @@ _VEHICLE = _object(VEHICLE_FIELDS, lambda **f: _validated(VehicleConfig(**f)))
 LANE_FIELDS = {"vehicle": (_VEHICLE, _REQUIRED), "events": (_EVENTS, ())}
 _LANE = _object(LANE_FIELDS, lambda vehicle, events: VehicleLane(vehicle, events))
 POLICY_FIELDS = {"critical_variants": (_list(_string, "variant"), ())}
-_POLICY = _object(POLICY_FIELDS, lambda **f: VerdictPolicy(frozenset(f["critical_variants"])))
+_POLICY = _object(POLICY_FIELDS, lambda critical_variants: frozenset(critical_variants))
 SCENARIO_FIELDS = {
     "id": (_string, "scenario"),
     "seed": (_integer, 0),
@@ -878,7 +860,7 @@ SCENARIO_FIELDS = {
     "events": (_EVENTS, None),
     "fleet": (_list(_LANE, "lane"), None),
     "approved_library": (_library, None),
-    "policy": (_POLICY, VerdictPolicy()),
+    "policy": (_POLICY, frozenset()),
 }
 
 
@@ -918,7 +900,7 @@ def parse_scenario(obj: Any) -> Scenario:
         duration_s=duration,
         lanes=lanes,
         approved_library=f["approved_library"],
-        policy=f["policy"],
+        critical_variants=f["policy"],
     )
 
 
@@ -931,6 +913,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ScenarioError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # the only one left: an integer past the digit limit
+        raise ScenarioError(f"{path}: integer literal has too many digits") from None
     return parse_scenario(obj)
 
 
@@ -1005,11 +991,13 @@ def run_scenario(
         vehicles.append(vehicle)
 
     full_node = FullNode(
-        library=scenario.approved_library, policy=scenario.policy, ledger_path=ledger_path
+        library=scenario.approved_library,
+        critical_variants=scenario.critical_variants,
+        ledger_path=ledger_path,
     )
     for vehicle in vehicles:
-        for key, variant in vehicle.registrations:
-            full_node.register_vehicle(key, variant)
+        for key in vehicle.registrations:
+            full_node.register_vehicle(key, vehicle.config.variant_code)
 
     batches = []
     for vehicle in vehicles:
@@ -1048,15 +1036,11 @@ def run_scenario(
     outcomes = []
     all_alerts: list[str] = []
     for vehicle in vehicles:
-        seen_keys: list[str] = []
-        for key, _ in vehicle.registrations:
-            if key not in seen_keys:
-                seen_keys.append(key)
         outcomes.append(
             VehicleOutcome(
                 vin=vehicle.config.vin,
                 variant_code=vehicle.config.variant_code,
-                vehicle_keys=tuple(seen_keys),
+                vehicle_keys=tuple(dict.fromkeys(vehicle.registrations)),
                 captures=tuple(vehicle.captures),
                 tamper_flag=vehicle.tamper_flag,
                 tamper_details=dict(vehicle.tamper_details),

@@ -261,6 +261,19 @@ class TestRun:
         assert "not UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, "9" * 5000],
+        ids=["nested-100000-deep", "integer-5000-digits"],
+    )
+    def test_json_past_parser_limits_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1, err
+
     def test_endless_duration_exit_two_at_once(self, tmp_path, capsys):
         obj = json.loads(DEMO_SCENARIO.read_text())
         obj["duration_s"] = 10**30

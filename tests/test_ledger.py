@@ -13,7 +13,6 @@ from autobox.ledger import (
     LedgerFormatError,
     UnknownVariantError,
     UnknownVehicleError,
-    VerdictPolicy,
     VerdictStatus,
     VerifyResult,
     history_from_file,
@@ -253,9 +252,11 @@ class TestOemChecksum:
         assert verdict.status is VerdictStatus.IMMOBILIZE
 
     def test_critical_variant_emergency_ota(self):
-        policy = VerdictPolicy(critical_variants=frozenset({"CRIT"}))
         verdict = oem_checksum(
-            make_submission(digest="bb" * 32), self.LIB, "CRIT", policy=policy
+            make_submission(digest="bb" * 32),
+            self.LIB,
+            "CRIT",
+            critical_variants=frozenset({"CRIT"}),
         )
         assert verdict.status is VerdictStatus.EMERGENCY_OTA
 

@@ -172,36 +172,6 @@ class TestCapture:
         ]
 
 
-class TestTriggerPolicy:
-    def test_immediate_events_capture_now(self):
-        _, _, master = single_node_setup()
-        for event in (
-            EventType.OBD_PLUG_IN,
-            EventType.CONFIG_CHANGE,
-            EventType.REFLASH,
-            EventType.SERVICE_NOTICE,
-        ):
-            assert master.trigger_policy(event, 1, 0)
-
-    def test_periodic_defers_inside_interval(self):
-        _, _, master = single_node_setup()
-        master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 1000)
-        assert not master.trigger_policy(EventType.PERIODIC_INTERVAL, 1100, 0)
-        assert master.trigger_policy(EventType.PERIODIC_INTERVAL, 4600, 0)
-
-    def test_mileage_stride_crossing(self):
-        _, _, master = single_node_setup()
-        assert not master.trigger_policy(EventType.MILEAGE_THRESHOLD, 1, 999)
-        assert master.trigger_policy(EventType.MILEAGE_THRESHOLD, 1, 1001)
-        master.capture_meta_hash(EventType.MILEAGE_THRESHOLD, 1, odometer_km=1001)
-        assert not master.trigger_policy(EventType.MILEAGE_THRESHOLD, 2, 1500)
-        assert master.trigger_policy(EventType.MILEAGE_THRESHOLD, 2, 2000)
-
-    def test_startup_check_defers(self):
-        _, _, master = single_node_setup()
-        assert not master.trigger_policy(EventType.STARTUP_CHECK, 1, 0)
-
-
 class TestSubmitPending:
     def test_online_drains_all_in_order(self):
         _, _, master = single_node_setup()
