@@ -2,11 +2,11 @@
 
 Desk-scale model of the level-1 store: each module hosts one node, node
 ids are digests of module serial numbers, and a record key is owned by the
-node whose id minimizes the XOR distance to it. Lookups walk greedily
-through per-node routing tables bucketized by shared-prefix length (bucket
-capacity k). The walk is exact on a fully-live network: a non-owner always
-has at least one strictly closer peer in the bucket that covers the key,
-because every member of that bucket flips the same distance-dominating bit.
+node whose id minimizes the XOR distance to it. The modules share one
+closed bus on which every module addresses every other directly, so
+placement is one hop: a scan of the live ids picks the closest live node.
+A failed node loses its storage role only; its module still speaks on the
+bus, and what it emits lands on the closest live node instead.
 
 Node stores are byte-bounded. A record's accounted size is the byte length
 of its dump line plus the newline: the bytes the same record takes on a
@@ -22,14 +22,11 @@ from typing import Hashable, Iterable, Iterator, Mapping
 
 from .auditcore import AuditRecord, sha256_hex
 
-ID_BITS = 256
-
 DEFAULT_STORE_LIMIT_BYTES = 2048  # fits the constrained-ROM budget per node
-BUCKET_CAPACITY = 4  # peers kept per routing bucket (Kademlia's k)
 
 
 class NodeUnavailable(RuntimeError):
-    """The named node is failed or unknown and cannot serve the request."""
+    """The named node is unknown, or no live node can serve the request."""
 
 
 class CheckpointRequired(RuntimeError):
@@ -51,17 +48,6 @@ class CheckpointRequired(RuntimeError):
 def node_id_for_serial(serial_number: str) -> str:
     """Derive a node id from the hosting module's serial number."""
     return sha256_hex(serial_number.encode("utf-8"))
-
-
-def xor_distance(a: str, b: str) -> int:
-    return int(a, 16) ^ int(b, 16)
-
-
-def shared_prefix_length(a: str, b: str) -> int:
-    d = xor_distance(a, b)
-    if d == 0:
-        return ID_BITS
-    return ID_BITS - d.bit_length()
 
 
 def owner_of(key: str, nodes: Iterable[str]) -> str:
@@ -131,13 +117,12 @@ class _Stored:
 
 
 class DhtNode:
-    """One module's slice of the table: bounded store plus routing buckets."""
+    """One module's slice of the table: a bounded record store."""
 
     def __init__(self, node_id: str, store_limit_bytes: int = DEFAULT_STORE_LIMIT_BYTES):
         self.node_id = node_id
         self.store_limit_bytes = store_limit_bytes
         self.checkpoint_floor = 0
-        self.routing_table: dict[int, tuple[str, ...]] = {}
         self._store: dict[str, _Stored] = {}
         self._used = 0
 
@@ -205,8 +190,7 @@ class DhtNetwork:
     """The closed in-vehicle network of DHT nodes.
 
     Single-threaded by contract: the simulator's event loop serializes all
-    operations. Membership changes rebuild routing tables outright, which
-    is cheap at tens of nodes and keeps tables deterministic.
+    operations.
     """
 
     def __init__(self, store_limit_bytes: int = DEFAULT_STORE_LIMIT_BYTES):
@@ -224,14 +208,12 @@ class DhtNetwork:
         node = DhtNode(node_id, self.store_limit_bytes)
         self._nodes[node_id] = node
         self._ints[node_id] = int(node_id, 16)
-        self._rebuild_routing()
         return node
 
     def remove_node(self, node_id: str) -> None:
         self._nodes.pop(node_id)
         self._ints.pop(node_id)
         self._failed.discard(node_id)
-        self._rebuild_routing()
 
     def fail_node(self, node_id: str) -> None:
         if node_id not in self._nodes:
@@ -257,56 +239,32 @@ class DhtNetwork:
         """Sequence number of the most recent successful insert."""
         return self._sequence
 
-    def _rebuild_routing(self) -> None:
-        for node_id, node in self._nodes.items():
-            buckets: dict[int, list[str]] = {}
-            for peer in self._nodes:
-                if peer == node_id:
-                    continue
-                buckets.setdefault(shared_prefix_length(node_id, peer), []).append(peer)
-            table = {}
-            self_int = self._ints[node_id]
-            for idx, peers in buckets.items():
-                # Overflowing buckets keep the k peers nearest to self;
-                # any non-empty selection preserves lookup exactness.
-                peers.sort(key=lambda p: self._ints[p] ^ self_int)
-                table[idx] = tuple(peers[:BUCKET_CAPACITY])
-            node.routing_table = table
-
     # -- lookups ---------------------------------------------------------
 
     def locate(self, origin: str, key: str) -> tuple[str, int]:
-        """Iteratively route toward the key's owner among live nodes.
+        """The live node closest to the key, and the bus hops to reach it.
 
-        One candidate per step: hop to the closest live peer the current
-        node knows, stopping when no known peer improves on the current
-        node. Returns (terminal node id, hops walked).
+        One scan of the live ids; hops is 0 when origin is that node and 1
+        otherwise. Origin may be any member node, failed or not.
         """
-        if not self.is_live(origin):
-            raise NodeUnavailable(f"origin {origin} is not live")
+        if origin not in self._nodes:
+            raise NodeUnavailable(f"unknown origin {origin}")
         key_int = int(key, 16)
-        current = origin
-        current_dist = self._ints[current] ^ key_int
-        hops = 0
-        while True:
-            best, best_dist = current, current_dist
-            for bucket in self._nodes[current].routing_table.values():
-                for peer in bucket:
-                    if peer in self._failed:
-                        continue
-                    d = self._ints[peer] ^ key_int
-                    if d < best_dist:
-                        best, best_dist = peer, d
-            if best == current:
-                return current, hops
-            current, current_dist = best, best_dist
-            hops += 1
+        target = min(
+            (n for n in self._ints if n not in self._failed),
+            key=lambda n: self._ints[n] ^ key_int,
+            default=None,
+        )
+        if target is None:
+            raise NodeUnavailable("no live node")
+        return target, int(target != origin)
 
     # -- operations ------------------------------------------------------
 
     def put(self, origin: str, record: AuditRecord) -> StoreReceipt:
         """Place a record at the owner of its key (or closest live node).
 
+        Raises NodeUnavailable for an unknown origin or when no node is live.
         May raise CheckpointRequired from the target store; the caller is
         expected to capture a checkpoint and retry. Re-putting an existing
         key is idempotent and keeps the original sequence number.

@@ -32,8 +32,9 @@ well-defined.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 PARITY = "parity"
 
@@ -66,8 +67,7 @@ def compute_parity(data_stores: Sequence[bytes]) -> bytes:
     return _xor(data_stores).to_bytes(max(len(s) for s in data_stores), "little")
 
 
-@dataclass(frozen=True)
-class RecordLocation:
+class RecordLocation(NamedTuple):
     device: int
     offset: int
     length: int
@@ -287,48 +287,43 @@ def save_snapshot(cluster: ParityCluster) -> bytes:
     return b"".join([header.encode("utf-8"), *cluster._devices, index.encode("utf-8")])
 
 
-# Deletes every character an index line may hold: lowercase hex, tab, newline.
-_INDEX_CHARS = str.maketrans("", "", "0123456789abcdef\t\n")
+# The header and index lines in the one spelling save_snapshot writes:
+# canonical decimals, and 64-hex record keys and hashes.
+_NUMBER = rb"(?:0|[1-9][0-9]*)"
+SNAPSHOT_HEADER = re.compile(
+    rb"d=(%s) lengths=(%s(?:,%s)*) parity_len=(%s)\n" % ((_NUMBER,) * 4)
+)
+INDEX_LINE = re.compile(
+    rb"([0-9a-f]{64})\t(%s)\t(%s)\t(%s)\t([0-9a-f]{64})\n" % ((_NUMBER,) * 3)
+)
 
 
 def load_snapshot(blob: bytes) -> ParityCluster:
-    header, newline, body = blob.partition(b"\n")
-    if not newline:
-        raise ClusterError("snapshot missing header line")
-    try:
-        parts = dict(item.split("=", 1) for item in header.decode("utf-8").split())
-        device_count = int(parts["d"])
-        lengths = [int(n) for n in parts["lengths"].split(",") if n]
-        parity_len = int(parts["parity_len"])
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise ClusterError(f"malformed snapshot header: {exc}") from exc
+    header = SNAPSHOT_HEADER.match(blob)
+    if header is None:
+        raise ClusterError("malformed snapshot header")
+    device_count = int(header[1])
+    lengths = [int(n) for n in header[2].split(b",")]
     if len(lengths) != device_count:
         raise ClusterError("snapshot header lengths disagree with device count")
     cluster = ParityCluster(device_count)
-    pos = 0
-    for i, n in enumerate(lengths + [parity_len]):
-        cluster._devices[i] = bytearray(body[pos : pos + n])
+    pos = header.end()
+    for i, n in enumerate(lengths + [int(header[3])]):
+        cluster._devices[i] = bytearray(blob[pos : pos + n])
         if len(cluster._devices[i]) != n:
             raise ClusterError(f"snapshot truncated inside device {i}")
         pos += n
     cluster._lengths = lengths + [max(lengths)]
     cluster._appended = [None] * device_count
-    text = body[pos:].decode("latin-1")  # never fails; the filter below rejects non-ASCII
-    if text.translate(_INDEX_CHARS):
-        raise ClusterError("snapshot index holds characters outside hex, tab and newline")
-    for line in text.splitlines():
-        try:
-            key, device, offset, length, record_hash = line.split("\t")
-            loc = RecordLocation(int(device), int(offset), int(length), record_hash)
-        except ValueError:
-            raise ClusterError(f"malformed snapshot index line {line[:80]!r}") from None
-        if (
-            key in cluster._index
-            or len(key) != 64
-            or len(record_hash) != 64
-            or loc.device >= device_count
-            or loc.offset + loc.length > lengths[loc.device]
-        ):
-            raise ClusterError(f"snapshot index line names no record {line[:80]!r}")
-        cluster._index[key] = loc
+    index = cluster._index
+    while pos < len(blob):
+        line = INDEX_LINE.match(blob, pos)
+        if line is None:
+            raise ClusterError(f"malformed snapshot index line {blob[pos : pos + 80]!r}")
+        key, device, offset, length, record_hash = line.groups()
+        key, device, offset, length = key.decode(), int(device), int(offset), int(length)
+        if key in index or device >= device_count or offset + length > lengths[device]:
+            raise ClusterError(f"snapshot index line names no record {line[0][:80]!r}")
+        index[key] = RecordLocation(device, offset, length, record_hash.decode())
+        pos = line.end()
     return cluster

@@ -17,9 +17,9 @@ every service or reflash event below. Event handling in one line each:
   OEM re-registration of the rotated vehicle key.
 * EepromTamper / ModuleSwap are silent: state changes with no audit trail,
   left for the consistency check or the next checkpoint to expose.
-* NodeFailure / NodeRecovery toggle a DHT node's storage/routing role;
-  the module itself keeps emitting through a live neighbor, so records
-  survive (fallback placement) and checkpoints are unaffected.
+* NodeFailure / NodeRecovery toggle a DHT node's storage role only; the
+  module still speaks on the bus and its records land on the closest live
+  node (fallback placement), so checkpoints are unaffected.
 * MemoryCorruption flips one byte in a parity-cluster device.
 * ConnectivityOutage closes the uplink between its start and end times;
   the light client backlog drains when it reopens.
@@ -56,6 +56,7 @@ from .auditcore import (
 from .dht import (
     CheckpointRequired,
     DhtNetwork,
+    NodeUnavailable,
     detect_discrepancy,
     node_id_for_serial,
 )
@@ -298,30 +299,13 @@ class Vehicle:
 
     # -- record plumbing ------------------------------------------------------
 
-    def _entry_node(self, emitter: str) -> str | None:
-        """Network entry point for a module's emissions.
-
-        A failed DHT node loses its storage and routing role, not the
-        module's ability to speak on the in-vehicle bus: emissions enter
-        through the first live node instead, so a single node failure
-        never changes what the audit trail records.
-        """
-        own = self.node_of[emitter]
-        if self.network.is_live(own):
-            return own
-        for module_id in self.modules:
-            node_id = self.node_of[module_id]
-            if self.network.is_live(node_id):
-                return node_id
-        return None
-
     def _put_record(self, emitter: str, record: AuditRecord, trigger: EventType) -> None:
-        origin = self._entry_node(emitter)
-        if origin is None:
-            self.alerts.append(f"t={self.clock} no live node to accept records")
-            return
+        origin = self.node_of[emitter]
         try:
             receipt = self.network.put(origin, record)
+        except NodeUnavailable:
+            self.alerts.append(f"t={self.clock} no live node to accept records")
+            return
         except CheckpointRequired:
             # Store full of uncovered records: checkpoint first, then retry.
             self._capture(trigger)

@@ -10,6 +10,7 @@ from autobox.ledger import GENESIS_PREV, LedgerBlock, LedgerFormatError, VerifyR
 from autobox.masternode import Submission
 
 DATA_DIR = Path(__file__).parent / "data"
+DEMO_SCENARIO = Path(__file__).parent.parent / "scenarios" / "demo.json"
 
 # Frozen digests, computed once with coreutils sha256sum over the documented
 # canonical byte strings (see data/hash_vectors.txt for the exact bytes).
@@ -148,6 +149,8 @@ def _repeat_index_line(blob: bytes) -> bytes:
 BAD_INDEX_EDITS = {
     "device-out-of-range": _edit_index_line(1, "7"),
     "device-not-int": _edit_index_line(1, "x"),
+    "leading-zero-offset": _edit_index_line(2, "00"),
+    "key-not-64-hex": _edit_index_line(0, "aa" * 31),
     "length-past-device": _edit_index_line(3, "99"),
     "negative-offset": _edit_index_line(2, "-1"),
     "hash-not-hex": _edit_index_line(4, "zz" * 32),
@@ -155,6 +158,15 @@ BAD_INDEX_EDITS = {
     "repeated-key": _repeat_index_line,
     "not-utf8": lambda blob: blob + b"\xff\xfe\n",
 }
+
+
+@pytest.fixture(scope="session")
+def demo_snapshot() -> bytes:
+    """The one cluster snapshot a run of scenarios/demo.json writes."""
+    from autobox.vehiclesim import load_scenario, run_scenario
+
+    ((_, blob),) = run_scenario(load_scenario(DEMO_SCENARIO)).cluster_snapshots
+    return blob
 
 
 def record_spans(blob: bytes) -> list[tuple[int, int, int]]:

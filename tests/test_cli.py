@@ -477,6 +477,24 @@ class TestAudit:
         assert cli.main(["audit", str(path)]) == 2
         assert "format error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"d=+2 lengths=1_090,769 parity_len=1090",
+            b"d=2 lengths=1090,0769 parity_len=1090",
+            b"d=2 lengths=1090,769 parity_len=1090 extra=1",
+            b"d=3 d=2 lengths=1090,769 parity_len=1090",
+            b"d=2 lengths=1090,769 lengths=1090,769 parity_len=1090",
+            b"d=2  lengths=1090,769 parity_len=1090",
+        ],
+    )
+    def test_non_canonical_header_exit_two(self, demo_snapshot, tmp_path, capsys, header):
+        """The demo snapshot is d=2 lengths=1090,769 parity_len=1090."""
+        path = tmp_path / "edited.snap"
+        path.write_bytes(header + demo_snapshot[demo_snapshot.index(b"\n") :])
+        assert cli.main(["audit", str(path)]) == 2
+        assert "format error" in capsys.readouterr().err
+
     def test_directory_exit_two(self, tmp_path, capsys):
         assert cli.main(["audit", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err

@@ -6,15 +6,12 @@ import pytest
 
 from autobox.auditcore import EventType, identity_hash
 from autobox.dht import (
-    BUCKET_CAPACITY,
     CheckpointRequired,
     DhtNetwork,
     NodeUnavailable,
     detect_discrepancy,
     node_id_for_serial,
     owner_of,
-    shared_prefix_length,
-    xor_distance,
 )
 
 from conftest import make_metadata
@@ -65,17 +62,6 @@ class TestOwnerOf:
 
 
 class TestHelpers:
-    def test_xor_distance_identity(self):
-        a = "ab" * 32
-        assert xor_distance(a, a) == 0
-
-    def test_shared_prefix_length(self):
-        a = "0" * 64
-        b = "0" * 63 + "1"  # differs only in the lowest 4-bit nibble
-        assert shared_prefix_length(a, b) == 255
-        c = "8" + "0" * 63
-        assert shared_prefix_length(a, c) == 0
-
     def test_node_id_is_serial_digest(self):
         assert node_id_for_serial("X") == node_id_for_serial("X")
         assert node_id_for_serial("X") != node_id_for_serial("Y")
@@ -102,31 +88,57 @@ class TestRouting:
             assert receipt.stored_at == owner_of(record.record_key, ids)
             assert not receipt.fallback
 
-    def test_bucket_capacity_respected(self):
-        rng = random.Random(5)
-        ids = [random_id(rng) for _ in range(32)]
-        network = build_network(ids)
-        for node_id in ids:
-            for bucket in network.node(node_id).routing_table.values():
-                assert 0 < len(bucket) <= BUCKET_CAPACITY
-                assert node_id not in bucket
-
-    def test_routing_tables_are_partial_at_scale(self):
-        rng = random.Random(6)
-        ids = [random_id(rng) for _ in range(32)]
-        network = build_network(ids)
-        known = [
-            sum(len(b) for b in network.node(n).routing_table.values()) for n in ids
-        ]
-        assert any(k < 31 for k in known)
-
-    def test_locate_requires_live_origin(self):
+    def test_hops_count_bus_hops(self):
+        """0 from the closest live node itself, 1 from any other member."""
         rng = random.Random(8)
         ids = [random_id(rng) for _ in range(4)]
         network = build_network(ids)
-        network.fail_node(ids[0])
+        key = random_id(rng)
+        owner = owner_of(key, ids)
+        assert network.locate(owner, key) == (owner, 0)
+        for origin in ids:
+            if origin != owner:
+                assert network.locate(origin, key) == (owner, 1)
+
+    def test_locate_rejects_unknown_origin(self):
+        rng = random.Random(8)
+        ids = [random_id(rng) for _ in range(4)]
+        network = build_network(ids)
         with pytest.raises(NodeUnavailable):
-            network.locate(ids[0], "ab" * 32)
+            network.locate(random_id(rng), "ab" * 32)
+
+    def test_failed_origin_still_places(self):
+        """A failed node loses its storage role, not its module's voice."""
+        rng = random.Random(9)
+        ids = [random_id(rng) for _ in range(4)]
+        network = build_network(ids)
+        network.fail_node(ids[0])
+        record = make_record(sim_time=3)
+        receipt = network.put(ids[0], record)
+        assert receipt.stored_at == owner_of(record.record_key, ids[1:])
+        assert receipt.hops == 1
+        assert network.node(ids[0]).record_count == 0
+
+    def test_no_live_node_raises(self):
+        rng = random.Random(10)
+        ids = [random_id(rng) for _ in range(3)]
+        network = build_network(ids)
+        for node_id in ids:
+            network.fail_node(node_id)
+        with pytest.raises(NodeUnavailable):
+            network.put(ids[1], make_record())
+        network.recover_node(ids[2])
+        assert network.put(ids[1], make_record()).stored_at == ids[2]
+
+    def test_puts_match_owner_on_512_nodes(self):
+        """Membership changes rebuild nothing, so a large network is cheap."""
+        rng = random.Random(512)
+        ids = [random_id(rng) for _ in range(512)]
+        network = build_network(ids)
+        for i in range(1000):
+            record = make_record("ECU", sim_time=i)
+            receipt = network.put(ids[rng.randrange(512)], record)
+            assert receipt.stored_at == owner_of(record.record_key, ids)
 
 
 class TestPutGet:
@@ -285,4 +297,21 @@ class TestOwnershipOracleProperty:
                 origin = ids[rng.randrange(n)]
                 located, hops = network.locate(origin, key)
                 assert located == owner_of(key, ids)
-                assert hops <= n
+                assert hops == int(located != origin)
+
+    def test_placement_under_failure_equals_live_scan(self):
+        """Up to a third of 2-32 nodes failed: puts land on the live owner."""
+        rng = random.Random(42)  # a greedy walk over routing tables misses 6 of these puts
+        pool = [make_record("ECU", sim_time=t) for t in range(256)]
+        for _ in range(300):
+            n = rng.randint(2, 32)
+            ids = [random_id(rng) for _ in range(n)]
+            network = build_network(ids)
+            failed = set(rng.sample(ids, rng.randint(0, n // 3)))
+            for node_id in failed:
+                network.fail_node(node_id)
+            live = [node_id for node_id in ids if node_id not in failed]
+            for _ in range(40):
+                record = pool[rng.randrange(len(pool))]
+                receipt = network.put(live[rng.randrange(len(live))], record)
+                assert receipt.stored_at == owner_of(record.record_key, live)

@@ -5,24 +5,36 @@ single-byte substitutions and truncations. A substitution must break
 exactly the block that holds the byte, and ``autobox verify`` must say so
 with exit 1 and no traceback. A truncation inside a block breaks that
 block; one at a block boundary leaves a shorter valid chain.
+
+Snapshot bytes: every byte of the demo cluster snapshot is flipped in
+turn. A flip in the header or the index is a format error; a flip in a
+device is found by ``scrub`` on exactly that device.
+
+Scenario JSON: seeded mutations of ``scenarios/demo.json`` (a key
+deleted, or an odd value put at a random path) must end ``autobox run``
+with exit 0, 1 or 2, promptly and without a traceback.
 """
 
 from __future__ import annotations
 
+import copy
+import json
 import random
-from pathlib import Path
+import signal
 
 import pytest
 
 from autobox import cli
 from autobox.ledger import VerifyResult, verify_chain
+from autobox.parity import PARITY, SNAPSHOT_HEADER, ClusterError, load_snapshot, scrub
 from autobox.vehiclesim import load_scenario, run_scenario
 
-from conftest import record_spans
+from conftest import DEMO_SCENARIO, record_spans
 
-DEMO_SCENARIO = Path(__file__).parent.parent / "scenarios" / "demo.json"
 SUBSTITUTIONS = 600
 TRUNCATIONS = 200
+SCENARIO_MUTATIONS = 600
+RUN_BOUND_S = 10
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +93,88 @@ def test_truncation_at_a_block_boundary_stays_valid(demo_ledger, tmp_path, capsy
     for _, _, end in record_spans(demo_ledger):
         path.write_bytes(demo_ledger[:end])
         assert verify_cli(path, capsys) == (0, "valid"), end
+
+
+def test_every_snapshot_byte_flip_is_refused_or_located(demo_snapshot, tmp_path, capsys):
+    header = SNAPSHOT_HEADER.match(demo_snapshot)
+    sizes = [int(n) for n in header[2].split(b",")] + [int(header[3])]
+    devices = [*range(len(sizes) - 1), PARITY]
+    region = ["format"] * header.end()
+    for device, size in zip(devices, sizes):
+        region += [device] * size
+    region += ["format"] * (len(demo_snapshot) - len(region))
+    assert region.count("format") > header.end()  # the index is covered too
+    path = tmp_path / "flipped.snap"
+    for offset, expected in enumerate(region):
+        mutated = bytearray(demo_snapshot)
+        mutated[offset] ^= 0xFF
+        if expected == "format":
+            with pytest.raises(ClusterError):
+                load_snapshot(bytes(mutated))
+        else:
+            report = scrub(load_snapshot(bytes(mutated)))
+            assert not report.clean and report.device == expected, offset
+        if offset % 97 == 0:  # a stride of flips through the CLI as well
+            path.write_bytes(mutated)
+            rc = cli.main(["audit", str(path)])
+            out, err = capsys.readouterr()
+            if expected == "format":
+                assert (rc, out) == (2, ""), offset
+                assert "format error" in err and "Traceback" not in err, offset
+            else:
+                assert (rc, err) == (1, ""), offset
+                assert f"corrupt device={expected} " in out, offset
+
+
+ODD_VALUES = [None, True, -1, 2**70, "", [], {}, 1.5]
+
+
+def json_paths(node, prefix=()):
+    """Every path below node: dict keys and list indexes, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_paths(child, prefix + (key,))
+
+
+class RunTimeout(BaseException):
+    """Not an Exception, so the CLI's internal-error guard cannot eat it."""
+
+
+def _timeout(signum, frame):
+    raise RunTimeout(f"autobox run took over {RUN_BOUND_S}s")
+
+
+def test_mutated_scenarios_end_cleanly(tmp_path, capsys):
+    base = json.loads(DEMO_SCENARIO.read_text())
+    paths = list(json_paths(base))
+    key_paths = [p for p in paths if isinstance(p[-1], str)]
+    scenario, out = tmp_path / "scenario.json", tmp_path / "out"
+    rng = random.Random(20203)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    try:
+        for case in range(SCENARIO_MUTATIONS):
+            doc = copy.deepcopy(base)
+            delete = rng.random() < 0.5
+            path = rng.choice(key_paths if delete else paths)
+            parent = doc
+            for step in path[:-1]:
+                parent = parent[step]
+            if delete:
+                del parent[path[-1]]
+                where = f"case {case}: {path} deleted"
+            else:
+                parent[path[-1]] = value = rng.choice(ODD_VALUES)
+                where = f"case {case}: {path} -> {value!r}"
+            scenario.write_text(json.dumps(doc))
+            signal.setitimer(signal.ITIMER_REAL, RUN_BOUND_S)
+            try:
+                rc = cli.main(["run", str(scenario), "--out", str(out)])
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2), f"{where}: exit {rc}: {err}"
+            assert "Traceback" not in err, where
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -47,6 +47,7 @@ def test_count_hooks_read_live_attributes():
         "parity.scrub.bytes",
         "parity.append_record.bytes",
         "masternode.capture_meta_hash.records",
+        "dht.put.hops",
     ):
         assert tracer.counts[name] > 0, name
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from autobox.auditcore import AirbagStatus, EventType, ModuleMetadata
+from autobox.dht import owner_of
 from autobox.ledger import VerdictStatus
 from autobox.vehiclesim import (
     EVENT_FIELDS,
@@ -531,6 +532,41 @@ class TestFaults:
             tmp_path / "fault.txt"
         ).read_bytes()
         assert not faulted.findings
+
+    def test_failed_module_records_land_on_closest_live_node(self):
+        """The module keeps its voice on the bus; its node stores nothing."""
+        vehicle = Vehicle(make_vehicle_config(), GroundTruthLog())
+        vehicle.boot()
+        ecu_node = vehicle.node_of["ECU"]
+        vehicle.clock = 100
+        vehicle.handle_event(event(ScenarioEventKind.NODE_FAILURE, 100, module_id="ECU"))
+        vehicle.clock = 200
+        vehicle._sweep(EventType.OBD_PLUG_IN)
+        live = [n for n in vehicle.network.node_ids() if n != ecu_node]
+        placed = {
+            record.module_id: node_id
+            for node_id in vehicle.network.node_ids()
+            for record in vehicle.network.node(node_id).records()
+            if record.sim_time == 200
+        }
+        assert sorted(placed) == ["BCM", "ECU", "HeadUnit", "TCM"]
+        for node_id in vehicle.network.node_ids():
+            for record in vehicle.network.node(node_id).records():
+                if record.sim_time == 200:
+                    assert node_id == owner_of(record.record_key, live)
+        assert not vehicle.alerts
+
+    def test_every_node_failed_alerts_and_finishes(self, tmp_path):
+        modules = ("ECU", "BCM", "TCM", "HeadUnit")
+        events = tuple(
+            event(ScenarioEventKind.NODE_FAILURE, 100, module_id=m) for m in modules
+        ) + (event(ScenarioEventKind.OBD_PLUG_IN, 200),)
+        result = run_scenario(
+            make_scenario(events=events, duration_s=3600),
+            ledger_path=tmp_path / "ledger.txt",
+        )
+        assert "t=200 no live node to accept records" in result.alerts
+        assert [mh.sim_time for mh in result.vehicles[0].captures] == [200]
 
     def test_store_accounting_matches_dump_bytes(self):
         """The byte budget is the dump encoding: accounted == serialized."""
