@@ -63,21 +63,12 @@ def owner_of(key: str, nodes: Iterable[str]) -> str:
     return min(node_list, key=lambda n: int(n, 16) ^ key_int)
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    """Outcome of a cross-module comparison of one replicated field."""
+def detect_discrepancy(readings: Mapping[str, Hashable]) -> frozenset[str]:
+    """Modules whose replica of a shared field departs from the majority.
 
-    field: str
-    consistent: bool
-    minority: frozenset[str]
-    tie: bool = False
-
-
-def detect_discrepancy(field_name: str, readings: Mapping[str, Hashable]) -> DiscrepancyReport:
-    """Flag modules whose replica of a shared field departs from the majority.
-
-    An exact tie between leading values is still evidence of interference,
-    so ties flag every participant rather than designating a minority.
+    Empty when every replica agrees. An exact tie between leading values is
+    still evidence of interference, so a tie returns every participant
+    rather than designating a minority.
     """
     if len(readings) < 2:
         raise ValueError("need readings from at least 2 modules")
@@ -85,19 +76,9 @@ def detect_discrepancy(field_name: str, readings: Mapping[str, Hashable]) -> Dis
     for module_id, value in readings.items():
         groups.setdefault(value, set()).add(module_id)
     best = max(len(g) for g in groups.values())
-    leaders = [v for v, g in groups.items() if len(g) == best]
-    if len(leaders) > 1:
-        return DiscrepancyReport(
-            field=field_name,
-            consistent=False,
-            minority=frozenset(readings),
-            tie=True,
-        )
-    majority_value = leaders[0]
-    minority = frozenset(m for v, g in groups.items() if v != majority_value for m in g)
-    if not minority:
-        return DiscrepancyReport(field=field_name, consistent=True, minority=frozenset())
-    return DiscrepancyReport(field=field_name, consistent=False, minority=minority)
+    if sum(len(g) == best for g in groups.values()) > 1:
+        return frozenset(readings)
+    return frozenset(m for g in groups.values() if len(g) < best for m in g)
 
 
 @dataclass(frozen=True)
@@ -272,25 +253,16 @@ class DhtNetwork:
         if not record.verify_key():
             raise ValueError("record_key does not match record contents")
         target, hops = self.locate(origin, record.record_key)
-        ideal = owner_of(record.record_key, self._nodes)
+        # Placed away from its owner exactly when a failed node is closer.
+        key_int = int(record.record_key, 16)
+        distance = self._ints[target] ^ key_int
+        fallback = any(self._ints[n] ^ key_int < distance for n in self._failed)
         node = self._nodes[target]
-        existing = node.get(record.record_key)
-        if existing is not None:
-            return StoreReceipt(
-                stored_at=target,
-                hops=hops,
-                fallback=target != ideal,
-                sequence=node.sequence_of(record.record_key),
-            )
+        if node.get(record.record_key) is not None:
+            return StoreReceipt(target, hops, fallback, node.sequence_of(record.record_key))
         evicted = node.insert(record, self._sequence + 1)
         self._sequence += 1
-        return StoreReceipt(
-            stored_at=target,
-            hops=hops,
-            fallback=target != ideal,
-            sequence=self._sequence,
-            evicted=tuple(evicted),
-        )
+        return StoreReceipt(target, hops, fallback, self._sequence, tuple(evicted))
 
     def advance_checkpoint_floor(self, floor: int) -> None:
         """Raise every node's eviction floor; floors never move backward."""

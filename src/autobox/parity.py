@@ -91,11 +91,11 @@ class ParityCluster:
         self._devices = [bytearray() for _ in range(device_count + 1)]
         self._lengths = [0] * (device_count + 1)  # recorded lengths survive erasure
         self._index: dict[str, RecordLocation] = {}
-        # Running SHA-256 of each data device's appended bytes; None where
-        # the write history is unknown (a cluster loaded from a snapshot).
+        # Running SHA-256 of each data device's appended bytes; None for parity
+        # and where the write history is unknown (a snapshot-loaded cluster).
         self._appended: list[hashlib._Hash | None] = [
             hashlib.sha256() for _ in range(device_count)
-        ]
+        ] + [None]
 
     def _resolve(self, device: DeviceRef) -> int:
         """Position of a device in the device list; parity sits at d."""
@@ -130,6 +130,10 @@ class ParityCluster:
     def has_record(self, record_key: str) -> bool:
         return record_key in self._index
 
+    def is_erased(self, device: DeviceRef) -> bool:
+        idx = self._resolve(device)
+        return len(self._devices[idx]) != self._lengths[idx]
+
     # -- writes ----------------------------------------------------------
 
     def append_record(self, device: int, record_key: str, payload: bytes) -> RecordLocation:
@@ -141,9 +145,9 @@ class ParityCluster:
         idx = self._data_index(device)
         if record_key in self._index:
             raise ClusterError(f"record {record_key[:12]}… already indexed")
-        store = self._devices[idx]
-        if len(store) != self._lengths[idx]:
+        if self.is_erased(idx):
             raise ClusterError(f"device {idx} is erased; repair before appending")
+        store = self._devices[idx]
         offset, end = len(store), len(store) + len(payload)
         store.extend(payload)
         if (appended := self._appended[idx]) is not None:
@@ -154,12 +158,7 @@ class ParityCluster:
         parity[offset:end] = _xor((parity[offset:end], payload)).to_bytes(len(payload), "little")
         self._lengths[idx] = end
         self._lengths[self.device_count] = max(self._lengths[self.device_count], end)
-        loc = RecordLocation(
-            device=idx,
-            offset=offset,
-            length=len(payload),
-            record_hash=hashlib.sha256(payload).hexdigest(),
-        )
+        loc = RecordLocation(idx, offset, len(payload), hashlib.sha256(payload).hexdigest())
         self._index[record_key] = loc
         return loc
 
@@ -191,22 +190,28 @@ class ParityCluster:
         self._devices[idx] = bytearray(content)
 
 
-def _stale_records(cluster: ParityCluster, device: int, content: bytes) -> list[str]:
-    """Keys of the device's records whose bytes in content miss their hash.
+def _stale_records(cluster: ParityCluster, contents: dict[int, bytes]) -> dict[int, list[str]]:
+    """Device -> keys of its records whose bytes in contents[device] miss
+    their hash, for the devices that have any.
 
-    Content equal to everything appended to the device holds none; one
-    whole-device digest settles that before any record is hashed.
+    Content equal to everything appended to its device holds none; one
+    whole-device digest settles that before any record is hashed. The
+    other devices' records are checked in one walk of the index.
     """
-    appended = cluster._appended[device] if device < cluster.device_count else None
-    if appended is not None and hashlib.sha256(content).digest() == appended.digest():
-        return []
-    return [
-        key
-        for key, loc in cluster._index.items()
-        if loc.device == device
-        and hashlib.sha256(content[loc.offset : loc.offset + loc.length]).hexdigest()
-        != loc.record_hash
-    ]
+    suspect = {
+        i: content
+        for i, content in contents.items()
+        if (appended := cluster._appended[i]) is None
+        or hashlib.sha256(content).digest() != appended.digest()
+    }
+    stale: dict[int, list[str]] = {}
+    for key, (device, offset, length, record_hash) in cluster._index.items() if suspect else ():
+        content = suspect.get(device)
+        if content is None:
+            continue
+        if hashlib.sha256(content[offset : offset + length]).hexdigest() != record_hash:
+            stale.setdefault(device, []).append(key)
+    return stale
 
 
 def scrub(cluster: ParityCluster) -> ScrubReport:
@@ -218,22 +223,16 @@ def scrub(cluster: ParityCluster) -> ScrubReport:
     intact indicts the parity device itself.
     """
     d = cluster.device_count
-    stale = {
-        i: keys
-        for i in range(d)
-        if (keys := _stale_records(cluster, i, cluster._devices[i]))
-    }
+    stale = _stale_records(cluster, dict(enumerate(cluster._devices[:d])))
     if len(stale) > 1:
-        raise MultiFaultError(
-            f"record-hash mismatches on devices {sorted(stale)}; uncorrectable"
-        )
+        raise MultiFaultError(f"record-hash mismatches on devices {sorted(stale)}; uncorrectable")
     if stale:
         device, keys = stale.popitem()
         return ScrubReport(clean=False, device=device, records=frozenset(keys))
     # Appends keep the parity device exactly as long as the longest data
     # device, so a length drift is itself a parity fault (e.g. erasure whose
     # true parity happened to be all zeroes).
-    if len(cluster._devices[d]) != cluster._lengths[d] or _xor(cluster._devices):
+    if cluster.is_erased(PARITY) or _xor(cluster._devices):
         return ScrubReport(clean=False, device=PARITY)
     return ScrubReport(clean=True)
 
@@ -248,11 +247,10 @@ def reconstruct(cluster: ParityCluster, device: DeviceRef) -> bytes:
     length = cluster._lengths[idx]
     others = [store for i, store in enumerate(cluster._devices) if i != idx]
     content = (_xor(others) & ((1 << 8 * length) - 1)).to_bytes(length, "little")
-    stale = _stale_records(cluster, idx, content)
-    if stale:
+    if stale := _stale_records(cluster, {idx: content}):
         raise MultiFaultError(
             f"reconstruction of device {idx} fails verification for "
-            f"record {stale[0][:12]}…; a second device must be corrupt"
+            f"record {stale[idx][0][:12]}…; a second device must be corrupt"
         )
     return content
 
@@ -275,7 +273,7 @@ def repair(cluster: ParityCluster, device: DeviceRef) -> bytes:
 def save_snapshot(cluster: ParityCluster) -> bytes:
     d = cluster.device_count
     for i in range(d):
-        if len(cluster._devices[i]) != cluster._lengths[i]:
+        if cluster.is_erased(i):
             raise ClusterError(f"device {i} is erased; snapshot requires intact stores")
     header = "d={} lengths={} parity_len={}\n".format(
         d, ",".join(str(n) for n in cluster._lengths[:d]), len(cluster._devices[d])
@@ -314,7 +312,7 @@ def load_snapshot(blob: bytes) -> ParityCluster:
             raise ClusterError(f"snapshot truncated inside device {i}")
         pos += n
     cluster._lengths = lengths + [max(lengths)]
-    cluster._appended = [None] * device_count
+    cluster._appended = [None] * (device_count + 1)
     index = cluster._index
     while pos < len(blob):
         line = INDEX_LINE.match(blob, pos)

@@ -146,16 +146,15 @@ class VehicleConfig:
                 raise ScenarioError(
                     f"module {m.module_id} carries VIN {m.vin}, vehicle is {self.vin}"
                 )
-        for members in self.parity_clusters:
-            if len(members) < 3:
-                raise ScenarioError(
-                    "a parity cluster needs >= 3 members (last member hosts parity)"
-                )
-            unknown = set(members) - set(ids)
-            if unknown:
-                raise ScenarioError(f"parity cluster references unknown modules {sorted(unknown)}")
-            if len(set(members)) != len(members):
-                raise ScenarioError("parity cluster members must be unique")
+        if any(len(members) < 3 for members in self.parity_clusters):
+            raise ScenarioError("a parity cluster needs >= 3 members (last member hosts parity)")
+        listed = [m for members in self.parity_clusters for m in members]
+        unknown = set(listed) - set(ids)
+        if unknown:
+            raise ScenarioError(f"parity cluster references unknown modules {sorted(unknown)}")
+        twice = sorted({m for m in listed if listed.count(m) > 1})
+        if twice:
+            raise ScenarioError(f"modules {twice} are listed in more than one parity cluster slot")
         if self.initial_odometer_km < 0:
             raise ScenarioError("initial_odometer_km must be non-negative")
         for name in ("capture_interval_s", "mileage_stride_km"):
@@ -220,13 +219,6 @@ class DrainBatch:
     submissions: tuple[Submission, ...]
 
 
-@dataclass
-class _SimCluster:
-    store: parity.ParityCluster
-    device_of: dict[str, int]  # data member -> device index
-    parity_host: str  # the cluster's last member
-
-
 class Vehicle:
     """One assembled vehicle under simulation."""
 
@@ -255,16 +247,15 @@ class Vehicle:
             self.network.add_node(node_id)
             self.node_of[m.module_id] = node_id
             self.module_of[node_id] = m.module_id
-        self.clusters: list[_SimCluster] = []
+        self.clusters: list[parity.ParityCluster] = []
+        # Module id -> its cluster and its device there; the last member of
+        # a cluster hosts parity.
+        self.slot_of: dict[str, tuple[parity.ParityCluster, parity.DeviceRef]] = {}
         for members in config.parity_clusters:
-            data_members = members[:-1]
-            self.clusters.append(
-                _SimCluster(
-                    store=parity.ParityCluster(len(data_members)),
-                    device_of={m: i for i, m in enumerate(data_members)},
-                    parity_host=members[-1],
-                )
-            )
+            cluster = parity.ParityCluster(len(members) - 1)
+            self.clusters.append(cluster)
+            self.slot_of.update((m, (cluster, i)) for i, m in enumerate(members[:-1]))
+            self.slot_of[members[-1]] = (cluster, parity.PARITY)
         self.true_odometer = config.initial_odometer_km
         # Newest software version on board; silent modifications never
         # update this, which is exactly what makes them detectable.
@@ -317,16 +308,15 @@ class Vehicle:
                 node_module=self.module_of.get(receipt.stored_at),
                 evicted=sorted(receipt.evicted),
             )
-        holder = self.module_of.get(receipt.stored_at)
-        if holder is not None:
-            for cluster in self.clusters:
-                device = cluster.device_of.get(holder)
-                if device is not None and not cluster.store.has_record(record.record_key):
-                    cluster.store.append_record(
-                        device,
-                        record.record_key,
-                        (record.dump_line() + "\n").encode("utf-8"),
-                    )
+        cluster, device = self.slot_of.get(self.module_of[receipt.stored_at], (None, None))
+        if cluster is None or device == parity.PARITY or cluster.has_record(record.record_key):
+            return
+        if cluster.is_erased(device):
+            # A swapped-in module's store: rebuild it, as boot would, first.
+            self._scrub_clusters()
+        if not cluster.is_erased(device):  # else a second fault left it unrepairable
+            line = (record.dump_line() + "\n").encode("utf-8")
+            cluster.append_record(device, record.record_key, line)
 
     def _sweep(self, event_type: EventType) -> None:
         """Every module self-identifies into the table."""
@@ -369,13 +359,13 @@ class Vehicle:
     def _scrub_clusters(self) -> None:
         for i, cluster in enumerate(self.clusters):
             try:
-                report = parity.scrub(cluster.store)
+                report = parity.scrub(cluster)
+                if report.clean:
+                    continue
+                parity.repair(cluster, report.device)
             except parity.MultiFaultError as exc:
                 self.alerts.append(f"cluster {i}: {exc}")
                 continue
-            if report.clean:
-                continue
-            parity.repair(cluster.store, report.device)
             self._log(
                 "parity_repair",
                 cluster=i,
@@ -411,9 +401,9 @@ class Vehicle:
         if len(live) >= 2:
             for field_name in SCD_FIELDS:
                 readings = {m: getattr(self.scd[m], field_name) for m in live}
-                report = detect_discrepancy(field_name, readings)
-                if not report.consistent:
-                    flagged[field_name] = report.minority
+                minority = detect_discrepancy(readings)
+                if minority:
+                    flagged[field_name] = minority
         if flagged:
             self.tamper_flag = True
             self.tamper_details.update(flagged)
@@ -478,7 +468,7 @@ class Vehicle:
         if not event.new_version:
             raise ScenarioError("UdsReflash needs new_version")
         old = self.modules[module_id]
-        self.modules[module_id] = replace(old, software_version=event.new_version)
+        self.modules[module_id] = _validated(replace(old, software_version=event.new_version))
         self.latest_version = event.new_version
         self._log(
             "uds_reflash",
@@ -548,12 +538,9 @@ class Vehicle:
         # The donor unit arrives with its donor vehicle's protected data.
         self.scd[module_id] = replace(self.scd[module_id], vin=replacement.vin)
         # Its audit-store bytes did not make the trip; redundancy rebuilds them.
-        for cluster in self.clusters:
-            device = cluster.device_of.get(module_id)
-            if device is not None:
-                cluster.store.erase_device(device)
-            elif cluster.parity_host == module_id:
-                cluster.store.erase_device(parity.PARITY)
+        if module_id in self.slot_of:
+            cluster, device = self.slot_of[module_id]
+            cluster.erase_device(device)
         self._log(
             "module_swap",
             module=module_id,
@@ -580,7 +567,7 @@ class Vehicle:
         device = _device("MemoryCorruption device", event.device)
         offset = event.byte_offset or 0
         try:
-            pre, post = cluster.store.corrupt_byte(device, offset)
+            pre, post = cluster.corrupt_byte(device, offset)
         except parity.ClusterError as exc:
             raise ScenarioError(str(exc)) from exc
         self._log(
@@ -1013,7 +1000,7 @@ def run_scenario(
         for i, cluster in enumerate(vehicle.clusters):
             name = f"cluster{i}_{vehicle.config.vin}.snap"
             try:
-                snapshots.append((name, parity.save_snapshot(cluster.store)))
+                snapshots.append((name, parity.save_snapshot(cluster)))
             except parity.ClusterError as exc:
                 vehicle.alerts.append(f"snapshot {name} skipped: {exc}")
 

@@ -99,7 +99,21 @@ BAD_DEMO_EDITS = {
     "scenario-id-object": _set("id", {"a": 1}),
     "module-id-int": _set("vehicle", "modules", 3, "module_id", 5),  # HeadUnit
     "fleet-beside-vehicle": lambda obj: obj.update(fleet=[{"vehicle": obj["vehicle"]}]),
+    "cluster-member-twice": _set("vehicle", "parity_clusters", [["ECU", "BCM", "ECU"]]),
+    "module-in-two-clusters": _set(
+        "vehicle", "parity_clusters", [["ECU", "BCM", "TCM"], ["HeadUnit", "ECU", "BCM"]]
+    ),
 }
+
+
+def _swap_ecu_at_100(obj):
+    """Swap in a donor ECU at 100, long before the demo's Reboot at 13000."""
+    replacement = dict(obj["vehicle"]["modules"][0])
+    replacement.update(serial_number="ECU-SN-999999", vin="2HGBH41JXMN109186")
+    obj["events"].insert(
+        0, {"sim_time": 100, "kind": "ModuleSwap", "module_id": "ECU",
+            "replacement": replacement}
+    )
 
 
 def scenario_obj(events=(), duration=3600, library=None):
@@ -295,6 +309,43 @@ class TestRun:
         err = capsys.readouterr().err
         assert rc == 2, err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("obd_plug_in", [False, True], ids=["periodic", "obd"])
+    def test_swap_without_reboot_repairs_before_append(self, tmp_path, capsys, obd_plug_in):
+        """The first put to a swapped module's erased device rebuilds it first.
+
+        The run exits 1, not 3: the demo's Reboot at 13000 flags the donor VIN.
+        """
+        obj = json.loads(DEMO_SCENARIO.read_text())
+        _swap_ecu_at_100(obj)
+        if obd_plug_in:
+            obj["events"].insert(1, {"sim_time": 200, "kind": "ObdPlugIn"})
+        path = write_scenario(tmp_path, obj)
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert rc == 1, capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / cli.REPORT_FILE).read_text())
+        assert report["vehicles"][obj["vehicle"]["vin"]]["tamper_fields"] == {"vin": ["ECU"]}
+        lines = (tmp_path / "out" / cli.GROUND_TRUTH_FILE).read_text().splitlines()
+        repairs = [e for e in map(json.loads, lines) if e["event"] == "parity_repair"]
+        assert repairs and repairs[0]["cluster"] == 0 and repairs[0]["device"] == 0
+        assert repairs[0]["sim_time"] == (200 if obd_plug_in else 3600)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["corrupt-device-0", "swap-ecu"])
+    def test_unrepairable_cluster_is_an_alert(self, tmp_path, capsys, swap):
+        """Device 0 lost, parity corrupt too: repair fails with an alert."""
+        obj = json.loads(DEMO_SCENARIO.read_text())
+        obj["events"].insert(0, {"sim_time": 200, "kind": "MemoryCorruption", "cluster": 0,
+                                 "device": "parity", "byte_offset": 5})
+        if swap:
+            _swap_ecu_at_100(obj)
+        else:
+            obj["events"].insert(0, {"sim_time": 100, "kind": "MemoryCorruption",
+                                     "cluster": 0, "device": 0, "byte_offset": 5})
+        path = write_scenario(tmp_path, obj)
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert rc == (1 if swap else 0), capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / cli.REPORT_FILE).read_text())
+        assert any("a second device must be corrupt" in a for a in report["alerts"])
 
     def test_internal_error_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -170,40 +170,31 @@ class TestPutGet:
 
 class TestDetectDiscrepancy:
     def test_consistent(self):
-        report = detect_discrepancy(
-            "odometer_km", {"ECU": 50000, "TCM": 50000, "BCM": 50000}
-        )
-        assert report.consistent
-        assert report.minority == frozenset()
+        assert detect_discrepancy({"ECU": 50000, "TCM": 50000, "BCM": 50000}) == frozenset()
 
     def test_minority_flagged(self):
-        report = detect_discrepancy(
-            "odometer_km", {"ECU": 20000, "TCM": 50000, "BCM": 50000}
-        )
-        assert not report.consistent
-        assert report.minority == frozenset({"ECU"})
-        assert not report.tie
+        readings = {"ECU": 20000, "TCM": 50000, "BCM": 50000}
+        minority = detect_discrepancy(readings)
+        assert minority == frozenset({"ECU"})
+        assert minority != frozenset(readings)  # not a tie
 
     def test_exact_tie_flags_everyone(self):
-        report = detect_discrepancy("odometer_km", {"A": 1, "B": 2})
-        assert not report.consistent
-        assert report.tie
-        assert report.minority == frozenset({"A", "B"})
+        readings = {"A": 1, "B": 2}
+        assert detect_discrepancy(readings) == frozenset(readings) == frozenset({"A", "B"})
 
     def test_fewer_than_two_rejected(self):
         with pytest.raises(ValueError):
-            detect_discrepancy("vin", {"ECU": "X"})
+            detect_discrepancy({"ECU": "X"})
 
     def test_permutation_invariance(self):
         rng = random.Random(16)
         readings = {f"M{i}": (1 if i < 3 else 2) for i in range(7)}
-        reference = detect_discrepancy("f", readings)
+        reference = detect_discrepancy(readings)
+        assert reference == frozenset({"M0", "M1", "M2"})
         items = list(readings.items())
         for _ in range(20):
             rng.shuffle(items)
-            report = detect_discrepancy("f", dict(items))
-            assert report.minority == reference.minority
-            assert report.consistent == reference.consistent
+            assert detect_discrepancy(dict(items)) == reference
 
 
 class TestEviction:
@@ -315,3 +306,4 @@ class TestOwnershipOracleProperty:
                 record = pool[rng.randrange(len(pool))]
                 receipt = network.put(live[rng.randrange(len(live))], record)
                 assert receipt.stored_at == owner_of(record.record_key, live)
+                assert receipt.fallback == (receipt.stored_at != owner_of(record.record_key, ids))

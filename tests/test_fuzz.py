@@ -104,6 +104,7 @@ def test_every_snapshot_byte_flip_is_refused_or_located(demo_snapshot, tmp_path,
         region += [device] * size
     region += ["format"] * (len(demo_snapshot) - len(region))
     assert region.count("format") > header.end()  # the index is covered too
+    index = load_snapshot(demo_snapshot).record_index
     path = tmp_path / "flipped.snap"
     for offset, expected in enumerate(region):
         mutated = bytearray(demo_snapshot)
@@ -114,6 +115,15 @@ def test_every_snapshot_byte_flip_is_refused_or_located(demo_snapshot, tmp_path,
         else:
             report = scrub(load_snapshot(bytes(mutated)))
             assert not report.clean and report.device == expected, offset
+            # The records whose span covers the flipped byte: one on a data
+            # device, none on parity.
+            at = offset - header.end() - sum(sizes[: devices.index(expected)])
+            covering = {
+                key
+                for key, loc in index.items()
+                if loc.device == expected and loc.offset <= at < loc.offset + loc.length
+            }
+            assert report.records == covering, offset
         if offset % 97 == 0:  # a stride of flips through the CLI as well
             path.write_bytes(mutated)
             rc = cli.main(["audit", str(path)])

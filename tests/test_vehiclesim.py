@@ -927,10 +927,11 @@ class TestRefusedEventsLeaveStateAlone:
              dict(module_id="ECU", field="design_date", forged_value="yesterday")),
             (ScenarioEventKind.MODULE_SWAP,
              dict(module_id="ECU", replacement=make_metadata("ECU", vin="BADVIN"))),
+            (ScenarioEventKind.UDS_REFLASH, dict(module_id="ECU", new_version="1.0\n2")),
         ],
         ids=["device-x", "device-list", "device-missing", "odometer-list",
              "odometer-abc", "airbag-unknown", "vin-short", "vin-trailing-newline",
-             "date-not-iso", "swap-bad-vin"],
+             "date-not-iso", "swap-bad-vin", "reflash-version-newline"],
     )
     def test_bad_event_value_is_scenario_error(self, kind, fields):
         vehicle = Vehicle(make_vehicle_config(), GroundTruthLog())
