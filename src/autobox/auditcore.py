@@ -38,8 +38,6 @@ VIN_RE = re.compile(r"[A-HJ-NPR-Z0-9]{17}")
 # An explicit class: \d and re.I would admit non-ASCII digits and A-F.
 HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
-PAYLOAD_SUMMARY_LIMIT = 64  # bytes, keeps records friendly to tiny stores
-
 
 class MetadataError(ValueError):
     """A domain value violates its canonical-form constraints."""
@@ -144,7 +142,6 @@ class AuditRecord:
     event_type: EventType
     sim_time: int
     payload_hash: str
-    payload_summary: str
 
     def verify_key(self) -> bool:
         return self.record_key == compute_record_key(
@@ -207,8 +204,6 @@ def identity_hash(
     if sim_time < 0:
         raise ValueError("sim_time must be non-negative")
     payload_hash = metadata.payload_hash
-    summary = f"{metadata.module_id}@{metadata.software_version}"
-    summary = summary.encode("utf-8")[:PAYLOAD_SUMMARY_LIMIT].decode("utf-8", "ignore")
     return AuditRecord(
         record_key=compute_record_key(
             metadata.module_id, event_type, sim_time, payload_hash
@@ -217,7 +212,6 @@ def identity_hash(
         event_type=event_type,
         sim_time=sim_time,
         payload_hash=payload_hash,
-        payload_summary=summary,
     )
 
 

@@ -6,10 +6,12 @@ Commands:
     history <ledger> <key>         one vehicle's checkpoint history
     audit <snapshot>...            scrub parity-cluster snapshot files
 
-``run`` writes ledger.txt, verdicts.tsv, ground_truth.jsonl and
-report.json into the output directory (default: $AUTOBOX_OUT). All
-machine-readable outputs are deterministic for identical inputs; wall
-timing appears only in the human summary on stdout.
+``run`` simulates first and then writes ledger.txt, verdicts.tsv,
+ground_truth.jsonl, report.json and one snapshot per parity cluster into
+the output directory (default: $AUTOBOX_OUT) through ``write_artifacts``,
+so a run the simulation refuses writes nothing. All machine-readable
+outputs are deterministic for identical inputs; wall timing appears only
+in the human summary on stdout.
 
 Exit codes: 0 clean, 1 findings or corruption (a ledger ``verify`` finds
 broken), 2 bad input (a missing or unreadable file, a malformed snapshot
@@ -112,22 +114,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
-        result = run_scenario(scenario, ledger_path=outdir / LEDGER_FILE)
+        result = run_scenario(scenario)
     except ScenarioError as exc:  # an event the simulation refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
 
-    (outdir / VERDICTS_FILE).write_bytes(result.verdicts_text().encode("utf-8"))
-    (outdir / GROUND_TRUTH_FILE).write_bytes(
-        result.ground_truth_text().encode("utf-8")
-    )
-    for name, blob in result.cluster_snapshots:
-        (outdir / name).write_bytes(blob)
-    report = _build_report(result)
-    (outdir / REPORT_FILE).write_bytes(
-        (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    )
+    write_artifacts(result, outdir)
     if args.emit_library:
         text = library_text(result.observed_library())
         Path(args.emit_library).write_bytes(text.encode("utf-8"))
@@ -136,6 +129,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.findings and not args.expect_findings:
         return 1
     return 0
+
+
+def write_artifacts(result: ScenarioResult, outdir: Path) -> None:
+    """Write every machine artifact of a run into the existing ``outdir``."""
+    ledger = b"".join(block.file_record() for block in result.blocks)
+    verdicts = "".join(v.output_line() + "\n" for _, v in result.verdicts)
+    ground_truth = "".join(line + "\n" for line in result.ground_truth)
+    report = json.dumps(_build_report(result), indent=2, sort_keys=True) + "\n"
+    (outdir / LEDGER_FILE).write_bytes(ledger)
+    (outdir / VERDICTS_FILE).write_bytes(verdicts.encode("utf-8"))
+    (outdir / GROUND_TRUTH_FILE).write_bytes(ground_truth.encode("utf-8"))
+    for name, blob in result.cluster_snapshots:
+        (outdir / name).write_bytes(blob)
+    (outdir / REPORT_FILE).write_bytes(report.encode("utf-8"))
 
 
 def _statuses(result: ScenarioResult, vehicle_keys: tuple[str, ...]) -> list[str]:

@@ -324,14 +324,13 @@ class FullNode:
     """Append-only ledger authority with per-vehicle sequence tracking.
 
     Appends are serialized (single writer); queries read committed blocks
-    only. Bind a path to persist each block as it commits.
+    only.
     """
 
     def __init__(
         self,
         library: Mapping[str, Iterable[str]] | None = None,
         critical_variants: frozenset[str] = frozenset(),
-        ledger_path: str | Path | None = None,
     ):
         # Variant -> approved meta digests, frozen once for every lookup.
         self.library = (
@@ -341,9 +340,6 @@ class FullNode:
         self.chain: list[LedgerBlock] = []
         self._last_seq: dict[str, int] = {}
         self._variants: dict[str, str] = {}
-        self._ledger_path = Path(ledger_path) if ledger_path else None
-        if self._ledger_path:
-            self._ledger_path.write_bytes(b"")
 
     # -- registration ------------------------------------------------------
 
@@ -384,9 +380,6 @@ class FullNode:
         block = LedgerBlock.build(len(self.chain), prev, accepted)
         self.chain.append(block)
         self._last_seq = seq_cursor
-        if self._ledger_path:
-            with self._ledger_path.open("ab") as fh:
-                fh.write(block.file_record())
         return AppendResult(block=block, rejected=tuple(rejected))
 
     # -- verdicts ------------------------------------------------------------

@@ -192,23 +192,6 @@ class Scenario:
     critical_variants: frozenset[str] = frozenset()
 
 
-class GroundTruthLog:
-    """Append-only record of everything the simulator core did.
-
-    Written only by the core, never by the modules under test; this is the
-    oracle source for scenario assertions. One compact JSON object per
-    line, keys sorted, so logs diff cleanly between runs.
-    """
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-
-    def log(self, sim_time: int, event: str, **detail: Any) -> None:
-        entry = {"sim_time": sim_time, "event": event}
-        entry.update(detail)
-        self.lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-
-
 @dataclass(frozen=True)
 class DrainBatch:
     """One uplink delivery: what arrived at the full node, and when."""
@@ -222,10 +205,13 @@ class DrainBatch:
 class Vehicle:
     """One assembled vehicle under simulation."""
 
-    def __init__(self, config: VehicleConfig, ground_truth: GroundTruthLog | None = None):
+    def __init__(self, config: VehicleConfig, ground_truth: list[str] | None = None):
         config.validate()
         self.config = config
-        self.ground_truth = ground_truth or GroundTruthLog()
+        # Ground truth: everything the simulator core did, one compact JSON
+        # object per line with sorted keys, shared by a fleet. Written only
+        # by the core, never by the modules under test: the scenario oracle.
+        self.ground_truth = [] if ground_truth is None else ground_truth
         self.clock = 0
         self.modules: dict[str, ModuleMetadata] = {
             m.module_id: m for m in config.modules
@@ -286,7 +272,8 @@ class Vehicle:
 
     def _log(self, event: str, **detail: Any) -> None:
         """Log ground truth stamped with the current time and this VIN."""
-        self.ground_truth.log(self.clock, event, vin=self.config.vin, **detail)
+        entry = {"sim_time": self.clock, "event": event, "vin": self.config.vin, **detail}
+        self.ground_truth.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
 
     # -- record plumbing ------------------------------------------------------
 
@@ -364,7 +351,9 @@ class Vehicle:
                     continue
                 parity.repair(cluster, report.device)
             except parity.MultiFaultError as exc:
-                self.alerts.append(f"cluster {i}: {exc}")
+                alert = f"cluster {i}: {exc}"  # every later scrub fails alike
+                if alert not in self.alerts:
+                    self.alerts.append(alert)
                 continue
             self._log(
                 "parity_repair",
@@ -603,23 +592,20 @@ class Vehicle:
 
     def run(self, events: Iterable[ScenarioEvent], duration_s: int) -> None:
         """Boot, replay the scripted timeline, drain at the horizon."""
-        items: list[tuple[int, int, str, ScenarioEvent | None]] = []
-        order = 0
+        items: list[tuple[int, str, ScenarioEvent | None]] = []
         last_time = 0
         for event in events:
             if event.sim_time < last_time:
                 raise ScenarioError("events must be ordered by sim_time")
             last_time = event.sim_time
-            items.append((event.sim_time, order, "event", event))
-            order += 1
+            items.append((event.sim_time, "event", event))
             if event.kind is ScenarioEventKind.CONNECTIVITY_OUTAGE:
                 if event.end is None or event.end < event.sim_time:
                     raise ScenarioError("ConnectivityOutage needs end >= sim_time")
-                items.append((event.end, order, "reconnect", None))
-                order += 1
-        items.sort(key=lambda item: (item[0], item[1]))
+                items.append((event.end, "reconnect", None))
+        items.sort(key=lambda item: item[0])  # stable: ties keep list order
         self.boot()
-        for when, _, what, event in items:
+        for when, what, event in items:
             if when > duration_s:
                 raise ScenarioError("event scheduled past scenario duration")
             self._run_periodic_until(when)
@@ -936,16 +922,8 @@ class ScenarioResult:
                     bucket.append(digest)
         return {variant: tuple(digests) for variant, digests in sorted(out.items())}
 
-    def ground_truth_text(self) -> str:
-        return "".join(line + "\n" for line in self.ground_truth)
 
-    def verdicts_text(self) -> str:
-        return "".join(v.output_line() + "\n" for _, v in self.verdicts)
-
-
-def run_scenario(
-    scenario: Scenario, *, ledger_path: str | Path | None = None
-) -> ScenarioResult:
+def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute a scenario deterministically and audit the outcome.
 
     Phase 1 simulates each vehicle's full timeline, buffering uplink
@@ -953,8 +931,9 @@ def run_scenario(
     appends them as blocks to the shared full node, and runs the OEM
     checksum on every accepted submission (skipped when the scenario has
     no approved library, which is how golden libraries get seeded).
+    Nothing is written to disk; ``cli.write_artifacts`` renders the result.
     """
-    ground_truth = GroundTruthLog()
+    ground_truth: list[str] = []
     vehicles = []
     for lane in scenario.lanes:
         vehicle = Vehicle(lane.config, ground_truth)
@@ -964,7 +943,6 @@ def run_scenario(
     full_node = FullNode(
         library=scenario.approved_library,
         critical_variants=scenario.critical_variants,
-        ledger_path=ledger_path,
     )
     for vehicle in vehicles:
         for key in vehicle.registrations:
@@ -1027,7 +1005,7 @@ def run_scenario(
         blocks=tuple(full_node.chain),
         verdicts=tuple(verdicts),
         alerts=tuple(all_alerts),
-        ground_truth=tuple(ground_truth.lines),
+        ground_truth=tuple(ground_truth),
         full_node=full_node,
         cluster_snapshots=tuple(snapshots),
     )

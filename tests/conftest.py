@@ -169,6 +169,12 @@ def demo_snapshot() -> bytes:
     return blob
 
 
+def write_chain(path: Path, blocks) -> Path:
+    """Write ``blocks`` to ``path`` in the ledger file format; return ``path``."""
+    path.write_bytes(b"".join(block.file_record() for block in blocks))
+    return path
+
+
 def record_spans(blob: bytes) -> list[tuple[int, int, int]]:
     """(length line start, payload start, payload end) of every ledger record."""
     spans = []

@@ -32,6 +32,7 @@ from conftest import (
     make_metadata,
     make_scenario,
     seeded_library,
+    write_chain,
 )
 
 
@@ -162,8 +163,7 @@ def test_criterion_5_ledger_tamper_evidence(tmp_path):
         from autobox.ledger import FullNode, LedgerFormatError
         from autobox.masternode import Submission
 
-        path = tmp_path / "ledger.txt"
-        node = FullNode(ledger_path=path)
+        node = FullNode()
         rng = random.Random(0xC5)
         for seq in range(1, 51):
             node.append_submissions(
@@ -177,6 +177,7 @@ def test_criterion_5_ledger_tamper_evidence(tmp_path):
                     )
                 ]
             )
+        path = write_chain(tmp_path / "ledger.txt", node.chain)
         blob = path.read_bytes()
         assert verify_chain(path).valid
 
@@ -369,15 +370,11 @@ def test_criterion_8_bit_level_determinism(tmp_path):
             for attempt in ("first", "second"):
                 outdir = tmp_path / name / attempt
                 outdir.mkdir(parents=True)
-                result = run_scenario(final, ledger_path=outdir / "ledger.txt")
-                (outdir / "verdicts.tsv").write_bytes(
-                    result.verdicts_text().encode()
-                )
-                (outdir / "ground_truth.jsonl").write_bytes(
-                    result.ground_truth_text().encode()
-                )
+                cli.write_artifacts(run_scenario(final), outdir)
                 artifacts.append(outdir)
-            for artifact in ("ledger.txt", "verdicts.tsv", "ground_truth.jsonl"):
+            names = sorted(path.name for path in artifacts[0].iterdir())
+            assert names == sorted(path.name for path in artifacts[1].iterdir())
+            for artifact in names:
                 first = (artifacts[0] / artifact).read_bytes()
                 second = (artifacts[1] / artifact).read_bytes()
                 assert first == second, f"{name}/{artifact} differs between runs"
@@ -451,7 +448,8 @@ def golden_artifact_digests(workdir: Path) -> dict[str, str]:
 
     Each scenario is audited against the library its own calibration run
     observed: the JSON fixtures through the CLI, the criterion-8 fixtures
-    through ``run_scenario`` with the files written as ``run`` writes them.
+    through ``run_scenario`` and ``cli.write_artifacts``, the writer ``run``
+    uses.
     """
     for stem in GOLDEN_SCENARIOS:
         scenario = REPO_ROOT / "scenarios" / f"{stem}.json"
@@ -468,16 +466,7 @@ def golden_artifact_digests(workdir: Path) -> dict[str, str]:
         outdir = workdir / "audit" / name
         outdir.mkdir(parents=True)
         final = replace(scenario, approved_library=seeded_library(scenario))
-        result = run_scenario(final, ledger_path=outdir / cli.LEDGER_FILE)
-        (outdir / cli.VERDICTS_FILE).write_bytes(result.verdicts_text().encode())
-        (outdir / cli.GROUND_TRUTH_FILE).write_bytes(
-            result.ground_truth_text().encode()
-        )
-        for snap_name, blob in result.cluster_snapshots:
-            (outdir / snap_name).write_bytes(blob)
-        (outdir / cli.REPORT_FILE).write_bytes(
-            (json.dumps(cli._build_report(result), indent=2, sort_keys=True) + "\n").encode()
-        )
+        cli.write_artifacts(run_scenario(final), outdir)
     audit = workdir / "audit"
     return {
         path.relative_to(audit).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

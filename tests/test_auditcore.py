@@ -187,13 +187,6 @@ class TestIdentityHash:
             record.module_id, record.event_type, record.sim_time, record.payload_hash
         )
 
-    def test_payload_summary_content_and_limit(self, ecu_metadata):
-        record = identity_hash(ecu_metadata, 7, EventType.OBD_PLUG_IN)
-        assert record.payload_summary == "ECU@1.4.2"
-        long_md = make_metadata(software_version="9" * 100)
-        long_record = identity_hash(long_md, 7, EventType.OBD_PLUG_IN)
-        assert len(long_record.payload_summary.encode("utf-8")) <= 64
-
     def test_negative_time_rejected(self, ecu_metadata):
         with pytest.raises(ValueError):
             identity_hash(ecu_metadata, -1, EventType.OBD_PLUG_IN)

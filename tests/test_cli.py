@@ -69,6 +69,10 @@ BAD_DEMO_EDITS = {
     "corrupt-device-x": _add_event(
         kind="MemoryCorruption", cluster=0, device="x", byte_offset=0
     ),
+    # Refused at event time, after the load: the run must still write nothing.
+    "corrupt-offset-past-device": _add_event(
+        kind="MemoryCorruption", cluster=0, device=0, byte_offset=10**6
+    ),
     "tamper-odometer-list": _add_event(
         kind="EepromTamper", module_id="ECU", field="odometer_km", forged_value=[1]
     ),
@@ -309,6 +313,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert rc == 2, err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert not any((tmp_path / "out").glob("*")), "a refused run writes no artifact"
 
     @pytest.mark.parametrize("obd_plug_in", [False, True], ids=["periodic", "obd"])
     def test_swap_without_reboot_repairs_before_append(self, tmp_path, capsys, obd_plug_in):
@@ -332,7 +337,8 @@ class TestRun:
 
     @pytest.mark.parametrize("swap", [False, True], ids=["corrupt-device-0", "swap-ecu"])
     def test_unrepairable_cluster_is_an_alert(self, tmp_path, capsys, swap):
-        """Device 0 lost, parity corrupt too: repair fails with an alert."""
+        """Device 0 lost, parity corrupt too: repair fails with one alert,
+        not one per scrub of the cluster."""
         obj = json.loads(DEMO_SCENARIO.read_text())
         obj["events"].insert(0, {"sim_time": 200, "kind": "MemoryCorruption", "cluster": 0,
                                  "device": "parity", "byte_offset": 5})
@@ -345,7 +351,8 @@ class TestRun:
         rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
         assert rc == (1 if swap else 0), capsys.readouterr().err
         report = json.loads((tmp_path / "out" / cli.REPORT_FILE).read_text())
-        assert any("a second device must be corrupt" in a for a in report["alerts"])
+        alerts = [a for a in report["alerts"] if "a second device must be corrupt" in a]
+        assert len(alerts) == 1, alerts
 
     def test_internal_error_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -29,7 +29,7 @@ from autobox.ledger import VerifyResult, verify_chain
 from autobox.parity import PARITY, SNAPSHOT_HEADER, ClusterError, load_snapshot, scrub
 from autobox.vehiclesim import load_scenario, run_scenario
 
-from conftest import DEMO_SCENARIO, record_spans
+from conftest import DEMO_SCENARIO, record_spans, write_chain
 
 SUBSTITUTIONS = 600
 TRUNCATIONS = 200
@@ -39,9 +39,9 @@ RUN_BOUND_S = 10
 
 @pytest.fixture(scope="module")
 def demo_ledger(tmp_path_factory) -> bytes:
-    path = tmp_path_factory.mktemp("demo") / "ledger.txt"
-    result = run_scenario(load_scenario(DEMO_SCENARIO), ledger_path=path)
+    result = run_scenario(load_scenario(DEMO_SCENARIO))
     assert len(result.blocks) >= 3
+    path = write_chain(tmp_path_factory.mktemp("demo") / "ledger.txt", result.blocks)
     blob = path.read_bytes()
     assert verify_chain(path).valid
     return blob

@@ -25,7 +25,7 @@ from autobox.ledger import (
 )
 from autobox.masternode import Submission
 
-from conftest import record_spans
+from conftest import record_spans, write_chain
 
 
 def make_submission(seq=1, key="ab" * 32, digest="cd" * 32, t=100, trigger=EventType.PERIODIC_INTERVAL):
@@ -125,10 +125,10 @@ class TestAppend:
 
 class TestVerifyChain:
     def make_ledger(self, tmp_path, blocks=4):
-        node = FullNode(ledger_path=tmp_path / "ledger.txt")
+        node = FullNode()
         for seq in range(1, blocks + 1):
             node.append_submissions([make_submission(seq=seq, t=seq * 10)])
-        return tmp_path / "ledger.txt"
+        return write_chain(tmp_path / "ledger.txt", node.chain)
 
     def test_untouched_ledger_valid(self, tmp_path):
         path = self.make_ledger(tmp_path)
@@ -180,9 +180,9 @@ class TestVerifyChain:
     def test_duplicated_last_entry_is_not_valid(self, tmp_path):
         """Odd Merkle levels duplicate their last node, so a copy of the
         last entry line keeps the root; the replay rule still rejects it."""
-        path = tmp_path / "ledger.txt"
-        node = FullNode(ledger_path=path)
+        node = FullNode()
         node.append_submissions([make_submission(seq=s, t=s) for s in (1, 2, 3)])
+        path = write_chain(tmp_path / "ledger.txt", node.chain)
         blob = path.read_bytes()
         payload = blob[blob.index(b"\n") + 1 :]
         forged = payload + payload.splitlines(keepends=True)[-1]
@@ -302,10 +302,10 @@ class TestFullNodeEvaluateAndHistory:
         assert FullNode().query_history("99" * 32) == []
 
     def test_history_from_file_matches_live_node(self, tmp_path):
-        path = tmp_path / "ledger.txt"
-        node = FullNode(ledger_path=path)
+        node = FullNode()
         for seq in (1, 2):
             node.append_submissions([make_submission(seq=seq)])
+        path = write_chain(tmp_path / "ledger.txt", node.chain)
         live = node.query_history("ab" * 32)
         from_file = history_from_file(path, "ab" * 32)
         assert from_file == live
@@ -324,10 +324,10 @@ class TestFullNodeEvaluateAndHistory:
 class TestTamperEvidenceSample:
     def test_random_body_mutations_detected(self, tmp_path):
         """Small fuzz sample; the full >=99% sweep lives in acceptance."""
-        path = tmp_path / "ledger.txt"
-        node = FullNode(ledger_path=path)
+        node = FullNode()
         for seq in range(1, 6):
             node.append_submissions([make_submission(seq=seq, t=seq)])
+        path = write_chain(tmp_path / "ledger.txt", node.chain)
         original = path.read_bytes()
         assert verify_chain(path).valid
         rng = random.Random(62)

@@ -20,7 +20,7 @@ from autobox import ledger
 from autobox.ledger import GENESIS_PREV, FullNode, VerifyResult, merkle_root
 from autobox.vehiclesim import load_scenario, run_scenario
 
-from conftest import record_spans, reference_read_chain
+from conftest import record_spans, reference_read_chain, write_chain
 from test_acceptance import GOLDEN_ARTIFACTS, golden_artifact_digests
 from test_fuzz import DEMO_SCENARIO, SUBSTITUTIONS, TRUNCATIONS
 from test_ledger import make_submission
@@ -47,9 +47,8 @@ def test_golden_fixture_ledgers(tmp_path):
 
 def test_fuzz_corpus(tmp_path):
     """The seeds and counts of test_fuzz.py, plus every block boundary."""
-    source = tmp_path / "demo.txt"
-    run_scenario(load_scenario(DEMO_SCENARIO), ledger_path=source)
-    blob = source.read_bytes()
+    result = run_scenario(load_scenario(DEMO_SCENARIO))
+    blob = write_chain(tmp_path / "demo.txt", result.blocks).read_bytes()
     path = tmp_path / "ledger.txt"
     rng = random.Random(20201)
     for _ in range(SUBSTITUTIONS):
@@ -90,8 +89,7 @@ def seal(records) -> bytes:
 def records(tmp_path):
     """Twelve blocks; block EDITED carries vehicle A's seq 11 at sim_time 110,
     then entries of vehicles B and C, and a length line of three digits."""
-    path = tmp_path / "source.txt"
-    node = FullNode(ledger_path=path)
+    node = FullNode()
     for i in range(12):
         subs = [make_submission(seq=i + 1, key=KEY_A, t=10 * (i + 1))]
         if i % 2 == 0:
@@ -103,7 +101,7 @@ def records(tmp_path):
         [str(b.index).encode(), [s.wire_line().encode() for s in b.entries], _as_is]
         for b in node.chain
     ]
-    assert seal(records) == path.read_bytes()
+    assert seal(records) == write_chain(tmp_path / "source.txt", node.chain).read_bytes()
     assert len(records[EDITED][1]) == 3 and records[EDITED][1][0].split(b"|")[1] == b"11"
     return records
 

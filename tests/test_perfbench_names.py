@@ -3,11 +3,13 @@
 ``perfbench/tracing.py`` is loaded from its file, unchanged, so deleting or
 renaming a traced function, or an attribute its count hooks read, fails
 here rather than in a benchmark run. So does a ledger command that stops
-passing through the seam the benchmark counts it at.
+passing through the seam the benchmark counts it at, and a run artifact
+that the benchmark hashes but ``cli.write_artifacts`` no longer writes.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -16,6 +18,8 @@ from autobox import cli, vehiclesim
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+BENCH_RUN = ROOT / "perfbench" / "run.py"
+DEMO = ROOT / "scenarios" / "demo.json"
 
 
 def load_tracing():
@@ -40,7 +44,7 @@ def test_count_hooks_read_live_attributes():
     tracer = load_tracing().Tracer()
     try:
         tracer.install()
-        vehiclesim.run_scenario(vehiclesim.load_scenario(ROOT / "scenarios" / "demo.json"))
+        vehiclesim.run_scenario(vehiclesim.load_scenario(DEMO))
     finally:
         tracer.uninstall()
     for name in (
@@ -55,10 +59,9 @@ def test_count_hooks_read_live_attributes():
 def test_ledger_commands_pass_their_traced_seams(tmp_path, capsys):
     """One verify_chain span per ``verify`` and one load_ledger span per
     ``history``: the benchmark predicts load_ledger.calls from queries."""
-    path = tmp_path / "ledger.txt"
-    result = vehiclesim.run_scenario(
-        vehiclesim.load_scenario(ROOT / "scenarios" / "demo.json"), ledger_path=path
-    )
+    result = vehiclesim.run_scenario(vehiclesim.load_scenario(DEMO))
+    cli.write_artifacts(result, tmp_path)
+    path = tmp_path / cli.LEDGER_FILE
     key = result.blocks[0].entries[0].vehicle_key
     tracer = load_tracing().Tracer()
     try:
@@ -72,3 +75,24 @@ def test_ledger_commands_pass_their_traced_seams(tmp_path, capsys):
     assert names.count("ledger.verify_chain") == 1
     assert names.count("ledger.load_ledger") == 2
     assert capsys.readouterr().out.startswith("valid\n")
+
+
+def bench_artifacts() -> tuple[str, ...]:
+    """``ARTIFACTS`` of perfbench/run.py, read from its source, not imported."""
+    for node in ast.parse(BENCH_RUN.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "ARTIFACTS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no ARTIFACTS")
+
+
+def test_writer_writes_exactly_the_hashed_artifacts(tmp_path):
+    """The benchmark hashes ARTIFACTS plus every ``*.snap``: nothing else
+    may appear in a run's output directory, and nothing may go missing."""
+    result = vehiclesim.run_scenario(vehiclesim.load_scenario(DEMO))
+    cli.write_artifacts(result, tmp_path)
+    written = {path.name for path in tmp_path.iterdir()}
+    snaps = {name for name in written if name.endswith(".snap")}
+    assert snaps and snaps == {name for name, _ in result.cluster_snapshots}
+    assert written - snaps == set(bench_artifacts())

@@ -15,7 +15,6 @@ from autobox.vehiclesim import (
     MAX_PERIODIC_CAPTURES,
     MODULE_FIELDS,
     VEHICLE_FIELDS,
-    GroundTruthLog,
     Scenario,
     ScenarioError,
     ScenarioEvent,
@@ -269,7 +268,7 @@ class TestTamperDetection:
 
     def test_startup_check_untampered_ok(self):
         config = make_vehicle_config()
-        vehicle = Vehicle(config, GroundTruthLog())
+        vehicle = Vehicle(config)
         vehicle.boot()
         assert not vehicle.tamper_flag
         assert vehicle.tamper_details == {}
@@ -286,7 +285,7 @@ class TestTamperDetection:
         )
         # Forge the same value: no discrepancy, no flag. Then a real one.
         config = make_vehicle_config()
-        vehicle = Vehicle(config, GroundTruthLog())
+        vehicle = Vehicle(config)
         vehicle.boot()
         vehicle.handle_event(
             event(
@@ -317,7 +316,7 @@ class TestTamperDetection:
 
 class TestTamperClear:
     def tampered_vehicle(self) -> Vehicle:
-        vehicle = Vehicle(make_vehicle_config(), GroundTruthLog())
+        vehicle = Vehicle(make_vehicle_config())
         vehicle.boot()
         vehicle.handle_event(
             event(
@@ -338,7 +337,7 @@ class TestTamperClear:
         vehicle.clock = 200
         assert vehicle.clear_tamper_flag(vehicle.config.tamper_clear_token)
         assert not vehicle.tamper_flag
-        events = [json.loads(line)["event"] for line in vehicle.ground_truth.lines]
+        events = [json.loads(line)["event"] for line in vehicle.ground_truth]
         assert "tamper_flag_cleared" in events
         assert any(mh.trigger is EventType.SERVICE_NOTICE for mh in vehicle.captures)
 
@@ -459,7 +458,7 @@ class TestFaults:
         ]
         assert repairs and repairs[0]["device"] == "parity"
 
-    def test_single_fault_never_changes_ledger(self, tmp_path):
+    def test_single_fault_never_changes_ledger(self):
         """Fault-free and single-fault runs produce identical ledger bytes."""
         base_events = (event(ScenarioEventKind.DRIVE, 500, km=10),)
         fault_events = base_events + (
@@ -473,10 +472,7 @@ class TestFaults:
         )
         scenario = make_scenario(events=base_events, duration_s=7200)
         library = seeded_library(scenario)
-        clean = run_scenario(
-            replace(scenario, approved_library=library),
-            ledger_path=tmp_path / "clean.txt",
-        )
+        clean = run_scenario(replace(scenario, approved_library=library))
         faulted = run_scenario(
             replace(
                 scenario,
@@ -487,11 +483,8 @@ class TestFaults:
                     ),
                 ),
             ),
-            ledger_path=tmp_path / "fault.txt",
         )
-        assert (tmp_path / "clean.txt").read_bytes() == (
-            tmp_path / "fault.txt"
-        ).read_bytes()
+        assert faulted.blocks == clean.blocks
         assert not faulted.findings
 
     def test_node_failure_then_recovery_keeps_sweeping(self):
@@ -503,7 +496,7 @@ class TestFaults:
         assert len(result.vehicles[0].captures) == 2
         assert not result.vehicles[0].tamper_flag
 
-    def test_node_failure_never_changes_ledger(self, tmp_path):
+    def test_node_failure_never_changes_ledger(self):
         """A module with a dead DHT node still self-identifies via a
         neighbor, so checkpoints (and the ledger) match the fault-free run."""
         base_events = (event(ScenarioEventKind.DRIVE, 500, km=10),)
@@ -514,10 +507,7 @@ class TestFaults:
         )
         scenario = make_scenario(events=base_events, duration_s=7200)
         library = seeded_library(scenario)
-        run_scenario(
-            replace(scenario, approved_library=library),
-            ledger_path=tmp_path / "clean.txt",
-        )
+        clean = run_scenario(replace(scenario, approved_library=library))
         faulted = run_scenario(
             replace(
                 scenario,
@@ -526,16 +516,13 @@ class TestFaults:
                     VehicleLane(config=scenario.lanes[0].config, events=fault_events),
                 ),
             ),
-            ledger_path=tmp_path / "fault.txt",
         )
-        assert (tmp_path / "clean.txt").read_bytes() == (
-            tmp_path / "fault.txt"
-        ).read_bytes()
+        assert faulted.blocks == clean.blocks
         assert not faulted.findings
 
     def test_failed_module_records_land_on_closest_live_node(self):
         """The module keeps its voice on the bus; its node stores nothing."""
-        vehicle = Vehicle(make_vehicle_config(), GroundTruthLog())
+        vehicle = Vehicle(make_vehicle_config())
         vehicle.boot()
         ecu_node = vehicle.node_of["ECU"]
         vehicle.clock = 100
@@ -556,23 +543,18 @@ class TestFaults:
                     assert node_id == owner_of(record.record_key, live)
         assert not vehicle.alerts
 
-    def test_every_node_failed_alerts_and_finishes(self, tmp_path):
+    def test_every_node_failed_alerts_and_finishes(self):
         modules = ("ECU", "BCM", "TCM", "HeadUnit")
         events = tuple(
             event(ScenarioEventKind.NODE_FAILURE, 100, module_id=m) for m in modules
         ) + (event(ScenarioEventKind.OBD_PLUG_IN, 200),)
-        result = run_scenario(
-            make_scenario(events=events, duration_s=3600),
-            ledger_path=tmp_path / "ledger.txt",
-        )
+        result = run_scenario(make_scenario(events=events, duration_s=3600))
         assert "t=200 no live node to accept records" in result.alerts
         assert [mh.sim_time for mh in result.vehicles[0].captures] == [200]
 
     def test_store_accounting_matches_dump_bytes(self):
         """The byte budget is the dump encoding: accounted == serialized."""
-        from autobox.vehiclesim import GroundTruthLog, Vehicle
-
-        vehicle = Vehicle(make_vehicle_config(), GroundTruthLog())
+        vehicle = Vehicle(make_vehicle_config())
         vehicle.boot()
         for t in (600, 1200, 1800):
             vehicle.clock = t
@@ -608,7 +590,7 @@ class TestOutage:
 
 
 class TestDeterminism:
-    def test_identical_runs_identical_artifacts(self, tmp_path):
+    def test_identical_runs_identical_artifacts(self):
         events = (
             event(ScenarioEventKind.DRIVE, 200, km=1200),
             event(
@@ -627,11 +609,11 @@ class TestDeterminism:
         scenario = make_scenario(events=events, duration_s=7200)
         library = seeded_library(scenario)
         final = replace(scenario, approved_library=library)
-        a = run_scenario(final, ledger_path=tmp_path / "a.txt")
-        b = run_scenario(final, ledger_path=tmp_path / "b.txt")
-        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
-        assert a.verdicts_text() == b.verdicts_text()
-        assert a.ground_truth_text() == b.ground_truth_text()
+        a = run_scenario(final)
+        b = run_scenario(final)
+        assert a.blocks == b.blocks
+        assert a.verdicts == b.verdicts
+        assert a.ground_truth == b.ground_truth
 
 
 class TestReleasedAfterRun:
@@ -673,12 +655,10 @@ class TestFleet:
         keys = [block.entries[0].vehicle_key for block in result.blocks]
         assert keys == sorted(keys)
 
-    def test_fleet_vehicle_order_irrelevant(self, tmp_path):
+    def test_fleet_vehicle_order_irrelevant(self):
         scenario = self.fleet_scenario()
         flipped = replace(scenario, lanes=tuple(reversed(scenario.lanes)))
-        run_scenario(scenario, ledger_path=tmp_path / "ab.txt")
-        run_scenario(flipped, ledger_path=tmp_path / "ba.txt")
-        assert (tmp_path / "ab.txt").read_bytes() == (tmp_path / "ba.txt").read_bytes()
+        assert run_scenario(scenario).blocks == run_scenario(flipped).blocks
 
 
 class TestScenarioParsing:
@@ -889,7 +869,7 @@ class TestScenarioParsing:
 
 class TestRefusedEventsLeaveStateAlone:
     def test_swap_to_a_fitted_serial_rejected_before_any_change(self):
-        vehicle = Vehicle(make_vehicle_config(), GroundTruthLog())
+        vehicle = Vehicle(make_vehicle_config())
         vehicle.boot()
         nodes = vehicle.network.node_ids()
         node_of, module_of = dict(vehicle.node_of), dict(vehicle.module_of)
@@ -934,7 +914,7 @@ class TestRefusedEventsLeaveStateAlone:
              "date-not-iso", "swap-bad-vin", "reflash-version-newline"],
     )
     def test_bad_event_value_is_scenario_error(self, kind, fields):
-        vehicle = Vehicle(make_vehicle_config(), GroundTruthLog())
+        vehicle = Vehicle(make_vehicle_config())
         vehicle.boot()
         scd, modules = dict(vehicle.scd), dict(vehicle.modules)
         with pytest.raises(ScenarioError):
