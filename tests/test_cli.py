@@ -144,6 +144,39 @@ def write_scenario(tmp_path, obj, name="scenario.json"):
     return path
 
 
+def fleet_obj(tampered=True):
+    """Two vehicles listed against VIN order; with ``tampered`` the second
+    drives, forges a software version at 100 (ServiceNeeded at the 3600
+    capture) and rolls back its odometer before a Reboot (Immobilize at
+    7200)."""
+    lanes = []
+    for vin, tag in (("WVWZZZ1JZXW000001", "A"), (VIN, "B")):
+        modules = [
+            dict(m, vin=vin, serial_number=f"{m['module_id']}-SN-{tag}")
+            for m in BASE_MODULES
+        ]
+        vehicle = {"vin": vin, "variant_code": "EU-BASE", "modules": modules,
+                   "parity_clusters": [["ECU", "BCM", "TCM"]]}
+        lanes.append({"vehicle": vehicle, "events": []})
+    if tampered:
+        lanes[1]["events"] = [
+            {"sim_time": 50, "kind": "Drive", "km": 120},
+            {"sim_time": 100, "kind": "EepromTamper", "module_id": "TCM",
+             "field": "software_version", "forged_value": "9.9.9"},
+            {"sim_time": 4000, "kind": "EepromTamper", "module_id": "ECU",
+             "field": "odometer_km", "forged_value": 0},
+            {"sim_time": 4100, "kind": "Reboot"},
+        ]
+    return {"id": "cli-fleet", "seed": 1, "duration_s": 7200, "fleet": lanes}
+
+
+def masked_summary(out: str) -> str:
+    """Run stdout with its one wall-clock figure masked."""
+    head, _, tail = out.rpartition(" (")
+    assert tail.endswith("s)\n") and float(tail[:-3]) >= 0, out
+    return head + " (N.NNs)\n"
+
+
 def seeded_run(tmp_path, events=(), duration=3600, extra_args=()):
     """CLI flow an OEM would use: a calibration run emits the golden
     library (findings ignored), then the real run consumes it."""
@@ -173,6 +206,41 @@ class TestRun:
         assert report["vehicles"][VIN]["verdicts"] == {"Approved": 1}
         summary = capsys.readouterr().out
         assert "Approved" in summary
+
+    @pytest.mark.parametrize("audited", [False, True], ids=["builder", "audited"])
+    def test_summary_of_demo(self, tmp_path, capsys, audited):
+        args = ["run", str(DEMO_SCENARIO), "-o", str(tmp_path / "builder"),
+                "--emit-library", str(tmp_path / "lib.tsv")]
+        if audited:
+            assert cli.main(args) == 0
+            capsys.readouterr()
+            args = ["run", str(DEMO_SCENARIO), "-o", str(tmp_path / "out"),
+                    "--library", str(tmp_path / "lib.tsv")]
+        assert cli.main(args) == 0
+        verdicts = "Approved" if audited else "no verdicts"
+        assert masked_summary(capsys.readouterr().out) == (
+            "scenario demo-commute: 5 block(s)\n"
+            f"  1HGBH41JXMN109186: 5 checkpoint(s), verdicts: {verdicts}\n"
+            "findings: none (N.NNs)\n"
+        )
+
+    def test_summary_of_fleet_follows_scenario_order(self, tmp_path, capsys):
+        calibration = write_scenario(tmp_path, fleet_obj(tampered=False), "builder.json")
+        lib = tmp_path / "lib.tsv"
+        assert cli.main(["run", str(calibration), "-o", str(tmp_path / "builder"),
+                         "--emit-library", str(lib)]) == 0
+        capsys.readouterr()
+        path = write_scenario(tmp_path, fleet_obj())
+        assert cli.main(["run", str(path), "-o", str(tmp_path / "out"),
+                         "--library", str(lib)]) == 1
+        assert masked_summary(capsys.readouterr().out) == (
+            "scenario cli-fleet: 4 block(s)\n"
+            "  WVWZZZ1JZXW000001: 2 checkpoint(s), verdicts: Approved\n"
+            "  1HGBH41JXMN109186: 2 checkpoint(s), verdicts: "
+            "Immobilize,ServiceNeeded TAMPER-FLAG\n"
+            "  alert: t=4100 tamper flag set: {'odometer_km': ['ECU']}\n"
+            "findings: yes (N.NNs)\n"
+        )
 
     def test_builder_mode_without_library_runs_clean(self, tmp_path):
         path = write_scenario(tmp_path, scenario_obj())
@@ -466,6 +534,25 @@ class TestHistory:
         assert lines[0].split()[:2] == ["seq", "meta_digest"]
         seqs = [int(line.split()[0]) for line in lines[1:]]
         assert seqs == sorted(seqs) and len(seqs) >= 2
+
+    def test_table_of_demo(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", str(DEMO_SCENARIO), "-o", str(out)]) == 0
+        key = "d2bb5bbda30410fd85ed400d3bea89ad6a509beed9a9868732cfc19db08b7b08"
+        assert json.loads((out / cli.REPORT_FILE).read_text())["vehicles"][VIN][
+            "vehicle_keys"][-1] == key
+        capsys.readouterr()  # drop the run summary
+        assert cli.main(["history", str(out / cli.LEDGER_FILE), key]) == 0
+        assert capsys.readouterr().out == (
+            "seq  meta_digest                                                       "
+            "trigger           sim_time  block\n"
+            "3    2ecbe58de577bd5bc13e5c48936183e928c5a0c159e6bb78ef49d96a9f9fbce3  "
+            "Reflash           6000      2\n"
+            "4    aea24afba0750237057fe0cb26b54f6969f8accb135f120cce968ee058670faf  "
+            "MileageThreshold  9000      3\n"
+            "5    69b17c3fa71e3c35f28e7108c43b7b3bfedc5daf45c1ae4fcb9f58390a041d30  "
+            "PeriodicInterval  12600     4\n"
+        )
 
     def test_machine_output_roundtrips(self, tmp_path, capsys):
         rc, out = seeded_run(tmp_path)

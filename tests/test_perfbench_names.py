@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` is loaded from its file, unchanged, so deleting or
 renaming a traced function, or an attribute its count hooks read, fails
 here rather than in a benchmark run. So does a ledger command that stops
-passing through the seam the benchmark counts it at, and a run artifact
-that the benchmark hashes but ``cli.write_artifacts`` no longer writes.
+passing through the seam the benchmark counts it at, a run artifact that
+the benchmark hashes but ``cli.write_artifacts`` no longer writes, and a
+``history --machine`` line the benchmark's own oracle does not expect.
 """
 
 from __future__ import annotations
@@ -85,6 +86,28 @@ def bench_artifacts() -> tuple[str, ...]:
         ):
             return ast.literal_eval(node.value)
     raise AssertionError("perfbench/run.py defines no ARTIFACTS")
+
+
+def bench_ledger_histories():
+    """``ledger_histories`` of perfbench/run.py, compiled alone from its source."""
+    for node in ast.parse(BENCH_RUN.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "ledger_histories":
+            namespace: dict = {}
+            exec(compile(ast.Module([node], []), str(BENCH_RUN), "exec"), namespace)
+            return namespace["ledger_histories"]
+    raise AssertionError("perfbench/run.py defines no ledger_histories")
+
+
+def test_history_machine_lines_match_the_bench_oracle(tmp_path, capsys):
+    result = vehiclesim.run_scenario(vehiclesim.load_scenario(DEMO))
+    cli.write_artifacts(result, tmp_path)
+    path = tmp_path / cli.LEDGER_FILE
+    expected = bench_ledger_histories()(path.read_bytes())
+    keys = [key for v in result.vehicles for key in v.vehicle_keys]
+    assert len(keys) == 2 and set(expected) == set(keys)
+    for key in keys:
+        assert cli.main(["history", str(path), key, "--machine"]) == 0
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in expected[key])
 
 
 def test_writer_writes_exactly_the_hashed_artifacts(tmp_path):
