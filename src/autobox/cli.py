@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,51 +121,47 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     elapsed = time.perf_counter() - started
 
-    write_artifacts(result, outdir)
+    report = write_artifacts(result, outdir)
     if args.emit_library:
         text = library_text(result.observed_library())
         Path(args.emit_library).write_bytes(text.encode("utf-8"))
 
-    _print_summary(result, elapsed)
-    if result.findings and not args.expect_findings:
+    _print_summary(report, elapsed)
+    if report["findings"] and not args.expect_findings:
         return 1
     return 0
 
 
-def write_artifacts(result: ScenarioResult, outdir: Path) -> None:
-    """Write every machine artifact of a run into the existing ``outdir``."""
+def write_artifacts(result: ScenarioResult, outdir: Path) -> dict:
+    """Write every machine artifact of a run into the existing ``outdir``;
+    returns the report that report.json holds."""
+    report = _build_report(result)
     ledger = b"".join(block.file_record() for block in result.blocks)
-    verdicts = "".join(v.output_line() + "\n" for _, v in result.verdicts)
+    verdicts = "".join(v.output_line() + "\n" for v in result.verdicts)
     ground_truth = "".join(line + "\n" for line in result.ground_truth)
-    report = json.dumps(_build_report(result), indent=2, sort_keys=True) + "\n"
     (outdir / LEDGER_FILE).write_bytes(ledger)
     (outdir / VERDICTS_FILE).write_bytes(verdicts.encode("utf-8"))
     (outdir / GROUND_TRUTH_FILE).write_bytes(ground_truth.encode("utf-8"))
     for name, blob in result.cluster_snapshots:
         (outdir / name).write_bytes(blob)
-    (outdir / REPORT_FILE).write_bytes(report.encode("utf-8"))
-
-
-def _statuses(result: ScenarioResult, vehicle_keys: tuple[str, ...]) -> list[str]:
-    """Status of each verdict on any of one vehicle's keys, in verdict order."""
-    return [
-        verdict.status.value
-        for _, verdict in result.verdicts
-        if verdict.vehicle_key in vehicle_keys
-    ]
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    (outdir / REPORT_FILE).write_bytes(text.encode("utf-8"))
+    return report
 
 
 def _build_report(result: ScenarioResult) -> dict:
+    """The run report; its vehicles keep the scenario's order."""
     vehicles = {}
     for v in result.vehicles:
-        verdict_counts: dict[str, int] = {}
-        for name in _statuses(result, v.vehicle_keys):
-            verdict_counts[name] = verdict_counts.get(name, 0) + 1
         vehicles[v.vin] = {
             "variant_code": v.variant_code,
             "vehicle_keys": list(v.vehicle_keys),
             "checkpoints": len(v.captures),
-            "verdicts": verdict_counts,
+            "verdicts": Counter(
+                verdict.status.value
+                for verdict in result.verdicts
+                if verdict.vehicle_key in v.vehicle_keys
+            ),
             "tamper_flag": v.tamper_flag,
             "tamper_fields": {
                 f: sorted(mods) for f, mods in sorted(v.tamper_details.items())
@@ -181,24 +178,16 @@ def _build_report(result: ScenarioResult) -> dict:
     }
 
 
-def _print_summary(result: ScenarioResult, elapsed: float) -> None:
-    print(f"scenario {result.scenario.scenario_id}: {len(result.blocks)} block(s)")
-    for v in result.vehicles:
-        statuses = _statuses(result, v.vehicle_keys)
-        if statuses and all(s == VerdictStatus.APPROVED.value for s in statuses):
-            verdict_note = "Approved"
-        elif statuses:
-            bad = sorted(set(s for s in statuses if s != VerdictStatus.APPROVED.value))
-            verdict_note = ",".join(bad)
-        else:
-            verdict_note = "no verdicts"
-        flag_note = " TAMPER-FLAG" if v.tamper_flag else ""
-        print(
-            f"  {v.vin}: {len(v.captures)} checkpoint(s), verdicts: {verdict_note}{flag_note}"
-        )
-    for alert in result.alerts:
+def _print_summary(report: dict, elapsed: float) -> None:
+    print(f"scenario {report['scenario_id']}: {report['blocks']} block(s)")
+    for vin, v in report["vehicles"].items():
+        bad = sorted(s for s in v["verdicts"] if s != VerdictStatus.APPROVED.value)
+        verdict_note = ",".join(bad) or ("Approved" if v["verdicts"] else "no verdicts")
+        flag_note = " TAMPER-FLAG" if v["tamper_flag"] else ""
+        print(f"  {vin}: {v['checkpoints']} checkpoint(s), verdicts: {verdict_note}{flag_note}")
+    for alert in report["alerts"]:
         print(f"  alert: {alert}")
-    print(f"findings: {'yes' if result.findings else 'none'} ({elapsed:.2f}s)")
+    print(f"findings: {'yes' if report['findings'] else 'none'} ({elapsed:.2f}s)")
 
 
 def _unreadable(name: str, exc: OSError) -> int:
@@ -221,32 +210,25 @@ def _cmd_history(args: argparse.Namespace) -> int:
         print("error: vehicle key must be 64 lowercase hex chars", file=sys.stderr)
         return 2
     try:
-        entries = history_from_file(args.ledger, args.vehicle_key)
+        history = history_from_file(args.ledger, args.vehicle_key)
     except OSError as exc:
         return _unreadable(args.ledger, exc)
     except LedgerFormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
-    if args.machine:
-        for entry in entries:
-            print(entry.machine_line())
-        return 0
-    header = ("seq", "meta_digest", "trigger", "sim_time", "block")
     rows = [
-        (
-            str(e.checkpoint_seq),
-            e.meta_digest,
-            e.trigger,
-            str(e.sim_time),
-            str(e.block_index),
-        )
-        for e in entries
+        (str(sub.checkpoint_seq), sub.meta_digest, sub.trigger.value, str(sub.sim_time),
+         str(block))
+        for block, sub in history
     ]
-    widths = [
-        max(len(col[i]) for col in [header] + rows) for i in range(len(header))
-    ]
-    for col in [header] + rows:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(col)).rstrip())
+    if args.machine:
+        for row in rows:
+            print("\t".join(row))
+        return 0
+    rows.insert(0, ("seq", "meta_digest", "trigger", "sim_time", "block"))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return 0
 
 

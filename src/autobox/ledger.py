@@ -205,26 +205,6 @@ class VerifyResult:
 
 
 @dataclass(frozen=True)
-class HistoryEntry:
-    checkpoint_seq: int
-    meta_digest: str
-    trigger: str
-    sim_time: int
-    block_index: int
-
-    def machine_line(self) -> str:
-        return "\t".join(
-            (
-                str(self.checkpoint_seq),
-                self.meta_digest,
-                self.trigger,
-                str(self.sim_time),
-                str(self.block_index),
-            )
-        )
-
-
-@dataclass(frozen=True)
 class AppendResult:
     block: LedgerBlock | None
     rejected: tuple[tuple[Submission, str], ...]
@@ -303,17 +283,12 @@ def load_ledger(path: str | Path) -> list[LedgerBlock]:
     return blocks
 
 
-def _history(blocks: Iterable[LedgerBlock], vehicle_key: str) -> list[HistoryEntry]:
-    """One vehicle's entries in chain order, which is checkpoint order:
-    the admission rule makes its sequence numbers strictly increase."""
+def _history(blocks: Iterable[LedgerBlock], vehicle_key: str) -> list[tuple[int, Submission]]:
+    """One vehicle's (block index, entry) pairs in chain order, which is
+    checkpoint order: the admission rule makes its sequence numbers
+    strictly increase."""
     return [
-        HistoryEntry(
-            checkpoint_seq=sub.checkpoint_seq,
-            meta_digest=sub.meta_digest,
-            trigger=sub.trigger.value,
-            sim_time=sub.sim_time,
-            block_index=block.index,
-        )
+        (block.index, sub)
         for block in blocks
         for sub in block.entries
         if sub.vehicle_key == vehicle_key
@@ -399,11 +374,11 @@ class FullNode:
 
     # -- queries -------------------------------------------------------------
 
-    def query_history(self, vehicle_key: str) -> list[HistoryEntry]:
+    def query_history(self, vehicle_key: str) -> list[tuple[int, Submission]]:
         """Complete checkpoint-ordered history; empty for unknown keys."""
         return _history(self.chain, vehicle_key)
 
 
-def history_from_file(path: str | Path, vehicle_key: str) -> list[HistoryEntry]:
+def history_from_file(path: str | Path, vehicle_key: str) -> list[tuple[int, Submission]]:
     """Rebuild one vehicle's history from a persisted ledger."""
     return _history(load_ledger(path), vehicle_key)

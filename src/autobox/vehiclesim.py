@@ -56,6 +56,7 @@ from .auditcore import (
 from .dht import (
     CheckpointRequired,
     DhtNetwork,
+    DhtNode,
     NodeUnavailable,
     detect_discrepancy,
     node_id_for_serial,
@@ -166,14 +167,16 @@ class VehicleConfig:
             raise ScenarioError("tamper_clear_token must be a non-empty string")
 
     def longest_record_line(self, duration_s: int) -> int:
-        """Bytes of the longest record line a module emits by duration_s.
-
-        Key, module id, event type, sim time and payload hash, tab-joined,
-        plus the newline: what ``DhtNode.record_size`` charges a store.
-        """
-        module_id = max(len(m.module_id.encode("utf-8")) for m in self.modules)
-        event_type = max(len(t.value) for t in EventType)
-        return 64 + module_id + event_type + len(str(duration_s)) + 64 + 4 + 1
+        """Bytes that ``DhtNode.record_size`` charges a store for the longest
+        record a module emits by duration_s."""
+        worst = AuditRecord(
+            record_key="0" * 64,
+            module_id=max((m.module_id for m in self.modules), key=lambda i: len(i.encode())),
+            event_type=max(EventType, key=lambda t: len(t.value)),
+            sim_time=duration_s,
+            payload_hash="0" * 64,
+        )
+        return DhtNode.record_size(worst)
 
 
 @dataclass(frozen=True)
@@ -234,6 +237,9 @@ class Vehicle:
             self.node_of[m.module_id] = node_id
             self.module_of[node_id] = m.module_id
         self.clusters: list[parity.ParityCluster] = []
+        # Clusters a repair has failed on. Every later scrub would fail
+        # alike until a flipped byte undoes some of the damage.
+        self.lost: set[int] = set()
         # Module id -> its cluster and its device there; the last member of
         # a cluster hosts parity.
         self.slot_of: dict[str, tuple[parity.ParityCluster, parity.DeviceRef]] = {}
@@ -345,15 +351,16 @@ class Vehicle:
 
     def _scrub_clusters(self) -> None:
         for i, cluster in enumerate(self.clusters):
+            if i in self.lost:
+                continue
             try:
                 report = parity.scrub(cluster)
                 if report.clean:
                     continue
                 parity.repair(cluster, report.device)
             except parity.MultiFaultError as exc:
-                alert = f"cluster {i}: {exc}"  # every later scrub fails alike
-                if alert not in self.alerts:
-                    self.alerts.append(alert)
+                self.lost.add(i)
+                self.alerts.append(f"cluster {i}: {exc}")
                 continue
             self._log(
                 "parity_repair",
@@ -559,6 +566,7 @@ class Vehicle:
             pre, post = cluster.corrupt_byte(device, offset)
         except parity.ClusterError as exc:
             raise ScenarioError(str(exc)) from exc
+        self.lost.discard(event.cluster)  # the flip may have undone a fault
         self._log(
             "memory_corruption",
             cluster=event.cluster,
@@ -888,11 +896,6 @@ class VehicleOutcome:
     captures: tuple[MetaHash, ...]
     tamper_flag: bool
     tamper_details: dict[str, frozenset[str]]
-    alerts: tuple[str, ...]
-
-    @property
-    def capture_digests(self) -> tuple[str, ...]:
-        return tuple(mh.digest for mh in self.captures)
 
 
 @dataclass(frozen=True)
@@ -900,7 +903,7 @@ class ScenarioResult:
     scenario: Scenario
     vehicles: tuple[VehicleOutcome, ...]
     blocks: tuple[LedgerBlock, ...]
-    verdicts: tuple[tuple[int, Verdict], ...]  # (block_index, verdict)
+    verdicts: tuple[Verdict, ...]
     alerts: tuple[str, ...]
     ground_truth: tuple[str, ...]
     full_node: FullNode
@@ -908,7 +911,7 @@ class ScenarioResult:
 
     @property
     def findings(self) -> bool:
-        if any(v.status is not VerdictStatus.APPROVED for _, v in self.verdicts):
+        if any(v.status is not VerdictStatus.APPROVED for v in self.verdicts):
             return True
         return any(v.tamper_flag for v in self.vehicles)
 
@@ -917,9 +920,9 @@ class ScenarioResult:
         out: dict[str, list[str]] = {}
         for vehicle in self.vehicles:
             bucket = out.setdefault(vehicle.variant_code, [])
-            for digest in vehicle.capture_digests:
-                if digest not in bucket:
-                    bucket.append(digest)
+            for mh in vehicle.captures:
+                if mh.digest not in bucket:
+                    bucket.append(mh.digest)
         return {variant: tuple(digests) for variant, digests in sorted(out.items())}
 
 
@@ -953,7 +956,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         batches.extend(vehicle.batches)
     batches.sort(key=lambda b: (b.sim_time, b.order_key))
 
-    verdicts: list[tuple[int, Verdict]] = []
+    verdicts: list[Verdict] = []
     ledger_alerts: list[str] = []
     for batch in batches:
         result = full_node.append_submissions(list(batch.submissions))
@@ -971,9 +974,11 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                     f"t={batch.sim_time} checkpoint {submission.checkpoint_seq}: {exc}"
                 )
                 continue
-            verdicts.append((result.block.index, verdict))
+            verdicts.append(verdict)
 
     snapshots: list[tuple[str, bytes]] = []
+    outcomes = []
+    all_alerts: list[str] = []
     for vehicle in vehicles:
         for i, cluster in enumerate(vehicle.clusters):
             name = f"cluster{i}_{vehicle.config.vin}.snap"
@@ -981,10 +986,6 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 snapshots.append((name, parity.save_snapshot(cluster)))
             except parity.ClusterError as exc:
                 vehicle.alerts.append(f"snapshot {name} skipped: {exc}")
-
-    outcomes = []
-    all_alerts: list[str] = []
-    for vehicle in vehicles:
         outcomes.append(
             VehicleOutcome(
                 vin=vehicle.config.vin,
@@ -993,7 +994,6 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 captures=tuple(vehicle.captures),
                 tamper_flag=vehicle.tamper_flag,
                 tamper_details=dict(vehicle.tamper_details),
-                alerts=tuple(vehicle.alerts),
             )
         )
         all_alerts.extend(vehicle.alerts)

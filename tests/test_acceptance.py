@@ -300,7 +300,7 @@ def test_criterion_6_attack_detection_matrix():
         assert not clean.findings
         assert clean.alerts == ()
         assert all(
-            v.status is VerdictStatus.APPROVED for _, v in clean.verdicts
+            v.status is VerdictStatus.APPROVED for v in clean.verdicts
         )
         assert clean.verdicts  # the baseline did produce checkpoints
 
@@ -320,7 +320,7 @@ def test_criterion_6_attack_detection_matrix():
         result = run_scenario(replace(reflash, approved_library=library))
         assert result.findings
         assert any(
-            v.status is not VerdictStatus.APPROVED for _, v in result.verdicts
+            v.status is not VerdictStatus.APPROVED for v in result.verdicts
         )
 
 
@@ -336,7 +336,7 @@ def test_criterion_7_outage_resilience():
         # Captures at 3600 and 7200 happened offline, 10800 online.
         assert [mh.sim_time for mh in vehicle.captures] == [3600, 7200, 10_800]
         history = result.full_node.query_history(vehicle.vehicle_keys[-1])
-        assert [e.checkpoint_seq for e in history] == [1, 2, 3]
+        assert [e.checkpoint_seq for _, e in history] == [1, 2, 3]
         ledger_seqs = [
             s.checkpoint_seq for block in result.blocks for s in block.entries
         ]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from autobox import cli
+from autobox import cli, parity
 from autobox.ledger import load_ledger
 from autobox.parity import ParityCluster, save_snapshot
 
@@ -403,24 +403,53 @@ class TestRun:
         assert repairs and repairs[0]["cluster"] == 0 and repairs[0]["device"] == 0
         assert repairs[0]["sim_time"] == (200 if obd_plug_in else 3600)
 
-    @pytest.mark.parametrize("swap", [False, True], ids=["corrupt-device-0", "swap-ecu"])
-    def test_unrepairable_cluster_is_an_alert(self, tmp_path, capsys, swap):
-        """Device 0 lost, parity corrupt too: repair fails with one alert,
-        not one per scrub of the cluster."""
+    @pytest.mark.parametrize("case", ["corrupt-device-0", "swap-ecu", "parity-flipped-back"])
+    def test_unrepairable_cluster_is_an_alert(self, tmp_path, capsys, monkeypatch, case):
+        """Device 0 lost, parity corrupt too: repair fails once, with one
+        alert, and the lost cluster is never scrubbed again. A second flip
+        of the parity byte makes it repairable again."""
+        calls = []  # ("scrub" or "lost", cluster): scrubs and failed repairs
+
+        def scrub(cluster):
+            calls.append(("scrub", cluster))
+            return real_scrub(cluster)
+
+        def repair(cluster, device):
+            try:
+                return real_repair(cluster, device)
+            except parity.MultiFaultError:
+                calls.append(("lost", cluster))
+                raise
+
+        real_scrub, real_repair = parity.scrub, parity.repair
+        monkeypatch.setattr(parity, "scrub", scrub)
+        monkeypatch.setattr(parity, "repair", repair)
         obj = json.loads(DEMO_SCENARIO.read_text())
         obj["events"].insert(0, {"sim_time": 200, "kind": "MemoryCorruption", "cluster": 0,
                                  "device": "parity", "byte_offset": 5})
-        if swap:
+        if case == "swap-ecu":
             _swap_ecu_at_100(obj)
         else:
             obj["events"].insert(0, {"sim_time": 100, "kind": "MemoryCorruption",
                                      "cluster": 0, "device": 0, "byte_offset": 5})
+        if case == "parity-flipped-back":
+            obj["events"].append({"sim_time": 14390, "kind": "MemoryCorruption",
+                                  "cluster": 0, "device": "parity", "byte_offset": 5})
         path = write_scenario(tmp_path, obj)
         rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
-        assert rc == (1 if swap else 0), capsys.readouterr().err
+        assert rc == (1 if case == "swap-ecu" else 0), capsys.readouterr().err
         report = json.loads((tmp_path / "out" / cli.REPORT_FILE).read_text())
         alerts = [a for a in report["alerts"] if "a second device must be corrupt" in a]
         assert len(alerts) == 1, alerts
+        if case == "parity-flipped-back":
+            lines = (tmp_path / "out" / cli.GROUND_TRUTH_FILE).read_text().splitlines()
+            repairs = [e for e in map(json.loads, lines) if e["event"] == "parity_repair"]
+            assert [(e["sim_time"], e["device"]) for e in repairs] == [(14400, 0)]
+            return
+        lost = [i for i, (what, _) in enumerate(calls) if what == "lost"]
+        cluster = calls[lost[0]][1]
+        scrubs = [i for i, (what, c) in enumerate(calls) if what == "scrub" and c is cluster]
+        assert scrubs[-1] < lost[0], f"{len(lost)} failed repairs"
 
     def test_internal_error_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -294,9 +294,9 @@ class TestFullNodeEvaluateAndHistory:
                 [make_submission(seq=seq, t=seq * 5, trigger=EventType.REFLASH)]
             )
         history = node.query_history("ab" * 32)
-        assert [e.checkpoint_seq for e in history] == [1, 2, 3, 4]
-        assert [e.block_index for e in history] == [0, 1, 2, 3]
-        assert all(e.trigger == "Reflash" for e in history)
+        assert [e.checkpoint_seq for _, e in history] == [1, 2, 3, 4]
+        assert [block for block, _ in history] == [0, 1, 2, 3]
+        assert all(e.trigger is EventType.REFLASH for _, e in history)
 
     def test_unknown_key_empty_history(self):
         assert FullNode().query_history("99" * 32) == []

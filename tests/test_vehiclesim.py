@@ -57,7 +57,7 @@ class TestBaseline:
         vehicle = result.vehicles[0]
         assert len(vehicle.captures) == 1
         assert len(result.blocks) == 1
-        assert [v.status for _, v in result.verdicts] == [VerdictStatus.APPROVED]
+        assert [v.status for v in result.verdicts] == [VerdictStatus.APPROVED]
         assert not result.findings
 
     def test_no_interval_elapsed_no_checkpoint(self):
@@ -158,7 +158,7 @@ class TestReflashVerdicts:
             ),
         )
         result = run_with_seeded_library(events=events, duration_s=3600)
-        statuses = {v.status for _, v in result.verdicts}
+        statuses = {v.status for v in result.verdicts}
         assert statuses == {VerdictStatus.APPROVED}
         assert not result.findings
         digests = [mh.digest for mh in result.vehicles[0].captures]
@@ -182,7 +182,7 @@ class TestReflashVerdicts:
         result = run_scenario(attack)
         assert result.findings
         assert any(
-            v.status is VerdictStatus.SERVICE_NEEDED for _, v in result.verdicts
+            v.status is VerdictStatus.SERVICE_NEEDED for v in result.verdicts
         )
 
     def test_key_rotates_on_reflash(self):
@@ -263,7 +263,7 @@ class TestTamperDetection:
         )
         result = run_scenario(attack)
         assert any(
-            v.status is not VerdictStatus.APPROVED for _, v in result.verdicts
+            v.status is not VerdictStatus.APPROVED for v in result.verdicts
         )
 
     def test_startup_check_untampered_ok(self):
@@ -416,7 +416,7 @@ class TestTamperClear:
             library=library,
         )
         result = run_scenario(attack)
-        assert any(v.status is VerdictStatus.IMMOBILIZE for _, v in result.verdicts)
+        assert any(v.status is VerdictStatus.IMMOBILIZE for v in result.verdicts)
 
 
 class TestFaults:
@@ -575,7 +575,7 @@ class TestOutage:
         vehicle = result.vehicles[0]
         assert len(vehicle.captures) == 3  # 3600, 7200, 10800
         history = result.full_node.query_history(vehicle.vehicle_keys[-1])
-        assert [e.checkpoint_seq for e in history] == [1, 2, 3]
+        assert [e.checkpoint_seq for _, e in history] == [1, 2, 3]
         assert not result.findings
 
     def test_outage_produces_no_ledger_entries_while_down(self):
