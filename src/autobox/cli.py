@@ -14,8 +14,9 @@ outputs are deterministic for identical inputs; wall timing appears only
 in the human summary on stdout.
 
 Exit codes: 0 clean, 1 findings or corruption (a ledger ``verify`` finds
-broken), 2 bad input (a missing or unreadable file, a malformed snapshot
-or scenario, a broken ledger given to ``history``), 3 internal
+broken), 2 bad input (a missing or unreadable file, an output path that
+cannot be written, a malformed snapshot or scenario, a broken ledger given
+to ``history``), 3 internal
 error (an exception no command handles: a defect in autobox, reported as
 one ``internal error:`` line on stderr instead of a traceback).
 """
@@ -99,7 +100,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except OSError as exc:
-        return _unreadable(args.scenario, exc)
+        return _path_error(args.scenario, exc)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -112,7 +113,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario = replace(scenario, approved_library=library)
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _path_error(args.out, exc)
     started = time.perf_counter()
     try:
         result = run_scenario(scenario)
@@ -121,10 +125,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     elapsed = time.perf_counter() - started
 
-    report = write_artifacts(result, outdir)
-    if args.emit_library:
-        text = library_text(result.observed_library())
-        Path(args.emit_library).write_bytes(text.encode("utf-8"))
+    try:
+        if args.emit_library:  # first, so a library it cannot write leaves -o empty
+            text = library_text(result.observed_library())
+            Path(args.emit_library).write_bytes(text.encode("utf-8"))
+        report = write_artifacts(result, outdir)
+    except OSError as exc:
+        return _path_error(exc.filename or args.out, exc)
 
     _print_summary(report, elapsed)
     if report["findings"] and not args.expect_findings:
@@ -190,8 +197,8 @@ def _print_summary(report: dict, elapsed: float) -> None:
     print(f"findings: {'yes' if report['findings'] else 'none'} ({elapsed:.2f}s)")
 
 
-def _unreadable(name: str, exc: OSError) -> int:
-    """Report an input that cannot be read (missing, a directory, ...)."""
+def _path_error(name: str, exc: OSError) -> int:
+    """Report a path that cannot be read or written (missing, a directory, ...)."""
     print(f"{name}: error: {exc.strerror or exc}", file=sys.stderr)
     return 2
 
@@ -200,7 +207,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         result = verify_chain(args.ledger)
     except OSError as exc:
-        return _unreadable(args.ledger, exc)
+        return _path_error(args.ledger, exc)
     print(result.describe())
     return 0 if result.valid else 1
 
@@ -212,7 +219,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
     try:
         history = history_from_file(args.ledger, args.vehicle_key)
     except OSError as exc:
-        return _unreadable(args.ledger, exc)
+        return _path_error(args.ledger, exc)
     except LedgerFormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
@@ -238,7 +245,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         try:
             blob = Path(name).read_bytes()
         except OSError as exc:
-            status = _unreadable(name, exc)
+            status = _path_error(name, exc)
             continue
         try:
             report = parity.scrub(parity.load_snapshot(blob))

@@ -10,9 +10,10 @@ bus, and what it emits lands on the closest live node instead.
 
 Node stores are byte-bounded. A record's accounted size is the byte length
 of its dump line plus the newline: the bytes the same record takes on a
-parity-cluster device. Records become eviction-eligible only once a
-checkpoint covers them (checkpoint_floor); filling a store with uncovered
-records raises CheckpointRequired instead of silently dropping data.
+parity-cluster device. A record becomes eviction-eligible only once a
+checkpoint covers it (each capture calls ``cover`` on every stored record);
+filling a store with uncovered records raises CheckpointRequired instead of
+silently dropping data.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ class NodeUnavailable(RuntimeError):
 class CheckpointRequired(RuntimeError):
     """A store is full of records no checkpoint covers yet.
 
-    The caller must capture a meta-hash (advancing the checkpoint floor)
+    The caller must capture a meta-hash (covering the stored records)
     before the write can proceed; nothing was evicted.
     """
 
     def __init__(self, node_id: str, needed_bytes: int):
         super().__init__(
             f"node {node_id[:12]}… needs {needed_bytes} bytes but only holds "
-            "records newer than the checkpoint floor"
+            "records no checkpoint covers yet"
         )
         self.node_id = node_id
         self.needed_bytes = needed_bytes
@@ -86,15 +87,14 @@ class StoreReceipt:
     stored_at: str
     hops: int
     fallback: bool
-    sequence: int
     evicted: tuple[str, ...] = ()
 
 
 @dataclass
 class _Stored:
     record: AuditRecord
-    sequence: int
     size: int
+    covered: bool = False
 
 
 class DhtNode:
@@ -103,7 +103,6 @@ class DhtNode:
     def __init__(self, node_id: str, store_limit_bytes: int = DEFAULT_STORE_LIMIT_BYTES):
         self.node_id = node_id
         self.store_limit_bytes = store_limit_bytes
-        self.checkpoint_floor = 0
         self._store: dict[str, _Stored] = {}
         self._used = 0
 
@@ -123,9 +122,6 @@ class DhtNode:
         entry = self._store.get(record_key)
         return entry.record if entry else None
 
-    def sequence_of(self, record_key: str) -> int:
-        return self._store[record_key].sequence
-
     def records(self) -> Iterator[AuditRecord]:
         for entry in self._store.values():
             yield entry.record
@@ -143,7 +139,7 @@ class DhtNode:
         if free >= needed_bytes:
             return []
         eligible = sorted(
-            (e for e in self._store.values() if e.sequence < self.checkpoint_floor),
+            (e for e in self._store.values() if e.covered),
             key=lambda e: (e.record.sim_time, e.record.record_key),
         )
         if free + sum(e.size for e in eligible) < needed_bytes:
@@ -158,11 +154,11 @@ class DhtNode:
             evicted.append(entry.record.record_key)
         return evicted
 
-    def insert(self, record: AuditRecord, sequence: int) -> list[str]:
+    def insert(self, record: AuditRecord) -> list[str]:
         """Store a record, evicting covered records first if space demands."""
         size = self.record_size(record)
         evicted = self.evict(size)
-        self._store[record.record_key] = _Stored(record, sequence, size)
+        self._store[record.record_key] = _Stored(record, size)
         self._used += size
         return evicted
 
@@ -179,7 +175,6 @@ class DhtNetwork:
         self._nodes: dict[str, DhtNode] = {}
         self._ints: dict[str, int] = {}
         self._failed: set[str] = set()
-        self._sequence = 0
 
     # -- membership ------------------------------------------------------
 
@@ -215,11 +210,6 @@ class DhtNetwork:
     def is_live(self, node_id: str) -> bool:
         return node_id in self._nodes and node_id not in self._failed
 
-    @property
-    def sequence(self) -> int:
-        """Sequence number of the most recent successful insert."""
-        return self._sequence
-
     # -- lookups ---------------------------------------------------------
 
     def locate(self, origin: str, key: str) -> tuple[str, int]:
@@ -247,8 +237,8 @@ class DhtNetwork:
 
         Raises NodeUnavailable for an unknown origin or when no node is live.
         May raise CheckpointRequired from the target store; the caller is
-        expected to capture a checkpoint and retry. Re-putting an existing
-        key is idempotent and keeps the original sequence number.
+        expected to capture a checkpoint and retry. Re-putting a stored key
+        is idempotent: the stored record, and whether it is covered, stay.
         """
         if not record.verify_key():
             raise ValueError("record_key does not match record contents")
@@ -259,13 +249,11 @@ class DhtNetwork:
         fallback = any(self._ints[n] ^ key_int < distance for n in self._failed)
         node = self._nodes[target]
         if node.get(record.record_key) is not None:
-            return StoreReceipt(target, hops, fallback, node.sequence_of(record.record_key))
-        evicted = node.insert(record, self._sequence + 1)
-        self._sequence += 1
-        return StoreReceipt(target, hops, fallback, self._sequence, tuple(evicted))
+            return StoreReceipt(target, hops, fallback)
+        return StoreReceipt(target, hops, fallback, tuple(node.insert(record)))
 
-    def advance_checkpoint_floor(self, floor: int) -> None:
-        """Raise every node's eviction floor; floors never move backward."""
+    def cover(self) -> None:
+        """Mark every stored record covered by a checkpoint, so evictable."""
         for node in self._nodes.values():
-            if floor > node.checkpoint_floor:
-                node.checkpoint_floor = floor
+            for entry in node._store.values():
+                entry.covered = True

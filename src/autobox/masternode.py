@@ -4,15 +4,16 @@ The master mirrors, captures, queues and drains. When to checkpoint (each
 interval, each mileage stride, each service or reflash event) is the
 vehicle timeline's call; ``capture_meta_hash`` captures whenever asked.
 
-The head unit mirrors every record the in-vehicle table accepts, so a
+Every record enters the in-vehicle table through ``MasterNode.put``, which
+mirrors what the table accepts, so the mirror never lags the table and a
 checkpoint is a pure function of the mirror: the meta digest folds the
 (record key, payload hash) pairs sorted by key, making it independent of
 insertion order and reproducible from any node dump. The mirror holds
 exactly those pairs as raw 64-byte ``key‖payload_hash`` strings in sorted
 order, so a capture is one join and one hash. Capturing a
-checkpoint is also what unlocks eviction down in the node stores — the
-checkpoint floor advances to cover everything the mirror has seen, and
-only covered records may be dropped.
+checkpoint is also what unlocks eviction down in the node stores: the
+capture covers every record stored so far, and only covered records may
+be dropped.
 
 Outbound, the master feeds a light client buffer. Each checkpoint queues
 as the Submission the full node will receive, stamped with the vehicle key
@@ -32,11 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .auditcore import AuditRecord, EventType
-from .dht import DhtNetwork
-
-
-class UnquiescedCaptureError(RuntimeError):
-    """The mirror lags the network; retry the capture after forwarding."""
+from .dht import DhtNetwork, StoreReceipt
 
 
 @dataclass(frozen=True)
@@ -117,12 +114,17 @@ class MasterNode:
         self.online = True  # uplink state; offline, the backlog waits
         self.vehicle_key = ""  # stamped on each checkpoint as it is captured
         self._pairs: list[bytes] = []  # raw key‖payload_hash, sorted by key
-        self._high_sequence = 0
         self._checkpoint_seq = 0
 
     # -- mirror -----------------------------------------------------------
 
-    def mirror_update(self, record: AuditRecord, sequence: int) -> None:
+    def put(self, origin: str, record: AuditRecord) -> StoreReceipt:
+        """The one way into the table: store from ``origin``, then mirror."""
+        receipt = self.network.put(origin, record)
+        self.mirror_update(record)
+        return receipt
+
+    def mirror_update(self, record: AuditRecord) -> None:
         """Fold one accepted record into the full mirror (idempotent).
 
         Keys are fixed-length lowercase hex, so raw-byte order is the key
@@ -133,8 +135,6 @@ class MasterNode:
         i = bisect_left(self._pairs, key)
         if i == len(self._pairs) or self._pairs[i][:32] != key:
             self._pairs.insert(i, pair)
-        if sequence > self._high_sequence:
-            self._high_sequence = sequence
 
     @property
     def mirror_size(self) -> int:
@@ -152,11 +152,6 @@ class MasterNode:
 
     def capture_meta_hash(self, trigger: EventType, sim_time: int) -> MetaHash:
         """Checkpoint the mirror and unlock eviction of everything covered."""
-        if self._high_sequence < self.network.sequence:
-            raise UnquiescedCaptureError(
-                f"mirror at sequence {self._high_sequence} lags network "
-                f"sequence {self.network.sequence}; quiesce and retry"
-            )
         digest = hashlib.sha256(b"".join(self._pairs)).hexdigest()
         self._checkpoint_seq += 1
         mh = MetaHash(
@@ -166,7 +161,7 @@ class MasterNode:
             sim_time=sim_time,
             trigger=trigger,
         )
-        self.network.advance_checkpoint_floor(self._high_sequence + 1)
+        self.network.cover()
         self.buffer.pending.append(
             Submission(
                 vehicle_key=self.vehicle_key,

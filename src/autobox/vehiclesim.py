@@ -286,15 +286,14 @@ class Vehicle:
     def _put_record(self, emitter: str, record: AuditRecord, trigger: EventType) -> None:
         origin = self.node_of[emitter]
         try:
-            receipt = self.network.put(origin, record)
+            receipt = self.master.put(origin, record)
         except NodeUnavailable:
             self.alerts.append(f"t={self.clock} no live node to accept records")
             return
         except CheckpointRequired:
             # Store full of uncovered records: checkpoint first, then retry.
             self._capture(trigger)
-            receipt = self.network.put(origin, record)
-        self.master.mirror_update(record, receipt.sequence)
+            receipt = self.master.put(origin, record)
         if receipt.evicted:
             self._log(
                 "eviction",
@@ -601,7 +600,7 @@ class Vehicle:
     def run(self, events: Iterable[ScenarioEvent], duration_s: int) -> None:
         """Boot, replay the scripted timeline, drain at the horizon."""
         items: list[tuple[int, str, ScenarioEvent | None]] = []
-        last_time = 0
+        last_time = outage_end = 0
         for event in events:
             if event.sim_time < last_time:
                 raise ScenarioError("events must be ordered by sim_time")
@@ -610,6 +609,9 @@ class Vehicle:
             if event.kind is ScenarioEventKind.CONNECTIVITY_OUTAGE:
                 if event.end is None or event.end < event.sim_time:
                     raise ScenarioError("ConnectivityOutage needs end >= sim_time")
+                if event.sim_time < outage_end:
+                    raise ScenarioError("ConnectivityOutage starts before the previous one ends")
+                outage_end = event.end
                 items.append((event.end, "reconnect", None))
         items.sort(key=lambda item: item[0])  # stable: ties keep list order
         self.boot()
@@ -842,6 +844,10 @@ def parse_scenario(obj: Any) -> Scenario:
         vins = [lane.config.vin for lane in lanes]
         if len(set(vins)) != len(vins):
             raise ScenarioError("fleet VINs must be unique")
+        # Vehicles sharing serials could derive one vehicle key between them.
+        serials = [m.serial_number for lane in lanes for m in lane.config.modules]
+        if len(set(serials)) != len(serials):
+            raise ScenarioError("fleet vehicles must not share module serial numbers")
     elif f["vehicle"] is not None:
         lanes = (VehicleLane(f["vehicle"], f["events"] or ()),)
     else:

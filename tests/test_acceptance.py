@@ -121,21 +121,21 @@ def test_criterion_3_constrained_memory_budget():
         master = MasterNode(network)
         master.vehicle_key = "ab" * 32
         metadata = make_metadata("ECU")
-        sequence_of: dict[str, int] = {}
+        put_order: dict[str, int] = {}
+        covered = 0  # the first `covered` records put were mirrored at the last capture
         puts = evictions = 0
         for t in range(10_000):
             record = identity_hash(metadata, t, EventType.PERIODIC_INTERVAL)
             try:
-                receipt = network.put(node_id, record)
+                receipt = master.put(node_id, record)
             except CheckpointRequired:
-                master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
-                receipt = network.put(node_id, record)
-            master.mirror_update(record, receipt.sequence)
-            sequence_of[record.record_key] = receipt.sequence
+                covered = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t).covered_records
+                receipt = master.put(node_id, record)
+            put_order[record.record_key] = len(put_order)
             for evicted_key in receipt.evicted:
                 evictions += 1
-                # Never evicts a record the checkpoint floor still protects.
-                assert sequence_of[evicted_key] < node.checkpoint_floor
+                # Never evicts a record the last capture did not cover.
+                assert put_order[evicted_key] < covered
             assert node.store_bytes <= limit
             puts += 1
         assert puts == 10_000

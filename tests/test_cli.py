@@ -56,6 +56,12 @@ def _swap_in_fitted_serial(obj):
     )
 
 
+def _overlapping_outage(obj):
+    """A second outage from 8000 to 8500, inside the demo's 7200-12000 one."""
+    obj["events"].append({"sim_time": 8000, "kind": "ConnectivityOutage", "end": 8500})
+    obj["events"].sort(key=lambda e: e["sim_time"])
+
+
 # Edits of scenarios/demo.json that `run` must refuse with exit 2.
 BAD_DEMO_EDITS = {
     "vehicle-list": _set("vehicle", []),
@@ -107,6 +113,7 @@ BAD_DEMO_EDITS = {
     "module-in-two-clusters": _set(
         "vehicle", "parity_clusters", [["ECU", "BCM", "TCM"], ["HeadUnit", "ECU", "BCM"]]
     ),
+    "outage-overlapping": _overlapping_outage,
 }
 
 
@@ -460,6 +467,45 @@ class TestRun:
         assert rc == 3
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: simulated defect\n"
+
+    def test_fleet_sharing_a_serial_exit_two(self, tmp_path, capsys):
+        """Two vehicles with one serial set would share one vehicle key."""
+        obj = fleet_obj(tampered=False)
+        for lane in obj["fleet"]:
+            for module in lane["vehicle"]["modules"]:
+                module["serial_number"] = f"{module['module_id']}-SN-1"
+        path = write_scenario(tmp_path, obj)
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("error: ") and "serial" in err and len(err.splitlines()) == 1
+        assert not any((tmp_path / "out").glob("*")), "a refused run writes no artifact"
+
+    def test_output_dir_is_a_file_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("taken")
+        rc = cli.main(["run", str(DEMO_SCENARIO), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"{out}: error: ") and len(err.splitlines()) == 1, err
+        assert out.read_text() == "taken"
+
+    def test_artifact_path_taken_by_a_directory_exit_two(self, tmp_path, capsys):
+        taken = tmp_path / "out" / cli.LEDGER_FILE
+        taken.mkdir(parents=True)
+        rc = cli.main(["run", str(DEMO_SCENARIO), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"{taken}: error: ") and len(err.splitlines()) == 1, err
+
+    def test_emit_library_into_missing_dir_exit_two(self, tmp_path, capsys):
+        lib = tmp_path / "missing" / "lib.txt"
+        args = ["run", str(DEMO_SCENARIO), "-o", str(tmp_path / "out"), "--emit-library", str(lib)]
+        rc = cli.main(args)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"{lib}: error: ") and len(err.splitlines()) == 1, err
+        assert not any((tmp_path / "out").glob("*")), "a failed run writes no artifact"
 
     def test_autobox_out_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AUTOBOX_OUT", str(tmp_path / "env-out"))

@@ -148,7 +148,7 @@ class TestPutGet:
         record = make_record()
         first = network.put(node, record)
         second = network.put(node, record)
-        assert second.sequence == first.sequence
+        assert second == first
         assert network.node(node).record_count == 1
 
     def test_fallback_placement_and_recovery_read(self):
@@ -218,7 +218,7 @@ class TestEviction:
     def test_checkpointed_oldest_evicted_first(self):
         network, node = self.small_network()
         records = self.fill(network, node, 3)
-        network.advance_checkpoint_floor(network.sequence + 1)
+        network.cover()
         size = network.node(node).record_size(records[0])
         evicted = network.node(node).evict(network.node(node).store_bytes + size - 512 + size)
         assert evicted  # at least the oldest went
@@ -244,7 +244,7 @@ class TestEviction:
     def test_put_evicts_after_checkpoint(self):
         network, node = self.small_network(limit=400)
         self.fill(network, node, 2)
-        network.advance_checkpoint_floor(network.sequence + 1)
+        network.cover()
         # Store is near its cap; covered records now make room.
         for i in range(10):
             record = make_record("ECU", sim_time=100 + i)
@@ -255,11 +255,10 @@ class TestEviction:
         else:
             pytest.fail("no eviction happened")
 
-    def test_never_evicts_at_or_above_floor(self):
+    def test_never_evicts_records_put_after_cover(self):
         network, node = self.small_network(limit=600)
         old = self.fill(network, node, 2)
-        floor = network.sequence + 1
-        network.advance_checkpoint_floor(floor)
+        network.cover()
         newer = self.fill(network, node, 1, start_time=50)
         # Ask for exactly what the covered records can free up.
         store = network.node(node)

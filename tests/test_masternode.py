@@ -7,12 +7,11 @@ from dataclasses import replace
 import pytest
 
 from autobox.auditcore import EventType, identity_hash
-from autobox.dht import DhtNetwork, node_id_for_serial
+from autobox.dht import CheckpointRequired, DhtNetwork, node_id_for_serial
 from autobox.masternode import (
     MasterNode,
     Submission,
     WIRE_LINE,
-    UnquiescedCaptureError,
     meta_digest,
 )
 
@@ -28,12 +27,6 @@ def single_node_setup(store_limit=1 << 20):
     master = MasterNode(network)
     master.vehicle_key = VKEY
     return network, node, master
-
-
-def put_and_mirror(network, node, master, record):
-    receipt = network.put(node, record)
-    master.mirror_update(record, receipt.sequence)
-    return receipt
 
 
 def make_record(module_id="ECU", sim_time=0, **overrides):
@@ -65,16 +58,16 @@ class TestMetaDigest:
 
 class TestMirror:
     def test_put_then_mirror_contains_record(self):
-        network, node, master = single_node_setup()
+        _, node, master = single_node_setup()
         record = make_record(sim_time=1)
-        put_and_mirror(network, node, master, record)
+        master.put(node, record)
         assert master.mirrored(record.record_key) == record.payload_hash
 
     def test_duplicate_mirror_update_idempotent(self):
-        network, node, master = single_node_setup()
+        _, node, master = single_node_setup()
         record = make_record(sim_time=1)
-        receipt = put_and_mirror(network, node, master, record)
-        master.mirror_update(record, receipt.sequence)
+        master.put(node, record)
+        master.mirror_update(record)
         assert master.mirror_size == 1
 
     def test_mirror_counts_all_records_across_nodes(self):
@@ -88,21 +81,20 @@ class TestMirror:
         master = MasterNode(network)
         for i in range(100):
             record = make_record("ECU", sim_time=i)
-            receipt = network.put(nodes[rng.randrange(8)], record)
-            master.mirror_update(record, receipt.sequence)
+            master.put(nodes[rng.randrange(8)], record)
         assert master.mirror_size == 100
 
     def test_repeated_key_keeps_first_payload(self):
         _, _, master = single_node_setup()
         record = make_record(sim_time=1)
-        master.mirror_update(record, 1)
-        master.mirror_update(replace(record, payload_hash="00" * 32), 2)
+        master.mirror_update(record)
+        master.mirror_update(replace(record, payload_hash="00" * 32))
         assert master.mirror_size == 1
         assert master.mirrored(record.record_key) == record.payload_hash
 
     def test_unknown_key_not_mirrored(self):
         _, _, master = single_node_setup()
-        master.mirror_update(make_record(sim_time=1), 1)
+        master.mirror_update(make_record(sim_time=1))
         assert master.mirrored("00" * 32) is None
         assert master.mirrored("ff" * 32) is None
 
@@ -115,8 +107,8 @@ class TestMirror:
             _, _, master = single_node_setup()
             feed = records + [rng.choice(records) for _ in range(25)]
             rng.shuffle(feed)
-            for sequence, record in enumerate(feed, 1):
-                master.mirror_update(record, sequence)
+            for record in feed:
+                master.mirror_update(record)
             assert master.mirror_size == len(records)
             mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10)
             assert mh.digest == reference
@@ -135,9 +127,9 @@ class TestCapture:
         records = [make_record("ECU", sim_time=t) for t in range(5)]
         digests = []
         for ordering in (records, list(reversed(records))):
-            network, node, master = single_node_setup()
+            _, node, master = single_node_setup()
             for record in ordering:
-                put_and_mirror(network, node, master, record)
+                master.put(node, record)
             digests.append(
                 master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10).digest
             )
@@ -151,18 +143,23 @@ class TestCapture:
         ]
         assert seqs == [1, 2, 3]
 
-    def test_capture_advances_floor_to_cover_mirror(self):
+    def test_capture_makes_earlier_records_evictable(self):
         network, node, master = single_node_setup()
-        for t in range(3):
-            put_and_mirror(network, node, master, make_record(sim_time=t))
+        earlier = [make_record(sim_time=t) for t in range(3)]
+        for record in earlier:
+            master.put(node, record)
         master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 99)
-        assert network.node(node).checkpoint_floor == network.sequence + 1
-
-    def test_unquiesced_capture_raises(self):
-        network, node, master = single_node_setup()
-        network.put(node, make_record(sim_time=5))  # put without forwarding
-        with pytest.raises(UnquiescedCaptureError):
-            master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10)
+        later = [make_record(sim_time=t) for t in range(100, 103)]
+        for record in later:
+            master.put(node, record)
+        store = network.node(node)
+        freeable = store.store_limit_bytes - store.store_bytes
+        freeable += sum(store.record_size(r) for r in earlier)
+        with pytest.raises(CheckpointRequired):  # the later records stay put
+            store.evict(freeable + 1)
+        assert set(store.evict(freeable)) == {r.record_key for r in earlier}
+        for record in later:
+            assert store.get(record.record_key) == record
 
     def test_capture_retained_and_buffered(self):
         _, _, master = single_node_setup()
@@ -230,8 +227,6 @@ class TestEvictionCoupling:
         Every evicted key must already sit in the master mirror, i.e. some
         pending-or-submitted meta-hash covered it before it was dropped.
         """
-        from autobox.dht import CheckpointRequired
-
         network = DhtNetwork(store_limit_bytes=512)
         node = node_id_for_serial("solo")
         network.add_node(node)
@@ -242,14 +237,61 @@ class TestEvictionCoupling:
         for t in range(40):
             record = make_record("ECU", sim_time=t)
             try:
-                receipt = network.put(node, record)
+                receipt = master.put(node, record)
             except CheckpointRequired:
                 master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
-                receipt = network.put(node, record)
+                receipt = master.put(node, record)
             for key in receipt.evicted:
                 mirror_at_eviction[key] = master.mirrored(key) is not None
             evicted_keys.extend(receipt.evicted)
-            master.mirror_update(record, receipt.sequence)
         assert evicted_keys, "scenario never filled the store"
         assert all(mirror_at_eviction.values())
         assert master.buffer.pending  # captures queued, none lost
+
+    def test_evictions_follow_the_latest_capture_on_random_networks(self):
+        """Random puts, re-puts and captures on 2-6 nodes: a store drops only
+        records mirrored at the most recent capture, never one stored since."""
+        rng = random.Random(64)
+        evictions = 0
+        for trial in range(30):
+            network = DhtNetwork(store_limit_bytes=rng.randint(400, 900))
+            nodes = [node_id_for_serial(f"t{trial}-m{i}") for i in range(rng.randint(2, 6))]
+            for node in nodes:
+                network.add_node(node)
+            master = MasterNode(network)
+            mirrored: set[str] = set()
+            at_capture: set[str] = set()  # the mirror at the most recent capture
+            since_capture: set[str] = set()  # keys stored after that capture
+
+            def capture(t):
+                mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
+                assert mh.covered_records == len(mirrored)
+                at_capture.clear()
+                at_capture.update(mirrored)
+                since_capture.clear()
+
+            pool = []
+            for t in range(150):
+                if rng.random() < 0.05:
+                    capture(t)
+                if pool and rng.random() < 0.2:
+                    record = rng.choice(pool)  # a re-put, maybe of an evicted key
+                else:
+                    record = make_record("ECU", sim_time=t)
+                    pool.append(record)
+                key = record.record_key
+                stored = any(network.node(n).get(key) for n in nodes)
+                origin = rng.choice(nodes)
+                try:
+                    receipt = master.put(origin, record)
+                except CheckpointRequired:
+                    capture(t)
+                    receipt = master.put(origin, record)
+                evicted = set(receipt.evicted)
+                assert evicted <= at_capture
+                assert not evicted & since_capture
+                evictions += len(evicted)
+                mirrored.add(key)
+                if not stored:
+                    since_capture.add(key)
+        assert evictions > 100

@@ -4,8 +4,10 @@
 renaming a traced function, or an attribute its count hooks read, fails
 here rather than in a benchmark run. So does a ledger command that stops
 passing through the seam the benchmark counts it at, a run artifact that
-the benchmark hashes but ``cli.write_artifacts`` no longer writes, and a
-``history --machine`` line the benchmark's own oracle does not expect.
+the benchmark hashes but ``cli.write_artifacts`` no longer writes, a
+``history --machine`` line the benchmark's own oracle does not expect, and
+a change that breaks the benchmark's self-test (``perfbench/selftest.py``,
+which checks a second seed's expected outcomes).
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from autobox import cli, vehiclesim
@@ -119,3 +123,11 @@ def test_writer_writes_exactly_the_hashed_artifacts(tmp_path):
     snaps = {name for name in written if name.endswith(".snap")}
     assert snaps and snaps == {name for name, _ in result.cluster_snapshots}
     assert written - snaps == set(bench_artifacts())
+
+
+def test_benchmark_self_test_passes():
+    selftest = ROOT / "perfbench" / "selftest.py"
+    proc = subprocess.run(
+        [sys.executable, str(selftest)], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]

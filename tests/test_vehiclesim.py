@@ -588,6 +588,21 @@ class TestOutage:
         assert drains[0]["sim_time"] == 9000
         assert drains[0]["checkpoints"] == 2
 
+    def test_outage_may_start_as_the_previous_one_ends(self):
+        events = (
+            event(ScenarioEventKind.CONNECTIVITY_OUTAGE, 1000, end=4000),
+            event(ScenarioEventKind.CONNECTIVITY_OUTAGE, 4000, end=8000),
+        )
+        result = run_scenario(make_scenario(events=events, duration_s=9000))
+        gt = [json.loads(line) for line in result.ground_truth]
+        links = [(g["sim_time"], g["event"]) for g in gt if g["event"].startswith("connectivity")]
+        assert links == [
+            (1000, "connectivity_down"),
+            (4000, "connectivity_up"),
+            (4000, "connectivity_down"),
+            (8000, "connectivity_up"),
+        ]
+
 
 class TestDeterminism:
     def test_identical_runs_identical_artifacts(self):
