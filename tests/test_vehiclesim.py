@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from autobox.auditcore import AirbagStatus, EventType, ModuleMetadata
+from autobox.auditcore import AirbagStatus, EventType, ModuleMetadata, derive_vehicle_key
 from autobox.dht import owner_of
 from autobox.ledger import VerdictStatus
 from autobox.vehiclesim import (
@@ -674,6 +674,39 @@ class TestFleet:
         scenario = self.fleet_scenario()
         flipped = replace(scenario, lanes=tuple(reversed(scenario.lanes)))
         assert run_scenario(scenario).blocks == run_scenario(flipped).blocks
+
+    def test_drained_batches_tie_break_on_the_key_they_carry(self):
+        # Both vehicles queue their 3600 and 7200 checkpoints through an
+        # outage and drain them at 7500. Vehicle A swaps a module silently at
+        # 7300, after its last capture, so its current key is not the key
+        # its queued checkpoints carry; the merge must order by the latter.
+        outage = event(ScenarioEventKind.CONNECTIVITY_OUTAGE, 3000, end=7500)
+        swap = event(
+            ScenarioEventKind.MODULE_SWAP,
+            7300,
+            module_id="HeadUnit",
+            replacement=make_metadata("HeadUnit", serial_number="HeadUnit-SN-0002"),
+        )
+        lane_a = VehicleLane(config=make_vehicle_config(), events=(outage, swap))
+        lane_b = VehicleLane(config=make_vehicle_config(vin=FLEET_VIN_2), events=(outage,))
+        result = run_scenario(
+            Scenario(scenario_id="fleet", seed=0, duration_s=7500, lanes=(lane_a, lane_b))
+        )
+
+        def key(config, swapped=False):
+            serials = [m.serial_number for m in config.modules]
+            if swapped:
+                serials[-1] = "HeadUnit-SN-0002"
+            return derive_vehicle_key(serials, "1.4.2")
+
+        queued_a, current_a, key_b = (
+            key(lane_a.config), key(lane_a.config, swapped=True), key(lane_b.config)
+        )
+        # Ordering by A's current key would reverse the two blocks.
+        assert (queued_a < key_b) != (current_a < key_b)
+        assert [[s.sim_time for s in b.entries] for b in result.blocks] == [[3600, 7200]] * 2
+        keys = [{s.vehicle_key for s in block.entries} for block in result.blocks]
+        assert keys == [{min(queued_a, key_b)}, {max(queued_a, key_b)}]
 
 
 class TestScenarioParsing:
