@@ -283,23 +283,10 @@ def load_ledger(path: str | Path) -> list[LedgerBlock]:
     return blocks
 
 
-def _history(blocks: Iterable[LedgerBlock], vehicle_key: str) -> list[tuple[int, Submission]]:
-    """One vehicle's (block index, entry) pairs in chain order, which is
-    checkpoint order: the admission rule makes its sequence numbers
-    strictly increase."""
-    return [
-        (block.index, sub)
-        for block in blocks
-        for sub in block.entries
-        if sub.vehicle_key == vehicle_key
-    ]
-
-
 class FullNode:
     """Append-only ledger authority with per-vehicle sequence tracking.
 
-    Appends are serialized (single writer); queries read committed blocks
-    only.
+    Appends are serialized (single writer).
     """
 
     def __init__(
@@ -372,13 +359,14 @@ class FullNode:
             tamper_flag=tamper_flag,
         )
 
-    # -- queries -------------------------------------------------------------
-
-    def query_history(self, vehicle_key: str) -> list[tuple[int, Submission]]:
-        """Complete checkpoint-ordered history; empty for unknown keys."""
-        return _history(self.chain, vehicle_key)
-
 
 def history_from_file(path: str | Path, vehicle_key: str) -> list[tuple[int, Submission]]:
-    """Rebuild one vehicle's history from a persisted ledger."""
-    return _history(load_ledger(path), vehicle_key)
+    """One vehicle's (block index, entry) pairs from a persisted ledger, in
+    chain order, which is checkpoint order: the admission rule makes its
+    sequence numbers strictly increase. Empty for an unknown key."""
+    return [
+        (block.index, sub)
+        for block in load_ledger(path)
+        for sub in block.entries
+        if sub.vehicle_key == vehicle_key
+    ]

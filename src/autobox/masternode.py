@@ -17,11 +17,11 @@ be dropped.
 
 Outbound, the master feeds a light client buffer. Each checkpoint queues
 as the Submission the full node will receive, stamped with the vehicle key
-current at capture time. Submissions queue while connectivity is down and
-drain strictly in order once it returns: each drain returns the whole
-backlog to the vehicle, which delivers it as one batch, so nothing is
-dropped or reordered. What the full node then refuses is reported by the
-scenario run, not retried here.
+the caller passes to that capture. Submissions queue while connectivity is
+down and drain strictly in order once it returns: each drain returns the
+whole backlog to the vehicle, which delivers it as one batch, so nothing
+is dropped or reordered. What the full node then refuses is reported by
+the scenario run, not retried here.
 """
 
 from __future__ import annotations
@@ -112,9 +112,8 @@ class MasterNode:
         self.network = network
         self.buffer = LightClientBuffer()
         self.online = True  # uplink state; offline, the backlog waits
-        self.vehicle_key = ""  # stamped on each checkpoint as it is captured
+        self.captures: list[MetaHash] = []  # every checkpoint taken, in order
         self._pairs: list[bytes] = []  # raw key‖payload_hash, sorted by key
-        self._checkpoint_seq = 0
 
     # -- mirror -----------------------------------------------------------
 
@@ -150,26 +149,21 @@ class MasterNode:
 
     # -- checkpoints --------------------------------------------------------
 
-    def capture_meta_hash(self, trigger: EventType, sim_time: int) -> MetaHash:
-        """Checkpoint the mirror and unlock eviction of everything covered."""
+    def capture_meta_hash(self, trigger: EventType, sim_time: int, vehicle_key: str) -> MetaHash:
+        """Checkpoint the mirror, unlock eviction of everything covered and
+        queue the checkpoint for the full node, stamped with ``vehicle_key``."""
         digest = hashlib.sha256(b"".join(self._pairs)).hexdigest()
-        self._checkpoint_seq += 1
         mh = MetaHash(
             digest=digest,
             covered_records=len(self._pairs),
-            checkpoint_seq=self._checkpoint_seq,
+            checkpoint_seq=len(self.captures) + 1,
             sim_time=sim_time,
             trigger=trigger,
         )
+        self.captures.append(mh)
         self.network.cover()
         self.buffer.pending.append(
-            Submission(
-                vehicle_key=self.vehicle_key,
-                checkpoint_seq=mh.checkpoint_seq,
-                meta_digest=mh.digest,
-                trigger=mh.trigger,
-                sim_time=mh.sim_time,
-            )
+            Submission(vehicle_key, mh.checkpoint_seq, digest, trigger, sim_time)
         )
         return mh
 

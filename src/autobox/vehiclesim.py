@@ -34,6 +34,7 @@ before blocks are appended, so results are independent of vehicle order.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
@@ -50,7 +51,6 @@ from .auditcore import (
     VIN_RE,
     derive_vehicle_key,
     identity_hash,
-    is_hex_digest,
     validate_vin,
 )
 from .dht import (
@@ -72,7 +72,7 @@ from .ledger import (
 from .masternode import MasterNode, MetaHash, Submission
 from . import parity
 
-DEFAULT_TAMPER_CLEAR_TOKEN = "SERVICE-TOOL"
+TAMPER_CLEAR_TOKEN = "SERVICE-TOOL"  # what the authorized service tool presents
 
 # Periodic captures one vehicle may take over a scenario (duration_s //
 # capture_interval_s): about 13 months at hourly captures. A longer
@@ -102,7 +102,7 @@ class ScenarioEventKind(str, Enum):
 
 @dataclass(frozen=True)
 class ScenarioEvent:
-    """One scripted occurrence; field use depends on kind."""
+    """One scripted occurrence; ``KIND_FIELDS`` lists the fields each kind takes."""
 
     sim_time: int
     kind: ScenarioEventKind
@@ -128,7 +128,6 @@ class VehicleConfig:
     parity_clusters: tuple[tuple[str, ...], ...] = ()
     capture_interval_s: int = 3600
     mileage_stride_km: int = 1000
-    tamper_clear_token: str = DEFAULT_TAMPER_CLEAR_TOKEN
     initial_odometer_km: int = 0
 
     def validate(self) -> None:
@@ -161,10 +160,6 @@ class VehicleConfig:
         for name in ("capture_interval_s", "mileage_stride_km"):
             if getattr(self, name) < 1:
                 raise ScenarioError(f"{name} must be at least 1")
-        # An empty token would let a ClearTamperFlag event without one clear
-        # the flag; a non-string one could never be matched.
-        if not isinstance(self.tamper_clear_token, str) or not self.tamper_clear_token:
-            raise ScenarioError("tamper_clear_token must be a non-empty string")
 
     def longest_record_line(self, duration_s: int) -> int:
         """Bytes that ``DhtNode.record_size`` charges a store for the longest
@@ -200,7 +195,6 @@ class DrainBatch:
     """One uplink delivery: what arrived at the full node, and when."""
 
     sim_time: int
-    order_key: str  # current vehicle key, the merge tie-breaker
     tamper_flag: bool
     submissions: tuple[Submission, ...]
 
@@ -252,19 +246,14 @@ class Vehicle:
         # Newest software version on board; silent modifications never
         # update this, which is exactly what makes them detectable.
         self.latest_version = max(m.software_version for m in config.modules)
-        # Strides driven as of the last mileage capture.
-        self.mileage_mark = config.initial_odometer_km // config.mileage_stride_km
         self.master = MasterNode(self.network)
-        self.master.vehicle_key = self._current_key()
         # Drained uplink deliveries, replayed in order by the fleet merge.
         self.batches: list[DrainBatch] = []
-        self.tamper_flag = False
         self.tamper_details: dict[str, frozenset[str]] = {}
         self.alerts: list[str] = []
-        self.captures: list[MetaHash] = []
-        # Vehicle keys the OEM knows about, all of config.variant_code;
+        # Vehicle keys the OEM knows, each once, all of config.variant_code;
         # rotations via official channels append here, silent swaps do not.
-        self.registrations: list[str] = [self.master.vehicle_key]
+        self.vehicle_keys: list[str] = [self._current_key()]
 
     # -- identity -----------------------------------------------------------
 
@@ -273,8 +262,9 @@ class Vehicle:
         return derive_vehicle_key(serials, self.latest_version)
 
     @property
-    def vehicle_key(self) -> str:
-        return self.master.vehicle_key
+    def tamper_flag(self) -> bool:
+        """Latched while any replicated field stays flagged."""
+        return bool(self.tamper_details)
 
     def _log(self, event: str, **detail: Any) -> None:
         """Log ground truth stamped with the current time and this VIN."""
@@ -318,11 +308,9 @@ class Vehicle:
 
     # -- checkpoints ------------------------------------------------------------
 
-    def _capture(self, trigger: EventType) -> MetaHash:
+    def _capture(self, trigger: EventType) -> None:
         self._scrub_clusters()
-        self.master.vehicle_key = self._current_key()
-        mh = self.master.capture_meta_hash(trigger, self.clock)
-        self.captures.append(mh)
+        mh = self.master.capture_meta_hash(trigger, self.clock, self._current_key())
         self._log(
             "capture",
             seq=mh.checkpoint_seq,
@@ -331,14 +319,11 @@ class Vehicle:
             covered=mh.covered_records,
         )
         self._drain()
-        return mh
 
     def _drain(self) -> None:
         drained = self.master.submit_pending()
         if drained:
-            self.batches.append(
-                DrainBatch(self.clock, self.vehicle_key, self.tamper_flag, tuple(drained))
-            )
+            self.batches.append(DrainBatch(self.clock, self.tamper_flag, tuple(drained)))
             self._log("drain", checkpoints=len(drained))
 
     def _checkpoint(self, trigger: EventType) -> None:
@@ -400,7 +385,6 @@ class Vehicle:
                 if minority:
                     flagged[field_name] = minority
         if flagged:
-            self.tamper_flag = True
             self.tamper_details.update(flagged)
             summary = {f: sorted(mods) for f, mods in flagged.items()}
             self.alerts.append(f"t={self.clock} tamper flag set: {summary}")
@@ -408,11 +392,10 @@ class Vehicle:
 
     def clear_tamper_flag(self, token: str) -> bool:
         """Authorized clear; records a service event. Wrong token refuses."""
-        if token != self.config.tamper_clear_token:
+        if token != TAMPER_CLEAR_TOKEN:
             self.alerts.append(f"t={self.clock} tamper clear refused: bad token")
             self._log("tamper_clear_refused")
             return False
-        self.tamper_flag = False
         self.tamper_details = {}
         self._log("tamper_flag_cleared")
         self._bump_service_count()
@@ -436,13 +419,13 @@ class Vehicle:
         km = event.km or 0
         if km < 0:
             raise ScenarioError("Drive km must be non-negative")
+        stride = self.config.mileage_stride_km
+        crossed = (self.true_odometer + km) // stride > self.true_odometer // stride
         self.true_odometer += km
         for module_id, data in self.scd.items():
             self.scd[module_id] = replace(data, odometer_km=data.odometer_km + km)
         self._log("drive", km=km, odometer_km=self.true_odometer)
-        strides = self.true_odometer // self.config.mileage_stride_km
-        if strides > self.mileage_mark:
-            self.mileage_mark = strides
+        if crossed:
             self._checkpoint(EventType.MILEAGE_THRESHOLD)
 
     def _on_obd_plug_in(self, event: ScenarioEvent) -> None:
@@ -474,7 +457,8 @@ class Vehicle:
         record = identity_hash(self.modules[module_id], self.clock, EventType.REFLASH)
         self._put_record(module_id, record, EventType.REFLASH)
         # Official channel: the OEM learns the rotated vehicle key.
-        self.registrations.append(self._current_key())
+        if (key := self._current_key()) not in self.vehicle_keys:
+            self.vehicle_keys.append(key)
         self._capture(EventType.REFLASH)
 
     def _on_eeprom_tamper(self, event: ScenarioEvent) -> None:
@@ -633,7 +617,7 @@ class Vehicle:
     def _run_periodic_until(self, horizon: int) -> None:
         """Checkpoint each capture interval after the last capture, to horizon."""
         while True:
-            last = self.captures[-1].sim_time if self.captures else 0
+            last = self.master.captures[-1].sim_time if self.master.captures else 0
             next_tick = last + self.config.capture_interval_s
             if next_tick > horizon:
                 return
@@ -714,11 +698,18 @@ def _parsed(convert: Callable[[str], Any], what: str) -> Shape:
     return parsed
 
 
+def _iso_date(text: str) -> date:
+    """A ``YYYY-MM-DD`` date. ``date.fromisoformat`` alone also takes other
+    ISO 8601 spellings, and which ones depends on the Python version."""
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(text)
+    return date.fromisoformat(text)
+
+
 _count = _narrowed(_integer, lambda n: n >= 0, "non-negative")
 # variant_code becomes a field of a tab-separated library line.
 _printable = _narrowed(_string, str.isprintable, "printable")
-_digest = _narrowed(_string, is_hex_digest, "a 64-char lowercase hex digest")
-_date = _parsed(date.fromisoformat, "an ISO date")
+_date = _parsed(_iso_date, "a YYYY-MM-DD date")
 _kind = _parsed(ScenarioEventKind, "an event kind")
 
 # The replicated fields the startup check compares, with the shape of a
@@ -766,14 +757,6 @@ def _validated(built: Any) -> Any:
     return built
 
 
-def _library(name: str, value: Any) -> dict[str, tuple[str, ...]] | None:
-    """Variant -> approved digests; null, like absence, means no library."""
-    if value is None:
-        return None
-    digests = _list(_digest, "digest")
-    return {v: digests(f"{name}[{v!r}]", d) for v, d in _mapping(name, value).items()}
-
-
 MODULE_FIELDS = {
     "module_id": (_string, _REQUIRED),
     "design_date": (_date, _REQUIRED),
@@ -795,7 +778,6 @@ VEHICLE_FIELDS = {
     "parity_clusters": (_list(_list(_string, "member"), "cluster"), ()),
     "capture_interval_s": (_integer, 3600),
     "mileage_stride_km": (_integer, 1000),
-    "tamper_clear_token": (_string, DEFAULT_TAMPER_CLEAR_TOKEN),
     "initial_odometer_km": (_integer, 0),
 }
 EVENT_FIELDS = {
@@ -813,7 +795,40 @@ EVENT_FIELDS = {
     "end": (_integer, None),
     "token": (_string, None),
 }
-_EVENTS = _list(_object(EVENT_FIELDS, ScenarioEvent), "event")
+# The fields each kind takes besides sim_time and kind, as in the README's
+# event table. A kind needs all of them, except that ClearTamperFlag may
+# lack its token: that is an unauthorized attempt, refused at run time.
+KIND_FIELDS = {
+    ScenarioEventKind.DRIVE: {"km"},
+    ScenarioEventKind.OBD_PLUG_IN: set(),
+    ScenarioEventKind.CONFIG_CHANGE: set(),
+    ScenarioEventKind.SERVICE_NOTICE: set(),
+    ScenarioEventKind.UDS_REFLASH: {"module_id", "new_version"},
+    ScenarioEventKind.EEPROM_TAMPER: {"module_id", "field", "forged_value"},
+    ScenarioEventKind.MODULE_SWAP: {"module_id", "replacement"},
+    ScenarioEventKind.NODE_FAILURE: {"module_id"},
+    ScenarioEventKind.NODE_RECOVERY: {"module_id"},
+    ScenarioEventKind.MEMORY_CORRUPTION: {"cluster", "device", "byte_offset"},
+    ScenarioEventKind.CONNECTIVITY_OUTAGE: {"end"},
+    ScenarioEventKind.REBOOT: set(),
+    ScenarioEventKind.CLEAR_TAMPER_FLAG: {"token"},
+}
+
+
+def _event(name: str, value: Any) -> ScenarioEvent:
+    """An event with exactly the fields its kind takes."""
+    f = _fields(value, EVENT_FIELDS, name)
+    kind, takes = f["kind"], KIND_FIELDS[f["kind"]]
+    extra = sorted(value.keys() - takes - {"sim_time", "kind"})
+    if extra:
+        raise ScenarioError(f"{kind.value} event does not take {extra}")
+    missing = sorted(takes - value.keys() - {"token"})
+    if missing:
+        raise ScenarioError(f"{kind.value} event needs {missing}")
+    return ScenarioEvent(**f)
+
+
+_EVENTS = _list(_event, "event")
 _VEHICLE = _object(VEHICLE_FIELDS, lambda **f: _validated(VehicleConfig(**f)))
 LANE_FIELDS = {"vehicle": (_VEHICLE, _REQUIRED), "events": (_EVENTS, ())}
 _LANE = _object(LANE_FIELDS, lambda vehicle, events: VehicleLane(vehicle, events))
@@ -826,7 +841,6 @@ SCENARIO_FIELDS = {
     "vehicle": (_VEHICLE, None),
     "events": (_EVENTS, None),
     "fleet": (_list(_LANE, "lane"), None),
-    "approved_library": (_library, None),
     "policy": (_POLICY, frozenset()),
 }
 
@@ -870,7 +884,6 @@ def parse_scenario(obj: Any) -> Scenario:
         seed=f["seed"],
         duration_s=duration,
         lanes=lanes,
-        approved_library=f["approved_library"],
         critical_variants=f["policy"],
     )
 
@@ -912,7 +925,6 @@ class ScenarioResult:
     verdicts: tuple[Verdict, ...]
     alerts: tuple[str, ...]
     ground_truth: tuple[str, ...]
-    full_node: FullNode
     cluster_snapshots: tuple[tuple[str, bytes], ...] = ()  # (filename, blob)
 
     @property
@@ -954,13 +966,15 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         critical_variants=scenario.critical_variants,
     )
     for vehicle in vehicles:
-        for key in vehicle.registrations:
+        for key in vehicle.vehicle_keys:
             full_node.register_vehicle(key, vehicle.config.variant_code)
 
-    batches = []
-    for vehicle in vehicles:
-        batches.extend(vehicle.batches)
-    batches.sort(key=lambda b: (b.sim_time, b.order_key))
+    # The newest submission carries the key of the last capture, not the
+    # vehicle's current key, which a silent swap since may have changed.
+    batches = sorted(
+        (batch for vehicle in vehicles for batch in vehicle.batches),
+        key=lambda b: (b.sim_time, b.submissions[-1].vehicle_key),
+    )
 
     verdicts: list[Verdict] = []
     ledger_alerts: list[str] = []
@@ -996,8 +1010,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             VehicleOutcome(
                 vin=vehicle.config.vin,
                 variant_code=vehicle.config.variant_code,
-                vehicle_keys=tuple(dict.fromkeys(vehicle.registrations)),
-                captures=tuple(vehicle.captures),
+                vehicle_keys=tuple(vehicle.vehicle_keys),
+                captures=tuple(vehicle.master.captures),
                 tamper_flag=vehicle.tamper_flag,
                 tamper_details=dict(vehicle.tamper_details),
             )
@@ -1012,6 +1026,5 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         verdicts=tuple(verdicts),
         alerts=tuple(all_alerts),
         ground_truth=tuple(ground_truth),
-        full_node=full_node,
         cluster_snapshots=tuple(snapshots),
     )

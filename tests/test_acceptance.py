@@ -21,7 +21,7 @@ import pytest
 from autobox import cli
 from autobox.auditcore import EventType, identity_hash
 from autobox.dht import CheckpointRequired, DhtNetwork, node_id_for_serial, owner_of
-from autobox.ledger import VerdictStatus, verify_chain
+from autobox.ledger import VerdictStatus, history_from_file, verify_chain
 from autobox.masternode import MasterNode, meta_digest
 from autobox.parity import PARITY, ParityCluster, reconstruct, repair, scrub
 from autobox.vehiclesim import ScenarioEvent, ScenarioEventKind, run_scenario
@@ -119,7 +119,6 @@ def test_criterion_3_constrained_memory_budget():
         node_id = node_id_for_serial("budget-node")
         node = network.add_node(node_id)
         master = MasterNode(network)
-        master.vehicle_key = "ab" * 32
         metadata = make_metadata("ECU")
         put_order: dict[str, int] = {}
         covered = 0  # the first `covered` records put were mirrored at the last capture
@@ -129,7 +128,8 @@ def test_criterion_3_constrained_memory_budget():
             try:
                 receipt = master.put(node_id, record)
             except CheckpointRequired:
-                covered = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t).covered_records
+                mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t, "ab" * 32)
+                covered = mh.covered_records
                 receipt = master.put(node_id, record)
             put_order[record.record_key] = len(put_order)
             for evicted_key in receipt.evicted:
@@ -324,7 +324,7 @@ def test_criterion_6_attack_detection_matrix():
         )
 
 
-def test_criterion_7_outage_resilience():
+def test_criterion_7_outage_resilience(tmp_path):
     with criterion(7, "outage spanning 2 captures: backlog lands once, in order"):
         scenario = make_scenario(
             events=(_event(ScenarioEventKind.CONNECTIVITY_OUTAGE, 1000, end=9000),),
@@ -335,7 +335,8 @@ def test_criterion_7_outage_resilience():
         vehicle = result.vehicles[0]
         # Captures at 3600 and 7200 happened offline, 10800 online.
         assert [mh.sim_time for mh in vehicle.captures] == [3600, 7200, 10_800]
-        history = result.full_node.query_history(vehicle.vehicle_keys[-1])
+        ledger = write_chain(tmp_path / "ledger.txt", result.blocks)
+        history = history_from_file(ledger, vehicle.vehicle_keys[-1])
         assert [e.checkpoint_seq for _, e in history] == [1, 2, 3]
         ledger_seqs = [
             s.checkpoint_seq for block in result.blocks for s in block.entries

@@ -69,7 +69,6 @@ BAD_DEMO_EDITS = {
     "modules-int": _set("vehicle", "modules", 5),
     "parity-clusters-int": _set("vehicle", "parity_clusters", 5),
     "fleet-int": _set("fleet", 5),
-    "approved-library-list": _set("approved_library", [1]),
     "policy-list": _set("policy", [1]),
     "design-date-int": _set("vehicle", "modules", 0, "design_date", 5),
     "corrupt-device-x": _add_event(
@@ -89,15 +88,12 @@ BAD_DEMO_EDITS = {
     "tamper-module-id-list": _add_event(
         kind="EepromTamper", module_id=["ECU"], field="odometer_km", forged_value=1
     ),
-    "library-digest-not-hex": _set("approved_library", {"EU-BASE": ["zz"]}),
     "critical-variants-int": _set("policy", {"critical_variants": 5}),
     "vehicle-vin-int": _set("vehicle", "vin", 5),
     "module-id-empty": _set("vehicle", "modules", 0, "module_id", ""),
     "duration-negative": lambda obj: obj.update(duration_s=-5, events=[]),
     "variant-code-tab": _set("vehicle", "variant_code", "EU\tBASE"),
     "module-variant-code-tab": _set("vehicle", "modules", 0, "variant_code", "EU\tBASE"),
-    "tamper-token-empty": _set("vehicle", "tamper_clear_token", ""),
-    "tamper-token-null": _set("vehicle", "tamper_clear_token", None),
     "event-unknown-field": _add_event(kind="Drive", kms=12),
     "module-unknown-field": _set("vehicle", "modules", 0, "serial", "ECU-SN-1"),
     "event-sim-time-float": lambda obj: obj["events"].insert(0, {"sim_time": 1.9, "kind": "Drive"}),
@@ -114,6 +110,17 @@ BAD_DEMO_EDITS = {
         "vehicle", "parity_clusters", [["ECU", "BCM", "TCM"], ["HeadUnit", "ECU", "BCM"]]
     ),
     "outage-overlapping": _overlapping_outage,
+    # Each kind takes exactly the fields of the README's event table.
+    "reboot-with-km": _add_event(kind="Reboot", km=5000),
+    "obd-plug-in-with-module-id": _add_event(kind="ObdPlugIn", module_id="NOPE"),
+    "drive-without-km": _add_event(kind="Drive"),
+    "corrupt-without-offset": _add_event(kind="MemoryCorruption", cluster=0, device=0),
+    # Dates are YYYY-MM-DD only, whatever else date.fromisoformat takes.
+    "design-date-basic-format": _set("vehicle", "modules", 0, "design_date", "20190314"),
+    "design-date-week-format": _set("vehicle", "modules", 0, "design_date", "2019-W11-4"),
+    "tamper-date-basic-format": _add_event(
+        kind="EepromTamper", module_id="ECU", field="design_date", forged_value="20190314"
+    ),
 }
 
 
@@ -127,8 +134,8 @@ def _swap_ecu_at_100(obj):
     )
 
 
-def scenario_obj(events=(), duration=3600, library=None):
-    obj = {
+def scenario_obj(events=(), duration=3600):
+    return {
         "id": "cli-test",
         "seed": 1,
         "duration_s": duration,
@@ -140,9 +147,6 @@ def scenario_obj(events=(), duration=3600, library=None):
         },
         "events": list(events),
     }
-    if library is not None:
-        obj["approved_library"] = library
-    return obj
 
 
 def write_scenario(tmp_path, obj, name="scenario.json"):

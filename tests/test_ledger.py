@@ -287,28 +287,39 @@ class TestFullNodeEvaluateAndHistory:
         with pytest.raises(UnknownVehicleError):
             node.evaluate(make_submission())
 
-    def test_history_ordered_and_complete(self):
+    def test_history_ordered_and_complete(self, tmp_path):
         node = FullNode()
         for seq in (1, 2, 3, 4):
             node.append_submissions(
                 [make_submission(seq=seq, t=seq * 5, trigger=EventType.REFLASH)]
             )
-        history = node.query_history("ab" * 32)
+        path = write_chain(tmp_path / "ledger.txt", node.chain)
+        history = history_from_file(path, "ab" * 32)
         assert [e.checkpoint_seq for _, e in history] == [1, 2, 3, 4]
         assert [block for block, _ in history] == [0, 1, 2, 3]
         assert all(e.trigger is EventType.REFLASH for _, e in history)
 
-    def test_unknown_key_empty_history(self):
-        assert FullNode().query_history("99" * 32) == []
+    def test_unknown_key_empty_history(self, tmp_path):
+        node = FullNode()
+        node.append_submissions([make_submission()])
+        path = write_chain(tmp_path / "ledger.txt", node.chain)
+        assert history_from_file(path, "99" * 32) == []
 
     def test_history_from_file_matches_live_node(self, tmp_path):
         node = FullNode()
         for seq in (1, 2):
-            node.append_submissions([make_submission(seq=seq)])
+            node.append_submissions(
+                [make_submission(seq=seq), make_submission(key="cd" * 32, seq=seq)]
+            )
         path = write_chain(tmp_path / "ledger.txt", node.chain)
-        live = node.query_history("ab" * 32)
-        from_file = history_from_file(path, "ab" * 32)
-        assert from_file == live
+        live = [
+            (block.index, sub)
+            for block in node.chain
+            for sub in block.entries
+            if sub.vehicle_key == "ab" * 32
+        ]
+        assert history_from_file(path, "ab" * 32) == live
+        assert [block for block, _ in live] == [0, 1]
 
     def test_verdict_output_line_format(self):
         lib = {"EU-BASE": ["aa" * 32]}

@@ -25,7 +25,6 @@ def single_node_setup(store_limit=1 << 20):
     node = node_id_for_serial("solo")
     network.add_node(node)
     master = MasterNode(network)
-    master.vehicle_key = VKEY
     return network, node, master
 
 
@@ -110,7 +109,7 @@ class TestMirror:
             for record in feed:
                 master.mirror_update(record)
             assert master.mirror_size == len(records)
-            mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10)
+            mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10, VKEY)
             assert mh.digest == reference
             assert mh.covered_records == len(records)
 
@@ -118,7 +117,7 @@ class TestMirror:
 class TestCapture:
     def test_empty_mirror_digest_is_empty_constant(self):
         _, _, master = single_node_setup()
-        mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 3600)
+        mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 3600, VKEY)
         assert mh.digest == EMPTY_SHA256
         assert mh.covered_records == 0
         assert mh.checkpoint_seq == 1
@@ -131,24 +130,25 @@ class TestCapture:
             for record in ordering:
                 master.put(node, record)
             digests.append(
-                master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10).digest
+                master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10, VKEY).digest
             )
         assert digests[0] == digests[1]
 
     def test_checkpoint_seq_strictly_increases(self):
         _, _, master = single_node_setup()
-        seqs = [
-            master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t).checkpoint_seq
+        captures = [
+            master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t, VKEY)
             for t in (10, 20, 30)
         ]
-        assert seqs == [1, 2, 3]
+        assert [mh.checkpoint_seq for mh in captures] == [1, 2, 3]
+        assert master.captures == captures
 
     def test_capture_makes_earlier_records_evictable(self):
         network, node, master = single_node_setup()
         earlier = [make_record(sim_time=t) for t in range(3)]
         for record in earlier:
             master.put(node, record)
-        master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 99)
+        master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 99, VKEY)
         later = [make_record(sim_time=t) for t in range(100, 103)]
         for record in later:
             master.put(node, record)
@@ -163,7 +163,7 @@ class TestCapture:
 
     def test_capture_retained_and_buffered(self):
         _, _, master = single_node_setup()
-        mh = master.capture_meta_hash(EventType.REFLASH, 5)
+        mh = master.capture_meta_hash(EventType.REFLASH, 5, VKEY)
         assert master.buffer.pending == [
             Submission(VKEY, mh.checkpoint_seq, mh.digest, mh.trigger, mh.sim_time)
         ]
@@ -173,7 +173,7 @@ class TestSubmitPending:
     def test_online_drains_all_in_order(self):
         _, _, master = single_node_setup()
         for t in (10, 20, 30):
-            master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
+            master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t, VKEY)
         drained = master.submit_pending()
         assert len(drained) == 3
         assert master.buffer.pending == []
@@ -181,7 +181,7 @@ class TestSubmitPending:
 
     def test_offline_is_noop(self):
         _, _, master = single_node_setup()
-        master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10)
+        master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10, VKEY)
         master.online = False
         assert master.submit_pending() == []
         assert len(master.buffer.pending) == 1
@@ -190,7 +190,7 @@ class TestSubmitPending:
         _, _, master = single_node_setup()
         master.online = False
         for t in (10, 20):
-            master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
+            master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t, VKEY)
         assert master.submit_pending() == []
         master.online = True
         drained = master.submit_pending()
@@ -231,7 +231,6 @@ class TestEvictionCoupling:
         node = node_id_for_serial("solo")
         network.add_node(node)
         master = MasterNode(network)
-        master.vehicle_key = VKEY
         evicted_keys: list[str] = []
         mirror_at_eviction: dict[str, bool] = {}
         for t in range(40):
@@ -239,7 +238,7 @@ class TestEvictionCoupling:
             try:
                 receipt = master.put(node, record)
             except CheckpointRequired:
-                master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
+                master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t, VKEY)
                 receipt = master.put(node, record)
             for key in receipt.evicted:
                 mirror_at_eviction[key] = master.mirrored(key) is not None
@@ -264,7 +263,7 @@ class TestEvictionCoupling:
             since_capture: set[str] = set()  # keys stored after that capture
 
             def capture(t):
-                mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t)
+                mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t, VKEY)
                 assert mh.covered_records == len(mirrored)
                 at_capture.clear()
                 at_capture.update(mirrored)

@@ -7,7 +7,9 @@ passing through the seam the benchmark counts it at, a run artifact that
 the benchmark hashes but ``cli.write_artifacts`` no longer writes, a
 ``history --machine`` line the benchmark's own oracle does not expect, and
 a change that breaks the benchmark's self-test (``perfbench/selftest.py``,
-which checks a second seed's expected outcomes).
+which checks a second seed's expected outcomes), and a scenario input the
+benchmark's generator (``perfbench/workloads.py``) writes and the parser
+no longer takes.
 """
 
 from __future__ import annotations
@@ -19,19 +21,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from autobox import cli, vehiclesim
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 BENCH_RUN = ROOT / "perfbench" / "run.py"
 DEMO = ROOT / "scenarios" / "demo.json"
 
 
+def load_from_file(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_from_file("perfbench_tracing", TRACING)
 
 
 def test_every_traced_function_resolves_to_a_callable():
@@ -123,6 +133,13 @@ def test_writer_writes_exactly_the_hashed_artifacts(tmp_path):
     snaps = {name for name in written if name.endswith(".snap")}
     assert snaps and snaps == {name for name, _ in result.cluster_snapshots}
     assert written - snaps == set(bench_artifacts())
+
+
+@pytest.mark.parametrize("workload", ["long-haul", "fleet-service"])
+def test_generated_scenarios_parse(workload):
+    built = load_from_file("perfbench_workloads", WORKLOADS).build(workload, 1)
+    for obj in (built.scenario, built.calibration):
+        assert vehiclesim.parse_scenario(obj).lanes
 
 
 def test_benchmark_self_test_passes():

@@ -9,9 +9,10 @@ import pytest
 
 from autobox.auditcore import AirbagStatus, EventType, ModuleMetadata, derive_vehicle_key
 from autobox.dht import owner_of
-from autobox.ledger import VerdictStatus
+from autobox.ledger import VerdictStatus, history_from_file
 from autobox.vehiclesim import (
     EVENT_FIELDS,
+    KIND_FIELDS,
     MAX_PERIODIC_CAPTURES,
     MODULE_FIELDS,
     VEHICLE_FIELDS,
@@ -19,6 +20,7 @@ from autobox.vehiclesim import (
     ScenarioError,
     ScenarioEvent,
     ScenarioEventKind,
+    TAMPER_CLEAR_TOKEN,
     Vehicle,
     VehicleConfig,
     VehicleLane,
@@ -35,6 +37,7 @@ from conftest import (
     make_scenario,
     make_vehicle_config,
     seeded_library,
+    write_chain,
 )
 
 
@@ -335,17 +338,11 @@ class TestTamperClear:
     def test_valid_token_clears_and_records_service(self):
         vehicle = self.tampered_vehicle()
         vehicle.clock = 200
-        assert vehicle.clear_tamper_flag(vehicle.config.tamper_clear_token)
+        assert vehicle.clear_tamper_flag(TAMPER_CLEAR_TOKEN)
         assert not vehicle.tamper_flag
         events = [json.loads(line)["event"] for line in vehicle.ground_truth]
         assert "tamper_flag_cleared" in events
-        assert any(mh.trigger is EventType.SERVICE_NOTICE for mh in vehicle.captures)
-
-    @pytest.mark.parametrize("token", ["", None])
-    def test_empty_token_config_refused(self, token):
-        # An empty secret would match a ClearTamperFlag event with no token.
-        with pytest.raises(ScenarioError, match="tamper_clear_token"):
-            make_vehicle_config(tamper_clear_token=token).validate()
+        assert any(mh.trigger is EventType.SERVICE_NOTICE for mh in vehicle.master.captures)
 
     def test_invalid_token_refused(self):
         vehicle = self.tampered_vehicle()
@@ -567,14 +564,15 @@ class TestFaults:
 
 
 class TestOutage:
-    def test_backlog_drains_in_order_exactly_once(self):
+    def test_backlog_drains_in_order_exactly_once(self, tmp_path):
         events = (
             event(ScenarioEventKind.CONNECTIVITY_OUTAGE, 1000, end=9000),
         )
         result = run_with_seeded_library(events=events, duration_s=10800)
         vehicle = result.vehicles[0]
         assert len(vehicle.captures) == 3  # 3600, 7200, 10800
-        history = result.full_node.query_history(vehicle.vehicle_keys[-1])
+        ledger = write_chain(tmp_path / "ledger.txt", result.blocks)
+        history = history_from_file(ledger, vehicle.vehicle_keys[-1])
         assert [e.checkpoint_seq for _, e in history] == [1, 2, 3]
         assert not result.findings
 
@@ -744,7 +742,6 @@ class TestScenarioParsing:
                     "new_version": "2.0",
                 },
             ],
-            "approved_library": {"EU-BASE": ["aa" * 32]},
             "policy": {"critical_variants": ["EU-PERF"]},
         }
 
@@ -754,7 +751,7 @@ class TestScenarioParsing:
         assert scenario.duration_s == 3600
         assert len(scenario.lanes[0].config.modules) == 3
         assert scenario.lanes[0].events[1].kind is ScenarioEventKind.UDS_REFLASH
-        assert scenario.approved_library == {"EU-BASE": ("aa" * 32,)}
+        assert scenario.approved_library is None
         assert scenario.critical_variants == frozenset({"EU-PERF"})
 
     def test_scenario_roundtrips_through_file(self, tmp_path):
@@ -849,6 +846,17 @@ class TestScenarioParsing:
         for f in fields(cls):
             if f.default is not MISSING:
                 assert table[f.name][1] == f.default, f.name
+
+    def test_every_kind_takes_known_fields(self):
+        assert set(KIND_FIELDS) == set(ScenarioEventKind)
+        taken = set().union(*KIND_FIELDS.values())
+        assert taken == EVENT_FIELDS.keys() - {"sim_time", "kind"}
+
+    def test_clear_tamper_flag_may_lack_its_token(self):
+        obj = self.scenario_obj()
+        obj["events"] = [{"sim_time": 100, "kind": "ClearTamperFlag"}]
+        (cleared,) = parse_scenario(obj).lanes[0].events
+        assert cleared.token is None
 
     def test_store_limit_below_record_line_rejected(self, tmp_path):
         obj = self.scenario_obj()
