@@ -187,6 +187,11 @@ class TestIdentityHash:
             record.module_id, record.event_type, record.sim_time, record.payload_hash
         )
 
+    def test_record_with_foreign_payload_hash_cannot_be_made(self, ecu_metadata):
+        record = identity_hash(ecu_metadata, 7, EventType.OBD_PLUG_IN)
+        with pytest.raises(MetadataError, match="record_key"):
+            replace(record, payload_hash="00" * 32)
+
     def test_negative_time_rejected(self, ecu_metadata):
         with pytest.raises(ValueError):
             identity_hash(ecu_metadata, -1, EventType.OBD_PLUG_IN)

@@ -923,6 +923,28 @@ class TestScenarioParsing:
             run_scenario(scenario)
 
 
+class TestLibraryPathValidation:
+    """A scenario built or edited in Python meets the rules a scenario file
+    meets, and is refused as it is made, before anything is simulated."""
+
+    def test_unbounded_duration_refused_on_replace(self):
+        scenario = load_scenario(DEMO_SCENARIO)
+        with pytest.raises(ScenarioError, match="periodic captures"):
+            replace(scenario, duration_s=10**9)
+
+    def test_store_limit_below_record_line_refused_on_replace(self):
+        scenario = load_scenario(DEMO_SCENARIO)
+        (lane,) = scenario.lanes
+        with pytest.raises(ScenarioError, match="162-byte record line"):
+            small = replace(lane.config, dht_store_limit_bytes=100)
+            replace(scenario, lanes=(replace(lane, config=small),))
+
+    def test_repeated_vin_refused(self):
+        scenario = load_scenario(DEMO_SCENARIO)
+        with pytest.raises(ScenarioError, match="VINs must be unique"):
+            replace(scenario, lanes=scenario.lanes * 2)
+
+
 class TestRefusedEventsLeaveStateAlone:
     def test_swap_to_a_fitted_serial_rejected_before_any_change(self):
         vehicle = Vehicle(make_vehicle_config())
