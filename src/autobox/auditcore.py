@@ -15,6 +15,10 @@ All digests are SHA-256 and are rendered as lowercase hex wherever a
 textual encoding is needed. Timestamps are simulated-clock integers;
 nothing in this package reads the wall clock.
 
+Values are valid by construction: ``ModuleMetadata`` and ``AuditRecord``
+raise MetadataError as an invalid instance is made, ``dataclasses.replace``
+included, so nothing downstream checks them again.
+
 A metadata instance is hashed once: ``ModuleMetadata.payload_hash``
 memoises the digest of its canonical form on the instance. That is safe
 because metadata is frozen and every mutation (reflash, tamper, swap)
@@ -96,7 +100,7 @@ class ModuleMetadata:
     serial_number: str
     vin: str
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.module_id:
             raise MetadataError("module_id must be non-empty")
         if not self.serial_number:
@@ -108,10 +112,7 @@ class ModuleMetadata:
 
     @cached_property
     def payload_hash(self) -> str:
-        """SHA-256 hex of the canonical form, memoised on the instance.
-
-        A MetadataError is not cached: invalid metadata raises on every read.
-        """
+        """SHA-256 hex of the canonical form, memoised on the instance."""
         return sha256_hex(canonical_serialize(self))
 
 
@@ -133,8 +134,8 @@ class SharedCriticalData:
 class AuditRecord:
     """One hashed, timestamped, typed event as stored in the DHT.
 
-    record_key is recomputable from the other fields (``verify_key``), so a
-    DHT store refuses a record whose key does not match its contents.
+    record_key is recomputed from the other fields as the record is made,
+    and a mismatch raises MetadataError, so a key fixes its payload hash.
     """
 
     record_key: str
@@ -143,10 +144,10 @@ class AuditRecord:
     sim_time: int
     payload_hash: str
 
-    def verify_key(self) -> bool:
-        return self.record_key == compute_record_key(
-            self.module_id, self.event_type, self.sim_time, self.payload_hash
-        )
+    def __post_init__(self) -> None:
+        key = compute_record_key(self.module_id, self.event_type, self.sim_time, self.payload_hash)
+        if self.record_key != key:
+            raise MetadataError("record_key does not match record contents")
 
     def dump_line(self) -> str:
         """Audit dump encoding: key, module, event, time, payload hash."""
@@ -169,10 +170,8 @@ def canonical_serialize(metadata: ModuleMetadata) -> bytes:
     """Byte-exact canonical encoding of module metadata.
 
     Sorted ``field=value`` lines, newline-joined, no trailing newline.
-    Dates render as ISO ``YYYY-MM-DD``. Raises MetadataError for values
-    that cannot round-trip through this form.
+    Dates render as ISO ``YYYY-MM-DD``.
     """
-    metadata.validate()
     lines = []
     for name, value in _field_items(metadata):
         if isinstance(value, date):
@@ -216,12 +215,13 @@ def identity_hash(
 
 
 def derive_vehicle_key(serials: Iterable[str], latest_version: str) -> str:
-    """Fold the sorted serial set and newest software version into one key.
+    """Fold the sorted serial set and a software version into one key.
 
     The result is the vehicle's opaque retrieval key, as 64 hex chars. The
-    derivation is one-way (hash of sorted serials plus the most recent
-    software version), so holding the key reveals none of the inputs, and
-    the key rotates whenever the software payload legitimately changes.
+    derivation is one-way (hash of sorted serials plus the version of the
+    latest official install), so holding the key reveals none of the
+    inputs, and the key rotates whenever the software payload legitimately
+    changes.
     """
     unique = sorted(set(serials))
     if not unique:

@@ -240,8 +240,6 @@ class DhtNetwork:
         expected to capture a checkpoint and retry. Re-putting a stored key
         is idempotent: the stored record, and whether it is covered, stay.
         """
-        if not record.verify_key():
-            raise ValueError("record_key does not match record contents")
         target, hops = self.locate(origin, record.record_key)
         # Placed away from its owner exactly when a failed node is closer.
         key_int = int(record.record_key, 16)

@@ -49,6 +49,7 @@ from .auditcore import (
     ModuleMetadata,
     SharedCriticalData,
     VIN_RE,
+    compute_record_key,
     derive_vehicle_key,
     identity_hash,
     validate_vin,
@@ -130,7 +131,7 @@ class VehicleConfig:
     mileage_stride_km: int = 1000
     initial_odometer_km: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         validate_vin(self.vin)
         if not self.modules:
             raise ScenarioError("vehicle needs at least one module")
@@ -141,7 +142,7 @@ class VehicleConfig:
         if len(set(serials)) != len(serials):
             raise ScenarioError("serial_numbers must be unique")
         for m in self.modules:
-            m.validate()
+            _release(m.software_version)
             if m.vin != self.vin:
                 raise ScenarioError(
                     f"module {m.module_id} carries VIN {m.vin}, vehicle is {self.vin}"
@@ -164,14 +165,17 @@ class VehicleConfig:
     def longest_record_line(self, duration_s: int) -> int:
         """Bytes that ``DhtNode.record_size`` charges a store for the longest
         record a module emits by duration_s."""
-        worst = AuditRecord(
-            record_key="0" * 64,
-            module_id=max((m.module_id for m in self.modules), key=lambda i: len(i.encode())),
-            event_type=max(EventType, key=lambda t: len(t.value)),
-            sim_time=duration_s,
-            payload_hash="0" * 64,
-        )
-        return DhtNode.record_size(worst)
+        module_id = max((m.module_id for m in self.modules), key=lambda i: len(i.encode()))
+        event_type = max(EventType, key=lambda t: len(t.value))
+        key = compute_record_key(module_id, event_type, duration_s, "0" * 64)
+        return DhtNode.record_size(AuditRecord(key, module_id, event_type, duration_s, "0" * 64))
+
+
+def _release(version: str) -> tuple[int, ...]:
+    """A module's dotted-decimal software version as integers, in release order."""
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)*", version):
+        raise ScenarioError(f"software_version {version!r} is not dotted decimal")
+    return tuple(map(int, version.split(".")))
 
 
 @dataclass(frozen=True)
@@ -189,6 +193,32 @@ class Scenario:
     approved_library: dict[str, tuple[str, ...]] | None = None
     critical_variants: frozenset[str] = frozenset()
 
+    def __post_init__(self) -> None:
+        if self.duration_s < 0:
+            raise ScenarioError(f"duration_s must be non-negative, got {self.duration_s}")
+        if not self.lanes:
+            raise ScenarioError("a scenario needs at least one vehicle")
+        vins = [lane.config.vin for lane in self.lanes]
+        if len(set(vins)) != len(vins):
+            raise ScenarioError("fleet VINs must be unique")
+        # Vehicles sharing serials could derive one vehicle key between them.
+        serials = [m.serial_number for lane in self.lanes for m in lane.config.modules]
+        if len(set(serials)) != len(serials):
+            raise ScenarioError("fleet vehicles must not share module serial numbers")
+        for lane in self.lanes:
+            longest = lane.config.longest_record_line(self.duration_s)
+            if lane.config.dht_store_limit_bytes < longest:
+                raise ScenarioError(
+                    f"dht_store_limit_bytes {lane.config.dht_store_limit_bytes} cannot "
+                    f"hold a {longest}-byte record line"
+                )
+            if self.duration_s // lane.config.capture_interval_s > MAX_PERIODIC_CAPTURES:
+                raise ScenarioError(
+                    f"duration_s {self.duration_s} at capture_interval_s "
+                    f"{lane.config.capture_interval_s} exceeds "
+                    f"{MAX_PERIODIC_CAPTURES} periodic captures"
+                )
+
 
 @dataclass(frozen=True)
 class DrainBatch:
@@ -203,7 +233,6 @@ class Vehicle:
     """One assembled vehicle under simulation."""
 
     def __init__(self, config: VehicleConfig, ground_truth: list[str] | None = None):
-        config.validate()
         self.config = config
         # Ground truth: everything the simulator core did, one compact JSON
         # object per line with sorted keys, shared by a fleet. Written only
@@ -243,9 +272,10 @@ class Vehicle:
             self.slot_of.update((m, (cluster, i)) for i, m in enumerate(members[:-1]))
             self.slot_of[members[-1]] = (cluster, parity.PARITY)
         self.true_odometer = config.initial_odometer_km
-        # Newest software version on board; silent modifications never
-        # update this, which is exactly what makes them detectable.
-        self.latest_version = max(m.software_version for m in config.modules)
+        # Version of the latest official install: the newest on board at
+        # assembly, then whatever each reflash flashes. Silent modifications
+        # never update this, which is exactly what makes them detectable.
+        self.latest_version = max((m.software_version for m in config.modules), key=_release)
         self.master = MasterNode(self.network)
         # Drained uplink deliveries, replayed in order by the fleet merge.
         self.batches: list[DrainBatch] = []
@@ -446,7 +476,7 @@ class Vehicle:
         if not event.new_version:
             raise ScenarioError("UdsReflash needs new_version")
         old = self.modules[module_id]
-        self.modules[module_id] = _validated(replace(old, software_version=event.new_version))
+        self.modules[module_id] = _validated(replace, old, software_version=event.new_version)
         self.latest_version = event.new_version
         self._log(
             "uds_reflash",
@@ -472,12 +502,7 @@ class Vehicle:
             old_md = self.modules[module_id]
             shape, _ = MODULE_FIELDS[event.field]
             value = shape(event.field, event.forged_value)
-            forged = replace(old_md, **{event.field: value})
-            try:
-                forged.validate()
-            except MetadataError as exc:
-                raise ScenarioError(f"forged value breaks canonical form: {exc}") from exc
-            self.modules[module_id] = forged
+            self.modules[module_id] = _validated(replace, old_md, **{event.field: value})
             pre = getattr(old_md, event.field)
         else:
             raise ScenarioError(f"EepromTamper: unknown field {event.field!r}")
@@ -494,7 +519,6 @@ class Vehicle:
         replacement = event.replacement
         if replacement is None:
             raise ScenarioError("ModuleSwap needs replacement metadata")
-        _validated(replacement)
         if replacement.module_id != module_id:
             raise ScenarioError(
                 f"replacement module_id {replacement.module_id!r} does not fit "
@@ -543,10 +567,9 @@ class Vehicle:
         if event.cluster is None or not 0 <= event.cluster < len(self.clusters):
             raise ScenarioError(f"MemoryCorruption: unknown cluster {event.cluster!r}")
         cluster = self.clusters[event.cluster]
-        device = _device("MemoryCorruption device", event.device)
         offset = event.byte_offset or 0
         try:
-            pre, post = cluster.corrupt_byte(device, offset)
+            pre, post = cluster.corrupt_byte(event.device, offset)
         except parity.ClusterError as exc:
             raise ScenarioError(str(exc)) from exc
         self.lost.discard(event.cluster)  # the flip may have undone a fault
@@ -748,13 +771,12 @@ def _object(table: dict[str, tuple[Shape, Any]], build: Callable[..., Any]) -> S
     return lambda name, value: build(**_fields(value, table, name))
 
 
-def _validated(built: Any) -> Any:
-    """``built``, refused unless its ``validate`` passes."""
+def _validated(build: Callable[..., Any], *args: Any, **fields: Any) -> Any:
+    """``build(*args, **fields)``, with a MetadataError it raises as a ScenarioError."""
     try:
-        built.validate()
+        return build(*args, **fields)
     except MetadataError as exc:
         raise ScenarioError(str(exc)) from None
-    return built
 
 
 MODULE_FIELDS = {
@@ -769,7 +791,7 @@ MODULE_FIELDS = {
     "serial_number": (_string, _REQUIRED),
     "vin": (_string, _REQUIRED),
 }
-_MODULE = _object(MODULE_FIELDS, lambda **f: _validated(ModuleMetadata(**f)))
+_MODULE = _object(MODULE_FIELDS, lambda **f: _validated(ModuleMetadata, **f))
 VEHICLE_FIELDS = {
     "vin": (_string, _REQUIRED),
     "variant_code": (_printable, _REQUIRED),
@@ -829,7 +851,7 @@ def _event(name: str, value: Any) -> ScenarioEvent:
 
 
 _EVENTS = _list(_event, "event")
-_VEHICLE = _object(VEHICLE_FIELDS, lambda **f: _validated(VehicleConfig(**f)))
+_VEHICLE = _object(VEHICLE_FIELDS, lambda **f: _validated(VehicleConfig, **f))
 LANE_FIELDS = {"vehicle": (_VEHICLE, _REQUIRED), "events": (_EVENTS, ())}
 _LANE = _object(LANE_FIELDS, lambda vehicle, events: VehicleLane(vehicle, events))
 POLICY_FIELDS = {"critical_variants": (_list(_string, "variant"), ())}
@@ -837,7 +859,7 @@ _POLICY = _object(POLICY_FIELDS, lambda critical_variants: frozenset(critical_va
 SCENARIO_FIELDS = {
     "id": (_string, "scenario"),
     "seed": (_integer, 0),
-    "duration_s": (_count, _REQUIRED),
+    "duration_s": (_integer, _REQUIRED),
     "vehicle": (_VEHICLE, None),
     "events": (_EVENTS, None),
     "fleet": (_list(_LANE, "lane"), None),
@@ -846,43 +868,23 @@ SCENARIO_FIELDS = {
 
 
 def parse_scenario(obj: Any) -> Scenario:
-    """Validate a JSON-compatible object tree into a Scenario."""
+    """Build a Scenario from a JSON-compatible object tree.
+
+    The parse checks the JSON shape; each value it builds checks the rest.
+    """
     f = _fields(obj, SCENARIO_FIELDS, "scenario")
-    duration = f["duration_s"]
     if f["fleet"] is not None:
         if f["vehicle"] is not None or f["events"] is not None:
             raise ScenarioError("a fleet scenario lists its vehicles and events in 'fleet'")
         lanes = f["fleet"]
-        if not lanes:
-            raise ScenarioError("fleet must contain at least one vehicle")
-        vins = [lane.config.vin for lane in lanes]
-        if len(set(vins)) != len(vins):
-            raise ScenarioError("fleet VINs must be unique")
-        # Vehicles sharing serials could derive one vehicle key between them.
-        serials = [m.serial_number for lane in lanes for m in lane.config.modules]
-        if len(set(serials)) != len(serials):
-            raise ScenarioError("fleet vehicles must not share module serial numbers")
     elif f["vehicle"] is not None:
         lanes = (VehicleLane(f["vehicle"], f["events"] or ()),)
     else:
         raise ScenarioError("scenario needs a 'vehicle' or 'fleet' section")
-    for lane in lanes:
-        longest = lane.config.longest_record_line(duration)
-        if lane.config.dht_store_limit_bytes < longest:
-            raise ScenarioError(
-                f"dht_store_limit_bytes {lane.config.dht_store_limit_bytes} cannot "
-                f"hold a {longest}-byte record line"
-            )
-        if duration // lane.config.capture_interval_s > MAX_PERIODIC_CAPTURES:
-            raise ScenarioError(
-                f"duration_s {duration} at capture_interval_s "
-                f"{lane.config.capture_interval_s} exceeds "
-                f"{MAX_PERIODIC_CAPTURES} periodic captures"
-            )
     return Scenario(
         scenario_id=f["id"],
         seed=f["seed"],
-        duration_s=duration,
+        duration_s=f["duration_s"],
         lanes=lanes,
         critical_variants=f["policy"],
     )
@@ -935,12 +937,10 @@ class ScenarioResult:
 
     def observed_library(self) -> dict[str, tuple[str, ...]]:
         """Capture digests per variant, for seeding an approved library."""
-        out: dict[str, list[str]] = {}
+        out: dict[str, dict[str, None]] = {}
         for vehicle in self.vehicles:
-            bucket = out.setdefault(vehicle.variant_code, [])
-            for mh in vehicle.captures:
-                if mh.digest not in bucket:
-                    bucket.append(mh.digest)
+            bucket = out.setdefault(vehicle.variant_code, {})
+            bucket.update(dict.fromkeys(mh.digest for mh in vehicle.captures))
         return {variant: tuple(digests) for variant, digests in sorted(out.items())}
 
 

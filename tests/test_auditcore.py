@@ -51,9 +51,8 @@ class TestCanonicalSerialize:
         assert base[diffs[0]].startswith("production_lot=")
 
     def test_newline_in_field_rejected(self):
-        bad = make_metadata(supplier_id="a\nb")
         with pytest.raises(MetadataError):
-            canonical_serialize(bad)
+            canonical_serialize(make_metadata(supplier_id="a\nb"))
 
     def test_dates_render_iso(self):
         blob = canonical_serialize(make_metadata()).decode()
@@ -134,13 +133,18 @@ class TestPayloadHash:
         assert ecu_metadata.payload_hash == before
         assert replace(bumped, software_version="1.4.2").payload_hash == before
 
-    def test_invalid_metadata_raises_on_every_read(self):
-        bad = make_metadata(supplier_id="a\nb")
-        for _ in range(2):
+    def test_invalid_metadata_cannot_be_made(self, ecu_metadata):
+        """Neither built nor replaced: no invalid instance exists to hash."""
+        for change in (
+            dict(supplier_id="a\nb"),
+            dict(module_id=""),
+            dict(serial_number=""),
+            dict(vin="1HGBH41JXMN109186\n"),
+        ):
             with pytest.raises(MetadataError):
-                bad.payload_hash
+                make_metadata(**change)
             with pytest.raises(MetadataError):
-                identity_hash(bad, 1, EventType.STARTUP_CHECK)
+                replace(ecu_metadata, **change)
 
 
 def reference_is_hex_digest(value: str) -> bool:
@@ -182,7 +186,6 @@ class TestIdentityHash:
 
     def test_record_key_recomputable(self, ecu_metadata):
         record = identity_hash(ecu_metadata, 7, EventType.OBD_PLUG_IN)
-        assert record.verify_key()
         assert record.record_key == compute_record_key(
             record.module_id, record.event_type, record.sim_time, record.payload_hash
         )

@@ -82,6 +82,9 @@ BAD_DEMO_EDITS = {
         kind="EepromTamper", module_id="ECU", field="odometer_km", forged_value=[1]
     ),
     "swap-fitted-serial": _swap_in_fitted_serial,
+    "swap-replacement-bad-vin": _add_event(
+        kind="ModuleSwap", module_id="ECU", replacement={**BASE_MODULES[0], "vin": "BADVIN"}
+    ),
     "reflash-version-int": _add_event(
         kind="UdsReflash", module_id="TCM", new_version=3
     ),
@@ -91,6 +94,7 @@ BAD_DEMO_EDITS = {
     "critical-variants-int": _set("policy", {"critical_variants": 5}),
     "vehicle-vin-int": _set("vehicle", "vin", 5),
     "module-id-empty": _set("vehicle", "modules", 0, "module_id", ""),
+    "software-version-not-dotted": _set("vehicle", "modules", 0, "software_version", "1.4.2b"),
     "duration-negative": lambda obj: obj.update(duration_s=-5, events=[]),
     "variant-code-tab": _set("vehicle", "variant_code", "EU\tBASE"),
     "module-variant-code-tab": _set("vehicle", "modules", 0, "variant_code", "EU\tBASE"),
@@ -413,6 +417,32 @@ class TestRun:
         repairs = [e for e in map(json.loads, lines) if e["event"] == "parity_repair"]
         assert repairs and repairs[0]["cluster"] == 0 and repairs[0]["device"] == 0
         assert repairs[0]["sim_time"] == (200 if obd_plug_in else 3600)
+
+    @pytest.mark.parametrize(
+        "modules", [["ECU"], ["ECU", "BCM", "TCM", "HeadUnit"]], ids=["one", "all"]
+    )
+    def test_odometer_forged_on_every_replica_goes_unseen(self, tmp_path, capsys, modules):
+        """The design limit the README names: the startup check votes over
+        the replicas, and shared data enter no audit record, so a forgery
+        every replica agrees on leaves nothing to see. A rollback on one
+        module is flagged at the demo's Reboot at 13000."""
+        obj = json.loads(DEMO_SCENARIO.read_text())
+        obj["events"][-1:-1] = [
+            {"sim_time": 9000, "kind": "EepromTamper", "module_id": module_id,
+             "field": "odometer_km", "forged_value": 1}
+            for module_id in modules
+        ]
+        path = write_scenario(tmp_path, obj)
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / cli.REPORT_FILE).read_text())
+        tamper_fields = report["vehicles"][obj["vehicle"]["vin"]]["tamper_fields"]
+        if len(modules) == 1:
+            assert rc == 1, capsys.readouterr().err
+            assert tamper_fields == {"odometer_km": ["ECU"]}
+            assert any("tamper flag set" in a for a in report["alerts"])
+        else:
+            assert rc == 0, capsys.readouterr().err
+            assert tamper_fields == {} and report["alerts"] == []
 
     @pytest.mark.parametrize("case", ["corrupt-device-0", "swap-ecu", "parity-flipped-back"])
     def test_unrepairable_cluster_is_an_alert(self, tmp_path, capsys, monkeypatch, case):

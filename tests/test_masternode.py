@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from autobox.auditcore import EventType, identity_hash
+from autobox.auditcore import EventType, MetadataError, identity_hash
 from autobox.dht import CheckpointRequired, DhtNetwork, node_id_for_serial
 from autobox.masternode import (
     MasterNode,
@@ -83,11 +83,14 @@ class TestMirror:
             master.put(nodes[rng.randrange(8)], record)
         assert master.mirror_size == 100
 
-    def test_repeated_key_keeps_first_payload(self):
+    def test_repeated_record_is_mirrored_once(self):
+        """A key fixes its payload hash: a forged twin cannot be made."""
         _, _, master = single_node_setup()
         record = make_record(sim_time=1)
+        with pytest.raises(MetadataError):
+            replace(record, payload_hash="00" * 32)
         master.mirror_update(record)
-        master.mirror_update(replace(record, payload_hash="00" * 32))
+        master.mirror_update(make_record(sim_time=1))
         assert master.mirror_size == 1
         assert master.mirrored(record.record_key) == record.payload_hash
 

@@ -10,6 +10,7 @@ import pytest
 from autobox.auditcore import AirbagStatus, EventType, ModuleMetadata, derive_vehicle_key
 from autobox.dht import owner_of
 from autobox.ledger import VerdictStatus, history_from_file
+from autobox.masternode import MetaHash
 from autobox.vehiclesim import (
     EVENT_FIELDS,
     KIND_FIELDS,
@@ -20,10 +21,12 @@ from autobox.vehiclesim import (
     ScenarioError,
     ScenarioEvent,
     ScenarioEventKind,
+    ScenarioResult,
     TAMPER_CLEAR_TOKEN,
     Vehicle,
     VehicleConfig,
     VehicleLane,
+    VehicleOutcome,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -196,6 +199,43 @@ class TestReflashVerdicts:
         )
         result = run_with_seeded_library(events=events, duration_s=3600)
         assert len(result.vehicles[0].vehicle_keys) == 2
+
+
+def config_with_versions(**versions):
+    """The desk vehicle with some modules at other software versions."""
+    config = make_vehicle_config()
+    modules = tuple(
+        replace(m, software_version=versions.get(m.module_id, m.software_version))
+        for m in config.modules
+    )
+    return replace(config, modules=modules)
+
+
+class TestLatestVersion:
+    """The vehicle key hashes the version of the latest official install."""
+
+    def test_assembly_takes_the_newest_version_by_its_integer_parts(self):
+        config = config_with_versions(ECU="9.0", BCM="10.0", TCM="9.10", HeadUnit="1.99")
+        vehicle = Vehicle(config)
+        assert vehicle.latest_version == "10.0"
+        serials = [m.serial_number for m in config.modules]
+        assert vehicle.vehicle_keys == [derive_vehicle_key(serials, "10.0")]
+
+    def test_reflash_sets_the_flashed_version_even_an_older_one(self):
+        vehicle = Vehicle(config_with_versions(BCM="10.0"))
+        vehicle.boot()
+        vehicle.handle_event(
+            event(ScenarioEventKind.UDS_REFLASH, 100, module_id="TCM", new_version="2.0")
+        )
+        assert vehicle.latest_version == "2.0"
+        assert len(vehicle.vehicle_keys) == 2
+
+    @pytest.mark.parametrize(
+        "version", ["1.4.2b", "", "v1.4", "1..4", "1.4.", "+1.4", "1.\u0664"]
+    )
+    def test_version_not_dotted_decimal_refused(self, version):
+        with pytest.raises(ScenarioError, match="dotted decimal"):
+            config_with_versions(ECU=version)
 
 
 class TestTamperDetection:
@@ -645,6 +685,29 @@ class TestReleasedAfterRun:
         assert alive == []
 
 
+def test_observed_library_keeps_each_digest_once_in_first_seen_order():
+    def outcome(vin, variant, digests):
+        captures = tuple(
+            MetaHash(d, 0, i + 1, 3600 * (i + 1), EventType.PERIODIC_INTERVAL)
+            for i, d in enumerate(digests)
+        )
+        return VehicleOutcome(vin, variant, (), captures, False, {})
+
+    result = ScenarioResult(
+        scenario=make_scenario(),
+        vehicles=(
+            outcome(VIN, "B", ["b2", "b1", "b2"]),
+            outcome(FLEET_VIN_2, "A", ["a1"]),
+            outcome(JUNKYARD_VIN, "B", ["b3", "b1"]),
+        ),
+        blocks=(),
+        verdicts=(),
+        alerts=(),
+        ground_truth=(),
+    )
+    assert result.observed_library() == {"A": ("a1",), "B": ("b2", "b1", "b3")}
+
+
 class TestFleet:
     def fleet_scenario(self, duration=3600):
         lane_a = VehicleLane(config=make_vehicle_config(), events=())
@@ -983,13 +1046,11 @@ class TestRefusedEventsLeaveStateAlone:
              dict(module_id="ECU", field="vin", forged_value=VIN + "\n")),
             (ScenarioEventKind.EEPROM_TAMPER,
              dict(module_id="ECU", field="design_date", forged_value="yesterday")),
-            (ScenarioEventKind.MODULE_SWAP,
-             dict(module_id="ECU", replacement=make_metadata("ECU", vin="BADVIN"))),
             (ScenarioEventKind.UDS_REFLASH, dict(module_id="ECU", new_version="1.0\n2")),
         ],
         ids=["device-x", "device-list", "device-missing", "odometer-list",
              "odometer-abc", "airbag-unknown", "vin-short", "vin-trailing-newline",
-             "date-not-iso", "swap-bad-vin", "reflash-version-newline"],
+             "date-not-iso", "reflash-version-newline"],
     )
     def test_bad_event_value_is_scenario_error(self, kind, fields):
         vehicle = Vehicle(make_vehicle_config())
