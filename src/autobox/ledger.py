@@ -18,15 +18,19 @@ block_hash covers ``index|prev_hash|entries_root``; entries_root is a
 binary Merkle root over the entry lines (leaf = SHA-256 of the line,
 duplicate-last when a level is odd). Block 0 links from 64 zero hex chars.
 
-The reader checks the bytes in place instead of parsing and re-encoding
-them. ``RECORD_HEAD``, beside ``LedgerBlock.file_record``, matches the
-length and header lines, and ``masternode.WIRE_LINE``, beside
-``Submission.wire_line``, each entry line, numbers only in canonical
-spelling. The length line must count the payload exactly and the header
-must equal the one recomputed from the raw entry bytes. Per vehicle key,
-checkpoint_seq must strictly increase along the chain, as on append: that
-rejects a duplicated last entry line, which keeps the Merkle root. An
-empty file is a valid chain of 0 blocks, the truncation at boundary 0.
+One walker, ``_walk``, reads the file and makes every check in place,
+without parsing and re-encoding: ``RECORD_HEAD``, beside
+``LedgerBlock.file_record``, matches the length and header lines, and
+``masternode.WIRE_LINE``, beside ``Submission.wire_line``, each entry
+line, numbers only in canonical spelling. The length line must count the
+payload exactly and the header must equal the one ``_seal`` recomputes
+from the raw entry bytes, the seal ``LedgerBlock.build`` writes. Per
+vehicle key, checkpoint_seq must strictly increase along the chain, as on
+append: that rejects a duplicated last entry line, which keeps the Merkle
+root. An empty file is a valid chain of 0 blocks, the truncation at
+boundary 0. ``verify_chain`` only drives the walker and builds no object;
+``load_ledger`` (and ``history_from_file`` through it) turns what the
+walker yields into ``LedgerBlock`` and ``Submission`` values.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .auditcore import is_hex_digest, sha256_hex
 from .masternode import WIRE_LINE, Submission
@@ -155,7 +159,13 @@ def merkle_root(leaves: Sequence[bytes]) -> bytes:
     return level[0]
 
 
-@dataclass(frozen=True)
+def _seal(index: int, prev_hash: str, leaves: Sequence[bytes]) -> tuple[str, str]:
+    """A block's entries root and block hash, both hex, over its leaves."""
+    root = merkle_root(leaves).hex()
+    return root, sha256_hex(f"{index}|{prev_hash}|{root}".encode("utf-8"))
+
+
+@dataclass(frozen=True, slots=True)
 class LedgerBlock:
     index: int
     prev_hash: str
@@ -164,22 +174,12 @@ class LedgerBlock:
     block_hash: str
 
     @classmethod
-    def build(
-        cls,
-        index: int,
-        prev_hash: str,
-        entries: Sequence[Submission],
-        leaves: Sequence[bytes] | None = None,
-    ) -> "LedgerBlock":
-        """Seal entries into a block; a caller holding their raw wire lines
-        passes ``leaves``, the SHA-256 of each, instead of re-encoding."""
+    def build(cls, index: int, prev_hash: str, entries: Sequence[Submission]) -> "LedgerBlock":
+        """Seal entries into a block over the SHA-256 of each wire line."""
         if not entries:
             raise ValueError("a block must carry at least one submission")
-        if leaves is None:
-            leaves = [hashlib.sha256(s.wire_line().encode("utf-8")).digest() for s in entries]
-        root = merkle_root(leaves).hex()
-        block_hash = sha256_hex(f"{index}|{prev_hash}|{root}".encode("utf-8"))
-        return cls(index, prev_hash, tuple(entries), root, block_hash)
+        leaves = [hashlib.sha256(s.wire_line().encode("utf-8")).digest() for s in entries]
+        return cls(index, prev_hash, tuple(entries), *_seal(index, prev_hash, leaves))
 
     def header(self) -> str:
         return f"{self.index}|{self.prev_hash}|{self.entries_root}|{self.block_hash}"
@@ -190,8 +190,14 @@ class LedgerBlock:
         return str(len(payload)).encode("ascii") + b"\n" + payload
 
 
+# int() refuses a digit string longer than sys.get_int_max_str_digits(),
+# which is 0 (no limit) or at least 640 (sys.int_info's
+# str_digits_check_threshold): no number in a shorter entry line reaches
+# it, so the walker test-parses sim_time only in a longer one.
+_SHORT_LINE = 640
+
 # A record's length line (the payload's byte count, canonical decimal) and
-# header line; the reader compares the header with ``LedgerBlock.header``.
+# header line; the walker compares the header with the one ``_seal`` gives.
 RECORD_HEAD = re.compile(rb"([1-9][0-9]*)\n([^\n]*)\n")
 
 
@@ -214,7 +220,7 @@ class AppendResult:
         return self.block.entries if self.block else ()
 
 
-def _advance(last_seq: dict[str, int], vehicle_key: str, seq: int) -> str | None:
+def _advance(last_seq: dict[Any, int], vehicle_key: str | bytes, seq: int) -> str | None:
     """Record ``seq`` as the vehicle's latest, or say why it is a replay.
 
     With ``WIRE_LINE`` this is the admission rule, on append and on read.
@@ -226,53 +232,79 @@ def _advance(last_seq: dict[str, int], vehicle_key: str, seq: int) -> str | None
     return None
 
 
-def _read_chain(path: str | Path) -> tuple[list[LedgerBlock], VerifyResult]:
-    """Walk a ledger file once, matching each record in place.
+class _BrokenBlock(Exception):
+    """``_walk`` stopped at block ``index``: it fails a check, or is cut off."""
+
+    def __init__(self, index: int):
+        super().__init__(index)
+        self.index = index
+
+
+def _walk(blob: bytes) -> Iterator[tuple[int, str, str, str, list[re.Match[bytes]]]]:
+    """Check every record of a ledger file in place, building no block or entry.
 
     A record must match ``RECORD_HEAD``, hold exactly the entry lines its
     length line counts, each matching ``WIRE_LINE`` and advancing its
-    vehicle's sequence, and carry the header recomputed from their bytes.
-    Returns the blocks up to the first one that fails, and the verdict.
+    vehicle's sequence, and carry the header ``_seal`` recomputes from
+    their bytes. Yields each accepted block's index, prev hash, entries
+    root, block hash and entry-line matches; raises ``_BrokenBlock`` at
+    the first block that fails.
     """
-    blob = Path(path).read_bytes()
-    blocks: list[LedgerBlock] = []
-    last_seq: dict[str, int] = {}
-    prev, pos = GENESIS_PREV, 0
-    while pos < len(blob):
+    last_seq: dict[bytes, int] = {}
+    prev, pos, index, size = GENESIS_PREV, 0, 0, len(blob)
+    while pos < size:
         head = RECORD_HEAD.match(blob, pos)
         if head is None:
-            break
-        entries, leaves = [], []
+            raise _BrokenBlock(index)
+        lines, leaves = [], []
         try:  # ValueError: no entry line, or an int past its digit limit
             pos, end = head.end(), head.start(2) + int(head[1])
-            while pos < end <= len(blob):
+            while pos < end <= size:
                 line = WIRE_LINE.match(blob, pos, end - 1)
-                if line is None or blob[line.end()] != 0x0A:
+                if line is None:
                     break
-                sub = Submission.from_match(line)
-                if _advance(last_seq, sub.vehicle_key, sub.checkpoint_seq):
+                start, pos = pos, line.end()
+                if blob[pos] != 0x0A:
                     break
-                entries.append(sub)
+                if pos - start > _SHORT_LINE:  # sim_time must parse for from_match
+                    int(line[5])
+                if _advance(last_seq, line[1], int(line[2])):
+                    break
+                lines.append(line)
                 leaves.append(hashlib.sha256(line[0]).digest())
-                pos = line.end() + 1
-            block = LedgerBlock.build(len(blocks), prev, entries, leaves)
+                pos += 1
+            root, block_hash = _seal(index, prev, leaves)
         except ValueError:
-            break
-        if pos != end or block.header().encode("ascii") != head[2]:
-            break
-        blocks.append(block)
-        prev = block.block_hash
-    else:
-        return blocks, VerifyResult(valid=True)
-    return blocks, VerifyResult(valid=False, broken_at=len(blocks))
+            raise _BrokenBlock(index) from None
+        if pos != end or f"{index}|{prev}|{root}|{block_hash}".encode("ascii") != head[2]:
+            raise _BrokenBlock(index)
+        yield index, prev, root, block_hash, lines
+        prev, index = block_hash, index + 1
 
 
 def verify_chain(path: str | Path) -> VerifyResult:
     """Check every block of a persisted ledger; report the first broken.
 
-    An empty file is a valid chain of 0 blocks.
+    An empty file is a valid chain of 0 blocks. Builds no block or entry.
     """
-    return _read_chain(path)[1]
+    try:
+        for _ in _walk(Path(path).read_bytes()):
+            pass
+    except _BrokenBlock as broken:
+        return VerifyResult(valid=False, broken_at=broken.index)
+    return VerifyResult(valid=True)
+
+
+def _read_chain(path: str | Path) -> tuple[list[LedgerBlock], VerifyResult]:
+    """The blocks ``_walk`` accepts, up to the first broken one, and the verdict."""
+    blocks: list[LedgerBlock] = []
+    try:
+        for index, prev, root, block_hash, lines in _walk(Path(path).read_bytes()):
+            entries = tuple(map(Submission.from_match, lines))
+            blocks.append(LedgerBlock(index, prev, entries, root, block_hash))
+    except _BrokenBlock as broken:
+        return blocks, VerifyResult(valid=False, broken_at=broken.index)
+    return blocks, VerifyResult(valid=True)
 
 
 def load_ledger(path: str | Path) -> list[LedgerBlock]:

@@ -47,7 +47,7 @@ class MetaHash:
     trigger: EventType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Submission:
     """Wire unit delivered to the full node, one per checkpoint.
 

@@ -133,6 +133,9 @@ class VehicleConfig:
 
     def __post_init__(self) -> None:
         validate_vin(self.vin)
+        # variant_code becomes a field of a tab-separated library line.
+        if not self.variant_code.isprintable():
+            raise ScenarioError(f"variant_code must be printable, got {self.variant_code!r}")
         if not self.modules:
             raise ScenarioError("vehicle needs at least one module")
         ids = [m.module_id for m in self.modules]
@@ -730,7 +733,7 @@ def _iso_date(text: str) -> date:
 
 
 _count = _narrowed(_integer, lambda n: n >= 0, "non-negative")
-# variant_code becomes a field of a tab-separated library line.
+# A module's variant_code is printable, as its vehicle's must be.
 _printable = _narrowed(_string, str.isprintable, "printable")
 _date = _parsed(_iso_date, "a YYYY-MM-DD date")
 _kind = _parsed(ScenarioEventKind, "an event kind")
@@ -794,7 +797,7 @@ MODULE_FIELDS = {
 _MODULE = _object(MODULE_FIELDS, lambda **f: _validated(ModuleMetadata, **f))
 VEHICLE_FIELDS = {
     "vin": (_string, _REQUIRED),
-    "variant_code": (_printable, _REQUIRED),
+    "variant_code": (_string, _REQUIRED),
     "modules": (_list(_MODULE, "module"), _REQUIRED),
     "dht_store_limit_bytes": (_integer, 2048),
     "parity_clusters": (_list(_list(_string, "member"), "cluster"), ()),

@@ -4,9 +4,10 @@
 block and compared its re-encoding with the bytes on disk. The current
 reader must return the same blocks and verdict on every golden fixture
 ledger, on the byte-substitution and truncation corpus of ``test_fuzz.py``,
-and on targeted edits. A targeted edit recomputes the Merkle root, the
-block hash and the links after it, so only the canonical-spelling, length,
-index and sequence checks can refuse it.
+and on targeted edits; ``verify_chain``, which walks the file without
+building a block, must return the same verdict. A targeted edit recomputes
+the Merkle root, the block hash and the links after it, so only the
+canonical-spelling, length, index and sequence checks can refuse it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import random
 import pytest
 
 from autobox import ledger
-from autobox.ledger import GENESIS_PREV, FullNode, VerifyResult, merkle_root
+from autobox.ledger import GENESIS_PREV, FullNode, LedgerBlock, VerifyResult, merkle_root
+from autobox.masternode import Submission
 from autobox.vehiclesim import load_scenario, run_scenario
 
 from conftest import record_spans, reference_read_chain, write_chain
@@ -29,7 +31,9 @@ from test_ledger import make_submission
 def assert_same_reading(path, blob: bytes, where) -> VerifyResult:
     path.write_bytes(blob)
     blocks, result = ledger._read_chain(path)
-    assert (blocks, result) == reference_read_chain(path), where
+    expected = reference_read_chain(path)
+    assert (blocks, result) == expected, where
+    assert ledger.verify_chain(path) == expected[1], where
     return result
 
 
@@ -62,6 +66,26 @@ def test_fuzz_corpus(tmp_path):
     cuts |= {end for _, _, end in record_spans(blob)}
     for cut in sorted(cuts):
         assert_same_reading(path, blob[:cut], f"cut at {cut}")
+
+
+def test_verify_builds_no_block_or_entry(tmp_path, monkeypatch):
+    """verify_chain makes every check on the raw bytes: with both
+    constructors of a read block refusing to run, it still gives its verdicts."""
+    result = run_scenario(load_scenario(DEMO_SCENARIO))
+    path = write_chain(tmp_path / "ledger.txt", result.blocks)
+    blob = path.read_bytes()
+    _, _, end = record_spans(blob)[2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_chain built a block or an entry")
+
+    monkeypatch.setattr(Submission, "from_match", refuse)
+    monkeypatch.setattr(LedgerBlock, "__init__", refuse)
+    assert ledger.verify_chain(path) == VerifyResult(valid=True)
+    flipped = bytearray(blob)
+    flipped[end - 2] ^= 1  # the last sim_time digit of block 2, still a digit
+    path.write_bytes(bytes(flipped))
+    assert ledger.verify_chain(path) == VerifyResult(valid=False, broken_at=2)
 
 
 # -- targeted edits -----------------------------------------------------------
@@ -173,6 +197,7 @@ TARGETED_EDITS = {
     "checkpoint-seq-0": _entry_field(1, lambda v: b"0"),
     "negative-sim-time": _entry_field(4, lambda v: b"-5"),
     "seq-past-int-digit-limit": _entry_field(1, lambda v: b"1" * 5000),
+    "sim-time-past-int-digit-limit": _entry_field(4, lambda v: b"1" * 5000),
     "two-blocks-swapped": _swap_blocks,
     "right-prev-wrong-index": _index(lambda v: b"11"),
 }

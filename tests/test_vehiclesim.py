@@ -1007,6 +1007,12 @@ class TestLibraryPathValidation:
         with pytest.raises(ScenarioError, match="VINs must be unique"):
             replace(scenario, lanes=scenario.lanes * 2)
 
+    def test_unprintable_variant_code_refused_on_replace(self):
+        """A tab would split the variant's library line into three fields."""
+        (lane,) = load_scenario(DEMO_SCENARIO).lanes
+        with pytest.raises(ScenarioError, match="variant_code must be printable"):
+            replace(lane.config, variant_code="EU\tBASE")
+
 
 class TestRefusedEventsLeaveStateAlone:
     def test_swap_to_a_fitted_serial_rejected_before_any_change(self):
