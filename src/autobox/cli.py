@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "-o",
         "--out",
-        default=os.environ.get("AUTOBOX_OUT", "autobox-out"),
         help="output directory (default: $AUTOBOX_OUT or ./autobox-out)",
     )
     run_p.add_argument(
@@ -96,6 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # once per process: main only parses
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -112,11 +114,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         scenario = replace(scenario, approved_library=library)
 
-    outdir = Path(args.out)
+    out = os.environ.get("AUTOBOX_OUT", "autobox-out") if args.out is None else args.out
+    outdir = Path(out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return _path_error(args.out, exc)
+        return _path_error(out, exc)
     started = time.perf_counter()
     try:
         result = run_scenario(scenario)
@@ -131,7 +134,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             Path(args.emit_library).write_bytes(text.encode("utf-8"))
         report = write_artifacts(result, outdir)
     except OSError as exc:
-        return _path_error(exc.filename or args.out, exc)
+        return _path_error(exc.filename or out, exc)
 
     _print_summary(report, elapsed)
     if report["findings"] and not args.expect_findings:
@@ -269,7 +272,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "verify": _cmd_verify,

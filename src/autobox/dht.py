@@ -19,7 +19,7 @@ silently dropping data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .auditcore import AuditRecord, sha256_hex
 
@@ -82,8 +82,7 @@ def detect_discrepancy(readings: Mapping[str, Hashable]) -> frozenset[str]:
     return frozenset(m for g in groups.values() if len(g) < best for m in g)
 
 
-@dataclass(frozen=True)
-class StoreReceipt:
+class StoreReceipt(NamedTuple):
     stored_at: str
     hops: int
     fallback: bool

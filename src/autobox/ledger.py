@@ -30,7 +30,9 @@ append: that rejects a duplicated last entry line, which keeps the Merkle
 root. An empty file is a valid chain of 0 blocks, the truncation at
 boundary 0. ``verify_chain`` only drives the walker and builds no object;
 ``load_ledger`` (and ``history_from_file`` through it) turns what the
-walker yields into ``LedgerBlock`` and ``Submission`` values.
+walker yields into ``LedgerBlock`` and ``Submission`` values. Both are
+``NamedTuple``s: immutable and hashable like a frozen dataclass, but
+built by one tuple allocation instead of a setattr per field.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .auditcore import is_hex_digest, sha256_hex
 from .masternode import WIRE_LINE, Submission
@@ -165,8 +167,7 @@ def _seal(index: int, prev_hash: str, leaves: Sequence[bytes]) -> tuple[str, str
     return root, sha256_hex(f"{index}|{prev_hash}|{root}".encode("utf-8"))
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerBlock:
+class LedgerBlock(NamedTuple):
     index: int
     prev_hash: str
     entries: tuple[Submission, ...]

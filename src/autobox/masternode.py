@@ -17,10 +17,11 @@ be dropped.
 
 Outbound, the master feeds a light client buffer. Each checkpoint queues
 as the Submission the full node will receive, stamped with the vehicle key
-the caller passes to that capture. Submissions queue while connectivity is
-down and drain strictly in order once it returns: each drain returns the
-whole backlog to the vehicle, which delivers it as one batch, so nothing
-is dropped or reordered. What the full node then refuses is reported by
+the caller passes to that capture. A Submission is a ``NamedTuple``, an
+immutable value that the ledger reader builds for every entry it loads.
+Submissions queue while connectivity is down and drain strictly in order
+once it returns: each drain returns the whole backlog to the vehicle,
+which delivers it as one batch, so nothing is dropped or reordered. What the full node then refuses is reported by
 the scenario run, not retried here.
 """
 
@@ -30,7 +31,7 @@ import hashlib
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .auditcore import AuditRecord, EventType
 from .dht import DhtNetwork, StoreReceipt
@@ -47,8 +48,7 @@ class MetaHash:
     trigger: EventType
 
 
-@dataclass(frozen=True, slots=True)
-class Submission:
+class Submission(NamedTuple):
     """Wire unit delivered to the full node, one per checkpoint.
 
     Encoding: ``vehicle_key|seq|digest|trigger|sim_time``, see ``WIRE_LINE``.

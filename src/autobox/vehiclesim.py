@@ -80,6 +80,10 @@ TAMPER_CLEAR_TOKEN = "SERVICE-TOOL"  # what the authorized service tool presents
 # scenario is refused rather than left to run for days.
 MAX_PERIODIC_CAPTURES = 10_000
 
+# One ground_truth.jsonl line: compact, keys sorted. Built once, since
+# json.dumps with any option builds a new encoder per call.
+_encode_ground_truth = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class ScenarioError(ValueError):
     """Scenario config or event list is invalid; nothing was simulated."""
@@ -302,7 +306,7 @@ class Vehicle:
     def _log(self, event: str, **detail: Any) -> None:
         """Log ground truth stamped with the current time and this VIN."""
         entry = {"sim_time": self.clock, "event": event, "vin": self.config.vin, **detail}
-        self.ground_truth.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+        self.ground_truth.append(_encode_ground_truth(entry))
 
     # -- record plumbing ------------------------------------------------------
 

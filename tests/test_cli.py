@@ -763,6 +763,35 @@ class TestAudit:
         assert "clean" in capsys.readouterr().out
 
 
+def test_commands_parse_with_the_parser_built_at_import(tmp_path, capsys, monkeypatch):
+    """``main`` builds no parser: with ``_build_parser`` refusing to run,
+    ``run``, ``verify``, ``history`` and ``audit`` on the demo exit 0 and
+    print what they printed before."""
+    out = tmp_path / "out"
+
+    def demo_stdout() -> list[str]:
+        assert cli.main(["run", str(DEMO_SCENARIO), "-o", str(out)]) == 0
+        printed = [masked_summary(capsys.readouterr().out)]
+        ledger = str(out / cli.LEDGER_FILE)
+        key = json.loads((out / cli.REPORT_FILE).read_text())["vehicles"][VIN][
+            "vehicle_keys"][-1]
+        snaps = sorted(str(p) for p in out.glob("*.snap"))
+        for argv in (["verify", ledger], ["history", ledger, key, "--machine"],
+                     ["audit", *snaps]):
+            assert cli.main(argv) == 0, argv
+            printed.append(capsys.readouterr().out)
+        return printed
+
+    before = demo_stdout()
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert demo_stdout() == before
+    assert before[1] == "valid\n" and before[2].count("\n") == 3 and "clean" in before[3]
+
+
 # Library files `run --library` must refuse with exit 2: file text (None:
 # no file at all) and the line number the error names (None: no line).
 BAD_LIBRARIES = {

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from autobox import ledger
+from autobox.dht import StoreReceipt
 from autobox.ledger import GENESIS_PREV, FullNode, LedgerBlock, VerifyResult, merkle_root
 from autobox.masternode import Submission
 from autobox.vehiclesim import load_scenario, run_scenario
@@ -86,6 +87,39 @@ def test_verify_builds_no_block_or_entry(tmp_path, monkeypatch):
     flipped[end - 2] ^= 1  # the last sim_time digit of block 2, still a digit
     path.write_bytes(bytes(flipped))
     assert ledger.verify_chain(path) == VerifyResult(valid=False, broken_at=2)
+
+
+def _values():
+    sub = make_submission()
+    return {
+        "Submission": sub,
+        "LedgerBlock": LedgerBlock.build(0, GENESIS_PREV, [sub]),
+        "StoreReceipt": StoreReceipt("ab" * 32, 1, False),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_values()))
+def test_values_are_immutable_and_hashable(kind):
+    value = _values()[kind]
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert hash(value) == hash(_values()[kind])
+
+
+def test_store_receipt_evicts_nothing_by_default():
+    assert StoreReceipt("ab" * 32, 1, False).evicted == ()
+
+
+def test_loaded_blocks_write_back_the_file_bytes(tmp_path):
+    """``load_ledger``'s values re-encode to exactly the bytes they were read from."""
+    result = run_scenario(load_scenario(DEMO_SCENARIO))
+    blob = write_chain(tmp_path / "ledger.txt", result.blocks).read_bytes()
+    blocks = ledger.load_ledger(tmp_path / "ledger.txt")
+    assert len(blocks) == len(result.blocks) > 1
+    assert b"".join(b.file_record() for b in blocks) == blob
 
 
 # -- targeted edits -----------------------------------------------------------
