@@ -8,13 +8,17 @@ every stored record with a digest of its bytes, which pins a corruption to
 the device whose records stop verifying. Locate via record hashes, repair
 via XOR.
 
-Checking every record at every scrub costs a hash call per record, so the
-cluster also keeps a running SHA-256 of the bytes appended to each data
-device. A live device is exactly the concatenation of its appended records,
-so a device whose whole-content digest matches holds no stale record; only
-the devices that differ get the per-record check. A cluster loaded from a
-snapshot has no write history, and all of its devices take the per-record
-check.
+Checking every record at every scrub costs a hash call per record, so a
+live cluster also keeps its write history: a running SHA-256 of the bytes
+appended to each data device, and a second copy of the parity device as
+the appends wrote it. A live device is exactly the concatenation of its
+appended records, so a device whose whole-content digest matches holds no
+stale record; only the devices that differ get the per-record check. When
+every data device matches, the XOR of the data devices is the parity as
+written, so the parity invariant is one comparison of the parity device
+with that copy. A cluster loaded from a snapshot has no write history: all
+of its devices take the per-record check, and parity is checked by folding
+every device.
 
 One device list holds the data devices at 0..d-1 and parity at d, where
 the PARITY sentinel resolves; a list beside it holds recorded lengths.
@@ -56,6 +60,14 @@ def _xor(stores: Iterable[bytes]) -> int:
     return acc
 
 
+def _fold_in(parity: bytearray, offset: int, payload: bytes) -> None:
+    """XOR payload into parity's own bytes at offset, zero-extending it."""
+    end = offset + len(payload)
+    if len(parity) < end:
+        parity.extend(bytes(end - len(parity)))
+    parity[offset:end] = _xor((parity[offset:end], payload)).to_bytes(len(payload), "little")
+
+
 def compute_parity(data_stores: Sequence[bytes]) -> bytes:
     """Byte-wise XOR across stores, shorter stores reading as zeroes.
 
@@ -81,6 +93,18 @@ class ScrubReport:
     records: frozenset[str] = frozenset()
 
 
+class WriteHistory(NamedTuple):
+    """What the appends wrote, kept apart from the devices they wrote to.
+
+    `digests` is a running SHA-256 of each data device's appended bytes;
+    `parity` is the parity device as the appends wrote it, updated from its
+    own bytes so that a corruption of the parity device never reaches it.
+    """
+
+    digests: list[hashlib._Hash]
+    parity: bytearray
+
+
 class ParityCluster:
     """d append-only data stores, one parity store, one record index."""
 
@@ -91,11 +115,9 @@ class ParityCluster:
         self._devices = [bytearray() for _ in range(device_count + 1)]
         self._lengths = [0] * (device_count + 1)  # recorded lengths survive erasure
         self._index: dict[str, RecordLocation] = {}
-        # Running SHA-256 of each data device's appended bytes; None for parity
-        # and where the write history is unknown (a snapshot-loaded cluster).
-        self._appended: list[hashlib._Hash | None] = [
-            hashlib.sha256() for _ in range(device_count)
-        ] + [None]
+        self._history: WriteHistory | None = WriteHistory(
+            [hashlib.sha256() for _ in range(device_count)], bytearray()
+        )
 
     def _resolve(self, device: DeviceRef) -> int:
         """Position of a device in the device list; parity sits at d."""
@@ -150,12 +172,10 @@ class ParityCluster:
         store = self._devices[idx]
         offset, end = len(store), len(store) + len(payload)
         store.extend(payload)
-        if (appended := self._appended[idx]) is not None:
-            appended.update(payload)
-        parity = self._devices[self.device_count]
-        if len(parity) < end:
-            parity.extend(bytes(end - len(parity)))
-        parity[offset:end] = _xor((parity[offset:end], payload)).to_bytes(len(payload), "little")
+        _fold_in(self._devices[self.device_count], offset, payload)
+        if (history := self._history) is not None:
+            history.digests[idx].update(payload)
+            _fold_in(history.parity, offset, payload)
         self._lengths[idx] = end
         self._lengths[self.device_count] = max(self._lengths[self.device_count], end)
         loc = RecordLocation(idx, offset, len(payload), hashlib.sha256(payload).hexdigest())
@@ -190,20 +210,23 @@ class ParityCluster:
         self._devices[idx] = bytearray(content)
 
 
-def _stale_records(cluster: ParityCluster, contents: dict[int, bytes]) -> dict[int, list[str]]:
-    """Device -> keys of its records whose bytes in contents[device] miss
-    their hash, for the devices that have any.
-
-    Content equal to everything appended to its device holds none; one
-    whole-device digest settles that before any record is hashed. The
-    other devices' records are checked in one walk of the index.
-    """
-    suspect = {
+def _suspects(cluster: ParityCluster, contents: dict[int, bytes]) -> dict[int, bytes]:
+    """The entries of contents (data device -> content) that may hold a
+    stale record: every one when the write history is unknown, otherwise
+    those whose whole-content digest differs from their appended bytes'."""
+    if (history := cluster._history) is None:
+        return contents
+    return {
         i: content
         for i, content in contents.items()
-        if (appended := cluster._appended[i]) is None
-        or hashlib.sha256(content).digest() != appended.digest()
+        if hashlib.sha256(content).digest() != history.digests[i].digest()
     }
+
+
+def _stale_records(cluster: ParityCluster, suspect: dict[int, bytes]) -> dict[int, list[str]]:
+    """Device -> keys of its records whose bytes in suspect[device] miss
+    their hash, for the suspect devices that have any, in one walk of the
+    record index."""
     stale: dict[int, list[str]] = {}
     for key, (device, offset, length, record_hash) in cluster._index.items() if suspect else ():
         content = suspect.get(device)
@@ -223,7 +246,8 @@ def scrub(cluster: ParityCluster) -> ScrubReport:
     intact indicts the parity device itself.
     """
     d = cluster.device_count
-    stale = _stale_records(cluster, dict(enumerate(cluster._devices[:d])))
+    suspect = _suspects(cluster, dict(enumerate(cluster._devices[:d])))
+    stale = _stale_records(cluster, suspect)
     if len(stale) > 1:
         raise MultiFaultError(f"record-hash mismatches on devices {sorted(stale)}; uncorrectable")
     if stale:
@@ -232,9 +256,16 @@ def scrub(cluster: ParityCluster) -> ScrubReport:
     # Appends keep the parity device exactly as long as the longest data
     # device, so a length drift is itself a parity fault (e.g. erasure whose
     # true parity happened to be all zeroes).
-    if cluster.is_erased(PARITY) or _xor(cluster._devices):
+    if cluster.is_erased(PARITY):
         return ScrubReport(clean=False, device=PARITY)
-    return ScrubReport(clean=True)
+    if suspect:
+        faulty = _xor(cluster._devices) != 0
+    else:
+        # No suspect device: the history is known and every data device holds
+        # what was appended, so their XOR is the parity as written, and the
+        # fold is zero exactly when the parity device equals that copy.
+        faulty = cluster._devices[d] != cluster._history.parity
+    return ScrubReport(clean=False, device=PARITY) if faulty else ScrubReport(clean=True)
 
 
 def reconstruct(cluster: ParityCluster, device: DeviceRef) -> bytes:
@@ -247,7 +278,9 @@ def reconstruct(cluster: ParityCluster, device: DeviceRef) -> bytes:
     length = cluster._lengths[idx]
     others = [store for i, store in enumerate(cluster._devices) if i != idx]
     content = (_xor(others) & ((1 << 8 * length) - 1)).to_bytes(length, "little")
-    if stale := _stale_records(cluster, {idx: content}):
+    if idx == cluster.device_count:  # parity holds no records to check
+        return content
+    if stale := _stale_records(cluster, _suspects(cluster, {idx: content})):
         raise MultiFaultError(
             f"reconstruction of device {idx} fails verification for "
             f"record {stale[idx][0][:12]}…; a second device must be corrupt"
@@ -312,7 +345,7 @@ def load_snapshot(blob: bytes) -> ParityCluster:
             raise ClusterError(f"snapshot truncated inside device {i}")
         pos += n
     cluster._lengths = lengths + [max(lengths)]
-    cluster._appended = [None] * (device_count + 1)
+    cluster._history = None
     index = cluster._index
     while pos < len(blob):
         line = INDEX_LINE.match(blob, pos)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from autobox import parity
 from autobox.parity import (
     PARITY,
     ClusterError,
@@ -264,6 +265,96 @@ class TestScrubAgainstPerRecordReference:
         assert report == ScrubReport(clean=False, device=1, records=frozenset({"ee" * 32}))
         repair(loaded, 1)
         assert scrub(loaded).clean
+
+
+def scrub_outcome(check, cluster: ParityCluster):
+    """A scrub's report, or the MultiFaultError class when it raises one."""
+    try:
+        return check(cluster)
+    except MultiFaultError:
+        return MultiFaultError
+
+
+class TestScrubDifferential:
+    """Live clusters under seeded random op sequences: after every op, scrub
+    (which compares parity with the parity as written whenever every data
+    device matches its appended bytes) reports exactly what the per-record,
+    byte-loop reference reports."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_ops_match_reference(self, d):
+        rng = random.Random(200 + d)
+        for _ in range(25):
+            cluster = ParityCluster(d)
+            n = 0
+
+            def append(device, size):
+                nonlocal n
+                cluster.append_record(device, f"{n:064x}", rng.randbytes(size))
+                n += 1
+
+            for _ in range(20):
+                op = rng.choice(["append", "append", "empty", "flip", "flip_under_append",
+                                 "erase", "repair"])
+                live = [i for i in range(d) if not cluster.is_erased(i)]
+                if op in ("append", "empty") and live:
+                    append(rng.choice(live), 0 if op == "empty" else rng.randint(1, 24))
+                elif op == "flip":
+                    device = rng.choice([*range(d), PARITY])
+                    if content := (cluster.parity_store if device == PARITY
+                                   else cluster.data_store(device)):
+                        cluster.corrupt_byte(device, rng.randrange(len(content)))
+                elif op == "flip_under_append" and live:
+                    # Flip the parity byte that the next append XORs into.
+                    device = rng.choice(live)
+                    offset = cluster.recorded_length(device)
+                    if offset < len(cluster.parity_store):
+                        cluster.corrupt_byte(PARITY, offset)
+                        assert scrub_outcome(scrub, cluster) == scrub_outcome(
+                            per_record_scrub, cluster
+                        )
+                    append(device, rng.randint(1, 24))
+                elif op == "erase":
+                    cluster.erase_device(rng.choice([*range(d), PARITY]))
+                elif op == "repair":
+                    report = scrub_outcome(scrub, cluster)
+                    if report is not MultiFaultError and not report.clean:
+                        try:
+                            repair(cluster, report.device)
+                        except MultiFaultError:
+                            pass
+                assert scrub_outcome(scrub, cluster) == scrub_outcome(per_record_scrub, cluster)
+
+
+class TestScrubWithoutFold:
+    def test_live_cluster_checks_parity_without_folding(self, monkeypatch):
+        """A live cluster whose data devices all match their appended bytes
+        checks parity against the parity as written, not with the XOR fold;
+        a cluster loaded from a snapshot has no write history and folds."""
+        rng = random.Random(130)
+        cluster, _ = build_cluster(rng, 3)
+        loaded = load_snapshot(save_snapshot(cluster))
+
+        def refuse(stores):
+            raise AssertionError("scrub folded every device")
+
+        monkeypatch.setattr(parity, "_xor", refuse)
+        assert scrub(cluster) == ScrubReport(clean=True)
+        cluster.corrupt_byte(PARITY, len(cluster.parity_store) // 2)
+        assert scrub(cluster) == ScrubReport(clean=False, device=PARITY)
+        with pytest.raises(AssertionError, match="folded"):
+            scrub(loaded)
+
+    def test_loaded_cluster_detects_erased_zero_parity(self):
+        """The fold of a loaded cluster reads an erased all-zero parity as
+        consistent; the recorded length still reports it."""
+        cluster = ParityCluster(2)
+        cluster.append_record(0, "aa" * 32, b"same-bytes")
+        cluster.append_record(1, "bb" * 32, b"same-bytes")
+        loaded = load_snapshot(save_snapshot(cluster))
+        loaded.erase_device(PARITY)
+        assert scrub(loaded) == ScrubReport(clean=False, device=PARITY)
+        assert scrub(loaded) == per_record_scrub(loaded)
 
 
 class TestReconstruct:
