@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--library",
         default=None,
-        help="approved-library file overriding the scenario's library section",
+        help="approved-library file to judge every checkpoint against",
     )
     run_p.add_argument(
         "--emit-library",

@@ -9,21 +9,20 @@ the device whose records stop verifying. Locate via record hashes, repair
 via XOR.
 
 Checking every record at every scrub costs a hash call per record, so a
-live cluster also keeps its write history: a running SHA-256 of the bytes
-appended to each data device, and a second copy of the parity device as
-the appends wrote it. A live device is exactly the concatenation of its
-appended records, so a device whose whole-content digest matches holds no
-stale record; only the devices that differ get the per-record check. When
-every data device matches, the XOR of the data devices is the parity as
-written, so the parity invariant is one comparison of the parity device
-with that copy. A cluster loaded from a snapshot has no write history: all
-of its devices take the per-record check, and parity is checked by folding
-every device.
+live cluster also keeps what its appends wrote: a copy of every device,
+data and parity, that only appends update and that no device is ever
+copied into. A data device equal to its copy holds no stale record; only
+the devices that differ get the per-record check. When every data device
+equals its copy, their XOR is the parity copy, so the parity invariant is
+one comparison of the parity device with that copy. A cluster loaded from
+a snapshot has no write history: all of its devices take the per-record
+check, and parity is checked by folding every device.
 
 One device list holds the data devices at 0..d-1 and parity at d, where
-the PARITY sentinel resolves; a list beside it holds recorded lengths.
-XOR folds stores read as little-endian ints: zero bytes on the right of a
-store are high-order zero digits, so unequal stores need no padding.
+the PARITY sentinel resolves; lists beside it hold recorded lengths and
+the written copies. XOR folds stores read as little-endian ints: zero
+bytes on the right of a store are high-order zero digits, so unequal
+stores need no padding.
 
 Single-fault model throughout: two devices disagreeing at once is reported
 as uncorrectable, never silently "fixed".
@@ -93,18 +92,6 @@ class ScrubReport:
     records: frozenset[str] = frozenset()
 
 
-class WriteHistory(NamedTuple):
-    """What the appends wrote, kept apart from the devices they wrote to.
-
-    `digests` is a running SHA-256 of each data device's appended bytes;
-    `parity` is the parity device as the appends wrote it, updated from its
-    own bytes so that a corruption of the parity device never reaches it.
-    """
-
-    digests: list[hashlib._Hash]
-    parity: bytearray
-
-
 class ParityCluster:
     """d append-only data stores, one parity store, one record index."""
 
@@ -115,9 +102,8 @@ class ParityCluster:
         self._devices = [bytearray() for _ in range(device_count + 1)]
         self._lengths = [0] * (device_count + 1)  # recorded lengths survive erasure
         self._index: dict[str, RecordLocation] = {}
-        self._history: WriteHistory | None = WriteHistory(
-            [hashlib.sha256() for _ in range(device_count)], bytearray()
-        )
+        # The devices as appended, never copied from one; None when unknown.
+        self._written: list[bytearray] | None = [bytearray() for _ in range(device_count + 1)]
 
     def _resolve(self, device: DeviceRef) -> int:
         """Position of a device in the device list; parity sits at d."""
@@ -173,9 +159,9 @@ class ParityCluster:
         offset, end = len(store), len(store) + len(payload)
         store.extend(payload)
         _fold_in(self._devices[self.device_count], offset, payload)
-        if (history := self._history) is not None:
-            history.digests[idx].update(payload)
-            _fold_in(history.parity, offset, payload)
+        if (written := self._written) is not None:
+            written[idx].extend(payload)
+            _fold_in(written[self.device_count], offset, payload)
         self._lengths[idx] = end
         self._lengths[self.device_count] = max(self._lengths[self.device_count], end)
         loc = RecordLocation(idx, offset, len(payload), hashlib.sha256(payload).hexdigest())
@@ -213,14 +199,10 @@ class ParityCluster:
 def _suspects(cluster: ParityCluster, contents: dict[int, bytes]) -> dict[int, bytes]:
     """The entries of contents (data device -> content) that may hold a
     stale record: every one when the write history is unknown, otherwise
-    those whose whole-content digest differs from their appended bytes'."""
-    if (history := cluster._history) is None:
+    those that differ from the bytes appended to them."""
+    if (written := cluster._written) is None:
         return contents
-    return {
-        i: content
-        for i, content in contents.items()
-        if hashlib.sha256(content).digest() != history.digests[i].digest()
-    }
+    return {i: content for i, content in contents.items() if content != written[i]}
 
 
 def _stale_records(cluster: ParityCluster, suspect: dict[int, bytes]) -> dict[int, list[str]]:
@@ -240,7 +222,7 @@ def _stale_records(cluster: ParityCluster, suspect: dict[int, bytes]) -> dict[in
 def scrub(cluster: ParityCluster) -> ScrubReport:
     """Check every data device's records and the parity invariant.
 
-    A device whose digest matches its appended bytes is intact as a whole;
+    A data device equal to what was appended to it is intact as a whole;
     any other device has each record hash checked. Record-hash mismatches
     locate the corrupt data device; a parity mismatch with all records
     intact indicts the parity device itself.
@@ -264,7 +246,7 @@ def scrub(cluster: ParityCluster) -> ScrubReport:
         # No suspect device: the history is known and every data device holds
         # what was appended, so their XOR is the parity as written, and the
         # fold is zero exactly when the parity device equals that copy.
-        faulty = cluster._devices[d] != cluster._history.parity
+        faulty = cluster._devices[d] != cluster._written[d]
     return ScrubReport(clean=False, device=PARITY) if faulty else ScrubReport(clean=True)
 
 
@@ -319,8 +301,9 @@ def save_snapshot(cluster: ParityCluster) -> bytes:
 
 
 # The header and index lines in the one spelling save_snapshot writes:
-# canonical decimals, and 64-hex record keys and hashes.
-_NUMBER = rb"(?:0|[1-9][0-9]*)"
+# canonical decimals, and 64-hex record keys and hashes. No snapshot needs
+# a number of more than 18 digits, and int() reads any number of 18.
+_NUMBER = rb"(?:0|[1-9][0-9]{0,17})"
 SNAPSHOT_HEADER = re.compile(
     rb"d=(%s) lengths=(%s(?:,%s)*) parity_len=(%s)\n" % ((_NUMBER,) * 4)
 )
@@ -345,7 +328,7 @@ def load_snapshot(blob: bytes) -> ParityCluster:
             raise ClusterError(f"snapshot truncated inside device {i}")
         pos += n
     cluster._lengths = lengths + [max(lengths)]
-    cluster._history = None
+    cluster._written = None
     index = cluster._index
     while pos < len(blob):
         line = INDEX_LINE.match(blob, pos)

@@ -105,6 +105,26 @@ class ScenarioEventKind(str, Enum):
     CLEAR_TAMPER_FLAG = "ClearTamperFlag"
 
 
+# The fields each kind takes besides sim_time and kind, as in the README's
+# event table. A kind needs all of them, except that ClearTamperFlag may
+# lack its token: that is an unauthorized attempt, refused at run time.
+KIND_FIELDS = {
+    ScenarioEventKind.DRIVE: {"km"},
+    ScenarioEventKind.OBD_PLUG_IN: set(),
+    ScenarioEventKind.CONFIG_CHANGE: set(),
+    ScenarioEventKind.SERVICE_NOTICE: set(),
+    ScenarioEventKind.UDS_REFLASH: {"module_id", "new_version"},
+    ScenarioEventKind.EEPROM_TAMPER: {"module_id", "field", "forged_value"},
+    ScenarioEventKind.MODULE_SWAP: {"module_id", "replacement"},
+    ScenarioEventKind.NODE_FAILURE: {"module_id"},
+    ScenarioEventKind.NODE_RECOVERY: {"module_id"},
+    ScenarioEventKind.MEMORY_CORRUPTION: {"cluster", "device", "byte_offset"},
+    ScenarioEventKind.CONNECTIVITY_OUTAGE: {"end"},
+    ScenarioEventKind.REBOOT: set(),
+    ScenarioEventKind.CLEAR_TAMPER_FLAG: {"token"},
+}
+
+
 @dataclass(frozen=True)
 class ScenarioEvent:
     """One scripted occurrence; ``KIND_FIELDS`` lists the fields each kind takes."""
@@ -122,6 +142,16 @@ class ScenarioEvent:
     byte_offset: int | None = None
     end: int | None = None
     token: str | None = None
+
+    def __post_init__(self) -> None:
+        takes = KIND_FIELDS[self.kind]
+        given = {name for name, value in vars(self).items() if value is not None}
+        extra = sorted(given - takes - {"sim_time", "kind"})
+        if extra:
+            raise ScenarioError(f"{self.kind.value} event does not take {extra}")
+        missing = sorted(takes - given - {"token"})
+        if missing:
+            raise ScenarioError(f"{self.kind.value} event needs {missing}")
 
 
 @dataclass(frozen=True)
@@ -453,7 +483,7 @@ class Vehicle:
         handler(event)
 
     def _on_drive(self, event: ScenarioEvent) -> None:
-        km = event.km or 0
+        km = event.km
         if km < 0:
             raise ScenarioError("Drive km must be non-negative")
         stride = self.config.mileage_stride_km
@@ -524,8 +554,6 @@ class Vehicle:
     def _on_module_swap(self, event: ScenarioEvent) -> None:
         module_id = self._require_module(event.module_id)
         replacement = event.replacement
-        if replacement is None:
-            raise ScenarioError("ModuleSwap needs replacement metadata")
         if replacement.module_id != module_id:
             raise ScenarioError(
                 f"replacement module_id {replacement.module_id!r} does not fit "
@@ -571,10 +599,10 @@ class Vehicle:
         self._log("node_recovery", module=module_id)
 
     def _on_memory_corruption(self, event: ScenarioEvent) -> None:
-        if event.cluster is None or not 0 <= event.cluster < len(self.clusters):
+        if not 0 <= event.cluster < len(self.clusters):
             raise ScenarioError(f"MemoryCorruption: unknown cluster {event.cluster!r}")
         cluster = self.clusters[event.cluster]
-        offset = event.byte_offset or 0
+        offset = event.byte_offset
         try:
             pre, post = cluster.corrupt_byte(event.device, offset)
         except parity.ClusterError as exc:
@@ -824,40 +852,7 @@ EVENT_FIELDS = {
     "end": (_integer, None),
     "token": (_string, None),
 }
-# The fields each kind takes besides sim_time and kind, as in the README's
-# event table. A kind needs all of them, except that ClearTamperFlag may
-# lack its token: that is an unauthorized attempt, refused at run time.
-KIND_FIELDS = {
-    ScenarioEventKind.DRIVE: {"km"},
-    ScenarioEventKind.OBD_PLUG_IN: set(),
-    ScenarioEventKind.CONFIG_CHANGE: set(),
-    ScenarioEventKind.SERVICE_NOTICE: set(),
-    ScenarioEventKind.UDS_REFLASH: {"module_id", "new_version"},
-    ScenarioEventKind.EEPROM_TAMPER: {"module_id", "field", "forged_value"},
-    ScenarioEventKind.MODULE_SWAP: {"module_id", "replacement"},
-    ScenarioEventKind.NODE_FAILURE: {"module_id"},
-    ScenarioEventKind.NODE_RECOVERY: {"module_id"},
-    ScenarioEventKind.MEMORY_CORRUPTION: {"cluster", "device", "byte_offset"},
-    ScenarioEventKind.CONNECTIVITY_OUTAGE: {"end"},
-    ScenarioEventKind.REBOOT: set(),
-    ScenarioEventKind.CLEAR_TAMPER_FLAG: {"token"},
-}
-
-
-def _event(name: str, value: Any) -> ScenarioEvent:
-    """An event with exactly the fields its kind takes."""
-    f = _fields(value, EVENT_FIELDS, name)
-    kind, takes = f["kind"], KIND_FIELDS[f["kind"]]
-    extra = sorted(value.keys() - takes - {"sim_time", "kind"})
-    if extra:
-        raise ScenarioError(f"{kind.value} event does not take {extra}")
-    missing = sorted(takes - value.keys() - {"token"})
-    if missing:
-        raise ScenarioError(f"{kind.value} event needs {missing}")
-    return ScenarioEvent(**f)
-
-
-_EVENTS = _list(_event, "event")
+_EVENTS = _list(_object(EVENT_FIELDS, ScenarioEvent), "event")
 _VEHICLE = _object(VEHICLE_FIELDS, lambda **f: _validated(VehicleConfig, **f))
 LANE_FIELDS = {"vehicle": (_VEHICLE, _REQUIRED), "events": (_EVENTS, ())}
 _LANE = _object(LANE_FIELDS, lambda vehicle, events: VehicleLane(vehicle, events))
@@ -938,7 +933,13 @@ class ScenarioResult:
 
     @property
     def findings(self) -> bool:
+        """A verdict other than Approved, a latched tamper flag, or, in a run
+        with a library, an accepted checkpoint that got no verdict."""
         if any(v.status is not VerdictStatus.APPROVED for v in self.verdicts):
+            return True
+        if self.scenario.approved_library is not None and len(self.verdicts) < sum(
+            len(block.entries) for block in self.blocks
+        ):
             return True
         return any(v.tamper_flag for v in self.vehicles)
 

@@ -153,6 +153,7 @@ BAD_INDEX_EDITS = {
     "key-not-64-hex": _edit_index_line(0, "aa" * 31),
     "length-past-device": _edit_index_line(3, "99"),
     "negative-offset": _edit_index_line(2, "-1"),
+    "offset-past-int-digit-limit": _edit_index_line(2, "9" * 5000),
     "hash-not-hex": _edit_index_line(4, "zz" * 32),
     "four-fields": lambda blob: blob + b"cc" * 32 + b"\t0\t0\t1\n",
     "repeated-key": _repeat_index_line,

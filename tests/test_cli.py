@@ -740,6 +740,8 @@ class TestAudit:
             b"d=3 d=2 lengths=1090,769 parity_len=1090",
             b"d=2 lengths=1090,769 lengths=1090,769 parity_len=1090",
             b"d=2  lengths=1090,769 parity_len=1090",
+            pytest.param(b"d=" + b"9" * 5000 + b" lengths=0 parity_len=0",
+                         id="d-past-int-digit-limit"),
         ],
     )
     def test_non_canonical_header_exit_two(self, demo_snapshot, tmp_path, capsys, header):
@@ -790,6 +792,45 @@ def test_commands_parse_with_the_parser_built_at_import(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "_build_parser", refuse)
     assert demo_stdout() == before
     assert before[1] == "valid\n" and before[2].count("\n") == 3 and "clean" in before[3]
+
+
+class TestCheckpointsWithoutVerdict:
+    """An audit run whose accepted checkpoints get no verdict has findings,
+    however clean the checkpoints it did judge."""
+
+    @pytest.mark.parametrize(
+        "library", ["US-BASE\t" + "aa" * 32 + "\n", ""], ids=["other-variant", "empty"]
+    )
+    def test_library_without_the_variant_exit_one(self, tmp_path, capsys, library):
+        lib = tmp_path / "lib.tsv"
+        lib.write_text(library)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(DEMO_SCENARIO), "-o", str(out), "--library", str(lib)]) == 1
+        summary = capsys.readouterr().out
+        assert summary.count("no approved digests on file for variant 'EU-BASE'") == 5
+        assert "findings: yes" in summary
+        assert json.loads((out / cli.REPORT_FILE).read_text())["findings"] is True
+
+    def test_swap_to_an_unregistered_key_exit_one(self, tmp_path, capsys):
+        """Without the demo's reflash no official install registers the key
+        that a serial-only HeadUnit swap at 1000 rotates to."""
+        obj = json.loads(DEMO_SCENARIO.read_text())
+        obj["events"] = [e for e in obj["events"] if e["kind"] != "UdsReflash"]
+        calibration = write_scenario(tmp_path, obj, "builder.json")
+        lib = tmp_path / "lib.tsv"
+        assert cli.main(["run", str(calibration), "-o", str(tmp_path / "builder"),
+                         "--emit-library", str(lib)]) == 0
+        replacement = dict(obj["vehicle"]["modules"][3], serial_number="HU-SN-999999")
+        obj["events"].insert(1, {"sim_time": 1000, "kind": "ModuleSwap",
+                                 "module_id": "HeadUnit", "replacement": replacement})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["run", str(write_scenario(tmp_path, obj)), "-o", str(out),
+                         "--library", str(lib)]) == 1
+        summary = capsys.readouterr().out
+        assert summary.count("has no registered variant") == 5
+        assert "findings: yes" in summary
+        assert (out / cli.VERDICTS_FILE).read_bytes() == b""
 
 
 # Library files `run --library` must refuse with exit 2: file text (None:

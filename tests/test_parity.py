@@ -357,6 +357,43 @@ class TestScrubWithoutFold:
         assert scrub(loaded) == per_record_scrub(loaded)
 
 
+class TestScrubHashesNothing:
+    """A live cluster's scrub compares each device with what was appended to
+    it: while every device matches it hashes nothing, and a data device
+    that differs still takes the per-record check."""
+
+    @staticmethod
+    def scrub_unhashed(cluster: ParityCluster) -> ScrubReport:
+        def refuse(*args):
+            raise AssertionError("scrub hashed")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parity.hashlib, "sha256", refuse)
+            return scrub(cluster)
+
+    def test_intact_live_cluster_scrubs_clean(self):
+        cluster, _ = build_cluster(random.Random(131), 3)
+        assert self.scrub_unhashed(cluster) == ScrubReport(clean=True)
+
+    def test_parity_flip_reported(self):
+        cluster, _ = build_cluster(random.Random(132), 3)
+        cluster.corrupt_byte(PARITY, len(cluster.parity_store) // 2)
+        assert self.scrub_unhashed(cluster) == ScrubReport(clean=False, device=PARITY)
+
+    def test_data_flip_located_by_record_check(self):
+        cluster, originals = build_cluster(random.Random(133), 3)
+        offset = len(originals[1]) // 2
+        cluster.corrupt_byte(1, offset)
+        with pytest.raises(AssertionError, match="hashed"):
+            self.scrub_unhashed(cluster)
+        report = scrub(cluster)
+        assert report.device == 1 and report == per_record_scrub(cluster)
+        assert all(
+            loc.offset <= offset < loc.offset + loc.length
+            for loc in map(cluster.record_index.get, report.records)
+        )
+
+
 class TestReconstruct:
     def test_parity_of_clean_cluster(self):
         rng = random.Random(51)
@@ -441,6 +478,10 @@ class TestSnapshot:
     def test_garbage_rejected(self):
         with pytest.raises(ClusterError):
             load_snapshot(b"not a snapshot")
+
+    def test_header_number_past_int_digit_limit_rejected(self):
+        with pytest.raises(ClusterError, match="header"):
+            load_snapshot(b"d=" + b"9" * 5000 + b" lengths=0 parity_len=0\n")
 
     def test_two_device_snapshot_loads_clean(self):
         assert scrub(load_snapshot(two_device_snapshot())).clean

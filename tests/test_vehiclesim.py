@@ -1013,6 +1013,22 @@ class TestLibraryPathValidation:
         with pytest.raises(ScenarioError, match="variant_code must be printable"):
             replace(lane.config, variant_code="EU\tBASE")
 
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            (ScenarioEventKind.DRIVE, {}, r"Drive event needs \['km'\]"),
+            (ScenarioEventKind.REBOOT, dict(km=5000), r"Reboot event does not take \['km'\]"),
+            (ScenarioEventKind.MEMORY_CORRUPTION, dict(cluster=0, device=0),
+             r"MemoryCorruption event needs \['byte_offset'\]"),
+        ],
+        ids=["drive-without-km", "reboot-with-km", "corruption-without-offset"],
+    )
+    def test_event_fields_follow_its_kind(self, kind, fields, message):
+        with pytest.raises(ScenarioError, match=message):
+            event(kind, 100, **fields)
+        with pytest.raises(ScenarioError, match=message):
+            replace(event(ScenarioEventKind.OBD_PLUG_IN, 100), kind=kind, **fields)
+
 
 class TestRefusedEventsLeaveStateAlone:
     def test_swap_to_a_fitted_serial_rejected_before_any_change(self):
@@ -1065,6 +1081,15 @@ class TestRefusedEventsLeaveStateAlone:
         with pytest.raises(ScenarioError):
             vehicle.handle_event(event(kind, 100, **fields))
         assert (vehicle.scd, vehicle.modules) == (scd, modules)
+
+    @pytest.mark.parametrize("device", ["x", [1]], ids=["device-x", "device-list"])
+    def test_corruption_of_no_device_is_scenario_error(self, device):
+        vehicle = Vehicle(make_vehicle_config())
+        vehicle.boot()
+        flip = event(ScenarioEventKind.MEMORY_CORRUPTION, 100, cluster=0, device=device,
+                     byte_offset=0)
+        with pytest.raises(ScenarioError, match="no device"):
+            vehicle.handle_event(flip)
 
 
 class TestDetectionCompleteness:
