@@ -15,15 +15,17 @@ All digests are SHA-256 and are rendered as lowercase hex wherever a
 textual encoding is needed. Timestamps are simulated-clock integers;
 nothing in this package reads the wall clock.
 
-Values are valid by construction: ``ModuleMetadata`` and ``AuditRecord``
-raise MetadataError as an invalid instance is made, ``dataclasses.replace``
-included, so nothing downstream checks them again.
+Values are valid by construction: ``ModuleMetadata`` raises MetadataError
+as an invalid instance is made, ``dataclasses.replace`` included, so
+nothing downstream checks it again. An ``AuditRecord`` takes no key: it
+derives ``record_key`` from its own fields, so no record carries a key
+that does not match it.
 
-A metadata instance is hashed once: ``ModuleMetadata.payload_hash``
-memoises the digest of its canonical form on the instance. That is safe
-because metadata is frozen and every mutation (reflash, tamper, swap)
-replaces the instance, so the new one hashes afresh. Record keys still
-depend on the emission time and are computed per record.
+Each value is hashed once: ``ModuleMetadata.payload_hash``,
+``AuditRecord.record_key`` and ``AuditRecord.line`` are memoised on the
+instance. That is safe because both types are frozen and every mutation
+(reflash, tamper, swap) replaces the instance, so the new one hashes
+afresh.
 """
 
 from __future__ import annotations
@@ -134,20 +136,23 @@ class SharedCriticalData:
 class AuditRecord:
     """One hashed, timestamped, typed event as stored in the DHT.
 
-    record_key is recomputed from the other fields as the record is made,
-    and a mismatch raises MetadataError, so a key fixes its payload hash.
+    The key and the stored line are derived from the fields, once each.
     """
 
-    record_key: str
     module_id: str
     event_type: EventType
     sim_time: int
     payload_hash: str
 
-    def __post_init__(self) -> None:
-        key = compute_record_key(self.module_id, self.event_type, self.sim_time, self.payload_hash)
-        if self.record_key != key:
-            raise MetadataError("record_key does not match record contents")
+    @cached_property
+    def record_key(self) -> str:
+        return compute_record_key(self.module_id, self.event_type, self.sim_time, self.payload_hash)
+
+    @cached_property
+    def line(self) -> bytes:
+        """The dump line and its newline, UTF-8: the bytes a node store
+        accounts for and a parity-cluster device holds."""
+        return (self.dump_line() + "\n").encode("utf-8")
 
     def dump_line(self) -> str:
         """Audit dump encoding: key, module, event, time, payload hash."""
@@ -202,16 +207,7 @@ def identity_hash(
     """Produce the audit record a module emits to self-identify."""
     if sim_time < 0:
         raise ValueError("sim_time must be non-negative")
-    payload_hash = metadata.payload_hash
-    return AuditRecord(
-        record_key=compute_record_key(
-            metadata.module_id, event_type, sim_time, payload_hash
-        ),
-        module_id=metadata.module_id,
-        event_type=event_type,
-        sim_time=sim_time,
-        payload_hash=payload_hash,
-    )
+    return AuditRecord(metadata.module_id, event_type, sim_time, metadata.payload_hash)
 
 
 def derive_vehicle_key(serials: Iterable[str], latest_version: str) -> str:

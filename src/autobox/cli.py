@@ -161,17 +161,16 @@ def write_artifacts(result: ScenarioResult, outdir: Path) -> dict:
 
 def _build_report(result: ScenarioResult) -> dict:
     """The run report; its vehicles keep the scenario's order."""
+    by_key: dict[str, Counter] = {}
+    for verdict in result.verdicts:
+        by_key.setdefault(verdict.vehicle_key, Counter())[verdict.status.value] += 1
     vehicles = {}
     for v in result.vehicles:
         vehicles[v.vin] = {
             "variant_code": v.variant_code,
             "vehicle_keys": list(v.vehicle_keys),
             "checkpoints": len(v.captures),
-            "verdicts": Counter(
-                verdict.status.value
-                for verdict in result.verdicts
-                if verdict.vehicle_key in v.vehicle_keys
-            ),
+            "verdicts": sum((by_key.get(k, Counter()) for k in v.vehicle_keys), Counter()),
             "tamper_flag": v.tamper_flag,
             "tamper_fields": {
                 f: sorted(mods) for f, mods in sorted(v.tamper_details.items())

@@ -8,17 +8,20 @@ placement is one hop: a scan of the live ids picks the closest live node.
 A failed node loses its storage role only; its module still speaks on the
 bus, and what it emits lands on the closest live node instead.
 
-Node stores are byte-bounded. A record's accounted size is the byte length
-of its dump line plus the newline: the bytes the same record takes on a
-parity-cluster device. A record becomes eviction-eligible only once a
-checkpoint covers it (each capture calls ``cover`` on every stored record);
-filling a store with uncovered records raises CheckpointRequired instead of
-silently dropping data.
+Node stores are byte-bounded. A record's accounted size is the length of
+``AuditRecord.line``: the bytes the same record takes on a parity-cluster
+device. A record becomes eviction-eligible only once a checkpoint covers it
+(each capture calls ``cover``); filling a store with uncovered records
+raises CheckpointRequired instead of silently dropping data.
+
+Coverage is a count per node, not a flag per record. Records enter a store
+only at the end, a re-put is a no-op and only covered records leave, so
+the covered records are always the first ``_covered`` in insertion order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .auditcore import AuditRecord, sha256_hex
@@ -89,25 +92,19 @@ class StoreReceipt(NamedTuple):
     evicted: tuple[str, ...] = ()
 
 
-@dataclass
-class _Stored:
-    record: AuditRecord
-    size: int
-    covered: bool = False
-
-
 class DhtNode:
     """One module's slice of the table: a bounded record store."""
 
     def __init__(self, node_id: str, store_limit_bytes: int = DEFAULT_STORE_LIMIT_BYTES):
         self.node_id = node_id
         self.store_limit_bytes = store_limit_bytes
-        self._store: dict[str, _Stored] = {}
+        self._store: dict[str, AuditRecord] = {}
         self._used = 0
+        self._covered = 0  # the first _covered records of _store
 
     @staticmethod
     def record_size(record: AuditRecord) -> int:
-        return len(record.dump_line().encode("utf-8")) + 1
+        return len(record.line)
 
     @property
     def store_bytes(self) -> int:
@@ -118,12 +115,10 @@ class DhtNode:
         return len(self._store)
 
     def get(self, record_key: str) -> AuditRecord | None:
-        entry = self._store.get(record_key)
-        return entry.record if entry else None
+        return self._store.get(record_key)
 
     def records(self) -> Iterator[AuditRecord]:
-        for entry in self._store.values():
-            yield entry.record
+        return iter(self._store.values())
 
     def evict(self, needed_bytes: int) -> list[str]:
         """Free space by dropping the oldest checkpoint-covered records.
@@ -138,27 +133,30 @@ class DhtNode:
         if free >= needed_bytes:
             return []
         eligible = sorted(
-            (e for e in self._store.values() if e.covered),
-            key=lambda e: (e.record.sim_time, e.record.record_key),
+            islice(self._store.values(), self._covered),
+            key=lambda r: (r.sim_time, r.record_key),
         )
-        if free + sum(e.size for e in eligible) < needed_bytes:
+        if free + sum(len(r.line) for r in eligible) < needed_bytes:
             raise CheckpointRequired(self.node_id, needed_bytes)
         evicted = []
-        for entry in eligible:
+        for record in eligible:
             if free >= needed_bytes:
                 break
-            del self._store[entry.record.record_key]
-            self._used -= entry.size
-            free += entry.size
-            evicted.append(entry.record.record_key)
+            del self._store[record.record_key]
+            self._used -= len(record.line)
+            free += len(record.line)
+            evicted.append(record.record_key)
+        self._covered -= len(evicted)
         return evicted
 
     def insert(self, record: AuditRecord) -> list[str]:
-        """Store a record, evicting covered records first if space demands."""
-        size = self.record_size(record)
-        evicted = self.evict(size)
-        self._store[record.record_key] = _Stored(record, size)
-        self._used += size
+        """Store a record at the end, evicting covered records first if
+        space demands. A stored key stays as it is."""
+        if record.record_key in self._store:
+            return []
+        evicted = self.evict(len(record.line))
+        self._store[record.record_key] = record
+        self._used += len(record.line)
         return evicted
 
 
@@ -244,13 +242,10 @@ class DhtNetwork:
         key_int = int(record.record_key, 16)
         distance = self._ints[target] ^ key_int
         fallback = any(self._ints[n] ^ key_int < distance for n in self._failed)
-        node = self._nodes[target]
-        if node.get(record.record_key) is not None:
-            return StoreReceipt(target, hops, fallback)
-        return StoreReceipt(target, hops, fallback, tuple(node.insert(record)))
+        evicted = self._nodes[target].insert(record)
+        return StoreReceipt(target, hops, fallback, tuple(evicted))
 
     def cover(self) -> None:
         """Mark every stored record covered by a checkpoint, so evictable."""
         for node in self._nodes.values():
-            for entry in node._store.values():
-                entry.covered = True
+            node._covered = len(node._store)

@@ -49,7 +49,6 @@ from .auditcore import (
     ModuleMetadata,
     SharedCriticalData,
     VIN_RE,
-    compute_record_key,
     derive_vehicle_key,
     identity_hash,
     validate_vin,
@@ -204,8 +203,7 @@ class VehicleConfig:
         record a module emits by duration_s."""
         module_id = max((m.module_id for m in self.modules), key=lambda i: len(i.encode()))
         event_type = max(EventType, key=lambda t: len(t.value))
-        key = compute_record_key(module_id, event_type, duration_s, "0" * 64)
-        return DhtNode.record_size(AuditRecord(key, module_id, event_type, duration_s, "0" * 64))
+        return DhtNode.record_size(AuditRecord(module_id, event_type, duration_s, "0" * 64))
 
 
 def _release(version: str) -> tuple[int, ...]:
@@ -364,8 +362,7 @@ class Vehicle:
             # A swapped-in module's store: rebuild it, as boot would, first.
             self._scrub_clusters()
         if not cluster.is_erased(device):  # else a second fault left it unrepairable
-            line = (record.dump_line() + "\n").encode("utf-8")
-            cluster.append_record(device, record.record_key, line)
+            cluster.append_record(device, record.record_key, record.line)
 
     def _sweep(self, event_type: EventType) -> None:
         """Every module self-identifies into the table."""

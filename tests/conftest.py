@@ -148,6 +148,7 @@ def _repeat_index_line(blob: bytes) -> bytes:
 # Index-line edits a snapshot loader must refuse: id -> blob transform.
 BAD_INDEX_EDITS = {
     "device-out-of-range": _edit_index_line(1, "7"),
+    "device-is-parity": _edit_index_line(1, "2"),  # the demo snapshot has d = 2
     "device-not-int": _edit_index_line(1, "x"),
     "leading-zero-offset": _edit_index_line(2, "00"),
     "key-not-64-hex": _edit_index_line(0, "aa" * 31),

@@ -8,6 +8,7 @@ from datetime import date, timedelta
 import pytest
 
 from autobox.auditcore import (
+    AuditRecord,
     EventType,
     MetadataError,
     ModuleMetadata,
@@ -191,9 +192,21 @@ class TestIdentityHash:
         )
 
     def test_record_with_foreign_payload_hash_cannot_be_made(self, ecu_metadata):
+        """The key is derived, never given: a replaced record re-keys itself."""
         record = identity_hash(ecu_metadata, 7, EventType.OBD_PLUG_IN)
-        with pytest.raises(MetadataError, match="record_key"):
-            replace(record, payload_hash="00" * 32)
+        forged = replace(record, payload_hash="00" * 32)
+        assert forged.record_key == compute_record_key(
+            forged.module_id, forged.event_type, forged.sim_time, forged.payload_hash
+        )
+        assert forged.record_key != record.record_key
+        with pytest.raises(TypeError):
+            AuditRecord(
+                record_key=record.record_key,
+                module_id=record.module_id,
+                event_type=record.event_type,
+                sim_time=record.sim_time,
+                payload_hash="00" * 32,
+            )
 
     def test_negative_time_rejected(self, ecu_metadata):
         with pytest.raises(ValueError):

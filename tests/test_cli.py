@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -580,6 +583,28 @@ class TestDeterminism:
                 tmp_path / "two" / artifact
             ).read_bytes(), artifact
 
+
+    def test_demo_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Two interpreters with different string hashing write the same
+        bytes; DHT stores order their covered records by dict insertion."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+        outs = []
+        for seed in ("0", "123"):
+            out = tmp_path / f"seed{seed}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "autobox.cli", "run", str(DEMO_SCENARIO), "-o", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                capture_output=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert cli.LEDGER_FILE in names and any(n.endswith(".snap") for n in names)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 class TestVerify:
     def fresh_ledger(self, tmp_path):

@@ -274,6 +274,126 @@ class TestEviction:
             network.node(node).evict(401)
 
 
+class _ReferenceStores:
+    """Store semantics kept the plain way: a covered flag on every record.
+
+    Sizes come from the dump line, so the model shares no derived value
+    with the network under test.
+    """
+
+    def __init__(self, ids, limit):
+        self.limit = limit
+        self.stores = {node_id: {} for node_id in ids}  # key -> [record, covered]
+        self.failed = set()
+
+    @staticmethod
+    def size(record):
+        return len(record.dump_line().encode("utf-8")) + 1
+
+    def used(self, node_id):
+        return sum(self.size(r) for r, _ in self.stores[node_id].values())
+
+    def put(self, record):
+        live = [n for n in self.stores if n not in self.failed]
+        if not live:
+            raise NodeUnavailable("no live node")
+        target = owner_of(record.record_key, live)
+        if record.record_key in self.stores[target]:
+            return target, ()
+        evicted = self.evict(target, self.size(record))
+        self.stores[target][record.record_key] = [record, False]
+        return target, tuple(evicted)
+
+    def evict(self, node_id, needed):
+        if needed > self.limit:
+            raise ValueError("needed_bytes exceeds the store limit")
+        store = self.stores[node_id]
+        free = self.limit - self.used(node_id)
+        if free >= needed:
+            return []
+        eligible = sorted(
+            (r for r, covered in store.values() if covered),
+            key=lambda r: (r.sim_time, r.record_key),
+        )
+        if free + sum(self.size(r) for r in eligible) < needed:
+            raise CheckpointRequired(node_id, needed)
+        evicted = []
+        for record in eligible:
+            if free >= needed:
+                break
+            del store[record.record_key]
+            free += self.size(record)
+            evicted.append(record.record_key)
+        return evicted
+
+    def cover(self):
+        for store in self.stores.values():
+            for entry in store.values():
+                entry[1] = True
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except CheckpointRequired as exc:
+        return ("checkpoint", exc.node_id, exc.needed_bytes)
+    except (NodeUnavailable, ValueError) as exc:
+        return ("raise", type(exc))
+
+
+class TestCoveredPrefixProperty:
+    def test_random_operations_match_per_record_flags(self):
+        """put/cover/evict/fail/recover on small stores: the covered count
+        behaves exactly like a covered flag on every record."""
+        rng = random.Random(2021)
+        modules = ("ECU", "BCM", "TELEMATICS")
+        pool = [
+            make_record(rng.choice(modules), sim_time=rng.choice((t, 10 ** 6 + t)),
+                        event=rng.choice(list(EventType)))
+            for t in range(80)
+        ]
+        largest = max(len(r.dump_line()) + 1 for r in pool)
+        checkpoints = evictions = 0
+        for _ in range(40):
+            ids = [random_id(rng) for _ in range(rng.randint(1, 4))]
+            limit = rng.randint(largest, 5 * largest)
+            network = build_network(ids, store_limit=limit)
+            model = _ReferenceStores(ids, limit)
+            for _ in range(150):
+                op = rng.random()
+                if op < 0.6:
+                    origin, record = rng.choice(ids), rng.choice(pool)
+                    got = _outcome(lambda: network.put(origin, record)[::3])  # stored_at, evicted
+                    want = _outcome(lambda: model.put(record))
+                elif op < 0.7:
+                    network.cover()
+                    model.cover()
+                    got = want = None
+                elif op < 0.85:
+                    node_id, needed = rng.choice(ids), rng.randint(1, limit + 8)
+                    got = _outcome(lambda: (node_id, tuple(network.node(node_id).evict(needed))))
+                    want = _outcome(lambda: (node_id, tuple(model.evict(node_id, needed))))
+                elif op < 0.93:
+                    node_id = rng.choice(ids)
+                    network.fail_node(node_id)
+                    model.failed.add(node_id)
+                    got = want = None
+                else:
+                    node_id = rng.choice(ids)
+                    network.recover_node(node_id)
+                    model.failed.discard(node_id)
+                    got = want = None
+                assert got == want
+                if got is not None:
+                    checkpoints += got[0] == "checkpoint"
+                    evictions += got[0] == "ok" and bool(got[1][1])
+                for node_id in ids:
+                    node = network.node(node_id)
+                    assert list(node.records()) == [r for r, _ in model.stores[node_id].values()]
+                    assert node.store_bytes == model.used(node_id)
+        assert checkpoints > 500 and evictions > 500  # both paths well exercised
+
+
 class TestOwnershipOracleProperty:
     def test_placement_equals_scan_on_random_networks(self):
         """Fully-live networks (up to 32 nodes): routing equals the oracle."""

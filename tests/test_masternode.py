@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from autobox.auditcore import EventType, MetadataError, identity_hash
+from autobox.auditcore import AuditRecord, EventType, compute_record_key, identity_hash
 from autobox.dht import CheckpointRequired, DhtNetwork, node_id_for_serial
 from autobox.masternode import (
     MasterNode,
@@ -87,8 +87,19 @@ class TestMirror:
         """A key fixes its payload hash: a forged twin cannot be made."""
         _, _, master = single_node_setup()
         record = make_record(sim_time=1)
-        with pytest.raises(MetadataError):
-            replace(record, payload_hash="00" * 32)
+        forged = replace(record, payload_hash="00" * 32)
+        assert forged.record_key == compute_record_key(
+            forged.module_id, forged.event_type, forged.sim_time, forged.payload_hash
+        )
+        assert forged.record_key != record.record_key
+        with pytest.raises(TypeError):
+            AuditRecord(
+                record_key=record.record_key,
+                module_id=record.module_id,
+                event_type=record.event_type,
+                sim_time=record.sim_time,
+                payload_hash="00" * 32,
+            )
         master.mirror_update(record)
         master.mirror_update(make_record(sim_time=1))
         assert master.mirror_size == 1

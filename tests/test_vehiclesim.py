@@ -357,6 +357,26 @@ class TestTamperDetection:
         assert vehicle.tamper_flag
 
 
+    def test_two_live_modules_that_disagree_are_flagged(self):
+        """The smallest vote still runs: with every other module failed,
+        two live replicas that disagree tie, and both are flagged."""
+        vehicle = Vehicle(make_vehicle_config())
+        vehicle.boot()
+        for module_id in ("BCM", "TCM"):
+            vehicle.handle_event(event(ScenarioEventKind.NODE_FAILURE, 50, module_id=module_id))
+        vehicle.handle_event(
+            event(
+                ScenarioEventKind.EEPROM_TAMPER,
+                100,
+                module_id="ECU",
+                field="odometer_km",
+                forged_value=77,
+            )
+        )
+        vehicle.clock = 200
+        vehicle.startup_consistency_check()
+        assert vehicle.tamper_details == {"odometer_km": frozenset({"ECU", "HeadUnit"})}
+
 class TestTamperClear:
     def tampered_vehicle(self) -> Vehicle:
         vehicle = Vehicle(make_vehicle_config())
