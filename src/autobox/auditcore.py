@@ -43,6 +43,9 @@ from typing import Iterable
 VIN_RE = re.compile(r"[A-HJ-NPR-Z0-9]{17}")
 # An explicit class: \d and re.I would admit non-ASCII digits and A-F.
 HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
+# Every number in autobox's files: canonical, at most 18 digits, so int() reads it.
+POSITIVE_NUMBER = rb"[1-9][0-9]{0,17}"  # for values that must be >= 1
+NUMBER = rb"(?:0|%s)" % POSITIVE_NUMBER
 
 
 class MetadataError(ValueError):

@@ -22,8 +22,9 @@ One walker, ``_walk``, reads the file and makes every check in place,
 without parsing and re-encoding: ``RECORD_HEAD``, beside
 ``LedgerBlock.file_record``, matches the length and header lines, and
 ``masternode.WIRE_LINE``, beside ``Submission.wire_line``, each entry
-line, numbers only in canonical spelling. The length line must count the
-payload exactly and the header must equal the one ``_seal`` recomputes
+line, numbers only as ``auditcore.NUMBER`` spells them (canonical, at
+most 18 digits). A record needs an entry line, the length line must count
+the payload exactly and the header must equal the one ``_seal`` recomputes
 from the raw entry bytes, the seal ``LedgerBlock.build`` writes. Per
 vehicle key, checkpoint_seq must strictly increase along the chain, as on
 append: that rejects a duplicated last entry line, which keeps the Merkle
@@ -44,7 +45,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .auditcore import is_hex_digest, sha256_hex
+from .auditcore import POSITIVE_NUMBER, is_hex_digest, sha256_hex
 from .masternode import WIRE_LINE, Submission
 
 GENESIS_PREV = "0" * 64
@@ -176,9 +177,7 @@ class LedgerBlock(NamedTuple):
 
     @classmethod
     def build(cls, index: int, prev_hash: str, entries: Sequence[Submission]) -> "LedgerBlock":
-        """Seal entries into a block over the SHA-256 of each wire line."""
-        if not entries:
-            raise ValueError("a block must carry at least one submission")
+        """Seal entries, at least one, into a block over the SHA-256 of each wire line."""
         leaves = [hashlib.sha256(s.wire_line().encode("utf-8")).digest() for s in entries]
         return cls(index, prev_hash, tuple(entries), *_seal(index, prev_hash, leaves))
 
@@ -191,15 +190,9 @@ class LedgerBlock(NamedTuple):
         return str(len(payload)).encode("ascii") + b"\n" + payload
 
 
-# int() refuses a digit string longer than sys.get_int_max_str_digits(),
-# which is 0 (no limit) or at least 640 (sys.int_info's
-# str_digits_check_threshold): no number in a shorter entry line reaches
-# it, so the walker test-parses sim_time only in a longer one.
-_SHORT_LINE = 640
-
 # A record's length line (the payload's byte count, canonical decimal) and
 # header line; the walker compares the header with the one ``_seal`` gives.
-RECORD_HEAD = re.compile(rb"([1-9][0-9]*)\n([^\n]*)\n")
+RECORD_HEAD = re.compile(rb"(%s)\n([^\n]*)\n" % POSITIVE_NUMBER)
 
 
 @dataclass(frozen=True)
@@ -245,11 +238,11 @@ def _walk(blob: bytes) -> Iterator[tuple[int, str, str, str, list[re.Match[bytes
     """Check every record of a ledger file in place, building no block or entry.
 
     A record must match ``RECORD_HEAD``, hold exactly the entry lines its
-    length line counts, each matching ``WIRE_LINE`` and advancing its
-    vehicle's sequence, and carry the header ``_seal`` recomputes from
-    their bytes. Yields each accepted block's index, prev hash, entries
-    root, block hash and entry-line matches; raises ``_BrokenBlock`` at
-    the first block that fails.
+    length line counts, at least one, each matching ``WIRE_LINE`` and
+    advancing its vehicle's sequence, and carry the header ``_seal``
+    recomputes from their bytes. Yields each accepted block's index, prev
+    hash, entries root, block hash and entry-line matches; raises
+    ``_BrokenBlock`` at the first block that fails.
     """
     last_seq: dict[bytes, int] = {}
     prev, pos, index, size = GENESIS_PREV, 0, 0, len(blob)
@@ -258,26 +251,21 @@ def _walk(blob: bytes) -> Iterator[tuple[int, str, str, str, list[re.Match[bytes
         if head is None:
             raise _BrokenBlock(index)
         lines, leaves = [], []
-        try:  # ValueError: no entry line, or an int past its digit limit
-            pos, end = head.end(), head.start(2) + int(head[1])
-            while pos < end <= size:
-                line = WIRE_LINE.match(blob, pos, end - 1)
-                if line is None:
-                    break
-                start, pos = pos, line.end()
-                if blob[pos] != 0x0A:
-                    break
-                if pos - start > _SHORT_LINE:  # sim_time must parse for from_match
-                    int(line[5])
-                if _advance(last_seq, line[1], int(line[2])):
-                    break
-                lines.append(line)
-                leaves.append(hashlib.sha256(line[0]).digest())
-                pos += 1
-            root, block_hash = _seal(index, prev, leaves)
-        except ValueError:
-            raise _BrokenBlock(index) from None
-        if pos != end or f"{index}|{prev}|{root}|{block_hash}".encode("ascii") != head[2]:
+        pos, end = head.end(), head.start(2) + int(head[1])
+        while pos < end <= size:
+            line = WIRE_LINE.match(blob, pos, end - 1)
+            if line is None:
+                break
+            pos = line.end()
+            if blob[pos] != 0x0A or _advance(last_seq, line[1], int(line[2])):
+                break
+            lines.append(line)
+            leaves.append(hashlib.sha256(line[0]).digest())
+            pos += 1
+        if pos != end or not lines:
+            raise _BrokenBlock(index)
+        root, block_hash = _seal(index, prev, leaves)
+        if f"{index}|{prev}|{root}|{block_hash}".encode("ascii") != head[2]:
             raise _BrokenBlock(index)
         yield index, prev, root, block_hash, lines
         prev, index = block_hash, index + 1
@@ -359,12 +347,13 @@ class FullNode:
         """
         accepted: list[Submission] = []
         rejected: list[tuple[Submission, str]] = []
-        seq_cursor = dict(self._last_seq)
         for sub in submissions:
-            if WIRE_LINE.fullmatch(sub.wire_line().encode("utf-8")):
-                problem = _advance(seq_cursor, sub.vehicle_key, sub.checkpoint_seq)
-            else:
-                problem = "malformed: not a canonical wire line"
+            problem = "malformed: not a canonical wire line"
+            try:  # ValueError: an int past its digit limit, or unencodable text
+                if WIRE_LINE.fullmatch(sub.wire_line().encode("utf-8")):
+                    problem = _advance(self._last_seq, sub.vehicle_key, sub.checkpoint_seq)
+            except ValueError:
+                pass
             if problem:
                 rejected.append((sub, problem))
             else:
@@ -374,7 +363,6 @@ class FullNode:
         prev = self.chain[-1].block_hash if self.chain else GENESIS_PREV
         block = LedgerBlock.build(len(self.chain), prev, accepted)
         self.chain.append(block)
-        self._last_seq = seq_cursor
         return AppendResult(block=block, rejected=tuple(rejected))
 
     # -- verdicts ------------------------------------------------------------

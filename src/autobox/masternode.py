@@ -33,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .auditcore import AuditRecord, EventType
+from .auditcore import NUMBER, POSITIVE_NUMBER, AuditRecord, EventType
 from .dht import DhtNetwork, StoreReceipt
 
 
@@ -78,8 +78,8 @@ _TRIGGERS = {t.value.encode(): t for t in EventType}
 # The admissible wire line in the one spelling ``wire_line`` writes: 64-hex
 # key, checkpoint_seq >= 1, 64-hex digest, trigger, sim_time >= 0.
 WIRE_LINE = re.compile(
-    rb"([0-9a-f]{64})\|([1-9][0-9]*)\|([0-9a-f]{64})\|(%s)\|(0|[1-9][0-9]*)"
-    % b"|".join(map(re.escape, _TRIGGERS))
+    rb"([0-9a-f]{64})\|(%s)\|([0-9a-f]{64})\|(%s)\|(%s)"
+    % (POSITIVE_NUMBER, b"|".join(map(re.escape, _TRIGGERS)), NUMBER)
 )
 
 

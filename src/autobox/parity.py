@@ -39,6 +39,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
+from .auditcore import NUMBER
+
 PARITY = "parity"
 
 DeviceRef = Union[int, str]  # data device index, or the PARITY sentinel
@@ -301,14 +303,12 @@ def save_snapshot(cluster: ParityCluster) -> bytes:
 
 
 # The header and index lines in the one spelling save_snapshot writes:
-# canonical decimals, and 64-hex record keys and hashes. No snapshot needs
-# a number of more than 18 digits, and int() reads any number of 18.
-_NUMBER = rb"(?:0|[1-9][0-9]{0,17})"
+# auditcore's canonical numbers, and 64-hex record keys and hashes.
 SNAPSHOT_HEADER = re.compile(
-    rb"d=(%s) lengths=(%s(?:,%s)*) parity_len=(%s)\n" % ((_NUMBER,) * 4)
+    rb"d=(%s) lengths=(%s(?:,%s)*) parity_len=(%s)\n" % ((NUMBER,) * 4)
 )
 INDEX_LINE = re.compile(
-    rb"([0-9a-f]{64})\t(%s)\t(%s)\t(%s)\t([0-9a-f]{64})\n" % ((_NUMBER,) * 3)
+    rb"([0-9a-f]{64})\t(%s)\t(%s)\t(%s)\t([0-9a-f]{64})\n" % ((NUMBER,) * 3)
 )
 
 

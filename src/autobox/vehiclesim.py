@@ -78,6 +78,8 @@ TAMPER_CLEAR_TOKEN = "SERVICE-TOOL"  # what the authorized service tool presents
 # capture_interval_s): about 13 months at hourly captures. A longer
 # scenario is refused rather than left to run for days.
 MAX_PERIODIC_CAPTURES = 10_000
+# A scenario lasts less, so every sim_time it writes keeps to auditcore.NUMBER.
+DURATION_LIMIT_S = 10**18
 
 # One ground_truth.jsonl line: compact, keys sorted. Built once, since
 # json.dumps with any option builds a new encoder per call.
@@ -253,6 +255,8 @@ class Scenario:
                     f"{lane.config.capture_interval_s} exceeds "
                     f"{MAX_PERIODIC_CAPTURES} periodic captures"
                 )
+        if self.duration_s >= DURATION_LIMIT_S:
+            raise ScenarioError(f"duration_s {self.duration_s} must have at most 18 digits")
 
 
 @dataclass(frozen=True)
@@ -646,7 +650,7 @@ class Vehicle:
             last_time = event.sim_time
             items.append((event.sim_time, "event", event))
             if event.kind is ScenarioEventKind.CONNECTIVITY_OUTAGE:
-                if event.end is None or event.end < event.sim_time:
+                if event.end < event.sim_time:
                     raise ScenarioError("ConnectivityOutage needs end >= sim_time")
                 if event.sim_time < outage_end:
                     raise ScenarioError("ConnectivityOutage starts before the previous one ends")
@@ -927,18 +931,19 @@ class ScenarioResult:
     alerts: tuple[str, ...]
     ground_truth: tuple[str, ...]
     cluster_snapshots: tuple[tuple[str, bytes], ...] = ()  # (filename, blob)
+    rejected_checkpoints: int = 0  # submissions the full node refused
 
     @property
     def findings(self) -> bool:
-        """A verdict other than Approved, a latched tamper flag, or, in a run
-        with a library, an accepted checkpoint that got no verdict."""
+        """A verdict other than Approved, a rejected checkpoint, a latched tamper
+        flag, or, in a run with a library, an accepted checkpoint with no verdict."""
         if any(v.status is not VerdictStatus.APPROVED for v in self.verdicts):
             return True
         if self.scenario.approved_library is not None and len(self.verdicts) < sum(
             len(block.entries) for block in self.blocks
         ):
             return True
-        return any(v.tamper_flag for v in self.vehicles)
+        return self.rejected_checkpoints > 0 or any(v.tamper_flag for v in self.vehicles)
 
     def observed_library(self) -> dict[str, tuple[str, ...]]:
         """Capture digests per variant, for seeding an approved library."""
@@ -983,8 +988,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     verdicts: list[Verdict] = []
     ledger_alerts: list[str] = []
+    rejected = 0
     for batch in batches:
         result = full_node.append_submissions(list(batch.submissions))
+        rejected += len(result.rejected)
         for submission, reason in result.rejected:
             ledger_alerts.append(
                 f"t={batch.sim_time} rejected checkpoint {submission.checkpoint_seq}: {reason}"
@@ -1032,4 +1039,5 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         alerts=tuple(all_alerts),
         ground_truth=tuple(ground_truth),
         cluster_snapshots=tuple(snapshots),
+        rejected_checkpoints=rejected,
     )

@@ -190,9 +190,11 @@ def record_spans(blob: bytes) -> list[tuple[int, int, int]]:
 
 
 # -- the ledger reader that parsed and re-encoded every block ---------------
-# Kept verbatim, with the wire parse and the admission rule it called, as
-# the reference the in-place reader must agree with. It refused an empty
-# file; the current reader reads one as a chain of 0 blocks.
+# Kept, with the wire parse and the admission rule it called, as the
+# reference the in-place reader must agree with. It refused an empty file;
+# the current reader reads one as a chain of 0 blocks. It admitted numbers
+# of any length; the admission rule below now refuses the ones past 18
+# digits, as the format does.
 
 
 def reference_from_wire(line: str) -> Submission:
@@ -215,6 +217,8 @@ def reference_admit(sub: Submission, last_seq: dict[str, int]) -> str | None:
         return "malformed: checkpoint_seq must be >= 1"
     if sub.sim_time < 0:
         return "malformed: sim_time must be non-negative"
+    if max(sub.checkpoint_seq, sub.sim_time) >= 10**18:
+        return "malformed: a number of more than 18 digits"
     last = last_seq.get(sub.vehicle_key)
     if last is not None and sub.checkpoint_seq <= last:
         return f"replay: checkpoint_seq {sub.checkpoint_seq} <= {last}"

@@ -390,6 +390,52 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: duration_s") and "periodic captures" in err
 
+    def longest_obj(self, duration):
+        """The demo vehicle, no events, capturing every 10**17 s."""
+        obj = json.loads(DEMO_SCENARIO.read_text())
+        obj.update(duration_s=duration, events=[])
+        obj["vehicle"]["capture_interval_s"] = 10**17
+        return obj
+
+    def test_longest_duration_reads_back(self, tmp_path, capsys):
+        """Just below the duration bound, sim_times of 18 digits reach the ledger."""
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, self.longest_obj(10**18 - 1))
+        assert cli.main(["run", str(path), "-o", str(out)]) == 0
+        (key,) = json.loads((out / cli.REPORT_FILE).read_text())["vehicles"][VIN][
+            "vehicle_keys"]
+        capsys.readouterr()  # drop the run summary
+        assert cli.main(["verify", str(out / cli.LEDGER_FILE)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        assert cli.main(["history", str(out / cli.LEDGER_FILE), key, "--machine"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split("\t")[3] for row in rows] == [str(n * 10**17) for n in range(1, 10)]
+
+    def test_duration_at_the_bound_exit_two_at_once(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, self.longest_obj(10**18))
+        started = time.perf_counter()
+        rc = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration_s") and "18 digits" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_rejected_checkpoints_exit_one(self, tmp_path, capsys):
+        """Vehicle A fits all of B's modules, so B's checkpoints replay A's."""
+        obj = fleet_obj(tampered=False)
+        donor = obj["fleet"][1]["vehicle"]["modules"]
+        obj["fleet"][0]["events"] = [
+            {"sim_time": 100 + i, "kind": "ModuleSwap", "module_id": m["module_id"],
+             "replacement": m}
+            for i, m in enumerate(donor)
+        ]
+        path = write_scenario(tmp_path, obj)
+        assert cli.main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+        summary = capsys.readouterr().out
+        assert summary.count("rejected checkpoint") == 2
+        assert "findings: yes" in summary
+
     @pytest.mark.parametrize("case", sorted(BAD_DEMO_EDITS))
     def test_bad_scenario_shape_exit_two(self, tmp_path, capsys, case):
         obj = json.loads(DEMO_SCENARIO.read_text())

@@ -65,6 +65,10 @@ class TestMerkle:
         with pytest.raises(ValueError):
             merkle_root([])
 
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError):
+            LedgerBlock.build(0, GENESIS_PREV, [])
+
 
 class TestAppend:
     def test_genesis_block(self):
@@ -95,6 +99,31 @@ class TestAppend:
         result = node.append_submissions([make_submission(digest="xyz")])
         assert result.block is None
         assert "malformed" in result.rejected[0][1]
+
+    @pytest.mark.parametrize("field", ["seq", "t"])
+    def test_nineteen_digit_number_rejected_as_malformed(self, field):
+        """18 digits is the longest number a wire line may carry."""
+        node = FullNode()
+        longest = make_submission(key="ab" * 32, **{field: 10**18 - 1})
+        past = make_submission(key="ef" * 32, **{field: 10**18})
+        result = node.append_submissions([longest, past])
+        assert result.accepted == (longest,)
+        assert result.rejected == ((past, "malformed: not a canonical wire line"),)
+
+    @pytest.mark.parametrize(
+        "fields", [{"seq": 10**5000}, {"digest": "\udc80" * 64}], ids=["huge-seq", "surrogate"]
+    )
+    def test_unformattable_line_leaves_sequence_table_unchanged(self, fields):
+        """A wire line that cannot be written is malformed, not a raise mid-batch."""
+        node = FullNode()
+        valid = make_submission(key="ab" * 32, seq=1)
+        bad = make_submission(key="ef" * 32, **fields)
+        result = node.append_submissions([valid, bad])
+        assert result.accepted == (valid,)
+        assert result.rejected == ((bad, "malformed: not a canonical wire line"),)
+        retry = node.append_submissions([make_submission(key="ef" * 32, seq=1)])
+        assert retry.block is not None and retry.rejected == ()
+        assert node.append_submissions([valid]).rejected[0][1].startswith("replay")
 
     def test_entries_root_matches_merkle_oracle(self):
         """5 submissions across 2 vehicles in one batch, one block."""

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from autobox import ledger
+from autobox import cli, ledger
 from autobox.dht import StoreReceipt
 from autobox.ledger import GENESIS_PREV, FullNode, LedgerBlock, VerifyResult, merkle_root
 from autobox.masternode import Submission
@@ -232,6 +232,8 @@ TARGETED_EDITS = {
     "negative-sim-time": _entry_field(4, lambda v: b"-5"),
     "seq-past-int-digit-limit": _entry_field(1, lambda v: b"1" * 5000),
     "sim-time-past-int-digit-limit": _entry_field(4, lambda v: b"1" * 5000),
+    "seq-19-digits": _entry_field(1, lambda v: b"1" * 19),
+    "sim-time-19-digits": _entry_field(4, lambda v: b"1" * 19),
     "two-blocks-swapped": _swap_blocks,
     "right-prev-wrong-index": _index(lambda v: b"11"),
 }
@@ -260,3 +262,14 @@ def test_crlf_file_breaks_block_zero(records, tmp_path):
 def test_unedited_records_stay_valid(records, tmp_path):
     result = assert_same_reading(tmp_path / "ledger.txt", seal(records), "unedited")
     assert result == VerifyResult(valid=True)
+
+
+def test_eighteen_digit_numbers_verify_and_print(tmp_path, capsys):
+    """The longest numbers the format admits: seq and sim_time of 18 digits."""
+    big = 10**18 - 1
+    block = LedgerBlock.build(0, GENESIS_PREV, [make_submission(seq=big, key=KEY_A, t=big)])
+    path = write_chain(tmp_path / "ledger.txt", [block])
+    result = assert_same_reading(path, path.read_bytes(), "18 digits")
+    assert result == VerifyResult(valid=True)
+    assert cli.main(["history", str(path), KEY_A, "--machine"]) == 0
+    assert capsys.readouterr().out == f"{big}\t{'cd' * 32}\tPeriodicInterval\t{big}\t0\n"

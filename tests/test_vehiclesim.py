@@ -789,6 +789,35 @@ class TestFleet:
         keys = [{s.vehicle_key for s in block.entries} for block in result.blocks]
         assert keys == [{min(queued_a, key_b)}, {max(queued_a, key_b)}]
 
+    @pytest.mark.parametrize("library", [False, True], ids=["no-library", "library"])
+    def test_rejected_checkpoints_are_findings(self, library):
+        """Vehicle A swaps in each of B's four modules at 100..103, so both
+        derive one vehicle key: the full node rejects B's checkpoints at
+        3600 and 7200 as replays of A's, and that is a finding."""
+        donor = make_vehicle_config(vin=FLEET_VIN_2)
+        swaps = tuple(
+            event(ScenarioEventKind.MODULE_SWAP, 100 + i, module_id=m.module_id, replacement=m)
+            for i, m in enumerate(donor.modules)
+        )
+        scenario = Scenario(
+            scenario_id="clone",
+            seed=0,
+            duration_s=7200,
+            lanes=(VehicleLane(make_vehicle_config(), swaps), VehicleLane(donor, ())),
+        )
+        if library:
+            scenario = replace(scenario, approved_library=seeded_library(scenario))
+        result = run_scenario(scenario)
+        rejected = [a for a in result.alerts if "rejected checkpoint" in a]
+        assert rejected == [
+            f"t={t} rejected checkpoint {seq}: replay: checkpoint_seq {seq} <= {seq}"
+            for t, seq in ((3600, 1), (7200, 2))
+        ]
+        assert result.rejected_checkpoints == 2
+        assert not any(v.tamper_flag for v in result.vehicles)
+        assert all(v.status is VerdictStatus.APPROVED for v in result.verdicts)
+        assert result.findings
+
 
 class TestScenarioParsing:
     def scenario_obj(self):
