@@ -29,9 +29,9 @@ from the raw entry bytes, the seal ``LedgerBlock.build`` writes. Per
 vehicle key, checkpoint_seq must strictly increase along the chain, as on
 append: that rejects a duplicated last entry line, which keeps the Merkle
 root. An empty file is a valid chain of 0 blocks, the truncation at
-boundary 0. ``verify_chain`` only drives the walker and builds no object;
-``load_ledger`` (and ``history_from_file`` through it) turns what the
-walker yields into ``LedgerBlock`` and ``Submission`` values. Both are
+boundary 0. Each reader drives the walker: ``verify_chain`` builds no
+object, ``history_from_file`` a ``Submission`` only for the asked key's
+entries, and ``load_ledger`` every ``LedgerBlock`` and entry. Both are
 ``NamedTuple``s: immutable and hashable like a frozen dataclass, but
 built by one tuple allocation instead of a setattr per field.
 """
@@ -235,15 +235,10 @@ class _BrokenBlock(Exception):
 
 
 def _walk(blob: bytes) -> Iterator[tuple[int, str, str, str, list[re.Match[bytes]]]]:
-    """Check every record of a ledger file in place, building no block or entry.
-
-    A record must match ``RECORD_HEAD``, hold exactly the entry lines its
-    length line counts, at least one, each matching ``WIRE_LINE`` and
-    advancing its vehicle's sequence, and carry the header ``_seal``
-    recomputes from their bytes. Yields each accepted block's index, prev
-    hash, entries root, block hash and entry-line matches; raises
-    ``_BrokenBlock`` at the first block that fails.
-    """
+    """Make the module docstring's checks on every record, building no
+    block or entry. Yields each accepted block's index, prev hash, entries
+    root, block hash and entry-line matches; raises ``_BrokenBlock`` at the
+    first block that fails."""
     last_seq: dict[bytes, int] = {}
     prev, pos, index, size = GENESIS_PREV, 0, 0, len(blob)
     while pos < size:
@@ -384,10 +379,15 @@ class FullNode:
 def history_from_file(path: str | Path, vehicle_key: str) -> list[tuple[int, Submission]]:
     """One vehicle's (block index, entry) pairs from a persisted ledger, in
     chain order, which is checkpoint order: the admission rule makes its
-    sequence numbers strictly increase. Empty for an unknown key."""
-    return [
-        (block.index, sub)
-        for block in load_ledger(path)
-        for sub in block.entries
-        if sub.vehicle_key == vehicle_key
-    ]
+    sequence numbers strictly increase. Checks the whole chain, but builds
+    only this key's entries: none for an unknown or non-ASCII (``?``) key."""
+    want = vehicle_key.encode("ascii", "replace")
+    try:
+        return [
+            (index, Submission.from_match(line))
+            for index, _, _, _, lines in _walk(Path(path).read_bytes())
+            for line in lines
+            if line[1] == want
+        ]
+    except _BrokenBlock as broken:
+        raise LedgerFormatError(f"{path}: chain broken-at {broken.index}") from None

@@ -117,6 +117,7 @@ BAD_DEMO_EDITS = {
         "vehicle", "parity_clusters", [["ECU", "BCM", "TCM"], ["HeadUnit", "ECU", "BCM"]]
     ),
     "outage-overlapping": _overlapping_outage,
+    "outage-ends-before-it-starts": _add_event(kind="ConnectivityOutage", end=13499),
     # Each kind takes exactly the fields of the README's event table.
     "reboot-with-km": _add_event(kind="Reboot", km=5000),
     "obd-plug-in-with-module-id": _add_event(kind="ObdPlugIn", module_id="NOPE"),

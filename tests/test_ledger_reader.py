@@ -5,7 +5,8 @@ block and compared its re-encoding with the bytes on disk. The current
 reader must return the same blocks and verdict on every golden fixture
 ledger, on the byte-substitution and truncation corpus of ``test_fuzz.py``,
 and on targeted edits; ``verify_chain``, which walks the file without
-building a block, must return the same verdict. A targeted edit recomputes
+building a block, must return the same verdict, and ``history_from_file``
+the same rows, or ``broken-at`` the same block. A targeted edit recomputes
 the Merkle root, the block hash and the links after it, so only the
 canonical-spelling, length, index and sequence checks can refuse it.
 """
@@ -19,7 +20,14 @@ import pytest
 
 from autobox import cli, ledger
 from autobox.dht import StoreReceipt
-from autobox.ledger import GENESIS_PREV, FullNode, LedgerBlock, VerifyResult, merkle_root
+from autobox.ledger import (
+    GENESIS_PREV,
+    FullNode,
+    LedgerBlock,
+    LedgerFormatError,
+    VerifyResult,
+    merkle_root,
+)
 from autobox.masternode import Submission
 from autobox.vehiclesim import load_scenario, run_scenario
 
@@ -29,12 +37,26 @@ from test_fuzz import DEMO_SCENARIO, SUBSTITUTIONS, TRUNCATIONS
 from test_ledger import make_submission
 
 
+UNKNOWN_KEY = "77" * 32  # a vehicle key on no ledger these tests read
+
+
 def assert_same_reading(path, blob: bytes, where) -> VerifyResult:
+    """``_read_chain`` and ``verify_chain`` agree with the reference reader,
+    and so does ``history_from_file`` for each key it reads and one unknown."""
     path.write_bytes(blob)
     blocks, result = ledger._read_chain(path)
-    expected = reference_read_chain(path)
-    assert (blocks, result) == expected, where
-    assert ledger.verify_chain(path) == expected[1], where
+    ref_blocks, ref_result = reference_read_chain(path)
+    assert (blocks, result) == (ref_blocks, ref_result), where
+    assert ledger.verify_chain(path) == ref_result, where
+    keys = {sub.vehicle_key for block in ref_blocks for sub in block.entries}
+    for key in sorted(keys | {UNKNOWN_KEY}):
+        if ref_result.valid:
+            rows = [(b.index, s) for b in ref_blocks for s in b.entries if s.vehicle_key == key]
+            assert ledger.history_from_file(path, key) == rows, (where, key)
+        else:
+            broken = f": chain broken-at {ref_result.broken_at}$"
+            with pytest.raises(LedgerFormatError, match=broken):
+                ledger.history_from_file(path, key)
     return result
 
 
@@ -262,6 +284,26 @@ def test_crlf_file_breaks_block_zero(records, tmp_path):
 def test_unedited_records_stay_valid(records, tmp_path):
     result = assert_same_reading(tmp_path / "ledger.txt", seal(records), "unedited")
     assert result == VerifyResult(valid=True)
+
+
+def test_history_builds_only_the_asked_keys_entries(records, tmp_path, monkeypatch):
+    """``history_from_file`` calls ``Submission.from_match`` once per entry
+    of the asked key, and never for a key on no entry."""
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(seal(records))
+    built = []
+    from_match = Submission.from_match
+
+    def counting(line):
+        built.append(line)
+        return from_match(line)
+
+    monkeypatch.setattr(Submission, "from_match", counting)
+    for key, entries in ((KEY_A, 12), (KEY_B, 6), (KEY_C, 3), (UNKNOWN_KEY, 0), ("\udcff", 0)):
+        built.clear()
+        history = ledger.history_from_file(path, key)
+        assert len(built) == len(history) == entries, key
+        assert all(sub.vehicle_key == key for _, sub in history)
 
 
 def test_eighteen_digit_numbers_verify_and_print(tmp_path, capsys):

@@ -127,6 +127,22 @@ class TestClusterBasics:
         with pytest.raises(ClusterError):
             cluster.append_record(2, "aa" * 32, b"x")
 
+    def test_device_count_is_no_device_index(self):
+        """Data devices are 0..d-1; the parity device is named PARITY, never d."""
+        cluster = ParityCluster(2)
+        with pytest.raises(ClusterError):
+            cluster._resolve(cluster.device_count)
+        with pytest.raises(ClusterError):
+            cluster.erase_device(cluster.device_count)
+
+    def test_corrupt_byte_just_past_the_device_end_rejected(self):
+        cluster = ParityCluster(2)
+        cluster.append_record(0, "aa" * 32, b"xyz")
+        end = len(cluster.data_store(0))
+        with pytest.raises(ClusterError):
+            cluster.corrupt_byte(0, end)
+        assert cluster.corrupt_byte(0, end - 1) == (ord("z"), ord("z") ^ 0xFF)
+
 
 class TestScrub:
     def test_untouched_cluster_clean(self):

@@ -72,8 +72,8 @@ def test_count_hooks_read_live_attributes():
 
 
 def test_ledger_commands_pass_their_traced_seams(tmp_path, capsys):
-    """One verify_chain span per ``verify`` and one load_ledger span per
-    ``history``: the benchmark predicts load_ledger.calls from queries."""
+    """One verify_chain span per ``verify`` and one history_from_file span
+    per ``history``, which drives the walker itself: no load_ledger span."""
     result = vehiclesim.run_scenario(vehiclesim.load_scenario(DEMO))
     cli.write_artifacts(result, tmp_path)
     path = tmp_path / cli.LEDGER_FILE
@@ -88,7 +88,8 @@ def test_ledger_commands_pass_their_traced_seams(tmp_path, capsys):
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
     assert names.count("ledger.verify_chain") == 1
-    assert names.count("ledger.load_ledger") == 2
+    assert names.count("ledger.history_from_file") == 2
+    assert names.count("ledger.load_ledger") == 0
     assert capsys.readouterr().out.startswith("valid\n")
 
 

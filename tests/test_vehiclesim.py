@@ -661,6 +661,13 @@ class TestOutage:
             (8000, "connectivity_up"),
         ]
 
+    def test_outage_may_end_as_it_starts(self):
+        events = (event(ScenarioEventKind.CONNECTIVITY_OUTAGE, 1000, end=1000),)
+        result = run_scenario(make_scenario(events=events, duration_s=3600))
+        gt = [json.loads(line) for line in result.ground_truth]
+        links = [(g["sim_time"], g["event"]) for g in gt if g["event"].startswith("connectivity")]
+        assert links == [(1000, "connectivity_down"), (1000, "connectivity_up")]
+
 
 class TestDeterminism:
     def test_identical_runs_identical_artifacts(self):

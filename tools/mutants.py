@@ -91,18 +91,6 @@ NOTES = {
         "equivalent: XOR distances from one key to distinct node ids never"
         " tie, and the target itself is live, so never in _failed"
     ),
-    "parity.ParityCluster._resolve: 0 <= device < self.device_count: < -> <=": (
-        "open gap (ROADMAP item 13): no test gives a device index equal to"
-        " device_count, which the mutant resolves to the parity device"
-    ),
-    "parity.ParityCluster.corrupt_byte: 0 <= offset < len(target): < -> <=": (
-        "open gap (ROADMAP item 13): no test corrupts the byte just past a"
-        " device's end, where the mutant raises IndexError, not ClusterError"
-    ),
-    "vehiclesim.Vehicle.run: event.end < event.sim_time: < -> <=": (
-        "open gap (ROADMAP item 13): no test runs a ConnectivityOutage whose"
-        " end equals its sim_time (allowed) or lies before it (refused)"
-    ),
 }
 
 
