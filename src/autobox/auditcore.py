@@ -17,9 +17,11 @@ nothing in this package reads the wall clock.
 
 Values are valid by construction: ``ModuleMetadata`` raises MetadataError
 as an invalid instance is made, ``dataclasses.replace`` included, so
-nothing downstream checks it again. An ``AuditRecord`` takes no key: it
-derives ``record_key`` from its own fields, so no record carries a key
-that does not match it.
+nothing downstream checks it again. Invalid input has one error type:
+MetadataError is a kind of ScenarioError, which every refused scenario
+raises, so one ``except ScenarioError`` catches both. An ``AuditRecord``
+takes no key: it derives ``record_key`` from its own fields, so no record
+carries a key that does not match it.
 
 Each value is hashed once: ``ModuleMetadata.payload_hash``,
 ``AuditRecord.record_key`` and ``AuditRecord.line`` are memoised on the
@@ -41,14 +43,20 @@ from typing import Iterable
 # 17 chars, uppercase alphanumerics minus I/O/Q (easily confused glyphs).
 # Use fullmatch, as for every pattern here: ``$`` admits a trailing newline.
 VIN_RE = re.compile(r"[A-HJ-NPR-Z0-9]{17}")
+# Every SHA-256 digest in autobox's files and keys: 64 lowercase hex chars.
 # An explicit class: \d and re.I would admit non-ASCII digits and A-F.
-HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
+HEX_DIGEST = rb"[0-9a-f]{64}"
+HEX_DIGEST_RE = re.compile(HEX_DIGEST.decode("ascii"))
 # Every number in autobox's files: canonical, at most 18 digits, so int() reads it.
 POSITIVE_NUMBER = rb"[1-9][0-9]{0,17}"  # for values that must be >= 1
 NUMBER = rb"(?:0|%s)" % POSITIVE_NUMBER
 
 
-class MetadataError(ValueError):
+class ScenarioError(ValueError):
+    """A scenario, or a value it is built from, is invalid."""
+
+
+class MetadataError(ScenarioError):
     """A domain value violates its canonical-form constraints."""
 
 
@@ -106,6 +114,9 @@ class ModuleMetadata:
     vin: str
 
     def __post_init__(self) -> None:
+        # variant_code becomes a field of a tab-separated library line.
+        if not self.variant_code.isprintable():
+            raise MetadataError(f"variant_code must be printable, got {self.variant_code!r}")
         if not self.module_id:
             raise MetadataError("module_id must be non-empty")
         if not self.serial_number:

@@ -33,7 +33,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import parity
-from .auditcore import is_hex_digest
+from .auditcore import ScenarioError, is_hex_digest
 from .ledger import (
     LedgerFormatError,
     VerdictStatus,
@@ -42,7 +42,7 @@ from .ledger import (
     read_library,
     verify_chain,
 )
-from .vehiclesim import ScenarioError, ScenarioResult, load_scenario, run_scenario
+from .vehiclesim import ScenarioResult, load_scenario, run_scenario
 
 LEDGER_FILE = "ledger.txt"
 VERDICTS_FILE = "verdicts.tsv"
@@ -58,6 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario file and write artifacts")
+    run_p.set_defaults(handler=_cmd_run)
     run_p.add_argument("scenario", help="scenario JSON file")
     run_p.add_argument(
         "-o",
@@ -81,9 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     verify_p = sub.add_parser("verify", help="verify a persisted ledger chain")
+    verify_p.set_defaults(handler=_cmd_verify)
     verify_p.add_argument("ledger", help="ledger file")
 
     history_p = sub.add_parser("history", help="print one vehicle's checkpoint history")
+    history_p.set_defaults(handler=_cmd_history)
     history_p.add_argument("ledger", help="ledger file")
     history_p.add_argument("vehicle_key", help="vehicle key (64 hex chars)")
     history_p.add_argument(
@@ -91,11 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     audit_p = sub.add_parser("audit", help="scrub parity-cluster snapshot files")
+    audit_p.set_defaults(handler=_cmd_audit)
     audit_p.add_argument("snapshots", nargs="+", help="cluster snapshot files")
     return parser
-
-
-_PARSER = _build_parser()  # once per process: main only parses
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -270,16 +271,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return status
 
 
+_PARSER = _build_parser()  # once per process: main only parses
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "verify": _cmd_verify,
-        "history": _cmd_history,
-        "audit": _cmd_audit,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except Exception as exc:  # no traceback escapes, and 1 stays "findings"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

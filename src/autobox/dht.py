@@ -102,10 +102,6 @@ class DhtNode:
         self._used = 0
         self._covered = 0  # the first _covered records of _store
 
-    @staticmethod
-    def record_size(record: AuditRecord) -> int:
-        return len(record.line)
-
     @property
     def store_bytes(self) -> int:
         return self._used

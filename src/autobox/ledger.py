@@ -29,11 +29,14 @@ from the raw entry bytes, the seal ``LedgerBlock.build`` writes. Per
 vehicle key, checkpoint_seq must strictly increase along the chain, as on
 append: that rejects a duplicated last entry line, which keeps the Merkle
 root. An empty file is a valid chain of 0 blocks, the truncation at
-boundary 0. Each reader drives the walker: ``verify_chain`` builds no
-object, ``history_from_file`` a ``Submission`` only for the asked key's
-entries, and ``load_ledger`` every ``LedgerBlock`` and entry. Both are
-``NamedTuple``s: immutable and hashable like a frozen dataclass, but
-built by one tuple allocation instead of a setattr per field.
+boundary 0. The walker stops at the first block that fails, with one
+error, ``LedgerFormatError``, whose ``broken_at`` names that block. Each
+reader drives the walker: ``verify_chain`` builds no object and turns the
+error into its verdict, ``history_from_file`` builds a ``Submission`` only
+for the asked key's entries, and ``load_ledger`` every ``LedgerBlock`` and
+entry. Both are ``NamedTuple``s: immutable and hashable like a frozen
+dataclass, but built by one tuple allocation instead of a setattr per
+field.
 """
 
 from __future__ import annotations
@@ -52,7 +55,12 @@ GENESIS_PREV = "0" * 64
 
 
 class LedgerFormatError(ValueError):
-    """The ledger file cannot be read as a ledger at all."""
+    """The ledger file breaks at block ``broken_at``: that block fails a
+    check, or is cut off, so no reader goes past it."""
+
+    def __init__(self, path: str | Path, broken_at: int):
+        super().__init__(f"{path}: chain broken-at {broken_at}")
+        self.broken_at = broken_at
 
 
 class UnknownVariantError(ValueError):
@@ -226,25 +234,18 @@ def _advance(last_seq: dict[Any, int], vehicle_key: str | bytes, seq: int) -> st
     return None
 
 
-class _BrokenBlock(Exception):
-    """``_walk`` stopped at block ``index``: it fails a check, or is cut off."""
-
-    def __init__(self, index: int):
-        super().__init__(index)
-        self.index = index
-
-
-def _walk(blob: bytes) -> Iterator[tuple[int, str, str, str, list[re.Match[bytes]]]]:
-    """Make the module docstring's checks on every record, building no
-    block or entry. Yields each accepted block's index, prev hash, entries
-    root, block hash and entry-line matches; raises ``_BrokenBlock`` at the
-    first block that fails."""
+def _walk(path: str | Path) -> Iterator[tuple[int, str, str, str, list[re.Match[bytes]]]]:
+    """Make the module docstring's checks on every record of the file,
+    building no block or entry. Yields each accepted block's index, prev
+    hash, entries root, block hash and entry-line matches; raises
+    ``LedgerFormatError`` at the first block that fails."""
+    blob = Path(path).read_bytes()
     last_seq: dict[bytes, int] = {}
     prev, pos, index, size = GENESIS_PREV, 0, 0, len(blob)
     while pos < size:
         head = RECORD_HEAD.match(blob, pos)
         if head is None:
-            raise _BrokenBlock(index)
+            raise LedgerFormatError(path, index)
         lines, leaves = [], []
         pos, end = head.end(), head.start(2) + int(head[1])
         while pos < end <= size:
@@ -258,10 +259,10 @@ def _walk(blob: bytes) -> Iterator[tuple[int, str, str, str, list[re.Match[bytes
             leaves.append(hashlib.sha256(line[0]).digest())
             pos += 1
         if pos != end or not lines:
-            raise _BrokenBlock(index)
+            raise LedgerFormatError(path, index)
         root, block_hash = _seal(index, prev, leaves)
         if f"{index}|{prev}|{root}|{block_hash}".encode("ascii") != head[2]:
-            raise _BrokenBlock(index)
+            raise LedgerFormatError(path, index)
         yield index, prev, root, block_hash, lines
         prev, index = block_hash, index + 1
 
@@ -272,10 +273,10 @@ def verify_chain(path: str | Path) -> VerifyResult:
     An empty file is a valid chain of 0 blocks. Builds no block or entry.
     """
     try:
-        for _ in _walk(Path(path).read_bytes()):
+        for _ in _walk(path):
             pass
-    except _BrokenBlock as broken:
-        return VerifyResult(valid=False, broken_at=broken.index)
+    except LedgerFormatError as broken:
+        return VerifyResult(valid=False, broken_at=broken.broken_at)
     return VerifyResult(valid=True)
 
 
@@ -283,11 +284,11 @@ def _read_chain(path: str | Path) -> tuple[list[LedgerBlock], VerifyResult]:
     """The blocks ``_walk`` accepts, up to the first broken one, and the verdict."""
     blocks: list[LedgerBlock] = []
     try:
-        for index, prev, root, block_hash, lines in _walk(Path(path).read_bytes()):
+        for index, prev, root, block_hash, lines in _walk(path):
             entries = tuple(map(Submission.from_match, lines))
             blocks.append(LedgerBlock(index, prev, entries, root, block_hash))
-    except _BrokenBlock as broken:
-        return blocks, VerifyResult(valid=False, broken_at=broken.index)
+    except LedgerFormatError as broken:
+        return blocks, VerifyResult(valid=False, broken_at=broken.broken_at)
     return blocks, VerifyResult(valid=True)
 
 
@@ -295,7 +296,7 @@ def load_ledger(path: str | Path) -> list[LedgerBlock]:
     """Load a persisted ledger; any broken block raises LedgerFormatError."""
     blocks, result = _read_chain(path)
     if not result.valid:
-        raise LedgerFormatError(f"{path}: chain {result.describe()}")
+        raise LedgerFormatError(path, result.broken_at)
     return blocks
 
 
@@ -344,10 +345,10 @@ class FullNode:
         rejected: list[tuple[Submission, str]] = []
         for sub in submissions:
             problem = "malformed: not a canonical wire line"
-            try:  # ValueError: an int past its digit limit, or unencodable text
+            try:  # an int past its digit limit, unencodable text, or no EventType
                 if WIRE_LINE.fullmatch(sub.wire_line().encode("utf-8")):
                     problem = _advance(self._last_seq, sub.vehicle_key, sub.checkpoint_seq)
-            except ValueError:
+            except (ValueError, AttributeError):
                 pass
             if problem:
                 rejected.append((sub, problem))
@@ -382,12 +383,9 @@ def history_from_file(path: str | Path, vehicle_key: str) -> list[tuple[int, Sub
     sequence numbers strictly increase. Checks the whole chain, but builds
     only this key's entries: none for an unknown or non-ASCII (``?``) key."""
     want = vehicle_key.encode("ascii", "replace")
-    try:
-        return [
-            (index, Submission.from_match(line))
-            for index, _, _, _, lines in _walk(Path(path).read_bytes())
-            for line in lines
-            if line[1] == want
-        ]
-    except _BrokenBlock as broken:
-        raise LedgerFormatError(f"{path}: chain broken-at {broken.index}") from None
+    return [
+        (index, Submission.from_match(line))
+        for index, _, _, _, lines in _walk(path)
+        for line in lines
+        if line[1] == want
+    ]

@@ -18,11 +18,13 @@ be dropped.
 Outbound, the master feeds a light client buffer. Each checkpoint queues
 as the Submission the full node will receive, stamped with the vehicle key
 the caller passes to that capture. A Submission is a ``NamedTuple``, an
-immutable value that the ledger reader builds for every entry it loads.
+immutable value: ``ledger.load_ledger`` builds one for every entry it
+loads, ``ledger.history_from_file`` only for the asked key's entries.
 Submissions queue while connectivity is down and drain strictly in order
 once it returns: each drain returns the whole backlog to the vehicle,
-which delivers it as one batch, so nothing is dropped or reordered. What the full node then refuses is reported by
-the scenario run, not retried here.
+which delivers it as one batch, so nothing is dropped or reordered. What
+the full node then refuses is reported by the scenario run, not retried
+here.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .auditcore import NUMBER, POSITIVE_NUMBER, AuditRecord, EventType
+from .auditcore import HEX_DIGEST, NUMBER, POSITIVE_NUMBER, AuditRecord, EventType
 from .dht import DhtNetwork, StoreReceipt
 
 
@@ -78,8 +80,8 @@ _TRIGGERS = {t.value.encode(): t for t in EventType}
 # The admissible wire line in the one spelling ``wire_line`` writes: 64-hex
 # key, checkpoint_seq >= 1, 64-hex digest, trigger, sim_time >= 0.
 WIRE_LINE = re.compile(
-    rb"([0-9a-f]{64})\|(%s)\|([0-9a-f]{64})\|(%s)\|(%s)"
-    % (POSITIVE_NUMBER, b"|".join(map(re.escape, _TRIGGERS)), NUMBER)
+    rb"(%s)\|(%s)\|(%s)\|(%s)\|(%s)"
+    % (HEX_DIGEST, POSITIVE_NUMBER, HEX_DIGEST, b"|".join(map(re.escape, _TRIGGERS)), NUMBER)
 )
 
 

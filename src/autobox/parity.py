@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .auditcore import NUMBER
+from .auditcore import HEX_DIGEST, NUMBER
 
 PARITY = "parity"
 
@@ -111,7 +111,7 @@ class ParityCluster:
         """Position of a device in the device list; parity sits at d."""
         if device == PARITY:
             return self.device_count
-        if not isinstance(device, int) or not 0 <= device < self.device_count:
+        if type(device) is not int or not 0 <= device < self.device_count:
             raise ClusterError(f"no device {device!r}")
         return device
 
@@ -308,7 +308,7 @@ SNAPSHOT_HEADER = re.compile(
     rb"d=(%s) lengths=(%s(?:,%s)*) parity_len=(%s)\n" % ((NUMBER,) * 4)
 )
 INDEX_LINE = re.compile(
-    rb"([0-9a-f]{64})\t(%s)\t(%s)\t(%s)\t([0-9a-f]{64})\n" % ((NUMBER,) * 3)
+    rb"(%s)\t(%s)\t(%s)\t(%s)\t(%s)\n" % (HEX_DIGEST, NUMBER, NUMBER, NUMBER, HEX_DIGEST)
 )
 
 

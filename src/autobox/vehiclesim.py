@@ -45,8 +45,8 @@ from .auditcore import (
     AirbagStatus,
     AuditRecord,
     EventType,
-    MetadataError,
     ModuleMetadata,
+    ScenarioError,
     SharedCriticalData,
     VIN_RE,
     derive_vehicle_key,
@@ -54,9 +54,9 @@ from .auditcore import (
     validate_vin,
 )
 from .dht import (
+    DEFAULT_STORE_LIMIT_BYTES,
     CheckpointRequired,
     DhtNetwork,
-    DhtNode,
     NodeUnavailable,
     detect_discrepancy,
     node_id_for_serial,
@@ -84,10 +84,6 @@ DURATION_LIMIT_S = 10**18
 # One ground_truth.jsonl line: compact, keys sorted. Built once, since
 # json.dumps with any option builds a new encoder per call.
 _encode_ground_truth = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-class ScenarioError(ValueError):
-    """Scenario config or event list is invalid; nothing was simulated."""
 
 
 class ScenarioEventKind(str, Enum):
@@ -160,7 +156,7 @@ class VehicleConfig:
     vin: str
     variant_code: str
     modules: tuple[ModuleMetadata, ...]
-    dht_store_limit_bytes: int = 2048
+    dht_store_limit_bytes: int = DEFAULT_STORE_LIMIT_BYTES
     parity_clusters: tuple[tuple[str, ...], ...] = ()
     capture_interval_s: int = 3600
     mileage_stride_km: int = 1000
@@ -201,11 +197,11 @@ class VehicleConfig:
                 raise ScenarioError(f"{name} must be at least 1")
 
     def longest_record_line(self, duration_s: int) -> int:
-        """Bytes that ``DhtNode.record_size`` charges a store for the longest
-        record a module emits by duration_s."""
+        """Bytes a store is charged, the length of ``AuditRecord.line``, for
+        the longest record a module emits by duration_s."""
         module_id = max((m.module_id for m in self.modules), key=lambda i: len(i.encode()))
         event_type = max(EventType, key=lambda t: len(t.value))
-        return DhtNode.record_size(AuditRecord(module_id, event_type, duration_s, "0" * 64))
+        return len(AuditRecord(module_id, event_type, duration_s, "0" * 64).line)
 
 
 def _release(version: str) -> tuple[int, ...]:
@@ -514,7 +510,7 @@ class Vehicle:
         if not event.new_version:
             raise ScenarioError("UdsReflash needs new_version")
         old = self.modules[module_id]
-        self.modules[module_id] = _validated(replace, old, software_version=event.new_version)
+        self.modules[module_id] = replace(old, software_version=event.new_version)
         self.latest_version = event.new_version
         self._log(
             "uds_reflash",
@@ -540,7 +536,7 @@ class Vehicle:
             old_md = self.modules[module_id]
             shape, _ = MODULE_FIELDS[event.field]
             value = shape(event.field, event.forged_value)
-            self.modules[module_id] = _validated(replace, old_md, **{event.field: value})
+            self.modules[module_id] = replace(old_md, **{event.field: value})
             pre = getattr(old_md, event.field)
         else:
             raise ScenarioError(f"EepromTamper: unknown field {event.field!r}")
@@ -600,7 +596,7 @@ class Vehicle:
         self._log("node_recovery", module=module_id)
 
     def _on_memory_corruption(self, event: ScenarioEvent) -> None:
-        if not 0 <= event.cluster < len(self.clusters):
+        if type(event.cluster) is not int or not 0 <= event.cluster < len(self.clusters):
             raise ScenarioError(f"MemoryCorruption: unknown cluster {event.cluster!r}")
         cluster = self.clusters[event.cluster]
         offset = event.byte_offset
@@ -766,8 +762,6 @@ def _iso_date(text: str) -> date:
 
 
 _count = _narrowed(_integer, lambda n: n >= 0, "non-negative")
-# A module's variant_code is printable, as its vehicle's must be.
-_printable = _narrowed(_string, str.isprintable, "printable")
 _date = _parsed(_iso_date, "a YYYY-MM-DD date")
 _kind = _parsed(ScenarioEventKind, "an event kind")
 
@@ -795,8 +789,8 @@ def _list(item: Shape, noun: str) -> Shape:
         for i, element in enumerate(_array(name, value)):
             try:
                 out.append(item(noun, element))
-            except ScenarioError as exc:
-                raise ScenarioError(f"{name}[{i}]: {exc}") from None
+            except ScenarioError as exc:  # a MetadataError stays one
+                raise type(exc)(f"{name}[{i}]: {exc}") from None
         return tuple(out)
 
     return shape
@@ -807,14 +801,6 @@ def _object(table: dict[str, tuple[Shape, Any]], build: Callable[..., Any]) -> S
     return lambda name, value: build(**_fields(value, table, name))
 
 
-def _validated(build: Callable[..., Any], *args: Any, **fields: Any) -> Any:
-    """``build(*args, **fields)``, with a MetadataError it raises as a ScenarioError."""
-    try:
-        return build(*args, **fields)
-    except MetadataError as exc:
-        raise ScenarioError(str(exc)) from None
-
-
 MODULE_FIELDS = {
     "module_id": (_string, _REQUIRED),
     "design_date": (_date, _REQUIRED),
@@ -823,20 +809,20 @@ MODULE_FIELDS = {
     "supplier_id": (_string, _REQUIRED),
     "production_lot": (_string, _REQUIRED),
     "software_version": (_string, _REQUIRED),
-    "variant_code": (_printable, _REQUIRED),
+    "variant_code": (_string, _REQUIRED),
     "serial_number": (_string, _REQUIRED),
     "vin": (_string, _REQUIRED),
 }
-_MODULE = _object(MODULE_FIELDS, lambda **f: _validated(ModuleMetadata, **f))
+_MODULE = _object(MODULE_FIELDS, ModuleMetadata)
 VEHICLE_FIELDS = {
     "vin": (_string, _REQUIRED),
     "variant_code": (_string, _REQUIRED),
     "modules": (_list(_MODULE, "module"), _REQUIRED),
-    "dht_store_limit_bytes": (_integer, 2048),
-    "parity_clusters": (_list(_list(_string, "member"), "cluster"), ()),
-    "capture_interval_s": (_integer, 3600),
-    "mileage_stride_km": (_integer, 1000),
-    "initial_odometer_km": (_integer, 0),
+    "dht_store_limit_bytes": (_integer, VehicleConfig.dht_store_limit_bytes),
+    "parity_clusters": (_list(_list(_string, "member"), "cluster"), VehicleConfig.parity_clusters),
+    "capture_interval_s": (_integer, VehicleConfig.capture_interval_s),
+    "mileage_stride_km": (_integer, VehicleConfig.mileage_stride_km),
+    "initial_odometer_km": (_integer, VehicleConfig.initial_odometer_km),
 }
 EVENT_FIELDS = {
     "sim_time": (_count, _REQUIRED),
@@ -854,7 +840,7 @@ EVENT_FIELDS = {
     "token": (_string, None),
 }
 _EVENTS = _list(_object(EVENT_FIELDS, ScenarioEvent), "event")
-_VEHICLE = _object(VEHICLE_FIELDS, lambda **f: _validated(VehicleConfig, **f))
+_VEHICLE = _object(VEHICLE_FIELDS, VehicleConfig)
 LANE_FIELDS = {"vehicle": (_VEHICLE, _REQUIRED), "events": (_EVENTS, ())}
 _LANE = _object(LANE_FIELDS, lambda vehicle, events: VehicleLane(vehicle, events))
 POLICY_FIELDS = {"critical_variants": (_list(_string, "variant"), ())}

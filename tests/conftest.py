@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from autobox.auditcore import EventType, ModuleMetadata, is_hex_digest
-from autobox.ledger import GENESIS_PREV, LedgerBlock, LedgerFormatError, VerifyResult
+from autobox.ledger import GENESIS_PREV, LedgerBlock, VerifyResult
 from autobox.masternode import Submission
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -192,9 +192,9 @@ def record_spans(blob: bytes) -> list[tuple[int, int, int]]:
 # -- the ledger reader that parsed and re-encoded every block ---------------
 # Kept, with the wire parse and the admission rule it called, as the
 # reference the in-place reader must agree with. It refused an empty file;
-# the current reader reads one as a chain of 0 blocks. It admitted numbers
-# of any length; the admission rule below now refuses the ones past 18
-# digits, as the format does.
+# now it reads one, as the current reader does, as a chain of 0 blocks. It
+# admitted numbers of any length; the admission rule below now refuses the
+# ones past 18 digits, as the format does.
 
 
 def reference_from_wire(line: str) -> Submission:
@@ -228,8 +228,6 @@ def reference_admit(sub: Submission, last_seq: dict[str, int]) -> str | None:
 
 def reference_read_chain(path: str | Path) -> tuple[list[LedgerBlock], VerifyResult]:
     blob = Path(path).read_bytes()
-    if not blob:
-        raise LedgerFormatError(f"{path}: empty file is not a ledger")
     blocks: list[LedgerBlock] = []
     last_seq: dict[str, int] = {}
     prev = GENESIS_PREV

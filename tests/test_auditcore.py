@@ -141,6 +141,7 @@ class TestPayloadHash:
             dict(module_id=""),
             dict(serial_number=""),
             dict(vin="1HGBH41JXMN109186\n"),
+            dict(variant_code="EU\tBASE"),
         ):
             with pytest.raises(MetadataError):
                 make_metadata(**change)

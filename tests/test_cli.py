@@ -768,6 +768,16 @@ class TestHistory:
         assert cli.main(["history", str(tmp_path), "99" * 32]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_broken_ledger_exit_two(self, tmp_path, capsys):
+        """A broken chain is bad input to ``history``, not a finding."""
+        out = tmp_path / "out"
+        assert cli.main(["run", str(DEMO_SCENARIO), "-o", str(out)]) == 0
+        path = out / cli.LEDGER_FILE
+        path.write_bytes(path.read_bytes()[:-1])  # the last block, block 4, cut short
+        capsys.readouterr()  # drop the run summary
+        assert cli.main(["history", str(path), "99" * 32]) == 2
+        assert capsys.readouterr() == ("", f"format error: {path}: chain broken-at 4\n")
+
 
 class TestAudit:
     def make_snapshot(self, tmp_path, corrupt=False):

@@ -219,7 +219,7 @@ class TestEviction:
         network, node = self.small_network()
         records = self.fill(network, node, 3)
         network.cover()
-        size = network.node(node).record_size(records[0])
+        size = len(records[0].line)
         evicted = network.node(node).evict(network.node(node).store_bytes + size - 512 + size)
         assert evicted  # at least the oldest went
         assert evicted[0] == min(
@@ -262,7 +262,7 @@ class TestEviction:
         newer = self.fill(network, node, 1, start_time=50)
         # Ask for exactly what the covered records can free up.
         store = network.node(node)
-        freeable = (600 - store.store_bytes) + sum(store.record_size(r) for r in old)
+        freeable = (600 - store.store_bytes) + sum(len(r.line) for r in old)
         evicted = store.evict(freeable)
         assert set(evicted) == {r.record_key for r in old}
         for record in newer:

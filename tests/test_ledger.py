@@ -111,7 +111,9 @@ class TestAppend:
         assert result.rejected == ((past, "malformed: not a canonical wire line"),)
 
     @pytest.mark.parametrize(
-        "fields", [{"seq": 10**5000}, {"digest": "\udc80" * 64}], ids=["huge-seq", "surrogate"]
+        "fields",
+        [{"seq": 10**5000}, {"digest": "\udc80" * 64}, {"trigger": "Reflash"}],
+        ids=["huge-seq", "surrogate", "str-trigger"],
     )
     def test_unformattable_line_leaves_sequence_table_unchanged(self, fields):
         """A wire line that cannot be written is malformed, not a raise mid-batch."""

@@ -55,8 +55,9 @@ def assert_same_reading(path, blob: bytes, where) -> VerifyResult:
             assert ledger.history_from_file(path, key) == rows, (where, key)
         else:
             broken = f": chain broken-at {ref_result.broken_at}$"
-            with pytest.raises(LedgerFormatError, match=broken):
+            with pytest.raises(LedgerFormatError, match=broken) as error:
                 ledger.history_from_file(path, key)
+            assert error.value.broken_at == ref_result.broken_at, (where, key)
     return result
 
 
@@ -73,7 +74,7 @@ def test_golden_fixture_ledgers(tmp_path):
 
 
 def test_fuzz_corpus(tmp_path):
-    """The seeds and counts of test_fuzz.py, plus every block boundary."""
+    """The seeds and counts of test_fuzz.py, plus every block boundary and 0."""
     result = run_scenario(load_scenario(DEMO_SCENARIO))
     blob = write_chain(tmp_path / "demo.txt", result.blocks).read_bytes()
     path = tmp_path / "ledger.txt"
@@ -86,7 +87,7 @@ def test_fuzz_corpus(tmp_path):
         assert_same_reading(path, bytes(mutated), f"byte {offset} -> {value:#04x}")
     rng = random.Random(20202)
     cuts = {rng.randrange(1, len(blob)) for _ in range(TRUNCATIONS)}
-    cuts |= {end for _, _, end in record_spans(blob)}
+    cuts |= {0} | {end for _, _, end in record_spans(blob)}
     for cut in sorted(cuts):
         assert_same_reading(path, blob[:cut], f"cut at {cut}")
 

@@ -168,7 +168,7 @@ class TestCapture:
             master.put(node, record)
         store = network.node(node)
         freeable = store.store_limit_bytes - store.store_bytes
-        freeable += sum(store.record_size(r) for r in earlier)
+        freeable += sum(len(r.line) for r in earlier)
         with pytest.raises(CheckpointRequired):  # the later records stay put
             store.evict(freeable + 1)
         assert set(store.evict(freeable)) == {r.record_key for r in earlier}

@@ -135,6 +135,14 @@ class TestClusterBasics:
         with pytest.raises(ClusterError):
             cluster.erase_device(cluster.device_count)
 
+    def test_bool_is_no_device_index(self):
+        """True equals 1, but names no device: it is not read as device 1."""
+        cluster = ParityCluster(2)
+        cluster.append_record(1, "aa" * 32, b"xyz")
+        with pytest.raises(ClusterError, match="no device True"):
+            cluster.corrupt_byte(True, 0)
+        assert cluster.data_store(1) == b"xyz"
+
     def test_corrupt_byte_just_past_the_device_end_rejected(self):
         cluster = ParityCluster(2)
         cluster.append_record(0, "aa" * 32, b"xyz")

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from autobox.auditcore import AirbagStatus, EventType, ModuleMetadata, derive_vehicle_key
+from autobox.auditcore import (
+    AirbagStatus,
+    EventType,
+    MetadataError,
+    ModuleMetadata,
+    derive_vehicle_key,
+)
 from autobox.dht import owner_of
 from autobox.ledger import VerdictStatus, history_from_file
 from autobox.masternode import MetaHash
@@ -826,6 +832,32 @@ class TestFleet:
         assert result.findings
 
 
+class TestBoolIsNoReference:
+    """JSON true is no integer to the parser; a Python True, which equals 1,
+    names no cluster or device either."""
+
+    def test_demo_corruption_of_device_true_refused(self):
+        scenario = load_scenario(DEMO_SCENARIO)
+        (lane,) = scenario.lanes
+        flip = event(ScenarioEventKind.MEMORY_CORRUPTION, 7300, cluster=0, device=True,
+                     byte_offset=0)
+        events = tuple(sorted(lane.events + (flip,), key=lambda e: e.sim_time))
+        with pytest.raises(ScenarioError, match="no device True"):
+            run_scenario(replace(scenario, lanes=(replace(lane, events=events),)))
+
+    def test_corruption_of_cluster_true_refused(self):
+        ids = ("ECU", "BCM", "TCM", "HeadUnit", "ABS", "SRS")
+        modules = tuple(make_metadata(m, serial_number=f"{m}-SN-9186") for m in ids)
+        vehicle = Vehicle(
+            make_vehicle_config(modules=modules, parity_clusters=(ids[:3], ids[3:]))
+        )
+        vehicle.boot()
+        flip = event(ScenarioEventKind.MEMORY_CORRUPTION, 100, cluster=True, device=0,
+                     byte_offset=0)
+        with pytest.raises(ScenarioError, match="unknown cluster True"):
+            vehicle.handle_event(flip)
+
+
 class TestScenarioParsing:
     def scenario_obj(self):
         return {
@@ -884,6 +916,20 @@ class TestScenarioParsing:
         path.write_text('{\n "vehicle": [,]\n}')
         with pytest.raises(ScenarioError, match=r":2:"):
             load_scenario(path)
+
+    def test_bad_module_value_is_a_metadata_error_and_a_scenario_error(self, tmp_path):
+        """One error type per failure: the module's own MetadataError reaches
+        the caller, through the list prefix, and ``except ScenarioError`` catches it."""
+        obj = self.scenario_obj()
+        obj["vehicle"]["modules"][1]["vin"] = "BADVIN"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ScenarioError) as error:
+            load_scenario(path)
+        assert type(error.value) is MetadataError
+        assert str(error.value) == (
+            "modules[1]: invalid VIN 'BADVIN': need 17 chars from [A-HJ-NPR-Z0-9]"
+        )
 
     def test_unknown_event_kind_rejected(self):
         obj = self.scenario_obj()

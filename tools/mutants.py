@@ -1,9 +1,11 @@
-"""Mutation run over the tamper-evidence checks (ROADMAP item 13).
+"""Mutation run over the tamper-evidence checks and the exit codes (ROADMAP item 13).
 
 Each mutant changes one operator in one target function: a comparison
 operator to its boundary or negated twin (``<`` and ``<=``, ``>`` and
 ``>=``, ``==`` and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``),
-``and`` to ``or`` and back, or a ``not`` dropped. For each mutant the
+``and`` to ``or`` and back, or a ``not`` dropped; or an integer constant
+0 to 3 that a function returns to its neighbour (0 and 1, 1 and 2, 2 and
+3), which moves an exit code of the ``cli`` commands. For each mutant the
 runner copies the tree into a temporary directory, splices the mutated
 expression into that copy's source and runs ``pytest -x -q`` there; the
 working tree is never written. A mutant is killed when the run fails (or
@@ -14,7 +16,7 @@ and why, or an open gap. Usage, from anywhere:
 
     python3 tools/mutants.py    # every mutant, two pytest runs at a time
 
-Stdlib only; not part of the Tier-1 tests. A full run takes about 13
+Stdlib only; not part of the Tier-1 tests. A full run takes about 15
 minutes on two vCPUs.
 """
 
@@ -64,6 +66,7 @@ TARGETS = {
         "validate_vin", "ModuleMetadata.__post_init__", "identity_hash",
         "derive_vehicle_key",
     ],
+    "cli": ["_cmd_run", "_cmd_verify", "_cmd_history", "_cmd_audit", "main"],
 }
 
 _TWIN = {
@@ -105,9 +108,14 @@ def _functions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _mutations(node: ast.AST):
-    """(description, mutated copy) for each operator of one expression node."""
-    if isinstance(node, ast.Compare):
+def _mutations(node: ast.AST, returned: bool):
+    """(description, mutated copy) for each operator of one expression node;
+    ``returned`` when the node is an integer constant of a returned value."""
+    if returned:
+        for value in (node.value - 1, node.value + 1):
+            if 0 <= value <= 3:
+                yield f"{node.value} -> {value}", ast.Constant(value)
+    elif isinstance(node, ast.Compare):
         for i, op in enumerate(node.ops):
             mutated = copy.deepcopy(node)
             mutated.ops[i] = _TWIN[type(op)]()
@@ -118,6 +126,13 @@ def _mutations(node: ast.AST):
         yield f"{_SYMBOL[type(node.op)]} -> {_SYMBOL[_TWIN[type(node.op)]]}", mutated
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
         yield "not x -> x", node.operand
+
+
+def _returned(value: ast.AST | None) -> list[ast.AST | None]:
+    """The expressions whose value a return statement's value may be."""
+    if isinstance(value, ast.IfExp):
+        return _returned(value.body) + _returned(value.orelse)
+    return [value]
 
 
 def _expressions(function: ast.AST):
@@ -160,10 +175,16 @@ def find_mutants(root: Path) -> list[dict]:
                 (n for n in _expressions(found[name]) if hasattr(n, "lineno")),
                 key=lambda n: (n.lineno, n.col_offset),
             )
+            # Integer constants returned as they are, named by their return statement.
+            returns = {
+                id(c): r
+                for r in ast.walk(found[name]) if isinstance(r, ast.Return)
+                for c in _returned(r.value) if isinstance(c, ast.Constant) and type(c.value) is int
+            }
             seen: dict[str, int] = {}
             for node in nodes:
-                original = ast.get_source_segment(source, node)
-                for change, mutated in _mutations(node):
+                original = ast.get_source_segment(source, returns.get(id(node), node))
+                for change, mutated in _mutations(node, id(node) in returns):
                     base = f"{module}.{name}: {' '.join(original.split())}: {change}"
                     seen[base] = seen.get(base, 0) + 1
                     mutants.append({
