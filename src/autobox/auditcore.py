@@ -24,10 +24,11 @@ takes no key: it derives ``record_key`` from its own fields, so no record
 carries a key that does not match it.
 
 Each value is hashed once: ``ModuleMetadata.payload_hash``,
-``AuditRecord.record_key`` and ``AuditRecord.line`` are memoised on the
-instance. That is safe because both types are frozen and every mutation
-(reflash, tamper, swap) replaces the instance, so the new one hashes
-afresh.
+``AuditRecord.record_key`` and ``AuditRecord.line`` are derived once, when
+the value is made. That is safe because both types are frozen and every
+mutation (reflash, tamper, swap) replaces the instance, so the new one,
+``dataclasses.replace``'s too, derives afresh. They are attributes, not
+fields: ``==``, ``hash`` and ``repr`` cover the fields only.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import re
 from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
-from functools import cached_property
 from typing import Iterable
 
 # 17 chars, uppercase alphanumerics minus I/O/Q (easily confused glyphs).
@@ -99,7 +99,8 @@ class ModuleMetadata:
     This is the unit of hashing: any single-field change produces a new
     payload digest. Mutations (reflash, tamper, swap) are modeled by
     replacing the instance, never by in-place edits, which is what lets
-    ``payload_hash`` be computed once per instance.
+    ``payload_hash``, the SHA-256 hex of the canonical form, be derived
+    once, when the instance is made.
     """
 
     module_id: str
@@ -125,11 +126,7 @@ class ModuleMetadata:
         for name, value in _field_items(self):
             if isinstance(value, str) and "\n" in value:
                 raise MetadataError(f"newline in field {name!r} breaks canonical form")
-
-    @cached_property
-    def payload_hash(self) -> str:
-        """SHA-256 hex of the canonical form, memoised on the instance."""
-        return sha256_hex(canonical_serialize(self))
+        object.__setattr__(self, "payload_hash", sha256_hex(canonical_serialize(self)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,9 @@ class SharedCriticalData:
 class AuditRecord:
     """One hashed, timestamped, typed event as stored in the DHT.
 
-    The key and the stored line are derived from the fields, once each.
+    ``record_key`` and ``line`` are derived from the fields when the record
+    is made. ``line`` is the dump line and its newline, UTF-8: the bytes a
+    node store accounts for and a parity-cluster device holds.
     """
 
     module_id: str
@@ -158,15 +157,10 @@ class AuditRecord:
     sim_time: int
     payload_hash: str
 
-    @cached_property
-    def record_key(self) -> str:
-        return compute_record_key(self.module_id, self.event_type, self.sim_time, self.payload_hash)
-
-    @cached_property
-    def line(self) -> bytes:
-        """The dump line and its newline, UTF-8: the bytes a node store
-        accounts for and a parity-cluster device holds."""
-        return (self.dump_line() + "\n").encode("utf-8")
+    def __post_init__(self) -> None:
+        key = compute_record_key(self.module_id, self.event_type, self.sim_time, self.payload_hash)
+        object.__setattr__(self, "record_key", key)
+        object.__setattr__(self, "line", (self.dump_line() + "\n").encode("utf-8"))
 
     def dump_line(self) -> str:
         """Audit dump encoding: key, module, event, time, payload hash."""

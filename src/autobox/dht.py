@@ -4,9 +4,11 @@ Desk-scale model of the level-1 store: each module hosts one node, node
 ids are digests of module serial numbers, and a record key is owned by the
 node whose id minimizes the XOR distance to it. The modules share one
 closed bus on which every module addresses every other directly, so
-placement is one hop: a scan of the live ids picks the closest live node.
-A failed node loses its storage role only; its module still speaks on the
-bus, and what it emits lands on the closest live node instead.
+placement is one hop: a scan of the live table picks the closest live
+node. Membership is two id tables, live and failed, each mapping a node
+id to its integer value; a node is in exactly one of them. A failed node
+loses its storage role only; its module still speaks on the bus, and what
+it emits lands on the closest live node instead.
 
 Node stores are byte-bounded. A record's accounted size is the length of
 ``AuditRecord.line``: the bytes the same record takes on a parity-cluster
@@ -22,6 +24,7 @@ the covered records are always the first ``_covered`` in insertion order.
 from __future__ import annotations
 
 from itertools import islice
+from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .auditcore import AuditRecord, sha256_hex
@@ -129,8 +132,7 @@ class DhtNode:
         if free >= needed_bytes:
             return []
         eligible = sorted(
-            islice(self._store.values(), self._covered),
-            key=lambda r: (r.sim_time, r.record_key),
+            islice(self._store.values(), self._covered), key=attrgetter("sim_time", "record_key")
         )
         if free + sum(len(r.line) for r in eligible) < needed_bytes:
             raise CheckpointRequired(self.node_id, needed_bytes)
@@ -166,8 +168,9 @@ class DhtNetwork:
     def __init__(self, store_limit_bytes: int = DEFAULT_STORE_LIMIT_BYTES):
         self.store_limit_bytes = store_limit_bytes
         self._nodes: dict[str, DhtNode] = {}
-        self._ints: dict[str, int] = {}
-        self._failed: set[str] = set()
+        # node id -> its integer value, for the live and the failed nodes
+        self._live: dict[str, int] = {}
+        self._failed: dict[str, int] = {}
 
     # -- membership ------------------------------------------------------
 
@@ -176,23 +179,25 @@ class DhtNetwork:
             raise ValueError(f"duplicate node id {node_id}")
         node = DhtNode(node_id, self.store_limit_bytes)
         self._nodes[node_id] = node
-        self._ints[node_id] = int(node_id, 16)
+        self._live[node_id] = int(node_id, 16)
         return node
 
     def remove_node(self, node_id: str) -> None:
         self._nodes.pop(node_id)
-        self._ints.pop(node_id)
-        self._failed.discard(node_id)
+        self._live.pop(node_id, None)
+        self._failed.pop(node_id, None)
 
     def fail_node(self, node_id: str) -> None:
         if node_id not in self._nodes:
             raise NodeUnavailable(f"unknown node {node_id}")
-        self._failed.add(node_id)
+        if node_id in self._live:
+            self._failed[node_id] = self._live.pop(node_id)
 
     def recover_node(self, node_id: str) -> None:
         if node_id not in self._nodes:
             raise NodeUnavailable(f"unknown node {node_id}")
-        self._failed.discard(node_id)
+        if node_id in self._failed:
+            self._live[node_id] = self._failed.pop(node_id)
 
     def node(self, node_id: str) -> DhtNode:
         return self._nodes[node_id]
@@ -201,24 +206,24 @@ class DhtNetwork:
         return list(self._nodes)
 
     def is_live(self, node_id: str) -> bool:
-        return node_id in self._nodes and node_id not in self._failed
+        return node_id in self._live
 
     # -- lookups ---------------------------------------------------------
 
     def locate(self, origin: str, key: str) -> tuple[str, int]:
         """The live node closest to the key, and the bus hops to reach it.
 
-        One scan of the live ids; hops is 0 when origin is that node and 1
-        otherwise. Origin may be any member node, failed or not.
+        One scan of the live table, which holds no failed node; hops is 0
+        when origin is that node and 1 otherwise. Origin may be any member
+        node, failed or not.
         """
         if origin not in self._nodes:
             raise NodeUnavailable(f"unknown origin {origin}")
         key_int = int(key, 16)
-        target = min(
-            (n for n in self._ints if n not in self._failed),
-            key=lambda n: self._ints[n] ^ key_int,
-            default=None,
-        )
+        target, best = None, None
+        for node_id, value in self._live.items():
+            if best is None or value ^ key_int < best:
+                target, best = node_id, value ^ key_int
         if target is None:
             raise NodeUnavailable("no live node")
         return target, int(target != origin)
@@ -235,9 +240,11 @@ class DhtNetwork:
         """
         target, hops = self.locate(origin, record.record_key)
         # Placed away from its owner exactly when a failed node is closer.
-        key_int = int(record.record_key, 16)
-        distance = self._ints[target] ^ key_int
-        fallback = any(self._ints[n] ^ key_int < distance for n in self._failed)
+        fallback = False
+        if self._failed:
+            key_int = int(record.record_key, 16)
+            distance = self._live[target] ^ key_int
+            fallback = any(value ^ key_int < distance for value in self._failed.values())
         evicted = self._nodes[target].insert(record)
         return StoreReceipt(target, hops, fallback, tuple(evicted))
 

@@ -155,9 +155,9 @@ class ParityCluster:
         idx = self._data_index(device)
         if record_key in self._index:
             raise ClusterError(f"record {record_key[:12]}… already indexed")
-        if self.is_erased(idx):
-            raise ClusterError(f"device {idx} is erased; repair before appending")
         store = self._devices[idx]
+        if len(store) != self._lengths[idx]:
+            raise ClusterError(f"device {idx} is erased; repair before appending")
         offset, end = len(store), len(store) + len(payload)
         store.extend(payload)
         _fold_in(self._devices[self.device_count], offset, payload)

@@ -82,8 +82,11 @@ MAX_PERIODIC_CAPTURES = 10_000
 DURATION_LIMIT_S = 10**18
 
 # One ground_truth.jsonl line: compact, keys sorted. Built once, since
-# json.dumps with any option builds a new encoder per call.
-_encode_ground_truth = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# json.dumps with any option builds a new encoder per call. An entry is a
+# flat dict of scalars and string lists, so it cannot hold a cycle.
+_encode_ground_truth = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+).encode
 
 
 class ScenarioEventKind(str, Enum):
@@ -149,6 +152,10 @@ class ScenarioEvent:
         missing = sorted(takes - given - {"token"})
         if missing:
             raise ScenarioError(f"{self.kind.value} event needs {missing}")
+        # A bool is an int to Python, but no count of seconds, km or bytes.
+        for name in sorted(given & {"sim_time", "km", "byte_offset", "end"}):
+            if type(value := getattr(self, name)) is not int:
+                raise ScenarioError(f"{self.kind.value} {name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -361,8 +368,9 @@ class Vehicle:
         if cluster.is_erased(device):
             # A swapped-in module's store: rebuild it, as boot would, first.
             self._scrub_clusters()
-        if not cluster.is_erased(device):  # else a second fault left it unrepairable
-            cluster.append_record(device, record.record_key, record.line)
+            if cluster.is_erased(device):  # a second fault left it unrepairable
+                return
+        cluster.append_record(device, record.record_key, record.line)
 
     def _sweep(self, event_type: EventType) -> None:
         """Every module self-identifies into the table."""

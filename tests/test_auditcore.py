@@ -289,3 +289,43 @@ class TestDeriveVehicleKey:
     def test_no_raw_serial_leaks_into_key(self):
         vk = derive_vehicle_key({"SECRETSERIAL"}, "1.0")
         assert "SECRETSERIAL".lower() not in vk
+
+
+class TestDerivedOnce:
+    """``record_key``, ``line`` and ``payload_hash`` are derived as a value is
+    made, ``dataclasses.replace`` included, and take no part in ``==``,
+    ``hash`` or ``repr``."""
+
+    def test_record_key_and_line_match_their_definitions(self, ecu_metadata):
+        made = AuditRecord("ECU", EventType.REFLASH, 42, ecu_metadata.payload_hash)
+        periodic = identity_hash(ecu_metadata, 7, EventType.PERIODIC_INTERVAL)
+        replaced = replace(periodic, event_type=EventType.REFLASH, sim_time=42)
+        for record in (made, replaced, periodic):
+            assert record.record_key == compute_record_key(
+                record.module_id, record.event_type, record.sim_time, record.payload_hash
+            )
+            assert record.line == (record.dump_line() + "\n").encode()
+        assert made.record_key == ECU_REFLASH_T42_KEY
+        assert periodic.record_key != made.record_key
+        assert made == replaced and hash(made) == hash(replaced) and repr(made) == repr(replaced)
+        assert "record_key" not in repr(made) and "line" not in repr(made)
+
+    def test_metadata_payload_hash_survives_replace(self, ecu_metadata):
+        back = replace(replace(ecu_metadata, software_version="1.4.3"), software_version="1.4.2")
+        assert back.payload_hash == ecu_metadata.payload_hash == ECU_PAYLOAD_DIGEST
+        assert back == ecu_metadata and hash(back) == hash(ecu_metadata)
+        assert repr(back) == repr(ecu_metadata) and "payload_hash" not in repr(back)
+        assert [f.name for f in fields(ModuleMetadata)].count("payload_hash") == 0
+
+    def test_nothing_is_hashed_on_access(self, ecu_metadata, monkeypatch):
+        """Made before the hash functions break, read after: no access hashes."""
+        metadata = replace(ecu_metadata, software_version="1.4.3")
+        record = identity_hash(metadata, 42, EventType.REFLASH)
+        for name in ("sha256_hex", "canonical_serialize", "compute_record_key"):
+            monkeypatch.setattr(f"autobox.auditcore.{name}", _no_hashing)
+        assert metadata.payload_hash == record.payload_hash
+        assert record.line.startswith(record.record_key.encode() + b"\tECU\tReflash\t42\t")
+
+
+def _no_hashing(*args):
+    raise AssertionError("hashed on access")

@@ -426,3 +426,70 @@ class TestOwnershipOracleProperty:
                 receipt = network.put(live[rng.randrange(len(live))], record)
                 assert receipt.stored_at == owner_of(record.record_key, live)
                 assert receipt.fallback == (receipt.stored_at != owner_of(record.record_key, ids))
+
+
+class TestMembershipChurn:
+    def test_placement_follows_the_oracle_under_churn(self):
+        """add_node, remove_node (as ModuleSwap does), fail_node, recover_node,
+        repeats and unknown ids included, and put, interleaved: after every
+        step placement, fallback and is_live agree with a plain model."""
+        rng = random.Random(2510)
+        pool = [make_record("ECU", sim_time=t) for t in range(128)]
+        fallbacks = removed_failed = 0
+        for _ in range(60):
+            ids = [random_id(rng) for _ in range(rng.randint(1, 8))]
+            network = build_network(ids)
+            live = dict.fromkeys(ids, True)  # member -> live, in joining order
+            gone: list[str] = []  # removed ids, which may join again
+            for _ in range(80):
+                members, op = list(live), rng.random()
+                candidates = members + gone + [random_id(rng)]
+                if op < 0.15:
+                    node_id = rng.choice(candidates)
+                    if node_id in live:
+                        with pytest.raises(ValueError):
+                            network.add_node(node_id)
+                    else:
+                        network.add_node(node_id)
+                        live[node_id] = True
+                        gone = [n for n in gone if n != node_id]
+                elif op < 0.3 and members:
+                    node_id = rng.choice(members)
+                    network.remove_node(node_id)
+                    removed_failed += not live.pop(node_id)
+                    gone.append(node_id)
+                elif op < 0.6:
+                    node_id, up = rng.choice(candidates), op >= 0.45
+                    change = network.recover_node if up else network.fail_node
+                    if node_id in live:
+                        change(node_id)
+                        live[node_id] = up
+                    else:
+                        with pytest.raises(NodeUnavailable):
+                            change(node_id)
+                elif members:
+                    origin, record = rng.choice(members), rng.choice(pool)
+                    up = [n for n in members if live[n]]
+                    if not up:
+                        with pytest.raises(NodeUnavailable):
+                            network.put(origin, record)
+                    else:
+                        receipt = network.put(origin, record)
+                        owner = owner_of(record.record_key, members)
+                        assert receipt.stored_at == owner_of(record.record_key, up)
+                        assert receipt.fallback == (receipt.stored_at != owner)
+                        fallbacks += receipt.fallback
+                members, up = list(live), [n for n in live if live[n]]
+                assert network.node_ids() == members
+                for node_id in members + gone + [random_id(rng)]:
+                    assert network.is_live(node_id) == live.get(node_id, False)
+                for origin in members:
+                    key = random_id(rng)
+                    if up:
+                        located, hops = network.locate(origin, key)
+                        assert located == owner_of(key, up)
+                        assert hops == int(located != origin)
+                    else:
+                        with pytest.raises(NodeUnavailable):
+                            network.locate(origin, key)
+        assert fallbacks > 100 and removed_failed > 50  # both paths well exercised

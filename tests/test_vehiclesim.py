@@ -857,6 +857,37 @@ class TestBoolIsNoReference:
         with pytest.raises(ScenarioError, match="unknown cluster True"):
             vehicle.handle_event(flip)
 
+    @pytest.mark.parametrize(
+        "kind, fields, name",
+        [
+            (ScenarioEventKind.DRIVE, dict(sim_time=7400, km=True), "km"),
+            (ScenarioEventKind.REBOOT, dict(sim_time=True), "sim_time"),
+            (ScenarioEventKind.MEMORY_CORRUPTION,
+             dict(sim_time=7300, cluster=0, device=0, byte_offset=True), "byte_offset"),
+            (ScenarioEventKind.CONNECTIVITY_OUTAGE, dict(sim_time=1000, end=True), "end"),
+            (ScenarioEventKind.DRIVE, dict(sim_time=7400, km=2.0), "km"),
+            (ScenarioEventKind.REBOOT, dict(sim_time="100"), "sim_time"),
+        ],
+        ids=["km-true", "sim-time-true", "byte-offset-true", "end-true", "km-float",
+             "sim-time-str"],
+    )
+    def test_event_integer_of_another_type_refused(self, kind, fields, name):
+        """Refused as the event is made or replaced, not read as 1 by a handler."""
+        with pytest.raises(ScenarioError, match=f"{name} must be an integer"):
+            ScenarioEvent(kind=kind, **fields)
+        made = ScenarioEvent(kind=kind, **{n: 1 if n == name else v for n, v in fields.items()})
+        with pytest.raises(ScenarioError, match=f"{name} must be an integer"):
+            replace(made, **{name: fields[name]})
+
+    def test_demo_drive_of_km_true_refused_before_the_run(self):
+        """At the parent this logged ``"km":true`` and added 1 km."""
+        scenario = load_scenario(DEMO_SCENARIO)
+        (lane,) = scenario.lanes
+        with pytest.raises(ScenarioError, match="km must be an integer"):
+            drive = event(ScenarioEventKind.DRIVE, 7400, km=True)
+            events = tuple(sorted(lane.events + (drive,), key=lambda e: e.sim_time))
+            run_scenario(replace(scenario, lanes=(replace(lane, events=events),)))
+
 
 class TestScenarioParsing:
     def scenario_obj(self):

@@ -54,7 +54,8 @@ TARGETS = {
         "_stale_records", "scrub", "reconstruct", "load_snapshot",
     ],
     "dht": [
-        "detect_discrepancy", "DhtNode.evict", "DhtNode.insert", "DhtNetwork.is_live",
+        "detect_discrepancy", "DhtNode.evict", "DhtNode.insert", "DhtNetwork.remove_node",
+        "DhtNetwork.fail_node", "DhtNetwork.recover_node", "DhtNetwork.is_live",
         "DhtNetwork.locate", "DhtNetwork.put",
     ],
     "masternode": ["MasterNode.mirror_update", "MasterNode.mirrored"],
@@ -90,7 +91,11 @@ NOTES = {
         "equivalent: with free == needed_bytes the mutant goes on, and the"
         " loop's own free >= needed_bytes test breaks before any eviction"
     ),
-    "dht.DhtNetwork.put: self._ints[n] ^ key_int < distance: < -> <=": (
+    "dht.DhtNetwork.locate: value ^ key_int < best: < -> <=": (
+        "equivalent: XOR distances from one key to distinct node ids never"
+        " tie, so no later id can take the place of an equally close one"
+    ),
+    "dht.DhtNetwork.put: value ^ key_int < distance: < -> <=": (
         "equivalent: XOR distances from one key to distinct node ids never"
         " tie, and the target itself is live, so never in _failed"
     ),
