@@ -164,14 +164,9 @@ class AuditRecord:
 
     def dump_line(self) -> str:
         """Audit dump encoding: key, module, event, time, payload hash."""
-        return "\t".join(
-            (
-                self.record_key,
-                self.module_id,
-                self.event_type.value,
-                str(self.sim_time),
-                self.payload_hash,
-            )
+        return (
+            f"{self.record_key}\t{self.module_id}\t{self.event_type.value}\t"
+            f"{self.sim_time}\t{self.payload_hash}"
         )
 
 
@@ -198,13 +193,9 @@ def canonical_serialize(metadata: ModuleMetadata) -> bytes:
 def compute_record_key(
     module_id: str, event_type: EventType, sim_time: int, payload_hash: str
 ) -> str:
-    body = "\n".join(
-        (
-            f"event_type={event_type.value}",
-            f"module_id={module_id}",
-            f"payload_hash={payload_hash}",
-            f"sim_time={sim_time}",
-        )
+    body = (
+        f"event_type={event_type.value}\nmodule_id={module_id}\n"
+        f"payload_hash={payload_hash}\nsim_time={sim_time}"
     )
     return sha256_hex(body.encode("utf-8"))
 

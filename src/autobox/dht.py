@@ -16,15 +16,17 @@ device. A record becomes eviction-eligible only once a checkpoint covers it
 (each capture calls ``cover``); filling a store with uncovered records
 raises CheckpointRequired instead of silently dropping data.
 
-Coverage is a count per node, not a flag per record. Records enter a store
-only at the end, a re-put is a no-op and only covered records leave, so
-the covered records are always the first ``_covered`` in insertion order.
+Each node keeps its covered records in a heap by (sim_time, record_key),
+the eviction order, with their byte count. Records enter a store only at
+the end, a re-put is a no-op and only covered records leave, so the
+covered records are always the first ``len(_queue)`` in insertion order,
+and a cover pushes only the records past them.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import islice
-from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .auditcore import AuditRecord, sha256_hex
@@ -103,7 +105,9 @@ class DhtNode:
         self.store_limit_bytes = store_limit_bytes
         self._store: dict[str, AuditRecord] = {}
         self._used = 0
-        self._covered = 0  # the first _covered records of _store
+        # The covered records as (sim_time, record_key), a heap, and their bytes.
+        self._queue: list[tuple[int, str]] = []
+        self._covered_bytes = 0
 
     @property
     def store_bytes(self) -> int:
@@ -119,32 +123,33 @@ class DhtNode:
     def records(self) -> Iterator[AuditRecord]:
         return iter(self._store.values())
 
+    def cover(self) -> None:
+        """Mark every stored record covered, so evictable."""
+        for record in islice(self._store.values(), len(self._queue), None):
+            heappush(self._queue, (record.sim_time, record.record_key))
+            self._covered_bytes += len(record.line)
+
     def evict(self, needed_bytes: int) -> list[str]:
         """Free space by dropping the oldest checkpoint-covered records.
 
         Eviction order is (sim_time, record_key): a total, reproducible
-        order. Atomic: if even evicting every eligible record cannot free
-        needed_bytes, raises CheckpointRequired and evicts nothing.
+        order, the order of the covered-record heap, so each eviction pops
+        one record. Atomic: if even evicting every covered record cannot
+        free needed_bytes, raises CheckpointRequired and evicts nothing.
         """
         if needed_bytes > self.store_limit_bytes:
             raise ValueError("needed_bytes exceeds the store limit")
         free = self.store_limit_bytes - self._used
-        if free >= needed_bytes:
-            return []
-        eligible = sorted(
-            islice(self._store.values(), self._covered), key=attrgetter("sim_time", "record_key")
-        )
-        if free + sum(len(r.line) for r in eligible) < needed_bytes:
+        if free + self._covered_bytes < needed_bytes:
             raise CheckpointRequired(self.node_id, needed_bytes)
         evicted = []
-        for record in eligible:
-            if free >= needed_bytes:
-                break
-            del self._store[record.record_key]
-            self._used -= len(record.line)
-            free += len(record.line)
-            evicted.append(record.record_key)
-        self._covered -= len(evicted)
+        while free < needed_bytes:
+            record_key = heappop(self._queue)[1]
+            size = len(self._store.pop(record_key).line)
+            self._used -= size
+            self._covered_bytes -= size
+            free += size
+            evicted.append(record_key)
         return evicted
 
     def insert(self, record: AuditRecord) -> list[str]:
@@ -251,4 +256,4 @@ class DhtNetwork:
     def cover(self) -> None:
         """Mark every stored record covered by a checkpoint, so evictable."""
         for node in self._nodes.values():
-            node._covered = len(node._store)
+            node.cover()

@@ -63,10 +63,15 @@ def _xor(stores: Iterable[bytes]) -> int:
 
 def _fold_in(parity: bytearray, offset: int, payload: bytes) -> None:
     """XOR payload into parity's own bytes at offset, zero-extending it."""
+    if offset >= len(parity):  # XOR with zeros: zero-fill up to offset, then append
+        parity.extend(bytes(offset - len(parity)))
+        parity.extend(payload)
+        return
     end = offset + len(payload)
     if len(parity) < end:
         parity.extend(bytes(end - len(parity)))
-    parity[offset:end] = _xor((parity[offset:end], payload)).to_bytes(len(payload), "little")
+    mixed = int.from_bytes(parity[offset:end], "little") ^ int.from_bytes(payload, "little")
+    parity[offset:end] = mixed.to_bytes(len(payload), "little")
 
 
 def compute_parity(data_stores: Sequence[bytes]) -> bytes:

@@ -152,8 +152,8 @@ class ScenarioEvent:
         missing = sorted(takes - given - {"token"})
         if missing:
             raise ScenarioError(f"{self.kind.value} event needs {missing}")
-        # A bool is an int to Python, but no count of seconds, km or bytes.
-        for name in sorted(given & {"sim_time", "km", "byte_offset", "end"}):
+        # A bool is an int to Python, but no count of seconds, km or bytes, nor an index.
+        for name in sorted(given & {"sim_time", "km", "cluster", "byte_offset", "end"}):
             if type(value := getattr(self, name)) is not int:
                 raise ScenarioError(f"{self.kind.value} {name} must be an integer, got {value!r}")
 
@@ -604,7 +604,7 @@ class Vehicle:
         self._log("node_recovery", module=module_id)
 
     def _on_memory_corruption(self, event: ScenarioEvent) -> None:
-        if type(event.cluster) is not int or not 0 <= event.cluster < len(self.clusters):
+        if not 0 <= event.cluster < len(self.clusters):
             raise ScenarioError(f"MemoryCorruption: unknown cluster {event.cluster!r}")
         cluster = self.clusters[event.cluster]
         offset = event.byte_offset

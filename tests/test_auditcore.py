@@ -290,6 +290,16 @@ class TestDeriveVehicleKey:
         vk = derive_vehicle_key({"SECRETSERIAL"}, "1.0")
         assert "SECRETSERIAL".lower() not in vk
 
+    @pytest.mark.parametrize(
+        "serials, version",
+        [(["A\nserial=B"], "1.0"), (["A"], "1.0\nx")],
+        ids=["serial", "version"],
+    )
+    def test_newline_rejected(self, serials, version):
+        """The lines are newline-joined: ["A\\nserial=B"] would derive the key of ["A", "B"]."""
+        with pytest.raises(MetadataError):
+            derive_vehicle_key(serials, version)
+
 
 class TestDerivedOnce:
     """``record_key``, ``line`` and ``payload_hash`` are derived as a value is

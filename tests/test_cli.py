@@ -833,6 +833,14 @@ class TestAudit:
         assert cli.main(["audit", str(path)]) == 2
         assert "format error" in capsys.readouterr().err
 
+    def test_device_count_disagreeing_with_lengths_exit_two(self, demo_snapshot, tmp_path, capsys):
+        """d=3 over the demo's two recorded lengths: a format error, not an IndexError."""
+        assert demo_snapshot.startswith(b"d=2 ")
+        path = tmp_path / "edited.snap"
+        path.write_bytes(b"d=3 " + demo_snapshot[4:])
+        assert cli.main(["audit", str(path)]) == 2
+        assert "format error" in capsys.readouterr().err
+
     def test_directory_exit_two(self, tmp_path, capsys):
         assert cli.main(["audit", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err

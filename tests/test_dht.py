@@ -394,6 +394,48 @@ class TestCoveredPrefixProperty:
         assert checkpoints > 500 and evictions > 500  # both paths well exercised
 
 
+class TestEvictionTieBreak:
+    def test_records_at_one_sim_time_leave_in_record_key_order(self):
+        """3-5 records per sim_time, put at shuffled times with covers between
+        puts at one sim_time: among covered records that share a sim_time,
+        eviction follows record_key, as in the per-record-flag model, not
+        insertion order."""
+        rng = random.Random(2604)
+        kinds = [(m, e) for m in ("ECU", "BCM", "TELEMATICS", "TCM") for e in EventType]
+        groups = [
+            [make_record(m, sim_time=t, event=e) for m, e in rng.sample(kinds, rng.randint(3, 5))]
+            for t in rng.sample(range(10 ** 6), 40)
+        ]
+        time_of = {r.record_key: r.sim_time for group in groups for r in group}
+        largest = max(len(r.line) for group in groups for r in group)
+        ties = 0  # evictions that chose among covered records of one sim_time
+        for _ in range(20):
+            ids = [random_id(rng) for _ in range(rng.randint(1, 2))]
+            limit = rng.randint(3 * largest, 8 * largest)
+            network = build_network(ids, store_limit=limit)
+            model = _ReferenceStores(ids, limit)
+            for group in rng.sample(groups, len(groups)):
+                for record in rng.sample(group, len(group)):
+                    got = _outcome(lambda: network.put(ids[0], record)[::3])  # stored_at, evicted
+                    assert got == _outcome(lambda: model.put(record))
+                    if got[0] == "checkpoint":  # capture, then the put goes through
+                        network.cover()
+                        model.cover()
+                        got = ("ok", network.put(ids[0], record)[::3])
+                        assert got == ("ok", model.put(record))
+                    stored_at, evicted = got[1]
+                    left = [r.sim_time for r, flag in model.stores[stored_at].values() if flag]
+                    times = [time_of[key] for key in evicted]
+                    ties += any(t in left or times.count(t) > 1 for t in times)
+                    if rng.random() < 0.3:
+                        network.cover()
+                        model.cover()
+                for node_id in ids:
+                    node = network.node(node_id)
+                    assert list(node.records()) == [r for r, _ in model.stores[node_id].values()]
+        assert ties > 1000
+
+
 class TestOwnershipOracleProperty:
     def test_placement_equals_scan_on_random_networks(self):
         """Fully-live networks (up to 32 nodes): routing equals the oracle."""

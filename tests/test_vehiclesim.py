@@ -846,16 +846,10 @@ class TestBoolIsNoReference:
             run_scenario(replace(scenario, lanes=(replace(lane, events=events),)))
 
     def test_corruption_of_cluster_true_refused(self):
-        ids = ("ECU", "BCM", "TCM", "HeadUnit", "ABS", "SRS")
-        modules = tuple(make_metadata(m, serial_number=f"{m}-SN-9186") for m in ids)
-        vehicle = Vehicle(
-            make_vehicle_config(modules=modules, parity_clusters=(ids[:3], ids[3:]))
-        )
-        vehicle.boot()
-        flip = event(ScenarioEventKind.MEMORY_CORRUPTION, 100, cluster=True, device=0,
-                     byte_offset=0)
-        with pytest.raises(ScenarioError, match="unknown cluster True"):
-            vehicle.handle_event(flip)
+        """Refused as the event is made, before any vehicle could read it as 1."""
+        with pytest.raises(ScenarioError, match="cluster must be an integer, got True"):
+            event(ScenarioEventKind.MEMORY_CORRUPTION, 100, cluster=True, device=0,
+                  byte_offset=0)
 
     @pytest.mark.parametrize(
         "kind, fields, name",

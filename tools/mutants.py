@@ -54,9 +54,9 @@ TARGETS = {
         "_stale_records", "scrub", "reconstruct", "load_snapshot",
     ],
     "dht": [
-        "detect_discrepancy", "DhtNode.evict", "DhtNode.insert", "DhtNetwork.remove_node",
-        "DhtNetwork.fail_node", "DhtNetwork.recover_node", "DhtNetwork.is_live",
-        "DhtNetwork.locate", "DhtNetwork.put",
+        "detect_discrepancy", "DhtNode.cover", "DhtNode.evict", "DhtNode.insert",
+        "DhtNetwork.remove_node", "DhtNetwork.fail_node", "DhtNetwork.recover_node",
+        "DhtNetwork.is_live", "DhtNetwork.locate", "DhtNetwork.put",
     ],
     "masternode": ["MasterNode.mirror_update", "MasterNode.mirrored"],
     "vehiclesim": [
@@ -86,10 +86,6 @@ NOTES = {
     "ledger._walk: pos < end <= size: < -> <=": (
         "equivalent: at pos == end the WIRE_LINE match ends at end - 1, below"
         " its start, so it fails and the loop breaks with pos == end anyway"
-    ),
-    "dht.DhtNode.evict: free >= needed_bytes: >= -> >": (
-        "equivalent: with free == needed_bytes the mutant goes on, and the"
-        " loop's own free >= needed_bytes test breaks before any eviction"
     ),
     "dht.DhtNetwork.locate: value ^ key_int < best: < -> <=": (
         "equivalent: XOR distances from one key to distinct node ids never"
