@@ -15,77 +15,16 @@ Three layers, one library:
 ``cli`` exposes the runner and auditors as the ``autobox`` command.
 """
 
-from .auditcore import (
-    AirbagStatus,
-    AuditRecord,
-    EventType,
-    MetadataError,
-    ModuleMetadata,
-    SharedCriticalData,
-    canonical_serialize,
-    derive_vehicle_key,
-    identity_hash,
-)
-from .dht import DhtNetwork, DhtNode, detect_discrepancy, node_id_for_serial, owner_of
-from .ledger import (
-    FullNode,
-    LedgerBlock,
-    Verdict,
-    VerdictStatus,
-    library_text,
-    oem_checksum,
-    read_library,
-    verify_chain,
-)
-from .masternode import MasterNode, MetaHash, Submission
-from .parity import ParityCluster, compute_parity, reconstruct, scrub
-from .vehiclesim import (
-    Scenario,
-    ScenarioEvent,
-    ScenarioEventKind,
-    Vehicle,
-    VehicleConfig,
-    load_scenario,
-    run_scenario,
-)
-
-__version__ = "0.1.0"
+from .auditcore import ScenarioError, derive_vehicle_key
+from .ledger import history_from_file, library_text, read_library
+from .vehiclesim import load_scenario, run_scenario
 
 __all__ = [
-    "AirbagStatus",
-    "AuditRecord",
-    "DhtNetwork",
-    "DhtNode",
-    "EventType",
-    "FullNode",
-    "LedgerBlock",
-    "MasterNode",
-    "MetaHash",
-    "MetadataError",
-    "ModuleMetadata",
-    "ParityCluster",
-    "Scenario",
-    "ScenarioEvent",
-    "ScenarioEventKind",
-    "SharedCriticalData",
-    "Submission",
-    "Vehicle",
-    "VehicleConfig",
-    "Verdict",
-    "VerdictStatus",
-    "canonical_serialize",
-    "compute_parity",
+    "ScenarioError",
     "derive_vehicle_key",
-    "detect_discrepancy",
-    "identity_hash",
+    "history_from_file",
     "library_text",
     "load_scenario",
-    "node_id_for_serial",
-    "oem_checksum",
-    "owner_of",
     "read_library",
-    "reconstruct",
     "run_scenario",
-    "scrub",
-    "verify_chain",
 ]

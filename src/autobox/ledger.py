@@ -34,7 +34,8 @@ error, ``LedgerFormatError``, whose ``broken_at`` names that block. Each
 reader drives the walker: ``verify_chain`` builds no object and turns the
 error into its verdict, ``history_from_file`` builds a ``Submission`` only
 for the asked key's entries, and ``load_ledger`` every ``LedgerBlock`` and
-entry. Both are ``NamedTuple``s: immutable and hashable like a frozen
+entry; those two raise the walker's error as it is. ``LedgerBlock`` and
+``Submission`` are ``NamedTuple``s: immutable and hashable like a frozen
 dataclass, but built by one tuple allocation instead of a setattr per
 field.
 """
@@ -280,24 +281,12 @@ def verify_chain(path: str | Path) -> VerifyResult:
     return VerifyResult(valid=True)
 
 
-def _read_chain(path: str | Path) -> tuple[list[LedgerBlock], VerifyResult]:
-    """The blocks ``_walk`` accepts, up to the first broken one, and the verdict."""
-    blocks: list[LedgerBlock] = []
-    try:
-        for index, prev, root, block_hash, lines in _walk(path):
-            entries = tuple(map(Submission.from_match, lines))
-            blocks.append(LedgerBlock(index, prev, entries, root, block_hash))
-    except LedgerFormatError as broken:
-        return blocks, VerifyResult(valid=False, broken_at=broken.broken_at)
-    return blocks, VerifyResult(valid=True)
-
-
 def load_ledger(path: str | Path) -> list[LedgerBlock]:
     """Load a persisted ledger; any broken block raises LedgerFormatError."""
-    blocks, result = _read_chain(path)
-    if not result.valid:
-        raise LedgerFormatError(path, result.broken_at)
-    return blocks
+    return [
+        LedgerBlock(index, prev, tuple(map(Submission.from_match, lines)), root, block_hash)
+        for index, prev, root, block_hash, lines in _walk(path)
+    ]
 
 
 class FullNode:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 from .auditcore import HEX_DIGEST, NUMBER
 
@@ -72,17 +72,6 @@ def _fold_in(parity: bytearray, offset: int, payload: bytes) -> None:
         parity.extend(bytes(end - len(parity)))
     mixed = int.from_bytes(parity[offset:end], "little") ^ int.from_bytes(payload, "little")
     parity[offset:end] = mixed.to_bytes(len(payload), "little")
-
-
-def compute_parity(data_stores: Sequence[bytes]) -> bytes:
-    """Byte-wise XOR across stores, shorter stores reading as zeroes.
-
-    Output length equals the longest store, making the parity device the
-    largest in the cluster by construction.
-    """
-    if len(data_stores) < 2:
-        raise ClusterError("parity needs at least 2 data stores")
-    return _xor(data_stores).to_bytes(max(len(s) for s in data_stores), "little")
 
 
 class RecordLocation(NamedTuple):
@@ -260,15 +249,13 @@ def scrub(cluster: ParityCluster) -> ScrubReport:
 def reconstruct(cluster: ParityCluster, device: DeviceRef) -> bytes:
     """Rebuild one device as the XOR of all the others.
 
-    The result is checked against the device's records; a residual
-    mismatch means a second device is also bad.
+    The result is checked against the device's records (parity holds
+    none); a residual mismatch means a second device is also bad.
     """
     idx = cluster._resolve(device)
     length = cluster._lengths[idx]
     others = [store for i, store in enumerate(cluster._devices) if i != idx]
     content = (_xor(others) & ((1 << 8 * length) - 1)).to_bytes(length, "little")
-    if idx == cluster.device_count:  # parity holds no records to check
-        return content
     if stale := _stale_records(cluster, _suspects(cluster, {idx: content})):
         raise MultiFaultError(
             f"reconstruction of device {idx} fails verification for "

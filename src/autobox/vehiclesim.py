@@ -154,8 +154,7 @@ class ScenarioEvent:
             raise ScenarioError(f"{self.kind.value} event needs {missing}")
         # A bool is an int to Python, but no count of seconds, km or bytes, nor an index.
         for name in sorted(given & {"sim_time", "km", "cluster", "byte_offset", "end"}):
-            if type(value := getattr(self, name)) is not int:
-                raise ScenarioError(f"{self.kind.value} {name} must be an integer, got {value!r}")
+            _integer(f"{self.kind.value} {name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -170,6 +169,10 @@ class VehicleConfig:
     initial_odometer_km: int = 0
 
     def __post_init__(self) -> None:
+        for name in (
+            "dht_store_limit_bytes", "capture_interval_s", "mileage_stride_km", "initial_odometer_km"
+        ):
+            _integer(name, getattr(self, name))
         validate_vin(self.vin)
         # variant_code becomes a field of a tab-separated library line.
         if not self.variant_code.isprintable():
@@ -234,6 +237,8 @@ class Scenario:
     critical_variants: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        _integer("seed", self.seed)
+        _integer("duration_s", self.duration_s)
         if self.duration_s < 0:
             raise ScenarioError(f"duration_s must be non-negative, got {self.duration_s}")
         if not self.lanes:
@@ -724,7 +729,9 @@ def _fields(obj: Any, table: dict[str, tuple[Shape, Any]], noun: str) -> dict[st
 
 
 def _json(kind: type, what: str) -> Shape:
-    """A JSON value of exactly type ``kind``: JSON true is a bool, no integer."""
+    """A value of exactly type ``kind``: JSON true is a bool, no integer.
+
+    ``_integer`` also checks the integer fields of values built in Python."""
 
     def shape(name: str, value: Any) -> Any:
         if type(value) is not kind:

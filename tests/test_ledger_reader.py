@@ -2,11 +2,12 @@
 
 ``reference_read_chain`` (conftest.py) parsed every entry line, rebuilt the
 block and compared its re-encoding with the bytes on disk. The current
-reader must return the same blocks and verdict on every golden fixture
-ledger, on the byte-substitution and truncation corpus of ``test_fuzz.py``,
-and on targeted edits; ``verify_chain``, which walks the file without
-building a block, must return the same verdict, and ``history_from_file``
-the same rows, or ``broken-at`` the same block. A targeted edit recomputes
+readers must agree with it on every golden fixture ledger, on the
+byte-substitution and truncation corpus of ``test_fuzz.py``, and on
+targeted edits: ``verify_chain``, which walks the file without building a
+block, must return the same verdict, ``load_ledger`` the same blocks and
+``history_from_file`` the same rows, or the last two raise ``broken-at``
+the same block. A targeted edit recomputes
 the Merkle root, the block hash and the links after it, so only the
 canonical-spelling, length, index and sequence checks can refuse it.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import partial
 
 import pytest
 
@@ -41,24 +43,30 @@ UNKNOWN_KEY = "77" * 32  # a vehicle key on no ledger these tests read
 
 
 def assert_same_reading(path, blob: bytes, where) -> VerifyResult:
-    """``_read_chain`` and ``verify_chain`` agree with the reference reader,
-    and so does ``history_from_file`` for each key it reads and one unknown."""
+    """``verify_chain`` and ``load_ledger`` agree with the reference reader,
+    and so does ``history_from_file`` for each key it reads and one unknown:
+    on a broken chain, each reader but ``verify_chain`` raises at its block."""
     path.write_bytes(blob)
-    blocks, result = ledger._read_chain(path)
     ref_blocks, ref_result = reference_read_chain(path)
-    assert (blocks, result) == (ref_blocks, ref_result), where
     assert ledger.verify_chain(path) == ref_result, where
     keys = {sub.vehicle_key for block in ref_blocks for sub in block.entries}
-    for key in sorted(keys | {UNKNOWN_KEY}):
+    readings = [(ledger.load_ledger, ref_blocks, where)] + [
+        (
+            partial(ledger.history_from_file, vehicle_key=key),
+            [(b.index, s) for b in ref_blocks for s in b.entries if s.vehicle_key == key],
+            (where, key),
+        )
+        for key in sorted(keys | {UNKNOWN_KEY})
+    ]
+    broken = f": chain broken-at {ref_result.broken_at}$"
+    for read, expected, what in readings:
         if ref_result.valid:
-            rows = [(b.index, s) for b in ref_blocks for s in b.entries if s.vehicle_key == key]
-            assert ledger.history_from_file(path, key) == rows, (where, key)
-        else:
-            broken = f": chain broken-at {ref_result.broken_at}$"
-            with pytest.raises(LedgerFormatError, match=broken) as error:
-                ledger.history_from_file(path, key)
-            assert error.value.broken_at == ref_result.broken_at, (where, key)
-    return result
+            assert read(path) == expected, what
+            continue
+        with pytest.raises(LedgerFormatError, match=broken) as error:
+            read(path)
+        assert error.value.broken_at == ref_result.broken_at, what
+    return ref_result
 
 
 def test_golden_fixture_ledgers(tmp_path):

@@ -12,7 +12,6 @@ from autobox.parity import (
     MultiFaultError,
     ParityCluster,
     ScrubReport,
-    compute_parity,
     load_snapshot,
     reconstruct,
     repair,
@@ -66,39 +65,6 @@ def build_cluster(rng: random.Random, d: int, records_per_device=3, max_len=200)
     return cluster, originals
 
 
-class TestComputeParity:
-    def test_zero_stores(self):
-        assert compute_parity([b"\x00" * 8, b"\x00" * 8]) == b"\x00" * 8
-
-    def test_self_cancellation(self):
-        assert compute_parity([b"\xff" * 4, b"\xff" * 4]) == b"\x00" * 4
-
-    def test_matches_byte_loop_oracle(self):
-        rng = random.Random(42)
-        stores = [rng.randbytes(64) for _ in range(3)]
-        assert compute_parity(stores) == xor_oracle(stores)
-
-    def test_unequal_lengths_zero_extend(self):
-        stores = [b"\x01\x02\x03", b"\x04"]
-        expected = bytes([0x01 ^ 0x04, 0x02, 0x03])
-        assert compute_parity(stores) == expected
-
-    def test_output_is_longest_store(self):
-        rng = random.Random(43)
-        stores = [rng.randbytes(n) for n in (10, 50, 30)]
-        assert len(compute_parity(stores)) == 50
-
-    def test_fewer_than_two_rejected(self):
-        with pytest.raises(ClusterError):
-            compute_parity([b"abc"])
-
-    def test_even_parity_invariant(self):
-        rng = random.Random(44)
-        stores = [rng.randbytes(rng.randint(1, 100)) for _ in range(4)]
-        parity = compute_parity(stores)
-        assert xor_oracle(stores + [parity]) == b"\x00" * len(parity)
-
-
 class TestClusterBasics:
     def test_parity_maintained_incrementally(self):
         rng = random.Random(45)
@@ -106,7 +72,7 @@ class TestClusterBasics:
         cluster.append_record(0, "aa" * 32, rng.randbytes(40))
         cluster.append_record(1, "bb" * 32, rng.randbytes(90))
         cluster.append_record(0, "cc" * 32, rng.randbytes(10))
-        expected = compute_parity([cluster.data_store(0), cluster.data_store(1)])
+        expected = xor_oracle([cluster.data_store(0), cluster.data_store(1)])
         assert cluster.parity_store == expected
 
     def test_parity_is_largest_device(self):
@@ -115,6 +81,10 @@ class TestClusterBasics:
         assert len(cluster.parity_store) >= max(
             len(cluster.data_store(i)) for i in range(3)
         )
+
+    def test_fewer_than_two_data_devices_rejected(self):
+        with pytest.raises(ClusterError, match="at least 2 data devices"):
+            ParityCluster(1)
 
     def test_duplicate_record_key_rejected(self):
         cluster = ParityCluster(2)
@@ -142,6 +112,33 @@ class TestClusterBasics:
         with pytest.raises(ClusterError, match="no device True"):
             cluster.corrupt_byte(True, 0)
         assert cluster.data_store(1) == b"xyz"
+
+    def test_parity_is_no_data_device(self):
+        cluster = ParityCluster(2)
+        with pytest.raises(ClusterError, match="parity is not a data device"):
+            cluster.append_record(PARITY, "aa" * 32, b"x")
+        with pytest.raises(ClusterError, match="parity is not a data device"):
+            cluster.data_store(PARITY)
+        assert cluster.parity_store == b"" and not cluster.record_index
+
+    def test_append_to_erased_device_rejected(self):
+        """Past erasure an append would land at offset 0, inside the bytes
+        that the recorded length keeps for a repair to restore."""
+        cluster = ParityCluster(2)
+        cluster.append_record(0, "aa" * 32, b"xyz")
+        cluster.erase_device(0)
+        with pytest.raises(ClusterError, match="device 0 is erased"):
+            cluster.append_record(0, "bb" * 32, b"uvw")
+        assert not cluster.has_record("bb" * 32)
+        assert repair(cluster, 0) == b"xyz"
+
+    def test_write_back_of_wrong_length_rejected(self):
+        cluster = ParityCluster(2)
+        cluster.append_record(0, "aa" * 32, b"xyz")
+        for content in (b"xy", b"xyz!"):
+            with pytest.raises(ClusterError, match="expects 3 bytes, got"):
+                cluster.write_back(0, content)
+        assert cluster.data_store(0) == b"xyz"
 
     def test_corrupt_byte_just_past_the_device_end_rejected(self):
         cluster = ParityCluster(2)
@@ -423,7 +420,16 @@ class TestReconstruct:
         rng = random.Random(51)
         cluster, _ = build_cluster(rng, 3)
         stores = [cluster.data_store(i) for i in range(3)]
-        assert reconstruct(cluster, PARITY) == compute_parity(stores)
+        assert reconstruct(cluster, PARITY) == xor_oracle(stores)
+
+    def test_parity_of_loaded_cluster(self):
+        """Without a write history the check walks the record index, which
+        holds no parity record, so a parity rebuild is never refused."""
+        cluster = load_snapshot(save_snapshot(build_cluster(random.Random(54), 3)[0]))
+        stores = [cluster.data_store(i) for i in range(3)]
+        cluster.erase_device(PARITY)
+        assert repair(cluster, PARITY) == xor_oracle(stores)
+        assert scrub(cluster).clean
 
     def test_erased_data_device_restored(self):
         rng = random.Random(52)

@@ -1141,6 +1141,25 @@ class TestLibraryPathValidation:
             replace(lane.config, variant_code="EU\tBASE")
 
     @pytest.mark.parametrize(
+        "made, field, value",
+        [
+            ("scenario", "duration_s", True),
+            ("scenario", "seed", True),
+            ("scenario", "duration_s", "5"),
+            ("config", "capture_interval_s", "60"),
+            ("config", "initial_odometer_km", 1.5),
+            ("config", "dht_store_limit_bytes", True),
+            ("config", "mileage_stride_km", 1000.0),
+        ],
+    )
+    def test_integer_field_takes_only_an_int(self, made, field, value):
+        """A bool, a float or a numeric string is refused before any comparison."""
+        scenario = load_scenario(DEMO_SCENARIO)
+        value_of = {"scenario": scenario, "config": scenario.lanes[0].config}[made]
+        with pytest.raises(ScenarioError, match=f"^{field} must be an integer, got "):
+            replace(value_of, **{field: value})
+
+    @pytest.mark.parametrize(
         "kind, fields, message",
         [
             (ScenarioEventKind.DRIVE, {}, r"Drive event needs \['km'\]"),

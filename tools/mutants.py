@@ -48,7 +48,7 @@ TARGETS = {
         "_walk", "load_ledger", "FullNode.append_submissions", "history_from_file",
     ],
     "parity": [
-        "compute_parity", "ParityCluster._resolve", "ParityCluster._data_index",
+        "ParityCluster._resolve", "ParityCluster._data_index",
         "ParityCluster.is_erased", "ParityCluster.append_record",
         "ParityCluster.corrupt_byte", "ParityCluster.write_back", "_suspects",
         "_stale_records", "scrub", "reconstruct", "load_snapshot",
