@@ -127,7 +127,7 @@ KIND_FIELDS = {
 
 @dataclass(frozen=True)
 class ScenarioEvent:
-    """One scripted occurrence; ``KIND_FIELDS`` lists the fields each kind takes."""
+    """One scripted occurrence; as it is made, it checks every rule that needs no vehicle."""
 
     sim_time: int
     kind: ScenarioEventKind
@@ -144,6 +144,8 @@ class ScenarioEvent:
     token: str | None = None
 
     def __post_init__(self) -> None:
+        if type(self.kind) is not ScenarioEventKind:
+            raise ScenarioError(f"kind must be a ScenarioEventKind, got {self.kind!r}")
         takes = KIND_FIELDS[self.kind]
         given = {name for name, value in vars(self).items() if value is not None}
         extra = sorted(given - takes - {"sim_time", "kind"})
@@ -153,8 +155,27 @@ class ScenarioEvent:
         if missing:
             raise ScenarioError(f"{self.kind.value} event needs {missing}")
         # A bool is an int to Python, but no count of seconds, km or bytes, nor an index.
-        for name in sorted(given & {"sim_time", "km", "cluster", "byte_offset", "end"}):
-            _integer(f"{self.kind.value} {name}", getattr(self, name))
+        for name in sorted(given & {"km", "cluster", "byte_offset", "end"} | {"sim_time"}):
+            _count(f"{self.kind.value} {name}", getattr(self, name))
+        # The kind checks above leave each field below to the one kind that takes it.
+        if self.end is not None and self.end < self.sim_time:
+            raise ScenarioError("ConnectivityOutage needs end >= sim_time")
+        if self.new_version == "":
+            raise ScenarioError("UdsReflash needs a non-empty new_version")
+        if self.field is not None:
+            if self.field not in _FORGEABLE:
+                raise ScenarioError(f"EepromTamper: unknown field {self.field!r}")
+            # _jsonable reads a built value back as JSON, so replace() shapes it alike.
+            forged = _FORGEABLE[self.field](self.field, _jsonable(self.forged_value))
+            object.__setattr__(self, "forged_value", forged)
+        if self.replacement is not None and self.replacement.module_id != self.module_id:
+            raise ScenarioError(
+                f"replacement module_id {self.replacement.module_id!r} does not fit "
+                f"slot {self.module_id!r}"
+            )
+        device = self.device
+        if device is not None and type(device) is not int and device != parity.PARITY:
+            raise ScenarioError(f"MemoryCorruption: no device {device!r} (an index or 'parity')")
 
 
 @dataclass(frozen=True)
@@ -169,10 +190,11 @@ class VehicleConfig:
     initial_odometer_km: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "dht_store_limit_bytes", "capture_interval_s", "mileage_stride_km", "initial_odometer_km"
-        ):
-            _integer(name, getattr(self, name))
+        _integer("dht_store_limit_bytes", self.dht_store_limit_bytes)
+        for name in ("capture_interval_s", "mileage_stride_km"):
+            if _integer(name, getattr(self, name)) < 1:
+                raise ScenarioError(f"{name} must be at least 1")
+        _count("initial_odometer_km", self.initial_odometer_km)
         validate_vin(self.vin)
         # variant_code becomes a field of a tab-separated library line.
         if not self.variant_code.isprintable():
@@ -200,11 +222,6 @@ class VehicleConfig:
         twice = sorted({m for m in listed if listed.count(m) > 1})
         if twice:
             raise ScenarioError(f"modules {twice} are listed in more than one parity cluster slot")
-        if self.initial_odometer_km < 0:
-            raise ScenarioError("initial_odometer_km must be non-negative")
-        for name in ("capture_interval_s", "mileage_stride_km"):
-            if getattr(self, name) < 1:
-                raise ScenarioError(f"{name} must be at least 1")
 
     def longest_record_line(self, duration_s: int) -> int:
         """Bytes a store is charged, the length of ``AuditRecord.line``, for
@@ -238,9 +255,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _integer("seed", self.seed)
-        _integer("duration_s", self.duration_s)
-        if self.duration_s < 0:
-            raise ScenarioError(f"duration_s must be non-negative, got {self.duration_s}")
+        _count("duration_s", self.duration_s)
         if not self.lanes:
             raise ScenarioError("a scenario needs at least one vehicle")
         vins = [lane.config.vin for lane in self.lanes]
@@ -250,6 +265,16 @@ class Scenario:
         serials = [m.serial_number for lane in self.lanes for m in lane.config.modules]
         if len(set(serials)) != len(serials):
             raise ScenarioError("fleet vehicles must not share module serial numbers")
+        # No message prints the duration, nor an interval, which may be too
+        # long for str(); a record line spells it only once it is bounded.
+        for lane in self.lanes:
+            if self.duration_s // lane.config.capture_interval_s > MAX_PERIODIC_CAPTURES:
+                raise ScenarioError(
+                    f"duration_s // capture_interval_s of {lane.config.vin} exceeds "
+                    f"{MAX_PERIODIC_CAPTURES} periodic captures"
+                )
+        if self.duration_s >= DURATION_LIMIT_S:
+            raise ScenarioError("duration_s must have at most 18 digits")
         for lane in self.lanes:
             longest = lane.config.longest_record_line(self.duration_s)
             if lane.config.dht_store_limit_bytes < longest:
@@ -257,14 +282,6 @@ class Scenario:
                     f"dht_store_limit_bytes {lane.config.dht_store_limit_bytes} cannot "
                     f"hold a {longest}-byte record line"
                 )
-            if self.duration_s // lane.config.capture_interval_s > MAX_PERIODIC_CAPTURES:
-                raise ScenarioError(
-                    f"duration_s {self.duration_s} at capture_interval_s "
-                    f"{lane.config.capture_interval_s} exceeds "
-                    f"{MAX_PERIODIC_CAPTURES} periodic captures"
-                )
-        if self.duration_s >= DURATION_LIMIT_S:
-            raise ScenarioError(f"duration_s {self.duration_s} must have at most 18 digits")
 
 
 @dataclass(frozen=True)
@@ -494,8 +511,6 @@ class Vehicle:
 
     def _on_drive(self, event: ScenarioEvent) -> None:
         km = event.km
-        if km < 0:
-            raise ScenarioError("Drive km must be non-negative")
         stride = self.config.mileage_stride_km
         crossed = (self.true_odometer + km) // stride > self.true_odometer // stride
         self.true_odometer += km
@@ -520,8 +535,6 @@ class Vehicle:
 
     def _on_uds_reflash(self, event: ScenarioEvent) -> None:
         module_id = self._require_module(event.module_id)
-        if not event.new_version:
-            raise ScenarioError("UdsReflash needs new_version")
         old = self.modules[module_id]
         self.modules[module_id] = replace(old, software_version=event.new_version)
         self.latest_version = event.new_version
@@ -540,35 +553,20 @@ class Vehicle:
 
     def _on_eeprom_tamper(self, event: ScenarioEvent) -> None:
         module_id = self._require_module(event.module_id)
-        if event.field in SCD_FIELDS:
-            old = self.scd[module_id]
-            value = SCD_FIELDS[event.field](event.field, event.forged_value)
-            self.scd[module_id] = replace(old, **{event.field: value})
-            pre = getattr(old, event.field)
-        elif event.field in MODULE_FIELDS and event.field != "module_id":
-            old_md = self.modules[module_id]
-            shape, _ = MODULE_FIELDS[event.field]
-            value = shape(event.field, event.forged_value)
-            self.modules[module_id] = replace(old_md, **{event.field: value})
-            pre = getattr(old_md, event.field)
-        else:
-            raise ScenarioError(f"EepromTamper: unknown field {event.field!r}")
+        store = self.scd if event.field in SCD_FIELDS else self.modules
+        old = store[module_id]
+        store[module_id] = replace(old, **{event.field: event.forged_value})
         self._log(
             "eeprom_tamper",
             module=module_id,
             field=event.field,
-            pre=_jsonable(pre),
-            post=_jsonable(value),
+            pre=_jsonable(getattr(old, event.field)),
+            post=_jsonable(event.forged_value),
         )
 
     def _on_module_swap(self, event: ScenarioEvent) -> None:
         module_id = self._require_module(event.module_id)
         replacement = event.replacement
-        if replacement.module_id != module_id:
-            raise ScenarioError(
-                f"replacement module_id {replacement.module_id!r} does not fit "
-                f"slot {module_id!r}"
-            )
         new_node = node_id_for_serial(replacement.serial_number)
         if self.module_of.get(new_node, module_id) != module_id:
             raise ScenarioError(
@@ -609,12 +607,11 @@ class Vehicle:
         self._log("node_recovery", module=module_id)
 
     def _on_memory_corruption(self, event: ScenarioEvent) -> None:
-        if not 0 <= event.cluster < len(self.clusters):
+        if event.cluster >= len(self.clusters):
             raise ScenarioError(f"MemoryCorruption: unknown cluster {event.cluster!r}")
         cluster = self.clusters[event.cluster]
-        offset = event.byte_offset
         try:
-            pre, post = cluster.corrupt_byte(event.device, offset)
+            pre, post = cluster.corrupt_byte(event.device, event.byte_offset)
         except parity.ClusterError as exc:
             raise ScenarioError(str(exc)) from exc
         self.lost.discard(event.cluster)  # the flip may have undone a fault
@@ -622,7 +619,7 @@ class Vehicle:
             "memory_corruption",
             cluster=event.cluster,
             device=event.device,
-            byte_offset=offset,
+            byte_offset=event.byte_offset,
             pre=pre,
             post=post,
         )
@@ -659,8 +656,6 @@ class Vehicle:
             last_time = event.sim_time
             items.append((event.sim_time, "event", event))
             if event.kind is ScenarioEventKind.CONNECTIVITY_OUTAGE:
-                if event.end < event.sim_time:
-                    raise ScenarioError("ConnectivityOutage needs end >= sim_time")
                 if event.sim_time < outage_end:
                     raise ScenarioError("ConnectivityOutage starts before the previous one ends")
                 outage_end = event.end
@@ -731,7 +726,7 @@ def _fields(obj: Any, table: dict[str, tuple[Shape, Any]], noun: str) -> dict[st
 def _json(kind: type, what: str) -> Shape:
     """A value of exactly type ``kind``: JSON true is a bool, no integer.
 
-    ``_integer`` also checks the integer fields of values built in Python."""
+    Integer fields are passed ``_as_is``: the values built from them check them."""
 
     def shape(name: str, value: Any) -> Any:
         if type(value) is not kind:
@@ -745,12 +740,18 @@ _integer, _string = _json(int, "an integer"), _json(str, "a string")
 _array, _mapping = _json(list, "a list"), _json(dict, "an object")
 
 
+def _as_is(name: str, value: Any) -> Any:
+    """Any JSON value, left to the value built from it to check."""
+    return value
+
+
 def _narrowed(shape: Shape, ok: Callable[[Any], bool], what: str) -> Shape:
-    """``shape`` restricted to the values for which ``ok`` holds."""
+    """``shape`` restricted to the values for which ``ok`` holds; the message
+    shows no value, as an int may have too many digits for str()."""
 
     def narrowed(name: str, value: Any) -> Any:
         if not ok(shape(name, value)):
-            raise ScenarioError(f"{name} must be {what}, got {value!r}")
+            raise ScenarioError(f"{name} must be {what}")
         return value
 
     return narrowed
@@ -790,12 +791,6 @@ SCD_FIELDS = {
 }
 
 
-def _device(name: str, value: Any) -> int | str:
-    if type(value) is not int and value != parity.PARITY:
-        raise ScenarioError(f"{name} must be a device index or 'parity', got {value!r}")
-    return value
-
-
 def _list(item: Shape, noun: str) -> Shape:
     """A JSON array of ``item`` values, as a tuple; an error names the index."""
 
@@ -829,29 +824,33 @@ MODULE_FIELDS = {
     "vin": (_string, _REQUIRED),
 }
 _MODULE = _object(MODULE_FIELDS, ModuleMetadata)
+# What an EepromTamper may forge, with the shape of the forged value: a
+# replicated field, or a metadata field other than the module's id.
+_FORGEABLE = {name: shape for name, (shape, _) in MODULE_FIELDS.items() if name != "module_id"}
+_FORGEABLE.update(SCD_FIELDS)
 VEHICLE_FIELDS = {
     "vin": (_string, _REQUIRED),
     "variant_code": (_string, _REQUIRED),
     "modules": (_list(_MODULE, "module"), _REQUIRED),
-    "dht_store_limit_bytes": (_integer, VehicleConfig.dht_store_limit_bytes),
+    "dht_store_limit_bytes": (_as_is, VehicleConfig.dht_store_limit_bytes),
     "parity_clusters": (_list(_list(_string, "member"), "cluster"), VehicleConfig.parity_clusters),
-    "capture_interval_s": (_integer, VehicleConfig.capture_interval_s),
-    "mileage_stride_km": (_integer, VehicleConfig.mileage_stride_km),
-    "initial_odometer_km": (_integer, VehicleConfig.initial_odometer_km),
+    "capture_interval_s": (_as_is, VehicleConfig.capture_interval_s),
+    "mileage_stride_km": (_as_is, VehicleConfig.mileage_stride_km),
+    "initial_odometer_km": (_as_is, VehicleConfig.initial_odometer_km),
 }
 EVENT_FIELDS = {
-    "sim_time": (_count, _REQUIRED),
+    "sim_time": (_as_is, _REQUIRED),
     "kind": (_kind, _REQUIRED),
-    "km": (_integer, None),
+    "km": (_as_is, None),
     "module_id": (_string, None),
     "new_version": (_string, None),
     "field": (_string, None),
-    "forged_value": (lambda name, value: value, None),
+    "forged_value": (_as_is, None),
     "replacement": (_MODULE, None),
-    "cluster": (_integer, None),
-    "device": (_device, None),
-    "byte_offset": (_integer, None),
-    "end": (_integer, None),
+    "cluster": (_as_is, None),
+    "device": (_as_is, None),
+    "byte_offset": (_as_is, None),
+    "end": (_as_is, None),
     "token": (_string, None),
 }
 _EVENTS = _list(_object(EVENT_FIELDS, ScenarioEvent), "event")
@@ -862,8 +861,8 @@ POLICY_FIELDS = {"critical_variants": (_list(_string, "variant"), ())}
 _POLICY = _object(POLICY_FIELDS, lambda critical_variants: frozenset(critical_variants))
 SCENARIO_FIELDS = {
     "id": (_string, "scenario"),
-    "seed": (_integer, 0),
-    "duration_s": (_integer, _REQUIRED),
+    "seed": (_as_is, 0),
+    "duration_s": (_as_is, _REQUIRED),
     "vehicle": (_VEHICLE, None),
     "events": (_EVENTS, None),
     "fleet": (_list(_LANE, "lane"), None),

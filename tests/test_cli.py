@@ -129,6 +129,17 @@ BAD_DEMO_EDITS = {
     "tamper-date-basic-format": _add_event(
         kind="EepromTamper", module_id="ECU", field="design_date", forged_value="20190314"
     ),
+    # The rules of a VehicleConfig and of a Scenario as they are made.
+    "modules-empty": _set("vehicle", "modules", []),
+    "serial-number-twice": _set("vehicle", "modules", 1, "serial_number", "ECU-SN-481516"),
+    "module-of-another-vin": _set("vehicle", "modules", 1, "vin", "2HGBH41JXMN109186"),
+    "cluster-of-two": _set("vehicle", "parity_clusters", [["ECU", "BCM"]]),
+    "initial-odometer-negative": _set("vehicle", "initial_odometer_km", -1),
+    "fleet-empty": lambda obj: [obj.pop("vehicle"), obj.pop("events"), obj.update(fleet=[])],
+    # Refused at event time: the demo vehicle has one cluster.
+    "corrupt-cluster-past-the-vehicle": _add_event(
+        kind="MemoryCorruption", cluster=5, device=0, byte_offset=0
+    ),
 }
 
 
@@ -832,6 +843,20 @@ class TestAudit:
         path.write_bytes(header + demo_snapshot[demo_snapshot.index(b"\n") :])
         assert cli.main(["audit", str(path)]) == 2
         assert "format error" in capsys.readouterr().err
+
+    def test_two_corrupt_data_devices_uncorrectable_exit_one(self, demo_snapshot, tmp_path, capsys):
+        """A byte flipped in each of the demo's two data devices: single parity
+        sees the damage and cannot repair it."""
+        assert demo_snapshot.startswith(b"d=2 lengths=1090,769 ")
+        blob = bytearray(demo_snapshot)
+        device_0 = blob.index(b"\n") + 1
+        for pos in (device_0, device_0 + 1090):  # offset 0 of devices 0 and 1
+            blob[pos] ^= 0xFF
+        path = tmp_path / "edited.snap"
+        path.write_bytes(blob)
+        assert cli.main(["audit", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{path}: uncorrectable: ") and len(out.splitlines()) == 1, out
 
     def test_device_count_disagreeing_with_lengths_exit_two(self, demo_snapshot, tmp_path, capsys):
         """d=3 over the demo's two recorded lengths: a format error, not an IndexError."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import MISSING, fields, replace
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,24 @@ class TestTriggers:
         times = [mh.sim_time for mh in result.vehicles[0].captures]
         # Capture at 3000 (event), then periodic at 6600, not at 3600.
         assert times == [3000, 6600]
+
+    def test_full_store_captures_then_retries_the_put(self):
+        """Reboots at 10..39 fill the demo's 2,048-byte stores with uncovered
+        startup records. The put that finds no room captures under the
+        sweep's own trigger and is then retried, at 19 and at 31; at 3631
+        the periodic sweep does the same before its own capture."""
+        scenario = load_scenario(DEMO_SCENARIO)
+        (lane,) = scenario.lanes
+        reboots = tuple(event(ScenarioEventKind.REBOOT, t) for t in range(10, 40))
+        lanes = (replace(lane, events=reboots + lane.events),)
+        result = run_scenario(replace(scenario, lanes=lanes))
+        captures = [e for e in map(json.loads, result.ground_truth) if e["event"] == "capture"]
+        assert [(e["sim_time"], e["trigger"]) for e in captures] == [
+            (19, "StartupCheck"), (31, "StartupCheck"),
+            (3631, "PeriodicInterval"), (3631, "PeriodicInterval"),
+            (5400, "ObdPlugIn"), (6000, "Reflash"), (9000, "MileageThreshold"),
+            (12600, "PeriodicInterval"),
+        ]
 
 
 class TestReflashVerdicts:
@@ -382,6 +401,19 @@ class TestTamperDetection:
         vehicle.clock = 200
         vehicle.startup_consistency_check()
         assert vehicle.tamper_details == {"odometer_km": frozenset({"ECU", "HeadUnit"})}
+
+
+def test_forged_date_is_logged_as_iso_text():
+    vehicle = Vehicle(make_vehicle_config())
+    vehicle.boot()
+    vehicle.handle_event(event(ScenarioEventKind.EEPROM_TAMPER, 100, module_id="ECU",
+                               field="design_date", forged_value="2020-02-29"))
+    assert vehicle.modules["ECU"].design_date == date(2020, 2, 29)
+    logged = json.loads(vehicle.ground_truth[-1])
+    assert (logged["event"], logged["pre"], logged["post"]) == (
+        "eeprom_tamper", "2019-03-14", "2020-02-29"
+    )
+
 
 class TestTamperClear:
     def tampered_vehicle(self) -> Vehicle:
@@ -837,13 +869,10 @@ class TestBoolIsNoReference:
     names no cluster or device either."""
 
     def test_demo_corruption_of_device_true_refused(self):
-        scenario = load_scenario(DEMO_SCENARIO)
-        (lane,) = scenario.lanes
-        flip = event(ScenarioEventKind.MEMORY_CORRUPTION, 7300, cluster=0, device=True,
-                     byte_offset=0)
-        events = tuple(sorted(lane.events + (flip,), key=lambda e: e.sim_time))
+        """Refused as the event is made, before any vehicle could read it as 1."""
         with pytest.raises(ScenarioError, match="no device True"):
-            run_scenario(replace(scenario, lanes=(replace(lane, events=events),)))
+            event(ScenarioEventKind.MEMORY_CORRUPTION, 7300, cluster=0, device=True,
+                  byte_offset=0)
 
     def test_corruption_of_cluster_true_refused(self):
         """Refused as the event is made, before any vehicle could read it as 1."""
@@ -858,7 +887,7 @@ class TestBoolIsNoReference:
             (ScenarioEventKind.REBOOT, dict(sim_time=True), "sim_time"),
             (ScenarioEventKind.MEMORY_CORRUPTION,
              dict(sim_time=7300, cluster=0, device=0, byte_offset=True), "byte_offset"),
-            (ScenarioEventKind.CONNECTIVITY_OUTAGE, dict(sim_time=1000, end=True), "end"),
+            (ScenarioEventKind.CONNECTIVITY_OUTAGE, dict(sim_time=0, end=True), "end"),
             (ScenarioEventKind.DRIVE, dict(sim_time=7400, km=2.0), "km"),
             (ScenarioEventKind.REBOOT, dict(sim_time="100"), "sim_time"),
         ],
@@ -994,6 +1023,12 @@ class TestScenarioParsing:
         obj["vehicle"][field] = value
         with pytest.raises(ScenarioError, match=field):
             parse_scenario(obj)
+
+    @pytest.mark.parametrize("field", ["capture_interval_s", "mileage_stride_km"])
+    def test_period_of_one_accepted(self, field):
+        obj = self.scenario_obj()
+        obj["vehicle"][field] = 1
+        assert getattr(parse_scenario(obj).lanes[0].config, field) == 1
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1176,6 +1211,108 @@ class TestLibraryPathValidation:
             replace(event(ScenarioEventKind.OBD_PLUG_IN, 100), kind=kind, **fields)
 
 
+# One event per rule that a ScenarioEvent checks as it is made, with its
+# message; in scenario-file form at sim_time 13500 unless it names one.
+# "replacement" names the demo module that is swapped in.
+EVENT_RULES = {
+    "sim-time-negative": (
+        {"sim_time": -1, "kind": "Reboot"}, "Reboot sim_time must be non-negative"
+    ),
+    "drive-km-negative": ({"kind": "Drive", "km": -5}, "Drive km must be non-negative"),
+    "corrupt-cluster-negative": (
+        {"kind": "MemoryCorruption", "cluster": -1, "device": 0, "byte_offset": 0},
+        "MemoryCorruption cluster must be non-negative",
+    ),
+    "corrupt-offset-negative": (
+        {"kind": "MemoryCorruption", "cluster": 0, "device": 0, "byte_offset": -3},
+        "MemoryCorruption byte_offset must be non-negative",
+    ),
+    "corrupt-device-true": (
+        {"kind": "MemoryCorruption", "cluster": 0, "device": True, "byte_offset": 0},
+        "MemoryCorruption: no device True",
+    ),
+    "corrupt-device-x": (
+        {"kind": "MemoryCorruption", "cluster": 0, "device": "x", "byte_offset": 0},
+        "MemoryCorruption: no device 'x'",
+    ),
+    "outage-end-negative": (
+        {"kind": "ConnectivityOutage", "end": -1}, "ConnectivityOutage end must be non-negative"
+    ),
+    "outage-ends-before-it-starts": (
+        {"kind": "ConnectivityOutage", "end": 13499}, "ConnectivityOutage needs end >= sim_time"
+    ),
+    "reflash-version-empty": (
+        {"kind": "UdsReflash", "module_id": "TCM", "new_version": ""},
+        "UdsReflash needs a non-empty new_version",
+    ),
+    "tamper-field-unknown": (
+        {"kind": "EepromTamper", "module_id": "ECU", "field": "bogus", "forged_value": 1},
+        "EepromTamper: unknown field 'bogus'",
+    ),
+    "tamper-field-module-id": (
+        {"kind": "EepromTamper", "module_id": "ECU", "field": "module_id", "forged_value": "BCM"},
+        "EepromTamper: unknown field 'module_id'",
+    ),
+    "tamper-odometer-text": (
+        {"kind": "EepromTamper", "module_id": "ECU", "field": "odometer_km", "forged_value": "abc"},
+        "odometer_km must be an integer",
+    ),
+    "tamper-odometer-negative": (
+        {"kind": "EepromTamper", "module_id": "ECU", "field": "odometer_km", "forged_value": -1},
+        "odometer_km must be non-negative",
+    ),
+    "swap-into-another-slot": (
+        {"kind": "ModuleSwap", "module_id": "BCM", "replacement": "ECU"},
+        "replacement module_id 'ECU' does not fit slot 'BCM'",
+    ),
+}
+
+
+class TestEventRulesHoldAsMade:
+    """A rule that needs no vehicle refuses the event as it is made: in Python,
+    and in a scenario file, which load_scenario refuses before any run."""
+
+    @pytest.mark.parametrize("case", sorted(EVENT_RULES))
+    def test_refused_when_built_and_when_loaded(self, tmp_path, case):
+        fields, message = EVENT_RULES[case]
+        fields = {"sim_time": 13500, **fields}
+        made = dict(fields, kind=ScenarioEventKind(fields["kind"]))
+        obj = json.loads(DEMO_SCENARIO.read_text())
+        if "replacement" in fields:
+            index = [m["module_id"] for m in obj["vehicle"]["modules"]].index(fields["replacement"])
+            fields["replacement"] = obj["vehicle"]["modules"][index]
+            made["replacement"] = load_scenario(DEMO_SCENARIO).lanes[0].config.modules[index]
+        with pytest.raises(ScenarioError, match=f"^{message}"):
+            ScenarioEvent(**made)
+        obj["events"].append(fields)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ScenarioError, match=rf"^events\[6\]: {message}"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("kind", ["Drive", "WarpDrive", None])
+    def test_kind_is_a_member_of_the_enum(self, kind):
+        """Not its text: a handler looks the kind up by its member name."""
+        with pytest.raises(ScenarioError, match="kind must be a ScenarioEventKind"):
+            ScenarioEvent(sim_time=100, kind=kind, km=5)
+
+    @pytest.mark.parametrize(
+        "field, text, value",
+        [
+            ("design_date", "2020-02-29", date(2020, 2, 29)),
+            ("airbag_status", "Deployed", AirbagStatus.DEPLOYED),
+            ("odometer_km", 12, 12),
+        ],
+        ids=["date", "airbag-status", "odometer"],
+    )
+    def test_forged_value_is_shaped_as_made(self, field, text, value):
+        """The event holds the value the tamper writes; replace() keeps it."""
+        made = event(ScenarioEventKind.EEPROM_TAMPER, 100, module_id="ECU", field=field,
+                     forged_value=text)
+        assert made.forged_value == value and type(made.forged_value) is type(value)
+        assert replace(made, sim_time=200).forged_value == value
+
+
 class TestRefusedEventsLeaveStateAlone:
     def test_swap_to_a_fitted_serial_rejected_before_any_change(self):
         vehicle = Vehicle(make_vehicle_config())
@@ -1230,12 +1367,9 @@ class TestRefusedEventsLeaveStateAlone:
 
     @pytest.mark.parametrize("device", ["x", [1]], ids=["device-x", "device-list"])
     def test_corruption_of_no_device_is_scenario_error(self, device):
-        vehicle = Vehicle(make_vehicle_config())
-        vehicle.boot()
-        flip = event(ScenarioEventKind.MEMORY_CORRUPTION, 100, cluster=0, device=device,
-                     byte_offset=0)
         with pytest.raises(ScenarioError, match="no device"):
-            vehicle.handle_event(flip)
+            event(ScenarioEventKind.MEMORY_CORRUPTION, 100, cluster=0, device=device,
+                  byte_offset=0)
 
 
 class TestDetectionCompleteness:

@@ -60,6 +60,7 @@ TARGETS = {
     ],
     "masternode": ["MasterNode.mirror_update", "MasterNode.mirrored"],
     "vehiclesim": [
+        "ScenarioEvent.__post_init__", "VehicleConfig.__post_init__", "Scenario.__post_init__",
         "Vehicle.startup_consistency_check", "Vehicle.clear_tamper_flag",
         "Vehicle._put_record", "Vehicle.run", "ScenarioResult.findings",
     ],
