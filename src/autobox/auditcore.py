@@ -17,7 +17,9 @@ nothing in this package reads the wall clock.
 
 Values are valid by construction: ``ModuleMetadata`` raises MetadataError
 as an invalid instance is made, ``dataclasses.replace`` included, so
-nothing downstream checks it again. Invalid input has one error type:
+nothing downstream checks it again. Each field takes exactly its declared
+type (``_json``): an int or a date's ISO text would hash as the text it
+prints. Invalid input has one error type:
 MetadataError is a kind of ScenarioError, which every refused scenario
 raises, so one ``except ScenarioError`` catches both. An ``AuditRecord``
 takes no key: it derives ``record_key`` from its own fields, so no record
@@ -38,7 +40,7 @@ import re
 from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 # 17 chars, uppercase alphanumerics minus I/O/Q (easily confused glyphs).
 # Use fullmatch, as for every pattern here: ``$`` admits a trailing newline.
@@ -57,7 +59,24 @@ class ScenarioError(ValueError):
 
 
 class MetadataError(ScenarioError):
-    """A domain value violates its canonical-form constraints."""
+    """A value has the wrong type or breaks its canonical form."""
+
+
+def _json(kind: type, what: str) -> Callable[[str, Any], Any]:
+    """A check that field ``name`` holds exactly a ``kind``, returned as it is:
+    a bool is no int, a datetime no date. The one exact-type check, of values
+    and of the JSON a scenario is built from; raises MetadataError."""
+
+    def check(name: str, value: Any) -> Any:
+        if type(value) is not kind:
+            raise MetadataError(f"{name} must be {what}, got {value!r}")
+        return value
+
+    return check
+
+
+# ModuleMetadata's field types, as its annotations spell them.
+_METADATA_TYPES = {"str": _json(str, "a string"), "date": _json(date, "a date")}
 
 
 class EventType(str, Enum):
@@ -115,6 +134,8 @@ class ModuleMetadata:
     vin: str
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _METADATA_TYPES[f.type](f.name, getattr(self, f.name))
         # variant_code becomes a field of a tab-separated library line.
         if not self.variant_code.isprintable():
             raise MetadataError(f"variant_code must be printable, got {self.variant_code!r}")

@@ -105,8 +105,10 @@ class ParityCluster:
         """Position of a device in the device list; parity sits at d."""
         if device == PARITY:
             return self.device_count
-        if type(device) is not int or not 0 <= device < self.device_count:
+        if type(device) is not int:
             raise ClusterError(f"no device {device!r}")
+        if not 0 <= device < self.device_count:  # an index too long for str() stays unprinted
+            raise ClusterError(f"no device at that index of {self.device_count} data devices")
         return device
 
     def _data_index(self, device: DeviceRef) -> int:
@@ -174,7 +176,7 @@ class ParityCluster:
         """
         target = self._devices[self._resolve(device)]
         if not 0 <= offset < len(target):
-            raise ClusterError(f"offset {offset} outside device {device!r}")
+            raise ClusterError(f"offset outside the {len(target)} bytes of device {device!r}")
         pre = target[offset]
         target[offset] ^= 0xFF
         return pre, target[offset]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -51,6 +51,7 @@ from .auditcore import (
     VIN_RE,
     derive_vehicle_key,
     identity_hash,
+    _json,
     validate_vin,
 )
 from .dht import (
@@ -157,6 +158,8 @@ class ScenarioEvent:
         # A bool is an int to Python, but no count of seconds, km or bytes, nor an index.
         for name in sorted(given & {"km", "cluster", "byte_offset", "end"} | {"sim_time"}):
             _count(f"{self.kind.value} {name}", getattr(self, name))
+        for name in sorted(given & {"module_id", "new_version", "field", "token"}):
+            _string(name, getattr(self, name))
         # The kind checks above leave each field below to the one kind that takes it.
         if self.end is not None and self.end < self.sim_time:
             raise ScenarioError("ConnectivityOutage needs end >= sim_time")
@@ -190,6 +193,8 @@ class VehicleConfig:
     initial_odometer_km: int = 0
 
     def __post_init__(self) -> None:
+        _string("vin", self.vin)
+        _string("variant_code", self.variant_code)
         _integer("dht_store_limit_bytes", self.dht_store_limit_bytes)
         for name in ("capture_interval_s", "mileage_stride_km"):
             if _integer(name, getattr(self, name)) < 1:
@@ -254,6 +259,7 @@ class Scenario:
     critical_variants: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        _string("scenario_id", self.scenario_id)
         _integer("seed", self.seed)
         _count("duration_s", self.duration_s)
         if not self.lanes:
@@ -607,8 +613,8 @@ class Vehicle:
         self._log("node_recovery", module=module_id)
 
     def _on_memory_corruption(self, event: ScenarioEvent) -> None:
-        if event.cluster >= len(self.clusters):
-            raise ScenarioError(f"MemoryCorruption: unknown cluster {event.cluster!r}")
+        if event.cluster >= len(self.clusters):  # an index too long for str() stays unprinted
+            raise ScenarioError(f"MemoryCorruption: no such cluster among {len(self.clusters)}")
         cluster = self.clusters[event.cluster]
         try:
             pre, post = cluster.corrupt_byte(event.device, event.byte_offset)
@@ -700,10 +706,13 @@ def _jsonable(value: Any) -> Any:
 
 
 # One table per JSON object of a scenario file: field name -> (shape,
-# default). A shape checks one JSON value and builds the field from it;
-# _REQUIRED makes a field mandatory. Any other field name is refused, so a
-# misspelt field cannot silently fall back to its default.
-_REQUIRED = object()
+# default), where a shape builds the field from one JSON value and a
+# default of MISSING makes the field mandatory. A module, a vehicle and an
+# event take theirs from their dataclass (_dataclass), which checks every
+# value as it is made; only the scenario, a fleet lane and the policy,
+# whose JSON names differ from the fields they build, state their own.
+# Any other field name is refused, so a misspelt field cannot silently
+# fall back to its default.
 Shape = Callable[[str, Any], Any]
 
 
@@ -716,24 +725,11 @@ def _fields(obj: Any, table: dict[str, tuple[Shape, Any]], noun: str) -> dict[st
     for name, (shape, default) in table.items():
         if name in obj:
             out[name] = shape(name, obj[name])
-        elif default is _REQUIRED:
+        elif default is MISSING:
             raise ScenarioError(f"missing {noun} field {name!r}")
         else:
             out[name] = default
     return out
-
-
-def _json(kind: type, what: str) -> Shape:
-    """A value of exactly type ``kind``: JSON true is a bool, no integer.
-
-    Integer fields are passed ``_as_is``: the values built from them check them."""
-
-    def shape(name: str, value: Any) -> Any:
-        if type(value) is not kind:
-            raise ScenarioError(f"{name} must be {what}, got {value!r}")
-        return value
-
-    return shape
 
 
 _integer, _string = _json(int, "an integer"), _json(str, "a string")
@@ -778,6 +774,8 @@ def _iso_date(text: str) -> date:
 
 
 _count = _narrowed(_integer, lambda n: n >= 0, "non-negative")
+# Any JSON value but null, which would read as a field left out.
+_given = _narrowed(_as_is, lambda value: value is not None, "non-null")
 _date = _parsed(_iso_date, "a YYYY-MM-DD date")
 _kind = _parsed(ScenarioEventKind, "an event kind")
 
@@ -811,58 +809,36 @@ def _object(table: dict[str, tuple[Shape, Any]], build: Callable[..., Any]) -> S
     return lambda name, value: build(**_fields(value, table, name))
 
 
-MODULE_FIELDS = {
-    "module_id": (_string, _REQUIRED),
-    "design_date": (_date, _REQUIRED),
-    "manufacture_date": (_date, _REQUIRED),
-    "manufacture_location": (_string, _REQUIRED),
-    "supplier_id": (_string, _REQUIRED),
-    "production_lot": (_string, _REQUIRED),
-    "software_version": (_string, _REQUIRED),
-    "variant_code": (_string, _REQUIRED),
-    "serial_number": (_string, _REQUIRED),
-    "vin": (_string, _REQUIRED),
-}
-_MODULE = _object(MODULE_FIELDS, ModuleMetadata)
+def _dataclass(cls: type, shapes: dict[str, Shape]) -> Shape:
+    """A JSON object with the fields of dataclass ``cls``, passed to ``cls``.
+    A field in ``shapes`` is built by its shape. Any other passes as it is,
+    except that a field which None marks as left out takes no null."""
+    return _object({
+        f.name: (shapes.get(f.name, _given if f.default is None else _as_is), f.default)
+        for f in fields(cls)
+    }, cls)
+
+
+_MODULE_DATES = {"design_date": _date, "manufacture_date": _date}
+_MODULE = _dataclass(ModuleMetadata, _MODULE_DATES)
 # What an EepromTamper may forge, with the shape of the forged value: a
 # replicated field, or a metadata field other than the module's id.
-_FORGEABLE = {name: shape for name, (shape, _) in MODULE_FIELDS.items() if name != "module_id"}
+_FORGEABLE = {f.name: _MODULE_DATES.get(f.name, _string) for f in fields(ModuleMetadata)}
+del _FORGEABLE["module_id"]
 _FORGEABLE.update(SCD_FIELDS)
-VEHICLE_FIELDS = {
-    "vin": (_string, _REQUIRED),
-    "variant_code": (_string, _REQUIRED),
-    "modules": (_list(_MODULE, "module"), _REQUIRED),
-    "dht_store_limit_bytes": (_as_is, VehicleConfig.dht_store_limit_bytes),
-    "parity_clusters": (_list(_list(_string, "member"), "cluster"), VehicleConfig.parity_clusters),
-    "capture_interval_s": (_as_is, VehicleConfig.capture_interval_s),
-    "mileage_stride_km": (_as_is, VehicleConfig.mileage_stride_km),
-    "initial_odometer_km": (_as_is, VehicleConfig.initial_odometer_km),
-}
-EVENT_FIELDS = {
-    "sim_time": (_as_is, _REQUIRED),
-    "kind": (_kind, _REQUIRED),
-    "km": (_as_is, None),
-    "module_id": (_string, None),
-    "new_version": (_string, None),
-    "field": (_string, None),
-    "forged_value": (_as_is, None),
-    "replacement": (_MODULE, None),
-    "cluster": (_as_is, None),
-    "device": (_as_is, None),
-    "byte_offset": (_as_is, None),
-    "end": (_as_is, None),
-    "token": (_string, None),
-}
-_EVENTS = _list(_object(EVENT_FIELDS, ScenarioEvent), "event")
-_VEHICLE = _object(VEHICLE_FIELDS, VehicleConfig)
-LANE_FIELDS = {"vehicle": (_VEHICLE, _REQUIRED), "events": (_EVENTS, ())}
+_EVENTS = _list(_dataclass(ScenarioEvent, {"kind": _kind, "replacement": _MODULE}), "event")
+_VEHICLE = _dataclass(VehicleConfig, {
+    "modules": _list(_MODULE, "module"),
+    "parity_clusters": _list(_list(_string, "member"), "cluster"),
+})
+LANE_FIELDS = {"vehicle": (_VEHICLE, MISSING), "events": (_EVENTS, ())}
 _LANE = _object(LANE_FIELDS, lambda vehicle, events: VehicleLane(vehicle, events))
 POLICY_FIELDS = {"critical_variants": (_list(_string, "variant"), ())}
 _POLICY = _object(POLICY_FIELDS, lambda critical_variants: frozenset(critical_variants))
 SCENARIO_FIELDS = {
     "id": (_string, "scenario"),
     "seed": (_as_is, 0),
-    "duration_s": (_as_is, _REQUIRED),
+    "duration_s": (_as_is, MISSING),
     "vehicle": (_VEHICLE, None),
     "events": (_EVENTS, None),
     "fleet": (_list(_LANE, "lane"), None),

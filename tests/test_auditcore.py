@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import fields, replace
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
 import pytest
 
@@ -142,6 +142,9 @@ class TestPayloadHash:
             dict(serial_number=""),
             dict(vin="1HGBH41JXMN109186\n"),
             dict(variant_code="EU\tBASE"),
+            dict(module_id=5),
+            dict(design_date="2019-03-14"),
+            dict(manufacture_date=datetime(2019, 8, 2)),
         ):
             with pytest.raises(MetadataError):
                 make_metadata(**change)

@@ -120,6 +120,9 @@ BAD_DEMO_EDITS = {
     "outage-ends-before-it-starts": _add_event(kind="ConnectivityOutage", end=13499),
     # Each kind takes exactly the fields of the README's event table.
     "reboot-with-km": _add_event(kind="Reboot", km=5000),
+    # A null would read as the field left out.
+    "reboot-km-null": _add_event(kind="Reboot", km=None),
+    "reboot-module-id-null": _add_event(kind="Reboot", module_id=None),
     "obd-plug-in-with-module-id": _add_event(kind="ObdPlugIn", module_id="NOPE"),
     "drive-without-km": _add_event(kind="Drive"),
     "corrupt-without-offset": _add_event(kind="MemoryCorruption", cluster=0, device=0),

@@ -62,10 +62,10 @@ TARGETS = {
     "vehiclesim": [
         "ScenarioEvent.__post_init__", "VehicleConfig.__post_init__", "Scenario.__post_init__",
         "Vehicle.startup_consistency_check", "Vehicle.clear_tamper_flag",
-        "Vehicle._put_record", "Vehicle.run", "ScenarioResult.findings",
+        "Vehicle._put_record", "Vehicle.run", "ScenarioResult.findings", "_dataclass",
     ],
     "auditcore": [
-        "validate_vin", "ModuleMetadata.__post_init__", "identity_hash",
+        "_json", "validate_vin", "ModuleMetadata.__post_init__", "identity_hash",
         "derive_vehicle_key",
     ],
     "cli": ["_cmd_run", "_cmd_verify", "_cmd_history", "_cmd_audit", "main"],
