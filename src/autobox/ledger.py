@@ -79,7 +79,7 @@ class VerdictStatus(str, Enum):
     IMMOBILIZE = "Immobilize"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     status: VerdictStatus
     reason: str

@@ -7,13 +7,16 @@ vehicle timeline's call; ``capture_meta_hash`` captures whenever asked.
 Every record enters the in-vehicle table through ``MasterNode.put``, which
 mirrors what the table accepts, so the mirror never lags the table and a
 checkpoint is a pure function of the mirror: the meta digest folds the
-(record key, payload hash) pairs sorted by key, making it independent of
-insertion order and reproducible from any node dump. The mirror holds
-exactly those pairs as raw 64-byte ``key‖payload_hash`` strings in sorted
-order, so a capture is one join and one hash. Capturing a
-checkpoint is also what unlocks eviction down in the node stores: the
-capture covers every record stored so far, and only covered records may
-be dropped.
+(record key, payload hash) pairs in key order, making it independent of
+insertion order and reproducible from any node dump. It is a two-level
+hash (``meta_digest``): the pairs fall into 64 buckets by the top six bits
+of their key, each bucket hashes its pairs, and the top level hashes the
+digests of the non-empty buckets. The mirror holds each bucket as raw
+64-byte ``key‖payload_hash`` strings in sorted order, and keeps each
+bucket's digest, so a capture re-hashes only the buckets that gained a
+pair since the last capture. Capturing a checkpoint is also what unlocks
+eviction down in the node stores: the capture covers every record stored
+so far, and only covered records may be dropped.
 
 Outbound, the master feeds a light client buffer. Each checkpoint queues
 as the Submission the full node will receive, stamped with the vehicle key
@@ -39,7 +42,7 @@ from .auditcore import HEX_DIGEST, NUMBER, POSITIVE_NUMBER, AuditRecord, EventTy
 from .dht import DhtNetwork, StoreReceipt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaHash:
     """One checkpoint: a digest over the entire mirrored table."""
 
@@ -92,19 +95,28 @@ class LightClientBuffer:
     pending: list[Submission] = field(default_factory=list)
 
 
+BUCKETS = 64  # a pair's bucket is the top six bits of its raw key
+
+
 def meta_digest(pairs: Iterable[tuple[str, str]]) -> str:
     """Fold (record_key, payload_hash) pairs into one order-free digest.
 
-    Pairs are sorted by record key and concatenated as raw digest bytes.
-    The empty set hashes to SHA-256 of the empty byte string. This is the
-    reference definition; ``MasterNode`` keeps its mirror in this order
-    already and hashes it directly.
+    Each pair goes, as its raw 64 bytes, to bucket ``key[0] >> 2``. A
+    bucket's digest is the SHA-256 of its pairs sorted by key; the meta
+    digest is the SHA-256 of the 32-byte digests of the non-empty buckets,
+    in bucket order. The empty set hashes to SHA-256 of the empty byte
+    string. This is the reference definition; ``MasterNode`` computes the
+    same value incrementally.
     """
-    h = hashlib.sha256()
-    for key, payload in sorted(pairs):
-        h.update(bytes.fromhex(key))
-        h.update(bytes.fromhex(payload))
-    return h.hexdigest()
+    buckets: list[list[bytes]] = [[] for _ in range(BUCKETS)]
+    for key, payload in pairs:
+        pair = bytes.fromhex(key + payload)
+        buckets[pair[0] >> 2].append(pair)
+    top = hashlib.sha256()
+    for bucket in buckets:
+        if bucket:
+            top.update(hashlib.sha256(b"".join(sorted(bucket))).digest())
+    return top.hexdigest()
 
 
 class MasterNode:
@@ -115,7 +127,12 @@ class MasterNode:
         self.buffer = LightClientBuffer()
         self.online = True  # uplink state; offline, the backlog waits
         self.captures: list[MetaHash] = []  # every checkpoint taken, in order
-        self._pairs: list[bytes] = []  # raw key‖payload_hash, sorted by key
+        # Raw key‖payload_hash pairs per bucket, sorted by key; each bucket's
+        # digest as of the last capture (b"" while empty), and the buckets
+        # that gained a pair since.
+        self._buckets: list[list[bytes]] = [[] for _ in range(BUCKETS)]
+        self._digests: list[bytes] = [b""] * BUCKETS
+        self._dirty: set[int] = set()
 
     # -- mirror -----------------------------------------------------------
 
@@ -133,20 +150,24 @@ class MasterNode:
         """
         pair = bytes.fromhex(record.record_key + record.payload_hash)
         key = pair[:32]
-        i = bisect_left(self._pairs, key)
-        if i == len(self._pairs) or self._pairs[i][:32] != key:
-            self._pairs.insert(i, pair)
+        n = pair[0] >> 2
+        bucket = self._buckets[n]
+        i = bisect_left(bucket, key)
+        if i == len(bucket) or bucket[i][:32] != key:
+            bucket.insert(i, pair)
+            self._dirty.add(n)
 
     @property
     def mirror_size(self) -> int:
-        return len(self._pairs)
+        return sum(map(len, self._buckets))
 
     def mirrored(self, record_key: str) -> str | None:
         """Payload hash mirrored under a record key, or None."""
         key = bytes.fromhex(record_key)
-        i = bisect_left(self._pairs, key)
-        if i < len(self._pairs) and self._pairs[i][:32] == key:
-            return self._pairs[i][32:].hex()
+        bucket = self._buckets[key[0] >> 2]
+        i = bisect_left(bucket, key)
+        if i < len(bucket) and bucket[i][:32] == key:
+            return bucket[i][32:].hex()
         return None
 
     # -- checkpoints --------------------------------------------------------
@@ -154,10 +175,13 @@ class MasterNode:
     def capture_meta_hash(self, trigger: EventType, sim_time: int, vehicle_key: str) -> MetaHash:
         """Checkpoint the mirror, unlock eviction of everything covered and
         queue the checkpoint for the full node, stamped with ``vehicle_key``."""
-        digest = hashlib.sha256(b"".join(self._pairs)).hexdigest()
+        for n in self._dirty:
+            self._digests[n] = hashlib.sha256(b"".join(self._buckets[n])).digest()
+        self._dirty.clear()
+        digest = hashlib.sha256(b"".join(self._digests)).hexdigest()
         mh = MetaHash(
             digest=digest,
-            covered_records=len(self._pairs),
+            covered_records=self.mirror_size,
             checkpoint_seq=len(self.captures) + 1,
             sim_time=sim_time,
             trigger=trigger,

@@ -79,8 +79,10 @@ TAMPER_CLEAR_TOKEN = "SERVICE-TOOL"  # what the authorized service tool presents
 # capture_interval_s): about 13 months at hourly captures. A longer
 # scenario is refused rather than left to run for days.
 MAX_PERIODIC_CAPTURES = 10_000
-# A scenario lasts less, so every sim_time it writes keeps to auditcore.NUMBER.
-DURATION_LIMIT_S = 10**18
+# Every number a scenario writes keeps to auditcore.NUMBER, at most 18
+# digits: its duration, so each sim_time, and each km and odometer reading
+# the ground truth logs as it was given.
+NUMBER_LIMIT = 10**18
 
 # One ground_truth.jsonl line: compact, keys sorted. Built once, since
 # json.dumps with any option builds a new encoder per call. An entry is a
@@ -155,9 +157,11 @@ class ScenarioEvent:
         missing = sorted(takes - given - {"token"})
         if missing:
             raise ScenarioError(f"{self.kind.value} event needs {missing}")
-        # A bool is an int to Python, but no count of seconds, km or bytes, nor an index.
+        # A bool is an int to Python, but no count of seconds, km or bytes, nor
+        # an index. The ground truth logs km and end as given: 18 digits at most.
         for name in sorted(given & {"km", "cluster", "byte_offset", "end"} | {"sim_time"}):
-            _count(f"{self.kind.value} {name}", getattr(self, name))
+            shape = _number if name in ("km", "end") else _count
+            shape(f"{self.kind.value} {name}", getattr(self, name))
         for name in sorted(given & {"module_id", "new_version", "field", "token"}):
             _string(name, getattr(self, name))
         # The kind checks above leave each field below to the one kind that takes it.
@@ -199,7 +203,12 @@ class VehicleConfig:
         for name in ("capture_interval_s", "mileage_stride_km"):
             if _integer(name, getattr(self, name)) < 1:
                 raise ScenarioError(f"{name} must be at least 1")
-        _count("initial_odometer_km", self.initial_odometer_km)
+        _number("initial_odometer_km", self.initial_odometer_km)
+        for i, module in enumerate(_tuple("modules", self.modules)):
+            _metadata(f"modules[{i}]", module)
+        for i, members in enumerate(_tuple("parity_clusters", self.parity_clusters)):
+            for member in _tuple(f"parity_clusters[{i}]", members):
+                _string(f"parity_clusters[{i}] member", member)
         validate_vin(self.vin)
         # variant_code becomes a field of a tab-separated library line.
         if not self.variant_code.isprintable():
@@ -279,7 +288,7 @@ class Scenario:
                     f"duration_s // capture_interval_s of {lane.config.vin} exceeds "
                     f"{MAX_PERIODIC_CAPTURES} periodic captures"
                 )
-        if self.duration_s >= DURATION_LIMIT_S:
+        if self.duration_s >= NUMBER_LIMIT:
             raise ScenarioError("duration_s must have at most 18 digits")
         for lane in self.lanes:
             longest = lane.config.longest_record_line(self.duration_s)
@@ -290,7 +299,7 @@ class Scenario:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DrainBatch:
     """One uplink delivery: what arrived at the full node, and when."""
 
@@ -351,13 +360,16 @@ class Vehicle:
         self.batches: list[DrainBatch] = []
         self.tamper_details: dict[str, frozenset[str]] = {}
         self.alerts: list[str] = []
+        # The key each capture is stamped with, re-derived wherever a module
+        # serial or latest_version changes.
+        self.vehicle_key = self._derive_key()
         # Vehicle keys the OEM knows, each once, all of config.variant_code;
         # rotations via official channels append here, silent swaps do not.
-        self.vehicle_keys: list[str] = [self._current_key()]
+        self.vehicle_keys: list[str] = [self.vehicle_key]
 
     # -- identity -----------------------------------------------------------
 
-    def _current_key(self) -> str:
+    def _derive_key(self) -> str:
         serials = (m.serial_number for m in self.modules.values())
         return derive_vehicle_key(serials, self.latest_version)
 
@@ -410,7 +422,7 @@ class Vehicle:
 
     def _capture(self, trigger: EventType) -> None:
         self._scrub_clusters()
-        mh = self.master.capture_meta_hash(trigger, self.clock, self._current_key())
+        mh = self.master.capture_meta_hash(trigger, self.clock, self.vehicle_key)
         self._log(
             "capture",
             seq=mh.checkpoint_seq,
@@ -544,6 +556,7 @@ class Vehicle:
         old = self.modules[module_id]
         self.modules[module_id] = replace(old, software_version=event.new_version)
         self.latest_version = event.new_version
+        self.vehicle_key = self._derive_key()
         self._log(
             "uds_reflash",
             module=module_id,
@@ -553,8 +566,8 @@ class Vehicle:
         record = identity_hash(self.modules[module_id], self.clock, EventType.REFLASH)
         self._put_record(module_id, record, EventType.REFLASH)
         # Official channel: the OEM learns the rotated vehicle key.
-        if (key := self._current_key()) not in self.vehicle_keys:
-            self.vehicle_keys.append(key)
+        if self.vehicle_key not in self.vehicle_keys:
+            self.vehicle_keys.append(self.vehicle_key)
         self._capture(EventType.REFLASH)
 
     def _on_eeprom_tamper(self, event: ScenarioEvent) -> None:
@@ -562,6 +575,8 @@ class Vehicle:
         store = self.scd if event.field in SCD_FIELDS else self.modules
         old = store[module_id]
         store[module_id] = replace(old, **{event.field: event.forged_value})
+        if store is self.modules:  # a forged serial_number changes the key
+            self.vehicle_key = self._derive_key()
         self._log(
             "eeprom_tamper",
             module=module_id,
@@ -587,6 +602,7 @@ class Vehicle:
         del self.module_of[old_node]
         self.module_of[new_node] = module_id
         self.modules[module_id] = replacement
+        self.vehicle_key = self._derive_key()
         # The donor unit arrives with its donor vehicle's protected data.
         self.scd[module_id] = replace(self.scd[module_id], vin=replacement.vin)
         # Its audit-store bytes did not make the trip; redundancy rebuilds them.
@@ -734,6 +750,7 @@ def _fields(obj: Any, table: dict[str, tuple[Shape, Any]], noun: str) -> dict[st
 
 _integer, _string = _json(int, "an integer"), _json(str, "a string")
 _array, _mapping = _json(list, "a list"), _json(dict, "an object")
+_tuple, _metadata = _json(tuple, "a tuple"), _json(ModuleMetadata, "a ModuleMetadata")
 
 
 def _as_is(name: str, value: Any) -> Any:
@@ -741,13 +758,14 @@ def _as_is(name: str, value: Any) -> Any:
     return value
 
 
-def _narrowed(shape: Shape, ok: Callable[[Any], bool], what: str) -> Shape:
-    """``shape`` restricted to the values for which ``ok`` holds; the message
-    shows no value, as an int may have too many digits for str()."""
+def _narrowed(shape: Shape, ok: Callable[[Any], bool], rule: str) -> Shape:
+    """``shape`` restricted to the values for which ``ok`` holds, refusing
+    others as "<name> must <rule>"; the message shows no value, as an int
+    may have too many digits for str()."""
 
     def narrowed(name: str, value: Any) -> Any:
         if not ok(shape(name, value)):
-            raise ScenarioError(f"{name} must be {what}")
+            raise ScenarioError(f"{name} must {rule}")
         return value
 
     return narrowed
@@ -773,19 +791,20 @@ def _iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-_count = _narrowed(_integer, lambda n: n >= 0, "non-negative")
+_count = _narrowed(_integer, lambda n: n >= 0, "be non-negative")
+_number = _narrowed(_count, lambda n: n < NUMBER_LIMIT, "have at most 18 digits")
 # Any JSON value but null, which would read as a field left out.
-_given = _narrowed(_as_is, lambda value: value is not None, "non-null")
+_given = _narrowed(_as_is, lambda value: value is not None, "be non-null")
 _date = _parsed(_iso_date, "a YYYY-MM-DD date")
 _kind = _parsed(ScenarioEventKind, "an event kind")
 
 # The replicated fields the startup check compares, with the shape of a
 # value an EepromTamper event may forge into one of them.
 SCD_FIELDS = {
-    "vin": _narrowed(_string, VIN_RE.fullmatch, "a VIN"),
-    "odometer_km": _count,
+    "vin": _narrowed(_string, VIN_RE.fullmatch, "be a VIN"),
+    "odometer_km": _number,
     "airbag_status": _parsed(AirbagStatus, "an airbag status"),
-    "service_event_count": _count,
+    "service_event_count": _number,
 }
 
 

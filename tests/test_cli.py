@@ -138,6 +138,7 @@ BAD_DEMO_EDITS = {
     "module-of-another-vin": _set("vehicle", "modules", 1, "vin", "2HGBH41JXMN109186"),
     "cluster-of-two": _set("vehicle", "parity_clusters", [["ECU", "BCM"]]),
     "initial-odometer-negative": _set("vehicle", "initial_odometer_km", -1),
+    "initial-odometer-19-digits": _set("vehicle", "initial_odometer_km", 10**18),
     "fleet-empty": lambda obj: [obj.pop("vehicle"), obj.pop("events"), obj.update(fleet=[])],
     # Refused at event time: the demo vehicle has one cluster.
     "corrupt-cluster-past-the-vehicle": _add_event(
@@ -741,11 +742,11 @@ class TestHistory:
         assert capsys.readouterr().out == (
             "seq  meta_digest                                                       "
             "trigger           sim_time  block\n"
-            "3    2ecbe58de577bd5bc13e5c48936183e928c5a0c159e6bb78ef49d96a9f9fbce3  "
+            "3    7440f2e2773b4be843526ccc1ac3897a50e38496a30dcb8d0de6f8a9af038bea  "
             "Reflash           6000      2\n"
-            "4    aea24afba0750237057fe0cb26b54f6969f8accb135f120cce968ee058670faf  "
+            "4    75d6908237450269a80c2d6c8a1a2dab7579defbf83a07225e720c2729cfc0f1  "
             "MileageThreshold  9000      3\n"
-            "5    69b17c3fa71e3c35f28e7108c43b7b3bfedc5daf45c1ae4fcb9f58390a041d30  "
+            "5    3bcb8955be1d34d1a40f5aabeb4908819b9c937f894631432b1d7104037550a7  "
             "PeriodicInterval  12600     4\n"
         )
 

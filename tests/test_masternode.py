@@ -3,10 +3,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from autobox.auditcore import AuditRecord, EventType, compute_record_key, identity_hash
+from autobox import masternode
 from autobox.dht import CheckpointRequired, DhtNetwork, node_id_for_serial
 from autobox.masternode import (
     MasterNode,
@@ -42,17 +44,36 @@ class TestMetaDigest:
         pairs = [("aa" * 32, "bb" * 32), ("cc" * 32, "dd" * 32)]
         assert meta_digest(pairs) == meta_digest(reversed(pairs))
 
-    def test_matches_sort_concat_oracle(self):
-        """Independent oracle: sort dump pairs, concat raw bytes, hash once."""
+    def test_matches_two_level_oracle(self):
+        """Independent oracle: bucket the dump pairs by the top six bits of
+        the key, hash each bucket's sorted pairs, hash the non-empty ones."""
         rng = random.Random(60)
-        pairs = [
-            (f"{rng.getrandbits(256):064x}", f"{rng.getrandbits(256):064x}")
-            for _ in range(3)
-        ]
-        blob = b"".join(
-            bytes.fromhex(k) + bytes.fromhex(p) for k, p in sorted(pairs)
-        )
-        assert meta_digest(pairs) == hashlib.sha256(blob).hexdigest()
+        for size in (1, 3, 40, 300):
+            pairs = [
+                (f"{rng.getrandbits(256):064x}", f"{rng.getrandbits(256):064x}")
+                for _ in range(size)
+            ]
+            buckets: dict[int, list[tuple[str, str]]] = {}
+            for key, payload in pairs:
+                buckets.setdefault(int(key[:2], 16) // 4, []).append((key, payload))
+            top = b"".join(
+                hashlib.sha256(
+                    b"".join(bytes.fromhex(k + p) for k, p in sorted(buckets[n]))
+                ).digest()
+                for n in sorted(buckets)
+            )
+            assert meta_digest(pairs) == hashlib.sha256(top).hexdigest()
+
+    def test_hand_computed_vector(self):
+        """Keys 0x00.. and 0x03.. share bucket 0; 0xfc.. is alone in bucket 63."""
+        k0, p0 = "00" * 32, "11" * 32
+        k1, p1 = "03" + "ff" * 31, "22" * 32
+        k2, p2 = "fc" + "00" * 31, "33" * 32
+        bucket_0 = hashlib.sha256(bytes.fromhex(k0 + p0 + k1 + p1)).digest()
+        bucket_63 = hashlib.sha256(bytes.fromhex(k2 + p2)).digest()
+        expected = hashlib.sha256(bucket_0 + bucket_63).hexdigest()
+        assert expected == "17bf767b6e4bcd006216823fbb2d9c963098540400fbf746bf7df86eb9ced28b"
+        assert meta_digest([(k2, p2), (k1, p1), (k0, p0)]) == expected
 
 
 class TestMirror:
@@ -174,6 +195,46 @@ class TestCapture:
         assert set(store.evict(freeable)) == {r.record_key for r in earlier}
         for record in later:
             assert store.get(record.record_key) == record
+
+    def test_capture_hashes_only_the_touched_buckets(self, monkeypatch):
+        """Each capture hashes the buckets that gained a pair since the last
+        one, in full, plus the 32-byte digest of every non-empty bucket."""
+        hashed = [0]
+
+        class CountingSha256:
+            def __init__(self, data=b""):
+                self._h = hashlib.sha256()
+                self.update(data)
+
+            def update(self, data):
+                hashed[0] += len(data)
+                self._h.update(data)
+
+            def digest(self):
+                return self._h.digest()
+
+            def hexdigest(self):
+                return self._h.hexdigest()
+
+        records = [make_record("ECU", sim_time=t) for t in range(230)]
+        _, _, master = single_node_setup()
+        monkeypatch.setattr(masternode, "hashlib", SimpleNamespace(sha256=CountingSha256))
+        sizes: dict[int, int] = {}  # bucket -> pairs in it
+        for batch in (records[:200], records[200:203], [], records[:5], records[203:]):
+            touched = set()
+            for record in batch:
+                bucket = int(record.record_key[:2], 16) >> 2
+                if master.mirrored(record.record_key) is None:
+                    sizes[bucket] = sizes.get(bucket, 0) + 1
+                    touched.add(bucket)
+                master.mirror_update(record)
+            hashed[0] = 0
+            mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10, VKEY)
+            assert hashed[0] == sum(64 * sizes[n] for n in touched) + 32 * len(sizes)
+            assert mh.covered_records == sum(sizes.values())
+        monkeypatch.undo()
+        reference = meta_digest((r.record_key, r.payload_hash) for r in records)
+        assert master.captures[-1].digest == reference
 
     def test_capture_retained_and_buffered(self):
         _, _, master = single_node_setup()

@@ -232,6 +232,58 @@ def config_with_versions(**versions):
     return replace(config, modules=modules)
 
 
+class TestVehicleConfigTypes:
+    """A config holds only tuples, so it stays hashable, and only the values
+    its checks read: module metadata and module ids."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"modules": ("x",)}, r"modules\[0\] must be a ModuleMetadata"),
+            ({"modules": [make_metadata()]}, "modules must be a tuple"),
+            ({"parity_clusters": [("ECU", "BCM", "TCM")]}, "parity_clusters must be a tuple"),
+            ({"parity_clusters": (["ECU", "BCM", "TCM"],)},
+             r"parity_clusters\[0\] must be a tuple"),
+            ({"parity_clusters": (("ECU", "BCM", 5),)},
+             r"parity_clusters\[0\] member must be a string"),
+        ],
+        ids=["module-str", "modules-list", "clusters-list", "cluster-list", "member-int"],
+    )
+    def test_wrong_container_or_item_refused(self, fields, message):
+        with pytest.raises(ScenarioError, match=message):
+            replace(make_vehicle_config(), **fields)
+
+
+class TestVehicleKey:
+    """The key a capture is stamped with follows every serial and version change."""
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            (ScenarioEventKind.UDS_REFLASH, {"module_id": "TCM", "new_version": "2.0"}),
+            (ScenarioEventKind.MODULE_SWAP,
+             {"module_id": "BCM",
+              "replacement": make_metadata("BCM", serial_number="BCM-SN-SWAP")}),
+            (ScenarioEventKind.EEPROM_TAMPER,
+             {"module_id": "ECU", "field": "serial_number", "forged_value": "ECU-SN-FAKE"}),
+            (ScenarioEventKind.EEPROM_TAMPER,
+             {"module_id": "ECU", "field": "software_version", "forged_value": "9.9"}),
+        ],
+        ids=["reflash", "swap", "tamper-serial", "tamper-version"],
+    )
+    def test_key_is_derived_from_the_current_state(self, kind, fields):
+        vehicle = Vehicle(make_vehicle_config())
+        vehicle.boot()
+        before = vehicle.vehicle_key
+        vehicle.handle_event(event(kind, 100, **fields))
+        vehicle.handle_event(event(ScenarioEventKind.OBD_PLUG_IN, 200))
+        serials = [m.serial_number for m in vehicle.modules.values()]
+        expected = derive_vehicle_key(serials, vehicle.latest_version)
+        assert vehicle.vehicle_key == expected
+        assert vehicle.batches[-1].submissions[-1].vehicle_key == expected
+        assert (expected != before) is (fields.get("field") != "software_version")
+
+
 class TestLatestVersion:
     """The vehicle key hashes the version of the latest official install."""
 
@@ -1265,6 +1317,16 @@ EVENT_RULES = {
         {"kind": "EepromTamper", "module_id": "ECU", "field": "odometer_km", "forged_value": -1},
         "odometer_km must be non-negative",
     ),
+    "drive-km-19-digits": ({"kind": "Drive", "km": 10**18}, "Drive km must have at most 18 digits"),
+    "outage-end-19-digits": (
+        {"kind": "ConnectivityOutage", "end": 10**18},
+        "ConnectivityOutage end must have at most 18 digits",
+    ),
+    "tamper-odometer-19-digits": (
+        {"kind": "EepromTamper", "module_id": "ECU", "field": "odometer_km",
+         "forged_value": 10**18},
+        "odometer_km must have at most 18 digits",
+    ),
     "swap-into-another-slot": (
         {"kind": "ModuleSwap", "module_id": "BCM", "replacement": "ECU"},
         "replacement module_id 'ECU' does not fit slot 'BCM'",
@@ -1378,6 +1440,34 @@ class TestRefusedEventsLeaveStateAlone:
                         **{"cluster": 0, "device": 0, "byte_offset": 0, field: 10**5000})
         with pytest.raises(ScenarioError):
             run_scenario(replace(scenario, lanes=(replace(lane, events=lane.events + (corrupt,)),)))
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            (ScenarioEventKind.DRIVE, {"km": 10**5000}),
+            (ScenarioEventKind.CONNECTIVITY_OUTAGE, {"end": 10**5000}),
+            (ScenarioEventKind.EEPROM_TAMPER,
+             {"module_id": "ECU", "field": "odometer_km", "forged_value": 10**5000}),
+            (ScenarioEventKind.EEPROM_TAMPER,
+             {"module_id": "ECU", "field": "service_event_count", "forged_value": 10**5000}),
+        ],
+        ids=["drive-km", "outage-end", "forged-odometer", "forged-service-count"],
+    )
+    def test_demo_number_too_long_for_the_ground_truth_refused(self, kind, fields):
+        """The ground truth logs it as given, and JSON cannot spell an int of
+        over 4,300 digits: the event itself refuses it."""
+        scenario = load_scenario(DEMO_SCENARIO)
+        (lane,) = scenario.lanes
+        with pytest.raises(ScenarioError, match="must have at most 18 digits"):
+            huge = event(kind, 13500, **fields)
+            run_scenario(replace(scenario, lanes=(replace(lane, events=lane.events + (huge,)),)))
+
+    def test_demo_initial_odometer_too_long_for_the_ground_truth_refused(self):
+        scenario = load_scenario(DEMO_SCENARIO)
+        (lane,) = scenario.lanes
+        with pytest.raises(ScenarioError, match="initial_odometer_km must have at most 18"):
+            config = replace(lane.config, initial_odometer_km=10**5000)
+            run_scenario(replace(scenario, lanes=(replace(lane, config=config),)))
 
     @pytest.mark.parametrize("device", ["x", [1]], ids=["device-x", "device-list"])
     def test_corruption_of_no_device_is_scenario_error(self, device):
