@@ -89,6 +89,7 @@ class EventType(str, Enum):
     MILEAGE_THRESHOLD = "MileageThreshold"
     SERVICE_NOTICE = "ServiceNotice"
     STARTUP_CHECK = "StartupCheck"
+    STORE_FULL = "StoreFull"  # a checkpoint trigger only: no record carries it
 
 
 class AirbagStatus(str, Enum):

@@ -232,13 +232,12 @@ def _cmd_history(args: argparse.Namespace) -> int:
         for block, sub in history
     ]
     if args.machine:
-        for row in rows:
-            print("\t".join(row))
-        return 0
-    rows.insert(0, ("seq", "meta_digest", "trigger", "sim_time", "block"))
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        lines = ["\t".join(row) for row in rows]
+    else:
+        rows.insert(0, ("seq", "meta_digest", "trigger", "sim_time", "block"))
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

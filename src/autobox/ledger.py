@@ -16,28 +16,32 @@ Block layout on disk (append-only, one record per block):
 
 block_hash covers ``index|prev_hash|entries_root``; entries_root is a
 binary Merkle root over the entry lines (leaf = SHA-256 of the line,
-duplicate-last when a level is odd). Block 0 links from 64 zero hex chars.
+duplicate-last when a level is odd), so the root of a one-entry block is
+its line's SHA-256. Block 0 links from 64 zero hex chars.
 
 One walker, ``_walk``, reads the file and makes every check in place,
-without parsing and re-encoding: ``RECORD_HEAD``, beside
-``LedgerBlock.file_record``, matches the length and header lines, and
-``masternode.WIRE_LINE``, beside ``Submission.wire_line``, each entry
-line, numbers only as ``auditcore.NUMBER`` spells them (canonical, at
-most 18 digits). A record needs an entry line, the length line must count
-the payload exactly and the header must equal the one ``_seal`` recomputes
-from the raw entry bytes, the seal ``LedgerBlock.build`` writes. Per
-vehicle key, checkpoint_seq must strictly increase along the chain, as on
-append: that rejects a duplicated last entry line, which keeps the Merkle
-root. An empty file is a valid chain of 0 blocks, the truncation at
-boundary 0. The walker stops at the first block that fails, with one
-error, ``LedgerFormatError``, whose ``broken_at`` names that block. Each
-reader drives the walker: ``verify_chain`` builds no object and turns the
-error into its verdict, ``history_from_file`` builds a ``Submission`` only
-for the asked key's entries, and ``load_ledger`` every ``LedgerBlock`` and
-entry; those two raise the walker's error as it is. ``LedgerBlock`` and
-``Submission`` are ``NamedTuple``s: immutable and hashable like a frozen
-dataclass, but built by one tuple allocation instead of a setattr per
-field.
+without parsing and re-encoding, at the cost of two matches and the
+block's SHA-256s: ``RECORD_HEAD``, beside ``LedgerBlock.file_record``,
+matches the length and header lines, and ``masternode.ENTRY_LINES``, built
+from the fields of ``WIRE_LINE`` beside ``Submission.wire_line``, all the
+entry lines at once, numbers only as ``auditcore.NUMBER`` spells them
+(canonical, at most 18 digits). The entries match is bounded by the
+length line and must end exactly there: a record needs an entry line, and
+its length line counts the payload exactly. The header must equal the one
+``_seal`` formats from the raw entry bytes, the seal ``LedgerBlock.build``
+writes. Per vehicle key, checkpoint_seq must strictly increase along the
+chain, as on append: that rejects a duplicated last entry line, which
+keeps the Merkle root. An empty file is a valid chain of 0 blocks, the
+truncation at boundary 0. The walker stops at the first block that fails,
+with one error, ``LedgerFormatError``, whose ``broken_at`` names that
+block. Each reader drives the walker, which yields the checked header and
+entry-line bytes: ``verify_chain`` builds no object and turns the error
+into its verdict, ``history_from_file`` builds a ``Submission``
+(``Submission.from_line``) only for the lines whose first 64 bytes are
+the asked key, and ``load_ledger`` every ``LedgerBlock`` and entry; those
+two raise the walker's error as it is. ``LedgerBlock`` and ``Submission``
+are ``NamedTuple``s: immutable and hashable like a frozen dataclass, but
+built by one tuple allocation instead of a setattr per field.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .auditcore import POSITIVE_NUMBER, is_hex_digest, sha256_hex
-from .masternode import WIRE_LINE, Submission
+from .auditcore import POSITIVE_NUMBER, is_hex_digest
+from .masternode import ENTRY_LINES, WIRE_LINE, Submission
 
 GENESIS_PREV = "0" * 64
 
@@ -157,7 +161,8 @@ def oem_checksum(
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
-    """Binary Merkle root; odd levels duplicate their last node."""
+    """Binary Merkle root; odd levels duplicate their last node, so the
+    root of one leaf is the leaf."""
     if not leaves:
         raise ValueError("merkle root of zero leaves is undefined")
     level = list(leaves)
@@ -171,10 +176,16 @@ def merkle_root(leaves: Sequence[bytes]) -> bytes:
     return level[0]
 
 
-def _seal(index: int, prev_hash: str, leaves: Sequence[bytes]) -> tuple[str, str]:
-    """A block's entries root and block hash, both hex, over its leaves."""
-    root = merkle_root(leaves).hex()
-    return root, sha256_hex(f"{index}|{prev_hash}|{root}".encode("utf-8"))
+def _seal(index: int, prev_hash: str, lines: Sequence[bytes]) -> bytes:
+    """A block's header line, ``index|prev_hash|entries_root|block_hash``,
+    over its entry lines, at least one. The root of one line is its leaf,
+    the line's SHA-256, so ``merkle_root`` runs for two or more."""
+    if len(lines) == 1:
+        root = hashlib.sha256(lines[0]).hexdigest()
+    else:
+        root = merkle_root([hashlib.sha256(line).digest() for line in lines]).hex()
+    sealed = f"{index}|{prev_hash}|{root}"
+    return f"{sealed}|{hashlib.sha256(sealed.encode()).hexdigest()}".encode()
 
 
 class LedgerBlock(NamedTuple):
@@ -186,9 +197,10 @@ class LedgerBlock(NamedTuple):
 
     @classmethod
     def build(cls, index: int, prev_hash: str, entries: Sequence[Submission]) -> "LedgerBlock":
-        """Seal entries, at least one, into a block over the SHA-256 of each wire line."""
-        leaves = [hashlib.sha256(s.wire_line().encode("utf-8")).digest() for s in entries]
-        return cls(index, prev_hash, tuple(entries), *_seal(index, prev_hash, leaves))
+        """Seal entries, at least one, into a block over their wire lines."""
+        lines = [s.wire_line().encode("utf-8") for s in entries]
+        root, block_hash = _seal(index, prev_hash, lines).decode().rsplit("|", 2)[1:]
+        return cls(index, prev_hash, tuple(entries), root, block_hash)
 
     def header(self) -> str:
         return f"{self.index}|{self.prev_hash}|{self.entries_root}|{self.block_hash}"
@@ -226,7 +238,8 @@ class AppendResult:
 def _advance(last_seq: dict[Any, int], vehicle_key: str | bytes, seq: int) -> str | None:
     """Record ``seq`` as the vehicle's latest, or say why it is a replay.
 
-    With ``WIRE_LINE`` this is the admission rule, on append and on read.
+    With the wire grammar (``WIRE_LINE`` on append, ``ENTRY_LINES`` on
+    read) this is the admission rule.
     """
     last = last_seq.get(vehicle_key, 0)
     if seq <= last:
@@ -235,11 +248,11 @@ def _advance(last_seq: dict[Any, int], vehicle_key: str | bytes, seq: int) -> st
     return None
 
 
-def _walk(path: str | Path) -> Iterator[tuple[int, str, str, str, list[re.Match[bytes]]]]:
+def _walk(path: str | Path) -> Iterator[tuple[int, bytes, list[bytes]]]:
     """Make the module docstring's checks on every record of the file,
-    building no block or entry. Yields each accepted block's index, prev
-    hash, entries root, block hash and entry-line matches; raises
-    ``LedgerFormatError`` at the first block that fails."""
+    building no block or entry. Yields each accepted block's index, header
+    line and entry lines; raises ``LedgerFormatError`` at the first block
+    that fails."""
     blob = Path(path).read_bytes()
     last_seq: dict[bytes, int] = {}
     prev, pos, index, size = GENESIS_PREV, 0, 0, len(blob)
@@ -247,25 +260,27 @@ def _walk(path: str | Path) -> Iterator[tuple[int, str, str, str, list[re.Match[
         head = RECORD_HEAD.match(blob, pos)
         if head is None:
             raise LedgerFormatError(path, index)
-        lines, leaves = [], []
         pos, end = head.end(), head.start(2) + int(head[1])
-        while pos < end <= size:
-            line = WIRE_LINE.match(blob, pos, end - 1)
-            if line is None:
-                break
-            pos = line.end()
-            if blob[pos] != 0x0A or _advance(last_seq, line[1], int(line[2])):
-                break
-            lines.append(line)
-            leaves.append(hashlib.sha256(line[0]).digest())
-            pos += 1
-        if pos != end or not lines:
+        # Bounded by the length line, so it cannot run on into the next record.
+        entries = ENTRY_LINES.match(blob, pos, end)
+        if (
+            entries is None
+            or entries.end() != end
+            or _advance(last_seq, entries[2], int(entries[3]))
+        ):
             raise LedgerFormatError(path, index)
-        root, block_hash = _seal(index, prev, leaves)
-        if f"{index}|{prev}|{root}|{block_hash}".encode("ascii") != head[2]:
+        if entries.end(1) + 1 == end:  # one entry: its line ends the record
+            lines = [entries[1]]
+        else:  # the grammar is checked: read each later key and seq by position
+            lines = blob[pos : end - 1].split(b"\n")
+            for line in lines[1:]:
+                if _advance(last_seq, line[:64], int(line[65 : line.index(b"|", 65)])):
+                    raise LedgerFormatError(path, index)
+        header = _seal(index, prev, lines)
+        if header != head[2]:
             raise LedgerFormatError(path, index)
-        yield index, prev, root, block_hash, lines
-        prev, index = block_hash, index + 1
+        yield index, header, lines
+        prev, pos, index = header[-64:].decode(), end, index + 1
 
 
 def verify_chain(path: str | Path) -> VerifyResult:
@@ -283,10 +298,13 @@ def verify_chain(path: str | Path) -> VerifyResult:
 
 def load_ledger(path: str | Path) -> list[LedgerBlock]:
     """Load a persisted ledger; any broken block raises LedgerFormatError."""
-    return [
-        LedgerBlock(index, prev, tuple(map(Submission.from_match, lines)), root, block_hash)
-        for index, prev, root, block_hash, lines in _walk(path)
-    ]
+    blocks = []
+    for index, header, lines in _walk(path):
+        _, prev, root, block_hash = header.decode().split("|")
+        blocks.append(
+            LedgerBlock(index, prev, tuple(map(Submission.from_line, lines)), root, block_hash)
+        )
+    return blocks
 
 
 class FullNode:
@@ -373,8 +391,8 @@ def history_from_file(path: str | Path, vehicle_key: str) -> list[tuple[int, Sub
     only this key's entries: none for an unknown or non-ASCII (``?``) key."""
     want = vehicle_key.encode("ascii", "replace")
     return [
-        (index, Submission.from_match(line))
-        for index, _, _, _, lines in _walk(path)
+        (index, Submission.from_line(line))
+        for index, _, lines in _walk(path)
         for line in lines
-        if line[1] == want
+        if line[:64] == want
     ]

@@ -1,8 +1,9 @@
 """Master unit: full mirror, checkpoint meta-hashes, buffered uplink.
 
 The master mirrors, captures, queues and drains. When to checkpoint (each
-interval, each mileage stride, each service or reflash event) is the
-vehicle timeline's call; ``capture_meta_hash`` captures whenever asked.
+interval, each mileage stride, each service or reflash event, and a store
+too full of uncovered records to take the next one) is the vehicle
+timeline's call; ``capture_meta_hash`` captures whenever asked.
 
 Every record enters the in-vehicle table through ``MasterNode.put``, which
 mirrors what the table accepts, so the mirror never lags the table and a
@@ -21,8 +22,13 @@ so far, and only covered records may be dropped.
 Outbound, the master feeds a light client buffer. Each checkpoint queues
 as the Submission the full node will receive, stamped with the vehicle key
 the caller passes to that capture. A Submission is a ``NamedTuple``, an
-immutable value: ``ledger.load_ledger`` builds one for every entry it
-loads, ``ledger.history_from_file`` only for the asked key's entries.
+immutable value. This module owns its wire grammar: one table of field
+patterns gives ``WIRE_LINE``, one admissible line, which the full node
+fullmatches on append, and ``ENTRY_LINES``, all the entry lines of a
+ledger record, which ``ledger`` matches on read. ``Submission.from_line``
+builds the value from line bytes the grammar has checked:
+``ledger.load_ledger`` builds one for every entry it loads,
+``ledger.history_from_file`` only for the asked key's entries.
 Submissions queue while connectivity is down and drain strictly in order
 once it returns: each drain returns the whole backlog to the vehicle,
 which delivers it as one batch, so nothing is dropped or reordered. What
@@ -56,7 +62,8 @@ class MetaHash:
 class Submission(NamedTuple):
     """Wire unit delivered to the full node, one per checkpoint.
 
-    Encoding: ``vehicle_key|seq|digest|trigger|sim_time``, see ``WIRE_LINE``.
+    Encoding: ``vehicle_key|seq|digest|trigger|sim_time``, see ``WIRE_LINE``;
+    ``from_line`` reads it back.
     """
 
     vehicle_key: str
@@ -72,20 +79,33 @@ class Submission(NamedTuple):
         )
 
     @classmethod
-    def from_match(cls, line: re.Match[bytes]) -> "Submission":
-        """The submission whose wire line ``WIRE_LINE`` matched."""
-        key, seq, digest, trigger, sim_time = line.groups()
+    def from_line(cls, line: bytes) -> "Submission":
+        """The submission whose wire line ``WIRE_LINE`` fullmatches ``line``."""
+        key, seq, digest, trigger, sim_time = line.split(b"|")
         return cls(key.decode(), int(seq), digest.decode(), _TRIGGERS[trigger], int(sim_time))
 
 
 _TRIGGERS = {t.value.encode(): t for t in EventType}
 
-# The admissible wire line in the one spelling ``wire_line`` writes: 64-hex
-# key, checkpoint_seq >= 1, 64-hex digest, trigger, sim_time >= 0.
-WIRE_LINE = re.compile(
-    rb"(%s)\|(%s)\|(%s)\|(%s)\|(%s)"
-    % (HEX_DIGEST, POSITIVE_NUMBER, HEX_DIGEST, b"|".join(map(re.escape, _TRIGGERS)), NUMBER)
+# The wire grammar, in the one spelling ``wire_line`` writes: 64-hex key,
+# checkpoint_seq >= 1, 64-hex digest, trigger, sim_time >= 0.
+_FIELDS = (
+    HEX_DIGEST, POSITIVE_NUMBER, HEX_DIGEST, b"|".join(map(re.escape, _TRIGGERS)), NUMBER
 )
+
+
+def _wire_pattern(captured: int) -> bytes:
+    """The wire line's pattern, with its first ``captured`` fields as groups."""
+    return rb"\|".join(
+        (b"(%s)" if n < captured else b"(?:%s)") % f for n, f in enumerate(_FIELDS)
+    )
+
+
+# One admissible wire line; its groups are the five fields.
+WIRE_LINE = re.compile(_wire_pattern(5))
+# A ledger record's entry lines, one or more, each ended by a newline; the
+# groups are the first entry's line, key and checkpoint_seq.
+ENTRY_LINES = re.compile(rb"(%s)\n(?:%s\n)*" % (_wire_pattern(2), _wire_pattern(0)))
 
 
 @dataclass

@@ -385,7 +385,7 @@ class Vehicle:
 
     # -- record plumbing ------------------------------------------------------
 
-    def _put_record(self, emitter: str, record: AuditRecord, trigger: EventType) -> None:
+    def _put_record(self, emitter: str, record: AuditRecord) -> None:
         origin = self.node_of[emitter]
         try:
             receipt = self.master.put(origin, record)
@@ -394,7 +394,7 @@ class Vehicle:
             return
         except CheckpointRequired:
             # Store full of uncovered records: checkpoint first, then retry.
-            self._capture(trigger)
+            self._capture(EventType.STORE_FULL)
             receipt = self.master.put(origin, record)
         if receipt.evicted:
             self._log(
@@ -416,7 +416,7 @@ class Vehicle:
         """Every module self-identifies into the table."""
         for module_id, metadata in self.modules.items():
             record = identity_hash(metadata, self.clock, event_type)
-            self._put_record(module_id, record, event_type)
+            self._put_record(module_id, record)
 
     # -- checkpoints ------------------------------------------------------------
 
@@ -564,7 +564,7 @@ class Vehicle:
             post=event.new_version,
         )
         record = identity_hash(self.modules[module_id], self.clock, EventType.REFLASH)
-        self._put_record(module_id, record, EventType.REFLASH)
+        self._put_record(module_id, record)
         # Official channel: the OEM learns the rotated vehicle key.
         if self.vehicle_key not in self.vehicle_keys:
             self.vehicle_keys.append(self.vehicle_key)

@@ -111,7 +111,7 @@ def test_verify_builds_no_block_or_entry(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify_chain built a block or an entry")
 
-    monkeypatch.setattr(Submission, "from_match", refuse)
+    monkeypatch.setattr(Submission, "from_line", refuse)
     monkeypatch.setattr(LedgerBlock, "__init__", refuse)
     assert ledger.verify_chain(path) == VerifyResult(valid=True)
     flipped = bytearray(blob)
@@ -296,23 +296,51 @@ def test_unedited_records_stay_valid(records, tmp_path):
 
 
 def test_history_builds_only_the_asked_keys_entries(records, tmp_path, monkeypatch):
-    """``history_from_file`` calls ``Submission.from_match`` once per entry
+    """``history_from_file`` calls ``Submission.from_line`` once per entry
     of the asked key, and never for a key on no entry."""
     path = tmp_path / "ledger.txt"
     path.write_bytes(seal(records))
     built = []
-    from_match = Submission.from_match
+    from_line = Submission.from_line
 
     def counting(line):
         built.append(line)
-        return from_match(line)
+        return from_line(line)
 
-    monkeypatch.setattr(Submission, "from_match", counting)
+    monkeypatch.setattr(Submission, "from_line", counting)
     for key, entries in ((KEY_A, 12), (KEY_B, 6), (KEY_C, 3), (UNKNOWN_KEY, 0), ("\udcff", 0)):
         built.clear()
         history = ledger.history_from_file(path, key)
         assert len(built) == len(history) == entries, key
         assert all(sub.vehicle_key == key for _, sub in history)
+
+
+def test_stray_entry_line_after_a_resealed_record_breaks_the_next_block(tmp_path):
+    """Block 0 sealed over (A, 1) and (B, 1) is resealed over (A, 1) alone,
+    and the dropped (B, 1) line stays between the two records. The entry
+    lines of a record end where its length line says: block 0 still
+    verifies, and the stray line is where block 1 should start."""
+    first, dropped = make_submission(seq=1, key=KEY_A), make_submission(seq=1, key=KEY_B)
+    original = LedgerBlock.build(0, GENESIS_PREV, [first, dropped])
+    block0 = LedgerBlock.build(0, GENESIS_PREV, [first])
+    assert block0.block_hash != original.block_hash
+    block1 = LedgerBlock.build(1, block0.block_hash, [make_submission(seq=2, key=KEY_A)])
+    blob = b"".join(
+        (block0.file_record(), dropped.wire_line().encode() + b"\n", block1.file_record())
+    )
+    path = tmp_path / "ledger.txt"
+    result = assert_same_reading(path, blob, "stray entry line")
+    assert result == VerifyResult(valid=False, broken_at=1)
+    assert cli.main(["history", str(path), KEY_A]) == 2
+
+
+def test_history_matches_the_whole_key(records, tmp_path):
+    """A prefix of a key on the ledger is another key: it has no rows."""
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(seal(records))
+    assert len(ledger.history_from_file(path, KEY_A)) == 12
+    for prefix in (KEY_A[:63], KEY_A[:32]):
+        assert ledger.history_from_file(path, prefix) == [], prefix
 
 
 def test_eighteen_digit_numbers_verify_and_print(tmp_path, capsys):

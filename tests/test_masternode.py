@@ -284,15 +284,14 @@ class TestSubmissionWire:
         )
         line = sub.wire_line()
         assert line == f"{VKEY}|4|{'cd' * 32}|Reflash|777"
-        match = WIRE_LINE.fullmatch(line.encode())
-        assert match is not None
-        assert Submission.from_match(match) == sub
+        assert WIRE_LINE.fullmatch(line.encode()) is not None
+        assert Submission.from_line(line.encode()) == sub
 
     @pytest.mark.parametrize("trigger", list(EventType))
     def test_every_trigger_is_admissible(self, trigger):
         sub = Submission(VKEY, 1, "cd" * 32, trigger, 0)
-        match = WIRE_LINE.fullmatch(sub.wire_line().encode())
-        assert match is not None and Submission.from_match(match) == sub
+        line = sub.wire_line().encode()
+        assert WIRE_LINE.fullmatch(line) is not None and Submission.from_line(line) == sub
 
 
 class TestEvictionCoupling:

@@ -160,8 +160,8 @@ class TestTriggers:
 
     def test_full_store_captures_then_retries_the_put(self):
         """Reboots at 10..39 fill the demo's 2,048-byte stores with uncovered
-        startup records. The put that finds no room captures under the
-        sweep's own trigger and is then retried, at 19 and at 31; at 3631
+        startup records. The put that finds no room captures under its own
+        trigger, StoreFull, and is then retried, at 19 and at 31; at 3631
         the periodic sweep does the same before its own capture."""
         scenario = load_scenario(DEMO_SCENARIO)
         (lane,) = scenario.lanes
@@ -169,12 +169,14 @@ class TestTriggers:
         lanes = (replace(lane, events=reboots + lane.events),)
         result = run_scenario(replace(scenario, lanes=lanes))
         captures = [e for e in map(json.loads, result.ground_truth) if e["event"] == "capture"]
-        assert [(e["sim_time"], e["trigger"]) for e in captures] == [
-            (19, "StartupCheck"), (31, "StartupCheck"),
-            (3631, "PeriodicInterval"), (3631, "PeriodicInterval"),
+        pairs = [(e["sim_time"], e["trigger"]) for e in captures]
+        assert pairs == [
+            (19, "StoreFull"), (31, "StoreFull"),
+            (3631, "StoreFull"), (3631, "PeriodicInterval"),
             (5400, "ObdPlugIn"), (6000, "Reflash"), (9000, "MileageThreshold"),
             (12600, "PeriodicInterval"),
         ]
+        assert len(set(pairs)) == len(pairs)
 
 
 class TestReflashVerdicts:

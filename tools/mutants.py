@@ -44,8 +44,9 @@ TIMEOUT_S = 120
 # module -> the functions on the tamper-evidence path, by qualified name.
 TARGETS = {
     "ledger": [
-        "read_library", "oem_checksum", "merkle_root", "LedgerBlock.build", "_advance",
-        "_walk", "load_ledger", "FullNode.append_submissions", "history_from_file",
+        "read_library", "oem_checksum", "merkle_root", "_seal", "LedgerBlock.build",
+        "_advance", "_walk", "load_ledger", "FullNode.append_submissions",
+        "history_from_file",
     ],
     "parity": [
         "ParityCluster._resolve", "ParityCluster._data_index",
@@ -87,10 +88,6 @@ _SYMBOL = {
 
 # Survivors, by mutant id: why each is equivalent or which gap it leaves.
 NOTES = {
-    "ledger._walk: pos < end <= size: < -> <=": (
-        "equivalent: at pos == end the WIRE_LINE match ends at end - 1, below"
-        " its start, so it fails and the loop breaks with pos == end anyway"
-    ),
     "dht.DhtNetwork.locate: value ^ key_int < best: < -> <=": (
         "equivalent: XOR distances from one key to distinct node ids never"
         " tie, so no later id can take the place of an equally close one"
