@@ -18,6 +18,12 @@ one comparison of the parity device with that copy. A cluster loaded from
 a snapshot has no write history: all of its devices take the per-record
 check, and parity is checked by folding every device.
 
+Loading a snapshot checks its record index as one block: one match of the
+line grammar ends where the first malformed line starts. The lines before
+it are split into fields and each is checked for a repeated key and a span
+outside its device before that malformed line is refused, so the first
+failing line names the error.
+
 One device list holds the data devices at 0..d-1 and parity at d, where
 the PARITY sentinel resolves; lists beside it hold recorded lengths and
 the written copies. XOR folds stores read as little-endian ints: zero
@@ -119,19 +125,8 @@ class ParityCluster:
 
     # -- views -----------------------------------------------------------
 
-    def data_store(self, device: int) -> bytes:
-        return bytes(self._devices[self._data_index(device)])
-
-    @property
-    def parity_store(self) -> bytes:
-        return bytes(self._devices[self.device_count])
-
     def recorded_length(self, device: DeviceRef) -> int:
         return self._lengths[self._resolve(device)]
-
-    @property
-    def record_index(self) -> dict[str, RecordLocation]:
-        return dict(self._index)
 
     def has_record(self, record_key: str) -> bool:
         return record_key in self._index
@@ -208,11 +203,12 @@ def _stale_records(cluster: ParityCluster, suspect: dict[int, bytes]) -> dict[in
     their hash, for the suspect devices that have any, in one walk of the
     record index."""
     stale: dict[int, list[str]] = {}
+    sha256, content_of = hashlib.sha256, suspect.get
     for key, (device, offset, length, record_hash) in cluster._index.items() if suspect else ():
-        content = suspect.get(device)
+        content = content_of(device)
         if content is None:
             continue
-        if hashlib.sha256(content[offset : offset + length]).hexdigest() != record_hash:
+        if sha256(content[offset : offset + length]).hexdigest() != record_hash:
             stale.setdefault(device, []).append(key)
     return stale
 
@@ -297,12 +293,13 @@ def save_snapshot(cluster: ParityCluster) -> bytes:
 
 
 # The header and index lines in the one spelling save_snapshot writes:
-# auditcore's canonical numbers, and 64-hex record keys and hashes.
+# auditcore's canonical numbers, and 64-hex record keys and hashes. One
+# INDEX_LINES match checks the whole index, up to its first malformed line.
 SNAPSHOT_HEADER = re.compile(
     rb"d=(%s) lengths=(%s(?:,%s)*) parity_len=(%s)\n" % ((NUMBER,) * 4)
 )
-INDEX_LINE = re.compile(
-    rb"(%s)\t(%s)\t(%s)\t(%s)\t(%s)\n" % (HEX_DIGEST, NUMBER, NUMBER, NUMBER, HEX_DIGEST)
+INDEX_LINES = re.compile(
+    rb"(?:%s\t%s\t%s\t%s\t%s\n)*" % (HEX_DIGEST, NUMBER, NUMBER, NUMBER, HEX_DIGEST)
 )
 
 
@@ -324,14 +321,16 @@ def load_snapshot(blob: bytes) -> ParityCluster:
     cluster._lengths = lengths + [max(lengths)]
     cluster._written = None
     index = cluster._index
-    while pos < len(blob):
-        line = INDEX_LINE.match(blob, pos)
-        if line is None:
-            raise ClusterError(f"malformed snapshot index line {blob[pos : pos + 80]!r}")
-        key, device, offset, length, record_hash = line.groups()
-        key, device, offset, length = key.decode(), int(device), int(offset), int(length)
+    end = INDEX_LINES.match(blob, pos).end()
+    # Before end the grammar holds: ASCII lines of five tab-separated fields.
+    fields = iter(blob[pos:end].decode().replace("\n", "\t").split("\t"))
+    for line in zip(fields, fields, fields, fields, fields):
+        key, device, offset, length, record_hash = line
+        device, offset, length = int(device), int(offset), int(length)
         if key in index or device >= device_count or offset + length > lengths[device]:
-            raise ClusterError(f"snapshot index line names no record {line[0][:80]!r}")
-        index[key] = RecordLocation(device, offset, length, record_hash.decode())
-        pos = line.end()
+            text = "\t".join(line)[:80].encode()
+            raise ClusterError(f"snapshot index line names no record {text!r}")
+        index[key] = RecordLocation(device, offset, length, record_hash)
+    if end < len(blob):
+        raise ClusterError(f"malformed snapshot index line {blob[end : end + 80]!r}")
     return cluster

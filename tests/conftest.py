@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import re
 from datetime import date
 from pathlib import Path
 
 import pytest
 
-from autobox.auditcore import EventType, ModuleMetadata, is_hex_digest
+from autobox.auditcore import HEX_DIGEST, NUMBER, EventType, ModuleMetadata, is_hex_digest
 from autobox.ledger import GENESIS_PREV, LedgerBlock, VerifyResult
 from autobox.masternode import Submission
+from autobox.parity import (
+    SNAPSHOT_HEADER,
+    ClusterError,
+    ParityCluster,
+    RecordLocation,
+    save_snapshot,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 DEMO_SCENARIO = Path(__file__).parent.parent / "scenarios" / "demo.json"
@@ -116,12 +124,26 @@ def seeded_library(scenario):
     return result.observed_library()
 
 
+# -- cluster state, read where ParityCluster keeps it ------------------------
+
+
+def data_store(cluster: ParityCluster, device: int) -> bytes:
+    """The bytes of a data device; PARITY names none."""
+    return bytes(cluster._devices[cluster._data_index(device)])
+
+
+def parity_store(cluster: ParityCluster) -> bytes:
+    return bytes(cluster._devices[cluster.device_count])
+
+
+def record_index(cluster: ParityCluster) -> dict[str, RecordLocation]:
+    return dict(cluster._index)
+
+
 SNAPSHOT_KEY = "aa" * 32  # the record on device 0, 6 bytes long
 
 
 def two_device_snapshot() -> bytes:
-    from autobox.parity import ParityCluster, save_snapshot
-
     cluster = ParityCluster(2)
     cluster.append_record(0, SNAPSHOT_KEY, b"abcdef")
     cluster.append_record(1, "bb" * 32, b"ghi")
@@ -253,3 +275,43 @@ def reference_read_chain(path: str | Path) -> tuple[list[LedgerBlock], VerifyRes
     else:
         return blocks, VerifyResult(valid=True)
     return blocks, VerifyResult(valid=False, broken_at=len(blocks))
+
+
+# -- the snapshot loader that matched the index one line at a time -----------
+# Kept as the reference the one-match loader must agree with: the same
+# devices, lengths and index, or a ClusterError with the same message.
+
+REFERENCE_INDEX_LINE = re.compile(
+    rb"(%s)\t(%s)\t(%s)\t(%s)\t(%s)\n" % (HEX_DIGEST, NUMBER, NUMBER, NUMBER, HEX_DIGEST)
+)
+
+
+def reference_load_snapshot(blob: bytes) -> ParityCluster:
+    header = SNAPSHOT_HEADER.match(blob)
+    if header is None:
+        raise ClusterError("malformed snapshot header")
+    device_count = int(header[1])
+    lengths = [int(n) for n in header[2].split(b",")]
+    if len(lengths) != device_count:
+        raise ClusterError("snapshot header lengths disagree with device count")
+    cluster = ParityCluster(device_count)
+    pos = header.end()
+    for i, n in enumerate(lengths + [int(header[3])]):
+        cluster._devices[i] = bytearray(blob[pos : pos + n])
+        if len(cluster._devices[i]) != n:
+            raise ClusterError(f"snapshot truncated inside device {i}")
+        pos += n
+    cluster._lengths = lengths + [max(lengths)]
+    cluster._written = None
+    index = cluster._index
+    while pos < len(blob):
+        line = REFERENCE_INDEX_LINE.match(blob, pos)
+        if line is None:
+            raise ClusterError(f"malformed snapshot index line {blob[pos : pos + 80]!r}")
+        key, device, offset, length, record_hash = line.groups()
+        key, device, offset, length = key.decode(), int(device), int(offset), int(length)
+        if key in index or device >= device_count or offset + length > lengths[device]:
+            raise ClusterError(f"snapshot index line names no record {line[0][:80]!r}")
+        index[key] = RecordLocation(device, offset, length, record_hash.decode())
+        pos = line.end()
+    return cluster

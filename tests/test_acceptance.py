@@ -29,8 +29,10 @@ from autobox.vehiclesim import ScenarioEvent, ScenarioEventKind, run_scenario
 from conftest import (
     EMPTY_SHA256,
     JUNKYARD_VIN,
+    data_store,
     make_metadata,
     make_scenario,
+    parity_store,
     seeded_library,
     write_chain,
 )
@@ -59,8 +61,8 @@ def random_cluster(rng: random.Random, d: int, max_total=4096):
             used += size
             n += 1
     for device in range(d):
-        originals[device] = cluster.data_store(device)
-    originals[PARITY] = cluster.parity_store
+        originals[device] = data_store(cluster, device)
+    originals[PARITY] = parity_store(cluster)
     return cluster, originals
 
 
@@ -81,9 +83,9 @@ def test_criterion_1_parity_round_trip_suite():
             # A single byte flip is located at the injected device.
             flip_device = rng.choice(list(range(d)) + [PARITY])
             length = (
-                len(cluster.parity_store)
+                len(parity_store(cluster))
                 if flip_device == PARITY
-                else len(cluster.data_store(flip_device))
+                else len(data_store(cluster, flip_device))
             )
             cluster.corrupt_byte(flip_device, rng.randrange(length))
             report = scrub(cluster)

@@ -10,6 +10,11 @@ Snapshot bytes: every byte of the demo cluster snapshot is flipped in
 turn. A flip in the header or the index is a format error; a flip in a
 device is found by ``scrub`` on exactly that device.
 
+Snapshot loader: on the demo snapshot, every flip of its index, and each
+bad index edit, ``load_snapshot`` gives what the line-by-line reference
+loader gives (the same cluster, or a ClusterError with the same message),
+and ``autobox audit`` prints and exits alike with either loader.
+
 Scenario JSON: seeded mutations of ``scenarios/demo.json`` (a key
 deleted, or an odd value put at a random path) must end ``autobox run``
 with exit 0, 1 or 2, promptly and without a traceback.
@@ -24,12 +29,20 @@ import signal
 
 import pytest
 
-from autobox import cli
+from autobox import cli, parity
 from autobox.ledger import VerifyResult, verify_chain
 from autobox.parity import PARITY, SNAPSHOT_HEADER, ClusterError, load_snapshot, scrub
 from autobox.vehiclesim import load_scenario, run_scenario
 
-from conftest import DEMO_SCENARIO, record_spans, write_chain
+from conftest import (
+    BAD_INDEX_EDITS,
+    DEMO_SCENARIO,
+    record_index,
+    record_spans,
+    reference_load_snapshot,
+    two_device_snapshot,
+    write_chain,
+)
 
 SUBSTITUTIONS = 600
 TRUNCATIONS = 200
@@ -104,7 +117,7 @@ def test_every_snapshot_byte_flip_is_refused_or_located(demo_snapshot, tmp_path,
         region += [device] * size
     region += ["format"] * (len(demo_snapshot) - len(region))
     assert region.count("format") > header.end()  # the index is covered too
-    index = load_snapshot(demo_snapshot).record_index
+    index = record_index(load_snapshot(demo_snapshot))
     path = tmp_path / "flipped.snap"
     for offset, expected in enumerate(region):
         mutated = bytearray(demo_snapshot)
@@ -134,6 +147,51 @@ def test_every_snapshot_byte_flip_is_refused_or_located(demo_snapshot, tmp_path,
             else:
                 assert (rc, err) == (1, ""), offset
                 assert f"corrupt device={expected} " in out, offset
+
+
+def snapshot_cases(demo_snapshot: bytes):
+    """(name, blob): the demo snapshot, every single-byte flip of its index,
+    and each bad index edit, also where a failing line precedes a
+    malformed one."""
+    header = SNAPSHOT_HEADER.match(demo_snapshot)
+    start = header.end() + sum(int(n) for n in header[2].split(b",")) + int(header[3])
+    yield "demo", demo_snapshot
+    for offset in range(start, len(demo_snapshot)):
+        mutated = bytearray(demo_snapshot)
+        mutated[offset] ^= 0xFF
+        yield f"flip at {offset}", bytes(mutated)
+    blob, junk = two_device_snapshot(), b"not an index line\n"
+    yield "two-device", blob
+    for edit, transform in sorted(BAD_INDEX_EDITS.items()):
+        yield edit, transform(blob)
+        yield f"{edit} before a malformed line", transform(blob) + junk
+        yield f"{edit} after a malformed line", transform(blob + junk)
+
+
+def load_outcome(load, blob: bytes):
+    """The loaded cluster's state, or the message of the ClusterError."""
+    try:
+        cluster = load(blob)
+    except ClusterError as exc:
+        return str(exc)
+    return (
+        cluster.device_count, cluster._devices, cluster._lengths,
+        list(cluster._index.items()), cluster._written,
+    )
+
+
+def test_load_snapshot_agrees_with_the_line_by_line_reference(
+    demo_snapshot, tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "case.snap"
+    for name, blob in snapshot_cases(demo_snapshot):
+        expected = load_outcome(reference_load_snapshot, blob)
+        assert load_outcome(load_snapshot, blob) == expected, name
+        path.write_bytes(blob)
+        audit = (cli.main(["audit", str(path)]), *capsys.readouterr())
+        with monkeypatch.context() as patch:
+            patch.setattr(parity, "load_snapshot", reference_load_snapshot)
+            assert (cli.main(["audit", str(path)]), *capsys.readouterr()) == audit, name
 
 
 ODD_VALUES = [None, True, -1, 2**70, "", [], {}, 1.5]

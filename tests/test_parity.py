@@ -19,7 +19,7 @@ from autobox.parity import (
     scrub,
 )
 
-from conftest import BAD_INDEX_EDITS, two_device_snapshot
+from conftest import BAD_INDEX_EDITS, data_store, parity_store, record_index, two_device_snapshot
 
 
 def xor_oracle(stores: list[bytes]) -> bytes:
@@ -35,8 +35,8 @@ def xor_oracle(stores: list[bytes]) -> bytes:
 def per_record_scrub(cluster: ParityCluster) -> ScrubReport:
     """Reference scrub: hash every record, then check parity byte by byte."""
     stale: dict[int, set[str]] = {}
-    for key, loc in cluster.record_index.items():
-        record = cluster.data_store(loc.device)[loc.offset : loc.offset + loc.length]
+    for key, loc in record_index(cluster).items():
+        record = data_store(cluster, loc.device)[loc.offset : loc.offset + loc.length]
         if hashlib.sha256(record).hexdigest() != loc.record_hash:
             stale.setdefault(loc.device, set()).add(key)
     if len(stale) > 1:
@@ -44,8 +44,8 @@ def per_record_scrub(cluster: ParityCluster) -> ScrubReport:
     if stale:
         device, keys = stale.popitem()
         return ScrubReport(clean=False, device=device, records=frozenset(keys))
-    parity = cluster.parity_store
-    stores = [cluster.data_store(i) for i in range(cluster.device_count)]
+    parity = parity_store(cluster)
+    stores = [data_store(cluster, i) for i in range(cluster.device_count)]
     if len(parity) != cluster.recorded_length(PARITY) or any(xor_oracle(stores + [parity])):
         return ScrubReport(clean=False, device=PARITY)
     return ScrubReport(clean=True)
@@ -61,7 +61,7 @@ def build_cluster(rng: random.Random, d: int, records_per_device=3, max_len=200)
             cluster.append_record(device, f"{n:064x}", payload)
             n += 1
     for device in range(d):
-        originals[device] = cluster.data_store(device)
+        originals[device] = data_store(cluster, device)
     return cluster, originals
 
 
@@ -72,14 +72,14 @@ class TestClusterBasics:
         cluster.append_record(0, "aa" * 32, rng.randbytes(40))
         cluster.append_record(1, "bb" * 32, rng.randbytes(90))
         cluster.append_record(0, "cc" * 32, rng.randbytes(10))
-        expected = xor_oracle([cluster.data_store(0), cluster.data_store(1)])
-        assert cluster.parity_store == expected
+        expected = xor_oracle([data_store(cluster, 0), data_store(cluster, 1)])
+        assert parity_store(cluster) == expected
 
     def test_parity_is_largest_device(self):
         rng = random.Random(46)
         cluster, _ = build_cluster(rng, 3)
-        assert len(cluster.parity_store) >= max(
-            len(cluster.data_store(i)) for i in range(3)
+        assert len(parity_store(cluster)) >= max(
+            len(data_store(cluster, i)) for i in range(3)
         )
 
     def test_fewer_than_two_data_devices_rejected(self):
@@ -111,15 +111,15 @@ class TestClusterBasics:
         cluster.append_record(1, "aa" * 32, b"xyz")
         with pytest.raises(ClusterError, match="no device True"):
             cluster.corrupt_byte(True, 0)
-        assert cluster.data_store(1) == b"xyz"
+        assert data_store(cluster, 1) == b"xyz"
 
     def test_parity_is_no_data_device(self):
         cluster = ParityCluster(2)
         with pytest.raises(ClusterError, match="parity is not a data device"):
             cluster.append_record(PARITY, "aa" * 32, b"x")
         with pytest.raises(ClusterError, match="parity is not a data device"):
-            cluster.data_store(PARITY)
-        assert cluster.parity_store == b"" and not cluster.record_index
+            data_store(cluster, PARITY)
+        assert parity_store(cluster) == b"" and not record_index(cluster)
 
     def test_append_to_erased_device_rejected(self):
         """Past erasure an append would land at offset 0, inside the bytes
@@ -138,12 +138,12 @@ class TestClusterBasics:
         for content in (b"xy", b"xyz!"):
             with pytest.raises(ClusterError, match="expects 3 bytes, got"):
                 cluster.write_back(0, content)
-        assert cluster.data_store(0) == b"xyz"
+        assert data_store(cluster, 0) == b"xyz"
 
     def test_corrupt_byte_just_past_the_device_end_rejected(self):
         cluster = ParityCluster(2)
         cluster.append_record(0, "aa" * 32, b"xyz")
-        end = len(cluster.data_store(0))
+        end = len(data_store(cluster, 0))
         with pytest.raises(ClusterError):
             cluster.corrupt_byte(0, end)
         assert cluster.corrupt_byte(0, end - 1) == (ord("z"), ord("z") ^ 0xFF)
@@ -158,7 +158,7 @@ class TestScrub:
     def test_data_flip_located_with_records(self):
         rng = random.Random(48)
         cluster, _ = build_cluster(rng, 3)
-        offset = len(cluster.data_store(2)) // 2
+        offset = len(data_store(cluster, 2)) // 2
         cluster.corrupt_byte(2, offset)
         report = scrub(cluster)
         assert not report.clean
@@ -166,7 +166,7 @@ class TestScrub:
         assert len(report.records) >= 1
         # The flipped byte sits inside every listed record's span.
         for key in report.records:
-            loc = cluster.record_index[key]
+            loc = record_index(cluster)[key]
             assert loc.device == 2
             assert loc.offset <= offset < loc.offset + loc.length
 
@@ -191,7 +191,7 @@ class TestScrub:
         cluster = ParityCluster(2)
         cluster.append_record(0, "aa" * 32, b"same-bytes")
         cluster.append_record(1, "bb" * 32, b"same-bytes")
-        assert cluster.parity_store == b"\x00" * 10
+        assert parity_store(cluster) == b"\x00" * 10
         cluster.erase_device(PARITY)
         report = scrub(cluster)
         assert not report.clean
@@ -216,7 +216,7 @@ class TestScrubAgainstPerRecordReference:
                 assert report.device == device
                 assert report == per_record_scrub(cluster)
                 repair(cluster, device)
-                assert cluster.data_store(device) == originals[device]
+                assert data_store(cluster, device) == originals[device]
                 assert scrub(cluster).clean
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -234,7 +234,7 @@ class TestScrubAgainstPerRecordReference:
     def test_parity_only_flip(self):
         rng = random.Random(120)
         cluster, _ = build_cluster(rng, 3)
-        for offset in (0, len(cluster.parity_store) - 1):
+        for offset in (0, len(parity_store(cluster)) - 1):
             cluster.corrupt_byte(PARITY, offset)
             report = scrub(cluster)
             assert report == ScrubReport(clean=False, device=PARITY)
@@ -257,7 +257,7 @@ class TestScrubAgainstPerRecordReference:
         blob = save_snapshot(cluster)
         for device in range(3):
             loaded = load_snapshot(blob)
-            loaded.corrupt_byte(device, len(loaded.data_store(device)) - 1)
+            loaded.corrupt_byte(device, len(data_store(loaded, device)) - 1)
             report = scrub(loaded)
             assert report.device == device
             assert report == per_record_scrub(loaded)
@@ -322,14 +322,14 @@ class TestScrubDifferential:
                     append(rng.choice(live), 0 if op == "empty" else rng.randint(1, 24))
                 elif op == "flip":
                     device = rng.choice([*range(d), PARITY])
-                    if content := (cluster.parity_store if device == PARITY
-                                   else cluster.data_store(device)):
+                    if content := (parity_store(cluster) if device == PARITY
+                                   else data_store(cluster, device)):
                         cluster.corrupt_byte(device, rng.randrange(len(content)))
                 elif op == "flip_under_append" and live:
                     # Flip the parity byte that the next append XORs into.
                     device = rng.choice(live)
                     offset = cluster.recorded_length(device)
-                    if offset < len(cluster.parity_store):
+                    if offset < len(parity_store(cluster)):
                         cluster.corrupt_byte(PARITY, offset)
                         assert scrub_outcome(scrub, cluster) == scrub_outcome(
                             per_record_scrub, cluster
@@ -361,7 +361,7 @@ class TestScrubWithoutFold:
 
         monkeypatch.setattr(parity, "_xor", refuse)
         assert scrub(cluster) == ScrubReport(clean=True)
-        cluster.corrupt_byte(PARITY, len(cluster.parity_store) // 2)
+        cluster.corrupt_byte(PARITY, len(parity_store(cluster)) // 2)
         assert scrub(cluster) == ScrubReport(clean=False, device=PARITY)
         with pytest.raises(AssertionError, match="folded"):
             scrub(loaded)
@@ -398,7 +398,7 @@ class TestScrubHashesNothing:
 
     def test_parity_flip_reported(self):
         cluster, _ = build_cluster(random.Random(132), 3)
-        cluster.corrupt_byte(PARITY, len(cluster.parity_store) // 2)
+        cluster.corrupt_byte(PARITY, len(parity_store(cluster)) // 2)
         assert self.scrub_unhashed(cluster) == ScrubReport(clean=False, device=PARITY)
 
     def test_data_flip_located_by_record_check(self):
@@ -411,7 +411,7 @@ class TestScrubHashesNothing:
         assert report.device == 1 and report == per_record_scrub(cluster)
         assert all(
             loc.offset <= offset < loc.offset + loc.length
-            for loc in map(cluster.record_index.get, report.records)
+            for loc in map(record_index(cluster).get, report.records)
         )
 
 
@@ -419,14 +419,14 @@ class TestReconstruct:
     def test_parity_of_clean_cluster(self):
         rng = random.Random(51)
         cluster, _ = build_cluster(rng, 3)
-        stores = [cluster.data_store(i) for i in range(3)]
+        stores = [data_store(cluster, i) for i in range(3)]
         assert reconstruct(cluster, PARITY) == xor_oracle(stores)
 
     def test_parity_of_loaded_cluster(self):
         """Without a write history the check walks the record index, which
         holds no parity record, so a parity rebuild is never refused."""
         cluster = load_snapshot(save_snapshot(build_cluster(random.Random(54), 3)[0]))
-        stores = [cluster.data_store(i) for i in range(3)]
+        stores = [data_store(cluster, i) for i in range(3)]
         cluster.erase_device(PARITY)
         assert repair(cluster, PARITY) == xor_oracle(stores)
         assert scrub(cluster).clean
@@ -441,7 +441,7 @@ class TestReconstruct:
         """Exhaustive single-erasure loop against saved originals (3+1)."""
         rng = random.Random(53)
         cluster, originals = build_cluster(rng, 3)
-        original_parity = cluster.parity_store
+        original_parity = parity_store(cluster)
         for device in range(3):
             cluster.erase_device(device)
             content = repair(cluster, device)
@@ -472,7 +472,7 @@ class TestReconstruct:
         report = scrub(cluster)
         assert report.device == 2
         repair(cluster, report.device)
-        assert cluster.data_store(2) == originals[2]
+        assert data_store(cluster, 2) == originals[2]
         assert scrub(cluster).clean
 
 
@@ -484,9 +484,9 @@ class TestSnapshot:
         loaded = load_snapshot(blob)
         assert loaded.device_count == 3
         for i in range(3):
-            assert loaded.data_store(i) == cluster.data_store(i)
-        assert loaded.parity_store == cluster.parity_store
-        assert loaded.record_index == cluster.record_index
+            assert data_store(loaded, i) == data_store(cluster, i)
+        assert parity_store(loaded) == parity_store(cluster)
+        assert record_index(loaded) == record_index(cluster)
         assert scrub(loaded).clean
 
     def test_corrupted_snapshot_scrubs_dirty(self):
@@ -523,6 +523,47 @@ class TestSnapshot:
             load_snapshot(blob)
 
 
+LONG_INDEX_LINES = 20_000
+
+
+@pytest.fixture(scope="module")
+def long_index_snapshot() -> bytes:
+    """A snapshot whose index has LONG_INDEX_LINES lines, a 4-byte record each."""
+    cluster = ParityCluster(2)
+    for n in range(LONG_INDEX_LINES):
+        cluster.append_record(n % 2, f"{n:064x}", n.to_bytes(4, "little"))
+    return save_snapshot(cluster)
+
+
+class TestOneIndexMatch:
+    def test_one_match_per_snapshot(self, monkeypatch, demo_snapshot, long_index_snapshot):
+        """load_snapshot matches the index grammar once, whatever its length."""
+        pattern, calls = parity.INDEX_LINES, []
+
+        class Counted:
+            def match(self, *args):
+                calls.append(args)
+                return pattern.match(*args)
+
+        monkeypatch.setattr(parity, "INDEX_LINES", Counted())
+        for blob in (two_device_snapshot(), demo_snapshot, long_index_snapshot):
+            calls.clear()
+            load_snapshot(blob)
+            assert len(calls) == 1
+
+    def test_long_index_loads_and_scrubs_clean(self, long_index_snapshot):
+        cluster = load_snapshot(long_index_snapshot)
+        assert len(record_index(cluster)) == LONG_INDEX_LINES
+        assert scrub(cluster).clean
+
+    def test_broken_last_line_named(self, long_index_snapshot):
+        last = long_index_snapshot.rindex(b"\n", 0, -1) + 1
+        broken = long_index_snapshot[:-2] + b"X\n"  # its record hash ends off the hex alphabet
+        with pytest.raises(ClusterError) as refused:
+            load_snapshot(broken)
+        assert str(refused.value) == f"malformed snapshot index line {broken[last : last + 80]!r}"
+
+
 class TestParityProperties:
     def test_roundtrip_property_sample(self):
         """Random clusters: erase any single device, reconstruct, compare.
@@ -544,7 +585,7 @@ class TestParityProperties:
             d = rng.choice([2, 3, 4])
             cluster, _ = build_cluster(rng, d, records_per_device=2, max_len=300)
             device = rng.randrange(d)
-            length = len(cluster.data_store(device))
+            length = len(data_store(cluster, device))
             cluster.corrupt_byte(device, rng.randrange(length))
             report = scrub(cluster)
             assert not report.clean

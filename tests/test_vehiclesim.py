@@ -497,6 +497,7 @@ class TestTamperClear:
         vehicle.clock = 200
         assert not vehicle.clear_tamper_flag("wrong")
         assert vehicle.tamper_flag
+        assert vehicle.alerts[-1] == "t=200 tamper clear refused: bad token"
 
     def test_clear_then_retamper_flags_again(self):
         # The service visit restores the forged replica (another EEPROM
@@ -696,6 +697,15 @@ class TestFaults:
         result = run_scenario(make_scenario(events=events, duration_s=3600))
         assert "t=200 no live node to accept records" in result.alerts
         assert [mh.sim_time for mh in result.vehicles[0].captures] == [200]
+
+    def test_failed_node_reported_unresponsive_at_reboot(self):
+        events = (
+            event(ScenarioEventKind.NODE_FAILURE, 100, module_id="ECU"),
+            event(ScenarioEventKind.REBOOT, 200),
+        )
+        result = run_scenario(make_scenario(events=events, duration_s=3600))
+        assert "t=200 module ECU unresponsive at startup" in result.alerts
+        assert not result.vehicles[0].tamper_flag
 
     def test_store_accounting_matches_dump_bytes(self):
         """The byte budget is the dump encoding: accounted == serialized."""

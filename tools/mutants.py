@@ -3,9 +3,11 @@
 Each mutant changes one operator in one target function: a comparison
 operator to its boundary or negated twin (``<`` and ``<=``, ``>`` and
 ``>=``, ``==`` and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``),
-``and`` to ``or`` and back, or a ``not`` dropped; or an integer constant
+``and`` to ``or`` and back, or a ``not`` dropped; an integer constant
 0 to 3 that a function returns to its neighbour (0 and 1, 1 and 2, 2 and
-3), which moves an exit code of the ``cli`` commands. For each mutant the
+3), which moves an exit code of the ``cli`` commands; or a statement that
+is only a call of ``.add``, ``.clear``, ``.append`` or ``.extend``
+dropped, which leaves a collection as it was. For each mutant the
 runner copies the tree into a temporary directory, splices the mutated
 expression into that copy's source and runs ``pytest -x -q`` there; the
 working tree is never written. A mutant is killed when the run fails (or
@@ -85,6 +87,8 @@ _SYMBOL = {
     ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Is: "is",
     ast.IsNot: "is not", ast.And: "and", ast.Or: "or",
 }
+# Methods whose call, as a statement of its own, a mutant drops.
+_DROPPED_CALLS = {"add", "clear", "append", "extend"}
 
 # Survivors, by mutant id: why each is equivalent or which gap it leaves.
 NOTES = {
@@ -111,7 +115,7 @@ def _functions(tree: ast.Module):
 
 
 def _mutations(node: ast.AST, returned: bool):
-    """(description, mutated copy) for each operator of one expression node;
+    """(description, mutated copy) for each operator of one node;
     ``returned`` when the node is an integer constant of a returned value."""
     if returned:
         for value in (node.value - 1, node.value + 1):
@@ -128,6 +132,11 @@ def _mutations(node: ast.AST, returned: bool):
         yield f"{_SYMBOL[type(node.op)]} -> {_SYMBOL[_TWIN[type(node.op)]]}", mutated
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
         yield "not x -> x", node.operand
+    elif (
+        isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute) and node.value.func.attr in _DROPPED_CALLS
+    ):
+        yield "call dropped", ast.Constant(None)
 
 
 def _returned(value: ast.AST | None) -> list[ast.AST | None]:
