@@ -180,9 +180,16 @@ class AuditRecord:
     payload_hash: str
 
     def __post_init__(self) -> None:
-        key = compute_record_key(self.module_id, self.event_type, self.sim_time, self.payload_hash)
+        # compute_record_key and dump_line, in one pass over the fields.
+        event, module_id = self.event_type.value, self.module_id
+        sim_time, payload_hash = self.sim_time, self.payload_hash
+        key = sha256_hex(
+            f"event_type={event}\nmodule_id={module_id}\n"
+            f"payload_hash={payload_hash}\nsim_time={sim_time}".encode("utf-8")
+        )
         object.__setattr__(self, "record_key", key)
-        object.__setattr__(self, "line", (self.dump_line() + "\n").encode("utf-8"))
+        line = f"{key}\t{module_id}\t{event}\t{sim_time}\t{payload_hash}\n"
+        object.__setattr__(self, "line", line.encode("utf-8"))
 
     def dump_line(self) -> str:
         """Audit dump encoding: key, module, event, time, payload hash."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Hashable, Mapping, NamedTuple
 
 from .auditcore import AuditRecord, sha256_hex
 
@@ -57,19 +57,6 @@ class CheckpointRequired(RuntimeError):
 def node_id_for_serial(serial_number: str) -> str:
     """Derive a node id from the hosting module's serial number."""
     return sha256_hex(serial_number.encode("utf-8"))
-
-
-def owner_of(key: str, nodes: Iterable[str]) -> str:
-    """Exhaustive min-XOR-distance scan; the placement oracle.
-
-    Ties are impossible for distinct ids: equal XOR distance to the same
-    key implies equal ids.
-    """
-    node_list = list(nodes)
-    if not node_list:
-        raise ValueError("node set must be non-empty")
-    key_int = int(key, 16)
-    return min(node_list, key=lambda n: int(n, 16) ^ key_int)
 
 
 def detect_discrepancy(readings: Mapping[str, Hashable]) -> frozenset[str]:
@@ -108,20 +95,6 @@ class DhtNode:
         # The covered records as (sim_time, record_key), a heap, and their bytes.
         self._queue: list[tuple[int, str]] = []
         self._covered_bytes = 0
-
-    @property
-    def store_bytes(self) -> int:
-        return self._used
-
-    @property
-    def record_count(self) -> int:
-        return len(self._store)
-
-    def get(self, record_key: str) -> AuditRecord | None:
-        return self._store.get(record_key)
-
-    def records(self) -> Iterator[AuditRecord]:
-        return iter(self._store.values())
 
     def cover(self) -> None:
         """Mark every stored record covered, so evictable."""
@@ -203,12 +176,6 @@ class DhtNetwork:
             raise NodeUnavailable(f"unknown node {node_id}")
         if node_id in self._failed:
             self._live[node_id] = self._failed.pop(node_id)
-
-    def node(self, node_id: str) -> DhtNode:
-        return self._nodes[node_id]
-
-    def node_ids(self) -> list[str]:
-        return list(self._nodes)
 
     def is_live(self, node_id: str) -> bool:
         return node_id in self._live

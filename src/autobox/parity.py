@@ -293,13 +293,16 @@ def save_snapshot(cluster: ParityCluster) -> bytes:
 
 
 # The header and index lines in the one spelling save_snapshot writes:
-# auditcore's canonical numbers, and 64-hex record keys and hashes. One
-# INDEX_LINES match checks the whole index, up to its first malformed line.
+# auditcore's canonical numbers, and 64-hex record keys and hashes. Each
+# INDEX_LINES match checks up to INDEX_CHUNK lines, so the regex engine
+# keeps the backtracking state of one chunk, not of the whole index.
 SNAPSHOT_HEADER = re.compile(
     rb"d=(%s) lengths=(%s(?:,%s)*) parity_len=(%s)\n" % ((NUMBER,) * 4)
 )
+INDEX_CHUNK = 4096
 INDEX_LINES = re.compile(
-    rb"(?:%s\t%s\t%s\t%s\t%s\n)*" % (HEX_DIGEST, NUMBER, NUMBER, NUMBER, HEX_DIGEST)
+    rb"(?:%s\t%s\t%s\t%s\t%s\n){0,%d}"
+    % (HEX_DIGEST, NUMBER, NUMBER, NUMBER, HEX_DIGEST, INDEX_CHUNK)
 )
 
 
@@ -321,7 +324,12 @@ def load_snapshot(blob: bytes) -> ParityCluster:
     cluster._lengths = lengths + [max(lengths)]
     cluster._written = None
     index = cluster._index
-    end = INDEX_LINES.match(blob, pos).end()
+    end = pos  # the index holds up to its first malformed line
+    while end < len(blob):
+        chunk_end = INDEX_LINES.match(blob, end).end()
+        if chunk_end == end:
+            break
+        end = chunk_end
     # Before end the grammar holds: ASCII lines of five tab-separated fields.
     fields = iter(blob[pos:end].decode().replace("\n", "\t").split("\t"))
     for line in zip(fields, fields, fields, fields, fields):

@@ -316,7 +316,13 @@ class Vehicle:
         # Ground truth: everything the simulator core did, one compact JSON
         # object per line with sorted keys, shared by a fleet. Written only
         # by the core, never by the modules under test: the scenario oracle.
+        # The events of every put and checkpoint, eviction, capture and
+        # drain, are written by f-string templates; _encode_ground_truth
+        # stays their definition and encodes their constant parts here, the
+        # VIN and each module id. Every other event goes through _log.
         self.ground_truth = [] if ground_truth is None else ground_truth
+        self._vin_json = _encode_ground_truth(config.vin)
+        self._module_json = {m.module_id: _encode_ground_truth(m.module_id) for m in config.modules}
         self.clock = 0
         self.modules: dict[str, ModuleMetadata] = {
             m.module_id: m for m in config.modules
@@ -396,13 +402,15 @@ class Vehicle:
             # Store full of uncovered records: checkpoint first, then retry.
             self._capture(EventType.STORE_FULL)
             receipt = self.master.put(origin, record)
+        module_id = self.module_of[receipt.stored_at]
         if receipt.evicted:
-            self._log(
-                "eviction",
-                node_module=self.module_of.get(receipt.stored_at),
-                evicted=sorted(receipt.evicted),
+            evicted = '","'.join(sorted(receipt.evicted))  # hex keys: nothing to escape
+            self.ground_truth.append(
+                f'{{"event":"eviction","evicted":["{evicted}"],'
+                f'"node_module":{self._module_json[module_id]},'
+                f'"sim_time":{self.clock},"vin":{self._vin_json}}}'
             )
-        cluster, device = self.slot_of.get(self.module_of[receipt.stored_at], (None, None))
+        cluster, device = self.slot_of.get(module_id, (None, None))
         if cluster is None or device == parity.PARITY or cluster.has_record(record.record_key):
             return
         if cluster.is_erased(device):
@@ -423,12 +431,10 @@ class Vehicle:
     def _capture(self, trigger: EventType) -> None:
         self._scrub_clusters()
         mh = self.master.capture_meta_hash(trigger, self.clock, self.vehicle_key)
-        self._log(
-            "capture",
-            seq=mh.checkpoint_seq,
-            digest=mh.digest,
-            trigger=trigger.value,
-            covered=mh.covered_records,
+        self.ground_truth.append(
+            f'{{"covered":{mh.covered_records},"digest":"{mh.digest}","event":"capture",'
+            f'"seq":{mh.checkpoint_seq},"sim_time":{self.clock},'
+            f'"trigger":"{trigger.value}","vin":{self._vin_json}}}'
         )
         self._drain()
 
@@ -436,7 +442,10 @@ class Vehicle:
         drained = self.master.submit_pending()
         if drained:
             self.batches.append(DrainBatch(self.clock, self.tamper_flag, tuple(drained)))
-            self._log("drain", checkpoints=len(drained))
+            self.ground_truth.append(
+                f'{{"checkpoints":{len(drained)},"event":"drain",'
+                f'"sim_time":{self.clock},"vin":{self._vin_json}}}'
+            )
 
     def _checkpoint(self, trigger: EventType) -> None:
         """Sweep every module into the table, then capture it."""

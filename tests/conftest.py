@@ -3,10 +3,19 @@ from __future__ import annotations
 import re
 from datetime import date
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
-from autobox.auditcore import HEX_DIGEST, NUMBER, EventType, ModuleMetadata, is_hex_digest
+from autobox.auditcore import (
+    HEX_DIGEST,
+    NUMBER,
+    AuditRecord,
+    EventType,
+    ModuleMetadata,
+    is_hex_digest,
+)
+from autobox.dht import DhtNetwork, DhtNode
 from autobox.ledger import GENESIS_PREV, LedgerBlock, VerifyResult
 from autobox.masternode import Submission
 from autobox.parity import (
@@ -122,6 +131,40 @@ def seeded_library(scenario):
     builder = replace(scenario, approved_library=None)
     result = run_scenario(builder)
     return result.observed_library()
+
+
+# -- DHT placement and node state, read where DhtNetwork keeps it -----------
+
+
+def owner_of(key: str, nodes: Iterable[str]) -> str:
+    """Exhaustive min-XOR-distance scan; the placement oracle.
+
+    Ties are impossible for distinct ids: equal XOR distance to the same
+    key implies equal ids.
+    """
+    node_list = list(nodes)
+    if not node_list:
+        raise ValueError("node set must be non-empty")
+    key_int = int(key, 16)
+    return min(node_list, key=lambda n: int(n, 16) ^ key_int)
+
+
+def node_ids(network: DhtNetwork) -> list[str]:
+    """Every member node, live or failed, in the order it joined."""
+    return list(network._nodes)
+
+
+def dht_node(network: DhtNetwork, node_id: str) -> DhtNode:
+    return network._nodes[node_id]
+
+
+def stored_records(node: DhtNode) -> dict[str, AuditRecord]:
+    """A node's records by key, in the order they were stored."""
+    return dict(node._store)
+
+
+def store_bytes(node: DhtNode) -> int:
+    return node._used
 
 
 # -- cluster state, read where ParityCluster keeps it ------------------------

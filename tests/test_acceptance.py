@@ -20,7 +20,7 @@ import pytest
 
 from autobox import cli
 from autobox.auditcore import EventType, identity_hash
-from autobox.dht import CheckpointRequired, DhtNetwork, node_id_for_serial, owner_of
+from autobox.dht import CheckpointRequired, DhtNetwork, node_id_for_serial
 from autobox.ledger import VerdictStatus, history_from_file, verify_chain
 from autobox.masternode import MasterNode, meta_digest
 from autobox.parity import PARITY, ParityCluster, reconstruct, repair, scrub
@@ -32,8 +32,10 @@ from conftest import (
     data_store,
     make_metadata,
     make_scenario,
+    owner_of,
     parity_store,
     seeded_library,
+    store_bytes,
     write_chain,
 )
 
@@ -138,7 +140,7 @@ def test_criterion_3_constrained_memory_budget():
                 evictions += 1
                 # Never evicts a record the last capture did not cover.
                 assert put_order[evicted_key] < covered
-            assert node.store_bytes <= limit
+            assert store_bytes(node) <= limit
             puts += 1
         assert puts == 10_000
         assert evictions > 0

@@ -313,7 +313,8 @@ class TestDerivedOnce:
         made = AuditRecord("ECU", EventType.REFLASH, 42, ecu_metadata.payload_hash)
         periodic = identity_hash(ecu_metadata, 7, EventType.PERIODIC_INTERVAL)
         replaced = replace(periodic, event_type=EventType.REFLASH, sim_time=42)
-        for record in (made, replaced, periodic):
+        accented = AuditRecord("Tür\u2028ECU", EventType.OBD_PLUG_IN, 0, ecu_metadata.payload_hash)
+        for record in (made, replaced, periodic, accented):
             assert record.record_key == compute_record_key(
                 record.module_id, record.event_type, record.sim_time, record.payload_hash
             )

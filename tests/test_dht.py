@@ -11,10 +11,9 @@ from autobox.dht import (
     NodeUnavailable,
     detect_discrepancy,
     node_id_for_serial,
-    owner_of,
 )
 
-from conftest import make_metadata
+from conftest import dht_node, make_metadata, node_ids, owner_of, store_bytes, stored_records
 
 
 def random_id(rng: random.Random) -> str:
@@ -117,7 +116,7 @@ class TestRouting:
         receipt = network.put(ids[0], record)
         assert receipt.stored_at == owner_of(record.record_key, ids[1:])
         assert receipt.hops == 1
-        assert network.node(ids[0]).record_count == 0
+        assert len(stored_records(dht_node(network, ids[0]))) == 0
 
     def test_no_live_node_raises(self):
         rng = random.Random(10)
@@ -149,7 +148,7 @@ class TestPutGet:
         first = network.put(node, record)
         second = network.put(node, record)
         assert second == first
-        assert network.node(node).record_count == 1
+        assert len(stored_records(dht_node(network, node))) == 1
 
     def test_fallback_placement_and_recovery_read(self):
         """Owner down at write time: record lands next-closest, stays readable."""
@@ -165,7 +164,7 @@ class TestPutGet:
         assert receipt.stored_at != ideal
         live = [n for n in ids if n != ideal]
         assert receipt.stored_at == owner_of(record.record_key, live)
-        assert network.node(receipt.stored_at).get(record.record_key) == record
+        assert stored_records(dht_node(network, receipt.stored_at)).get(record.record_key) == record
 
 
 class TestDetectDiscrepancy:
@@ -213,14 +212,15 @@ class TestEviction:
     def test_below_limit_no_eviction(self):
         network, node = self.small_network()
         self.fill(network, node, 2)
-        assert network.node(node).evict(10) == []
+        assert dht_node(network, node).evict(10) == []
 
     def test_checkpointed_oldest_evicted_first(self):
         network, node = self.small_network()
         records = self.fill(network, node, 3)
         network.cover()
         size = len(records[0].line)
-        evicted = network.node(node).evict(network.node(node).store_bytes + size - 512 + size)
+        store = dht_node(network, node)
+        evicted = store.evict(store_bytes(store) + size - 512 + size)
         assert evicted  # at least the oldest went
         assert evicted[0] == min(
             (r for r in records), key=lambda r: (r.sim_time, r.record_key)
@@ -234,12 +234,13 @@ class TestEviction:
     def test_eviction_is_atomic_on_failure(self):
         network, node = self.small_network(limit=400)
         records = self.fill(network, node, 2)
-        before = network.node(node).record_count
+        store = dht_node(network, node)
+        before = len(stored_records(store))
         with pytest.raises(CheckpointRequired):
-            network.node(node).evict(400)
-        assert network.node(node).record_count == before
+            store.evict(400)
+        assert len(stored_records(store)) == before
         for record in records:
-            assert network.node(node).get(record.record_key) is not None
+            assert stored_records(store).get(record.record_key) is not None
 
     def test_put_evicts_after_checkpoint(self):
         network, node = self.small_network(limit=400)
@@ -249,7 +250,7 @@ class TestEviction:
         for i in range(10):
             record = make_record("ECU", sim_time=100 + i)
             receipt = network.put(node, record)
-            assert network.node(node).store_bytes <= 400
+            assert store_bytes(dht_node(network, node)) <= 400
             if receipt.evicted:
                 break
         else:
@@ -261,17 +262,17 @@ class TestEviction:
         network.cover()
         newer = self.fill(network, node, 1, start_time=50)
         # Ask for exactly what the covered records can free up.
-        store = network.node(node)
-        freeable = (600 - store.store_bytes) + sum(len(r.line) for r in old)
+        store = dht_node(network, node)
+        freeable = (600 - store_bytes(store)) + sum(len(r.line) for r in old)
         evicted = store.evict(freeable)
         assert set(evicted) == {r.record_key for r in old}
         for record in newer:
-            assert store.get(record.record_key) is not None
+            assert stored_records(store).get(record.record_key) is not None
 
     def test_needed_bytes_over_limit_rejected(self):
         network, node = self.small_network(limit=400)
         with pytest.raises(ValueError):
-            network.node(node).evict(401)
+            dht_node(network, node).evict(401)
 
 
 class _ReferenceStores:
@@ -371,7 +372,7 @@ class TestCoveredPrefixProperty:
                     got = want = None
                 elif op < 0.85:
                     node_id, needed = rng.choice(ids), rng.randint(1, limit + 8)
-                    got = _outcome(lambda: (node_id, tuple(network.node(node_id).evict(needed))))
+                    got = _outcome(lambda: (node_id, tuple(dht_node(network, node_id).evict(needed))))
                     want = _outcome(lambda: (node_id, tuple(model.evict(node_id, needed))))
                 elif op < 0.93:
                     node_id = rng.choice(ids)
@@ -388,9 +389,10 @@ class TestCoveredPrefixProperty:
                     checkpoints += got[0] == "checkpoint"
                     evictions += got[0] == "ok" and bool(got[1][1])
                 for node_id in ids:
-                    node = network.node(node_id)
-                    assert list(node.records()) == [r for r, _ in model.stores[node_id].values()]
-                    assert node.store_bytes == model.used(node_id)
+                    node = dht_node(network, node_id)
+                    records = list(stored_records(node).values())
+                    assert records == [r for r, _ in model.stores[node_id].values()]
+                    assert store_bytes(node) == model.used(node_id)
         assert checkpoints > 500 and evictions > 500  # both paths well exercised
 
 
@@ -431,8 +433,8 @@ class TestEvictionTieBreak:
                         network.cover()
                         model.cover()
                 for node_id in ids:
-                    node = network.node(node_id)
-                    assert list(node.records()) == [r for r, _ in model.stores[node_id].values()]
+                    records = list(stored_records(dht_node(network, node_id)).values())
+                    assert records == [r for r, _ in model.stores[node_id].values()]
         assert ties > 1000
 
 
@@ -522,7 +524,7 @@ class TestMembershipChurn:
                         assert receipt.fallback == (receipt.stored_at != owner)
                         fallbacks += receipt.fallback
                 members, up = list(live), [n for n in live if live[n]]
-                assert network.node_ids() == members
+                assert node_ids(network) == members
                 for node_id in members + gone + [random_id(rng)]:
                     assert network.is_live(node_id) == live.get(node_id, False)
                 for origin in members:

@@ -17,7 +17,7 @@ from autobox.masternode import (
     meta_digest,
 )
 
-from conftest import EMPTY_SHA256, make_metadata
+from conftest import EMPTY_SHA256, dht_node, make_metadata, store_bytes, stored_records
 
 VKEY = "ab" * 32
 
@@ -187,14 +187,14 @@ class TestCapture:
         later = [make_record(sim_time=t) for t in range(100, 103)]
         for record in later:
             master.put(node, record)
-        store = network.node(node)
-        freeable = store.store_limit_bytes - store.store_bytes
+        store = dht_node(network, node)
+        freeable = store.store_limit_bytes - store_bytes(store)
         freeable += sum(len(r.line) for r in earlier)
         with pytest.raises(CheckpointRequired):  # the later records stay put
             store.evict(freeable + 1)
         assert set(store.evict(freeable)) == {r.record_key for r in earlier}
         for record in later:
-            assert store.get(record.record_key) == record
+            assert stored_records(store).get(record.record_key) == record
 
     def test_capture_hashes_only_the_touched_buckets(self, monkeypatch):
         """Each capture hashes the buckets that gained a pair since the last
@@ -353,7 +353,7 @@ class TestEvictionCoupling:
                     record = make_record("ECU", sim_time=t)
                     pool.append(record)
                 key = record.record_key
-                stored = any(network.node(n).get(key) for n in nodes)
+                stored = any(stored_records(dht_node(network, n)).get(key) for n in nodes)
                 origin = rng.choice(nodes)
                 try:
                     receipt = master.put(origin, record)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -536,8 +538,8 @@ def long_index_snapshot() -> bytes:
 
 
 class TestOneIndexMatch:
-    def test_one_match_per_snapshot(self, monkeypatch, demo_snapshot, long_index_snapshot):
-        """load_snapshot matches the index grammar once, whatever its length."""
+    def test_one_match_per_chunk(self, monkeypatch, demo_snapshot, long_index_snapshot):
+        """load_snapshot matches the index grammar once per INDEX_CHUNK lines."""
         pattern, calls = parity.INDEX_LINES, []
 
         class Counted:
@@ -548,8 +550,27 @@ class TestOneIndexMatch:
         monkeypatch.setattr(parity, "INDEX_LINES", Counted())
         for blob in (two_device_snapshot(), demo_snapshot, long_index_snapshot):
             calls.clear()
-            load_snapshot(blob)
-            assert len(calls) == 1
+            lines = len(record_index(load_snapshot(blob)))
+            assert len(calls) == math.ceil(lines / parity.INDEX_CHUNK)
+
+    def test_each_match_keeps_one_chunk_of_state(self, monkeypatch, long_index_snapshot):
+        """A match's regex state grows with INDEX_CHUNK, not with the index:
+        one match of the whole 20,000-line index peaked at about 10 MB."""
+        pattern, peaks = parity.INDEX_LINES, []
+
+        class Measured:
+            def match(self, *args):
+                tracemalloc.start()
+                try:
+                    return pattern.match(*args)
+                finally:
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.stop()
+
+        monkeypatch.setattr(parity, "INDEX_LINES", Measured())
+        load_snapshot(long_index_snapshot)
+        assert len(peaks) == math.ceil(LONG_INDEX_LINES / parity.INDEX_CHUNK)
+        assert max(peaks) < 3_000_000
 
     def test_long_index_loads_and_scrubs_clean(self, long_index_snapshot):
         cluster = load_snapshot(long_index_snapshot)

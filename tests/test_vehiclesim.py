@@ -14,7 +14,6 @@ from autobox.auditcore import (
     MetadataError,
     derive_vehicle_key,
 )
-from autobox.dht import owner_of
 from autobox.ledger import VerdictStatus, history_from_file
 from autobox.masternode import MetaHash
 from autobox.vehiclesim import (
@@ -30,6 +29,7 @@ from autobox.vehiclesim import (
     VehicleConfig,
     VehicleLane,
     VehicleOutcome,
+    _encode_ground_truth,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -39,10 +39,15 @@ from conftest import (
     FLEET_VIN_2,
     JUNKYARD_VIN,
     VIN,
+    dht_node,
     make_metadata,
     make_scenario,
     make_vehicle_config,
+    node_ids,
+    owner_of,
     seeded_library,
+    store_bytes,
+    stored_records,
     write_chain,
 )
 
@@ -675,16 +680,17 @@ class TestFaults:
         vehicle.handle_event(event(ScenarioEventKind.NODE_FAILURE, 100, module_id="ECU"))
         vehicle.clock = 200
         vehicle._sweep(EventType.OBD_PLUG_IN)
-        live = [n for n in vehicle.network.node_ids() if n != ecu_node]
+        network = vehicle.network
+        live = [n for n in node_ids(network) if n != ecu_node]
         placed = {
             record.module_id: node_id
-            for node_id in vehicle.network.node_ids()
-            for record in vehicle.network.node(node_id).records()
+            for node_id in node_ids(network)
+            for record in stored_records(dht_node(network, node_id)).values()
             if record.sim_time == 200
         }
         assert sorted(placed) == ["BCM", "ECU", "HeadUnit", "TCM"]
-        for node_id in vehicle.network.node_ids():
-            for record in vehicle.network.node(node_id).records():
+        for node_id in node_ids(network):
+            for record in stored_records(dht_node(network, node_id)).values():
                 if record.sim_time == 200:
                     assert node_id == owner_of(record.record_key, live)
         assert not vehicle.alerts
@@ -714,11 +720,11 @@ class TestFaults:
         for t in (600, 1200, 1800):
             vehicle.clock = t
             vehicle._checkpoint(EventType.OBD_PLUG_IN)
-        for node_id in vehicle.network.node_ids():
-            node = vehicle.network.node(node_id)
-            dumped = "".join(r.dump_line() + "\n" for r in node.records())
-            assert node.store_bytes == len(dumped.encode())
-            assert node.store_bytes <= vehicle.config.dht_store_limit_bytes
+        for node_id in node_ids(vehicle.network):
+            node = dht_node(vehicle.network, node_id)
+            dumped = "".join(r.dump_line() + "\n" for r in stored_records(node).values())
+            assert store_bytes(node) == len(dumped.encode())
+            assert store_bytes(node) <= vehicle.config.dht_store_limit_bytes
 
 
 class TestOutage:
@@ -792,6 +798,38 @@ class TestDeterminism:
         assert a.blocks == b.blocks
         assert a.verdicts == b.verdicts
         assert a.ground_truth == b.ground_truth
+
+
+class TestGroundTruthTemplates:
+    """Eviction, capture and drain lines are written by templates;
+    _encode_ground_truth stays the definition each line must meet."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(DEMO_SCENARIO.parent.glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_fixture_lines_equal_the_encoder(self, path):
+        lines = run_scenario(load_scenario(path)).ground_truth
+        assert {"capture", "drain"} <= {json.loads(line)["event"] for line in lines}
+        for line in lines:
+            assert line == _encode_ground_truth(json.loads(line))
+
+    def test_module_ids_that_need_escaping(self):
+        ids = ('say "ECU"', "BCM\\TCM", "Türmodul", "Head\u2028Unit")
+        modules = tuple(
+            make_metadata(module_id, serial_number=f"SN-{i}") for i, module_id in enumerate(ids)
+        )
+        config = make_vehicle_config(
+            modules=modules, parity_clusters=(ids[:3],), dht_store_limit_bytes=512
+        )
+        vehicle = Vehicle(config)
+        vehicle.boot()
+        for t in range(600, 24_600, 600):
+            vehicle.clock = t
+            vehicle._checkpoint(EventType.OBD_PLUG_IN)
+        logged = [json.loads(line) for line in vehicle.ground_truth]
+        assert {e["node_module"] for e in logged if e["event"] == "eviction"} == set(ids)
+        for line, entry in zip(vehicle.ground_truth, logged):
+            assert line == _encode_ground_truth(entry)
 
 
 class TestReleasedAfterRun:
@@ -1395,7 +1433,7 @@ class TestRefusedEventsLeaveStateAlone:
     def test_swap_to_a_fitted_serial_rejected_before_any_change(self):
         vehicle = Vehicle(make_vehicle_config())
         vehicle.boot()
-        nodes = vehicle.network.node_ids()
+        nodes = node_ids(vehicle.network)
         node_of, module_of = dict(vehicle.node_of), dict(vehicle.module_of)
         modules = dict(vehicle.modules)
         bcm_serial = vehicle.modules["BCM"].serial_number
@@ -1407,7 +1445,7 @@ class TestRefusedEventsLeaveStateAlone:
         )
         with pytest.raises(ScenarioError, match="already fitted"):
             vehicle.handle_event(swap)
-        assert vehicle.network.node_ids() == nodes
+        assert node_ids(vehicle.network) == nodes
         assert (vehicle.node_of, vehicle.module_of) == (node_of, module_of)
         assert vehicle.modules == modules
 

@@ -68,11 +68,12 @@ TARGETS = {
     "vehiclesim": [
         "ScenarioEvent.__post_init__", "VehicleConfig.__post_init__", "Scenario.__post_init__",
         "Vehicle.startup_consistency_check", "Vehicle.clear_tamper_flag",
-        "Vehicle._put_record", "Vehicle.run", "ScenarioResult.findings", "_dataclass",
+        "Vehicle._put_record", "Vehicle._capture", "Vehicle._drain", "Vehicle.run",
+        "ScenarioResult.findings", "_dataclass",
     ],
     "auditcore": [
-        "_json", "validate_vin", "ModuleMetadata.__post_init__", "identity_hash",
-        "derive_vehicle_key",
+        "_json", "validate_vin", "ModuleMetadata.__post_init__", "AuditRecord.__post_init__",
+        "identity_hash", "derive_vehicle_key",
     ],
     "cli": ["_cmd_run", "_cmd_verify", "_cmd_history", "_cmd_audit", "main"],
 }
