@@ -30,7 +30,9 @@ import sys
 import time
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from . import parity
 from .auditcore import ScenarioError, is_hex_digest
@@ -48,6 +50,8 @@ LEDGER_FILE = "ledger.txt"
 VERDICTS_FILE = "verdicts.tsv"
 GROUND_TRUTH_FILE = "ground_truth.jsonl"
 REPORT_FILE = "report.json"
+# Lines of a text artifact joined and encoded per write: a few tens of KB.
+CHUNK_LINES = 64
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,19 +149,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def write_artifacts(result: ScenarioResult, outdir: Path) -> dict:
     """Write every machine artifact of a run into the existing ``outdir``;
-    returns the report that report.json holds."""
+    returns the report that report.json holds.
+
+    The ledger, verdicts and ground truth are streamed: no file's whole
+    text, nor an encoded copy of it, is ever held in memory."""
     report = _build_report(result)
-    ledger = b"".join(block.file_record() for block in result.blocks)
-    verdicts = "".join(v.output_line() + "\n" for v in result.verdicts)
-    ground_truth = "".join(line + "\n" for line in result.ground_truth)
-    (outdir / LEDGER_FILE).write_bytes(ledger)
-    (outdir / VERDICTS_FILE).write_bytes(verdicts.encode("utf-8"))
-    (outdir / GROUND_TRUTH_FILE).write_bytes(ground_truth.encode("utf-8"))
+    with open(outdir / LEDGER_FILE, "wb") as f:
+        f.writelines(block.file_record() for block in result.blocks)
+    _write_lines(outdir / VERDICTS_FILE, (v.output_line() for v in result.verdicts))
+    _write_lines(outdir / GROUND_TRUTH_FILE, result.ground_truth)
     for name, blob in result.cluster_snapshots:
         (outdir / name).write_bytes(blob)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     (outdir / REPORT_FILE).write_bytes(text.encode("utf-8"))
     return report
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each line and a newline as UTF-8, encoding CHUNK_LINES at a time."""
+    rest = iter(lines)
+    with open(path, "wb") as f:
+        while chunk := list(islice(rest, CHUNK_LINES)):
+            chunk.append("")  # so the join ends the last line too
+            f.write("\n".join(chunk).encode("utf-8"))
 
 
 def _build_report(result: ScenarioResult) -> dict:

@@ -26,9 +26,11 @@ every service or reflash event below. Event handling in one line each:
 * Reboot re-runs the startup sweep and consistency check.
 * ClearTamperFlag models the authorized service tool.
 
-Fleet runs share one full node. Vehicles are simulated independently and
-their drained submission batches are merged by (sim_time, vehicle_key)
-before blocks are appended, so results are independent of vehicle order.
+Fleet runs share one full node. Vehicles are simulated one at a time, and
+each is dropped once its timeline ends and its outcome, alerts, snapshots
+and drained batches are kept. The batches are then merged by (sim_time,
+vehicle_key, VIN) and every vehicle key is registered in VIN order before
+blocks are appended, so results are independent of vehicle order.
 """
 
 from __future__ import annotations
@@ -962,42 +964,68 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute a scenario deterministically and audit the outcome.
 
     Phase 1 simulates each vehicle's full timeline, buffering uplink
-    deliveries. Phase 2 merges deliveries by (sim_time, vehicle_key),
+    deliveries. A lane is finished as soon as its run returns: its
+    snapshots, outcome, alerts and drained batches are kept and the
+    ``Vehicle`` with its stores, mirror and parity devices is dropped, so
+    a fleet holds one vehicle at a time. Phase 2 registers every vehicle
+    key in VIN order, merges deliveries by (sim_time, vehicle_key, VIN),
     appends them as blocks to the shared full node, and runs the OEM
     checksum on every accepted submission (skipped when the scenario has
     no approved library, which is how golden libraries get seeded).
     Nothing is written to disk; ``cli.write_artifacts`` renders the result.
     """
     ground_truth: list[str] = []
-    vehicles = []
+    snapshots: list[tuple[str, bytes]] = []
+    outcomes: list[VehicleOutcome] = []
+    alerts: list[str] = []
+    drained: list[tuple[str, DrainBatch]] = []  # (VIN, batch)
     for lane in scenario.lanes:
         vehicle = Vehicle(lane.config, ground_truth)
         vehicle.run(lane.events, scenario.duration_s)
-        vehicles.append(vehicle)
+        vin = lane.config.vin
+        alerts.extend(vehicle.alerts)
+        for i, cluster in enumerate(vehicle.clusters):
+            name = f"cluster{i}_{vin}.snap"
+            try:
+                snapshots.append((name, parity.save_snapshot(cluster)))
+            except parity.ClusterError as exc:
+                alerts.append(f"snapshot {name} skipped: {exc}")
+        outcomes.append(
+            VehicleOutcome(
+                vin=vin,
+                variant_code=lane.config.variant_code,
+                vehicle_keys=tuple(vehicle.vehicle_keys),
+                captures=tuple(vehicle.master.captures),
+                tamper_flag=vehicle.tamper_flag,
+                tamper_details=dict(vehicle.tamper_details),
+            )
+        )
+        drained.extend((vin, batch) for batch in vehicle.batches)
+        del vehicle  # before the next is built, and through phase 2
 
     full_node = FullNode(
         library=scenario.approved_library,
         critical_variants=scenario.critical_variants,
     )
-    for vehicle in vehicles:
-        for key in vehicle.vehicle_keys:
-            full_node.register_vehicle(key, vehicle.config.variant_code)
+    # VIN order, so a key two vehicles share maps to one variant whatever
+    # the lane order.
+    for outcome in sorted(outcomes, key=lambda o: o.vin):
+        for key in outcome.vehicle_keys:
+            full_node.register_vehicle(key, outcome.variant_code)
 
     # The newest submission carries the key of the last capture, not the
     # vehicle's current key, which a silent swap since may have changed.
-    batches = sorted(
-        (batch for vehicle in vehicles for batch in vehicle.batches),
-        key=lambda b: (b.sim_time, b.submissions[-1].vehicle_key),
-    )
+    # Two vehicles may carry one key; the VIN breaks that tie, and the sort
+    # is stable, so one vehicle's batches keep their order.
+    drained.sort(key=lambda vb: (vb[1].sim_time, vb[1].submissions[-1].vehicle_key, vb[0]))
 
     verdicts: list[Verdict] = []
-    ledger_alerts: list[str] = []
     rejected = 0
-    for batch in batches:
+    for _, batch in drained:
         result = full_node.append_submissions(list(batch.submissions))
         rejected += len(result.rejected)
         for submission, reason in result.rejected:
-            ledger_alerts.append(
+            alerts.append(
                 f"t={batch.sim_time} rejected checkpoint {submission.checkpoint_seq}: {reason}"
             )
         if result.block is None or full_node.library is None:
@@ -1006,41 +1034,18 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             try:
                 verdict = full_node.evaluate(submission, tamper_flag=batch.tamper_flag)
             except (UnknownVariantError, UnknownVehicleError) as exc:
-                ledger_alerts.append(
+                alerts.append(
                     f"t={batch.sim_time} checkpoint {submission.checkpoint_seq}: {exc}"
                 )
                 continue
             verdicts.append(verdict)
-
-    snapshots: list[tuple[str, bytes]] = []
-    outcomes = []
-    all_alerts: list[str] = []
-    for vehicle in vehicles:
-        for i, cluster in enumerate(vehicle.clusters):
-            name = f"cluster{i}_{vehicle.config.vin}.snap"
-            try:
-                snapshots.append((name, parity.save_snapshot(cluster)))
-            except parity.ClusterError as exc:
-                vehicle.alerts.append(f"snapshot {name} skipped: {exc}")
-        outcomes.append(
-            VehicleOutcome(
-                vin=vehicle.config.vin,
-                variant_code=vehicle.config.variant_code,
-                vehicle_keys=tuple(vehicle.vehicle_keys),
-                captures=tuple(vehicle.master.captures),
-                tamper_flag=vehicle.tamper_flag,
-                tamper_details=dict(vehicle.tamper_details),
-            )
-        )
-        all_alerts.extend(vehicle.alerts)
-    all_alerts.extend(ledger_alerts)
 
     return ScenarioResult(
         scenario=scenario,
         vehicles=tuple(outcomes),
         blocks=tuple(full_node.chain),
         verdicts=tuple(verdicts),
-        alerts=tuple(all_alerts),
+        alerts=tuple(alerts),
         ground_truth=tuple(ground_truth),
         cluster_snapshots=tuple(snapshots),
         rejected_checkpoints=rejected,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
 from datetime import date
 from pathlib import Path
 from typing import Iterable
@@ -131,6 +133,15 @@ def seeded_library(scenario):
     builder = replace(scenario, approved_library=None)
     result = run_scenario(builder)
     return result.observed_library()
+
+
+def load_from_file(name, path):
+    """Import a module outside the package, such as a perfbench script, from its file."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- DHT placement and node state, read where DhtNetwork keeps it -----------

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,10 +14,12 @@ import pytest
 from autobox import cli, parity
 from autobox.ledger import load_ledger
 from autobox.parity import ParityCluster, save_snapshot
+from autobox.vehiclesim import parse_scenario, run_scenario
 
-from conftest import BAD_INDEX_EDITS, VIN, two_device_snapshot
+from conftest import BAD_INDEX_EDITS, VIN, load_from_file, two_device_snapshot
 
 DEMO_SCENARIO = Path(__file__).parent.parent / "scenarios" / "demo.json"
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 BASE_MODULES = [
     {
@@ -667,6 +671,30 @@ class TestDeterminism:
         assert cli.LEDGER_FILE in names and any(n.endswith(".snap") for n in names)
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+class TestStreamedArtifacts:
+    def test_write_artifacts_holds_no_whole_text(self, tmp_path):
+        """The text artifacts are written a chunk of lines at a time: the
+        memory write_artifacts allocates stays a fraction of what it writes,
+        not a joined text plus its encoded copy."""
+        workloads = load_from_file("perfbench_workloads", WORKLOADS)
+        built = workloads.build("fleet-service", 1)
+        calibration = run_scenario(parse_scenario(built.calibration))
+        scenario = parse_scenario(built.scenario)
+        result = run_scenario(replace(scenario, approved_library=calibration.observed_library()))
+        assert result.verdicts
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli.write_artifacts(result, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        written = (tmp_path / cli.GROUND_TRUTH_FILE).stat().st_size
+        assert written == sum(len(line) + 1 for line in result.ground_truth)
+        assert peak < written / 4, (peak, written)
+
 
 class TestVerify:
     def fresh_ledger(self, tmp_path):

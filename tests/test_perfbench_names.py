@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -25,19 +24,13 @@ import pytest
 
 from autobox import cli, vehiclesim
 
+from conftest import load_from_file
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 BENCH_RUN = ROOT / "perfbench" / "run.py"
 DEMO = ROOT / "scenarios" / "demo.json"
-
-
-def load_from_file(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def load_tracing():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import weakref
 from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
@@ -14,7 +15,7 @@ from autobox.auditcore import (
     MetadataError,
     derive_vehicle_key,
 )
-from autobox.ledger import VerdictStatus, history_from_file
+from autobox.ledger import FullNode, VerdictStatus, history_from_file
 from autobox.masternode import MetaHash
 from autobox.vehiclesim import (
     KIND_FIELDS,
@@ -704,6 +705,26 @@ class TestFaults:
         assert "t=200 no live node to accept records" in result.alerts
         assert [mh.sim_time for mh in result.vehicles[0].captures] == [200]
 
+    def test_lost_cluster_is_not_snapshotted_and_says_so(self):
+        """Swaps erase BCM's data device and TCM's parity device at once: no
+        repair can rebuild them, so the run keeps no snapshot of the cluster
+        and says why among its alerts."""
+        swaps = tuple(
+            event(
+                ScenarioEventKind.MODULE_SWAP,
+                3700,
+                module_id=m,
+                replacement=make_metadata(m, serial_number=f"{m}-SN-9999"),
+            )
+            for m in ("BCM", "TCM")
+        )
+        result = run_scenario(make_scenario(events=swaps, duration_s=7200))
+        assert result.cluster_snapshots == ()
+        assert result.alerts[-1] == (
+            f"snapshot cluster0_{VIN}.snap skipped: device 1 is erased; "
+            "snapshot requires intact stores"
+        )
+
     def test_failed_node_reported_unresponsive_at_reboot(self):
         events = (
             event(ScenarioEventKind.NODE_FAILURE, 100, module_id="ECU"),
@@ -932,22 +953,26 @@ class TestFleet:
         keys = [{s.vehicle_key for s in block.entries} for block in result.blocks]
         assert keys == [{min(queued_a, key_b)}, {max(queued_a, key_b)}]
 
-    @pytest.mark.parametrize("library", [False, True], ids=["no-library", "library"])
-    def test_rejected_checkpoints_are_findings(self, library):
+    def clone_scenario(self, **donor_overrides):
         """Vehicle A swaps in each of B's four modules at 100..103, so both
-        derive one vehicle key: the full node rejects B's checkpoints at
-        3600 and 7200 as replays of A's, and that is a finding."""
-        donor = make_vehicle_config(vin=FLEET_VIN_2)
+        derive one vehicle key and carry it at 3600 and 7200."""
+        donor = make_vehicle_config(vin=FLEET_VIN_2, **donor_overrides)
         swaps = tuple(
             event(ScenarioEventKind.MODULE_SWAP, 100 + i, module_id=m.module_id, replacement=m)
             for i, m in enumerate(donor.modules)
         )
-        scenario = Scenario(
+        return Scenario(
             scenario_id="clone",
             seed=0,
             duration_s=7200,
             lanes=(VehicleLane(make_vehicle_config(), swaps), VehicleLane(donor, ())),
         )
+
+    @pytest.mark.parametrize("library", [False, True], ids=["no-library", "library"])
+    def test_rejected_checkpoints_are_findings(self, library):
+        """The full node rejects B's clone checkpoints at 3600 and 7200 as
+        replays of A's, and that is a finding."""
+        scenario = self.clone_scenario()
         if library:
             scenario = replace(scenario, approved_library=seeded_library(scenario))
         result = run_scenario(scenario)
@@ -960,6 +985,56 @@ class TestFleet:
         assert not any(v.tamper_flag for v in result.vehicles)
         assert all(v.status is VerdictStatus.APPROVED for v in result.verdicts)
         assert result.findings
+
+    @pytest.mark.parametrize("library", [False, True], ids=["no-library", "library"])
+    @pytest.mark.parametrize("reflash", [False, True], ids=["clone", "clone-reflashed"])
+    def test_fleet_vehicle_order_irrelevant_when_two_carry_one_key(self, reflash, library):
+        """Same time, same key: the VIN decides which batch the chain takes
+        first. Reflashed, both vehicles flash one module to one version, so
+        both register the key they share, each for its own variant; the VIN
+        decides which variant the full node keeps too."""
+        scenario = self.clone_scenario(variant_code="EU-SPORT")
+        if reflash:
+            flash = event(ScenarioEventKind.UDS_REFLASH, 200, module_id="ECU", new_version="2.0")
+            lanes = tuple(replace(lane, events=lane.events + (flash,)) for lane in scenario.lanes)
+            scenario = replace(scenario, lanes=lanes)
+        if library:
+            scenario = replace(scenario, approved_library=seeded_library(scenario))
+        flipped = replace(scenario, lanes=tuple(reversed(scenario.lanes)))
+        result, reversed_result = run_scenario(scenario), run_scenario(flipped)
+        assert result.rejected_checkpoints == 2
+        assert result.blocks == reversed_result.blocks
+        assert result.verdicts == reversed_result.verdicts
+        assert sorted(result.alerts) == sorted(reversed_result.alerts)
+        assert len(result.verdicts) == 2 * library
+
+    def test_one_vehicle_alive_at_a_time(self, monkeypatch):
+        """A lane's Vehicle is dropped as soon as its run returns: when the
+        next lane starts, and when the merge starts, every earlier one is dead."""
+        started: list[weakref.ref] = []
+
+        def assert_earlier_vehicles_dead():
+            gc.collect()
+            assert [ref() for ref in started] == [None] * len(started)
+
+        run, register = Vehicle.run, FullNode.register_vehicle
+
+        def checked_run(vehicle, events, duration_s):
+            assert_earlier_vehicles_dead()
+            started.append(weakref.ref(vehicle))
+            run(vehicle, events, duration_s)
+
+        def checked_register(node, key, variant):
+            assert_earlier_vehicles_dead()
+            register(node, key, variant)
+
+        monkeypatch.setattr(Vehicle, "run", checked_run)
+        monkeypatch.setattr(FullNode, "register_vehicle", checked_register)
+        vins = (VIN, FLEET_VIN_2, JUNKYARD_VIN)
+        lanes = tuple(VehicleLane(make_vehicle_config(vin=vin), ()) for vin in vins)
+        result = run_scenario(Scenario(scenario_id="fleet", seed=0, duration_s=3600, lanes=lanes))
+        assert len(started) == 3
+        assert [v.vin for v in result.vehicles] == list(vins)
 
 
 class TestBoolIsNoReference:

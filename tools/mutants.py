@@ -69,7 +69,7 @@ TARGETS = {
         "ScenarioEvent.__post_init__", "VehicleConfig.__post_init__", "Scenario.__post_init__",
         "Vehicle.startup_consistency_check", "Vehicle.clear_tamper_flag",
         "Vehicle._put_record", "Vehicle._capture", "Vehicle._drain", "Vehicle.run",
-        "ScenarioResult.findings", "_dataclass",
+        "ScenarioResult.findings", "_dataclass", "run_scenario",
     ],
     "auditcore": [
         "_json", "validate_vin", "ModuleMetadata.__post_init__", "AuditRecord.__post_init__",
