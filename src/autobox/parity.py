@@ -18,11 +18,17 @@ one comparison of the parity device with that copy. A cluster loaded from
 a snapshot has no write history: all of its devices take the per-record
 check, and parity is checked by folding every device.
 
-Loading a snapshot checks its record index as one block: one match of the
-line grammar ends where the first malformed line starts. The lines before
-it are split into fields and each is checked for a repeated key and a span
-outside its device before that malformed line is refused, so the first
-failing line names the error.
+Loading a snapshot checks its record index in bulk. A shape match (the
+line grammar with any 64 bytes but a newline in each digest field) ends
+where the first misshapen line starts. One byte-class check then finds
+that the lines before it hold only hex digits, tabs and newlines, four
+tabs a line, which makes each of them a line of the grammar; only when
+that check fails does the strict grammar run, to find the first malformed
+line. The index is built from slices of the fields of all lines at once.
+A repeated key or a span outside its device, also checked over all lines
+at once, sends a walk over the lines that names the first failing one,
+and it is refused before any malformed line, so the first failing line
+names the error.
 
 One device list holds the data devices at 0..d-1 and parity at d, where
 the PARITY sentinel resolves; lists beside it hold recorded lengths and
@@ -43,6 +49,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, le
 from typing import Iterable, NamedTuple, Union
 
 from .auditcore import HEX_DIGEST, NUMBER
@@ -296,14 +304,55 @@ def save_snapshot(cluster: ParityCluster) -> bytes:
 # auditcore's canonical numbers, and 64-hex record keys and hashes. Each
 # INDEX_LINES match checks up to INDEX_CHUNK lines, so the regex engine
 # keeps the backtracking state of one chunk, not of the whole index.
+# INDEX_SHAPE is that grammar with any 64 bytes but a newline in the two
+# digest fields, a repeat the engine runs in one tight loop. A run of
+# shaped lines is a run of index lines exactly when it holds no byte but
+# INDEX_BYTES (the hex alphabet, tab and newline) and four tabs a line.
 SNAPSHOT_HEADER = re.compile(
     rb"d=(%s) lengths=(%s(?:,%s)*) parity_len=(%s)\n" % ((NUMBER,) * 4)
 )
 INDEX_CHUNK = 4096
+_INDEX_LINE = rb"(?:%s\t%s\t%s\t%s\t%s\n){0,%d}"
 INDEX_LINES = re.compile(
-    rb"(?:%s\t%s\t%s\t%s\t%s\n){0,%d}"
-    % (HEX_DIGEST, NUMBER, NUMBER, NUMBER, HEX_DIGEST, INDEX_CHUNK)
+    _INDEX_LINE % (HEX_DIGEST, NUMBER, NUMBER, NUMBER, HEX_DIGEST, INDEX_CHUNK)
 )
+INDEX_SHAPE = re.compile(
+    _INDEX_LINE % (rb".{64}", NUMBER, NUMBER, NUMBER, rb".{64}", INDEX_CHUNK)
+)
+INDEX_BYTES = b"0123456789abcdef\t\n"
+
+
+def _lines_end(pattern: re.Pattern[bytes], blob: bytes, pos: int, endpos: int) -> int:
+    """End of the run of lines from pos to at most endpos that pattern
+    matches, one match per INDEX_CHUNK lines."""
+    while pos < endpos and (end := pattern.match(blob, pos, endpos).end()) > pos:
+        pos = end
+    return pos
+
+
+def _index_end(blob: bytes, pos: int) -> int:
+    """End of the run of index lines from pos: the start of the first line
+    off the grammar, or of the blob."""
+    end = _lines_end(INDEX_SHAPE, blob, pos, len(blob))
+    lines = blob[pos:end]
+    if lines.translate(None, INDEX_BYTES) or lines.count(b"\t") != 4 * lines.count(b"\n"):
+        # A field is off its alphabet: the strict grammar finds the first such line.
+        return _lines_end(INDEX_LINES, blob, pos, end)
+    return end
+
+
+def _refuse_unrecorded(fields: list[str], lengths: list[int]) -> None:
+    """Refuse the first index line, given as its fields, whose key repeats
+    or whose span lies outside its data device."""
+    seen: set[str] = set()
+    lines = iter(fields)
+    for line in zip(lines, lines, lines, lines, lines):
+        key, device, offset, length, _ = line
+        device = int(device)
+        if key in seen or device >= len(lengths) or int(offset) + int(length) > lengths[device]:
+            text = "\t".join(line)[:80].encode()
+            raise ClusterError(f"snapshot index line names no record {text!r}")
+        seen.add(key)
 
 
 def load_snapshot(blob: bytes) -> ParityCluster:
@@ -316,29 +365,27 @@ def load_snapshot(blob: bytes) -> ParityCluster:
         raise ClusterError("snapshot header lengths disagree with device count")
     cluster = ParityCluster(device_count)
     pos = header.end()
-    for i, n in enumerate(lengths + [int(header[3])]):
-        cluster._devices[i] = bytearray(blob[pos : pos + n])
-        if len(cluster._devices[i]) != n:
-            raise ClusterError(f"snapshot truncated inside device {i}")
-        pos += n
+    with memoryview(blob) as view:
+        for i, n in enumerate(lengths + [int(header[3])]):
+            cluster._devices[i] = bytearray(view[pos : pos + n])
+            if len(cluster._devices[i]) != n:
+                raise ClusterError(f"snapshot truncated inside device {i}")
+            pos += n
     cluster._lengths = lengths + [max(lengths)]
     cluster._written = None
-    index = cluster._index
-    end = pos  # the index holds up to its first malformed line
-    while end < len(blob):
-        chunk_end = INDEX_LINES.match(blob, end).end()
-        if chunk_end == end:
-            break
-        end = chunk_end
-    # Before end the grammar holds: ASCII lines of five tab-separated fields.
-    fields = iter(blob[pos:end].decode().replace("\n", "\t").split("\t"))
-    for line in zip(fields, fields, fields, fields, fields):
-        key, device, offset, length, record_hash = line
-        device, offset, length = int(device), int(offset), int(length)
-        if key in index or device >= device_count or offset + length > lengths[device]:
-            text = "\t".join(line)[:80].encode()
-            raise ClusterError(f"snapshot index line names no record {text!r}")
-        index[key] = RecordLocation(device, offset, length, record_hash)
+    end = _index_end(blob, pos)
+    fields = blob[pos:end].decode().split()
+    keys, hashes = fields[0::5], fields[4::5]
+    devices, offsets, sizes = (list(map(int, fields[i::5])) for i in (1, 2, 3))
+    if (
+        len(set(keys)) != len(keys)
+        or max(devices, default=0) >= device_count
+        or not all(map(le, map(add, offsets, sizes), map(lengths.__getitem__, devices)))
+    ):
+        _refuse_unrecorded(fields, lengths)
+    # RecordLocation._make, less its Python-level call per line.
+    records = map(tuple.__new__, repeat(RecordLocation), zip(devices, offsets, sizes, hashes))
+    cluster._index = dict(zip(keys, records))
     if end < len(blob):
         raise ClusterError(f"malformed snapshot index line {blob[end : end + 80]!r}")
     return cluster

@@ -10,10 +10,11 @@ Snapshot bytes: every byte of the demo cluster snapshot is flipped in
 turn. A flip in the header or the index is a format error; a flip in a
 device is found by ``scrub`` on exactly that device.
 
-Snapshot loader: on the demo snapshot, every flip of its index, and each
-bad index edit, ``load_snapshot`` gives what the line-by-line reference
-loader gives (the same cluster, or a ClusterError with the same message),
-and ``autobox audit`` prints and exits alike with either loader.
+Snapshot loader: on the demo snapshot, every flip of its index, an ASCII
+substitution at every byte of its index, and each bad index edit,
+``load_snapshot`` gives what the line-by-line reference loader gives (the
+same cluster, or a ClusterError with the same message), and ``autobox
+audit`` prints and exits alike with either loader.
 
 Scenario JSON: seeded mutations of ``scenarios/demo.json`` (a key
 deleted, or an odd value put at a random path) must end ``autobox run``
@@ -48,6 +49,9 @@ SUBSTITUTIONS = 600
 TRUNCATIONS = 200
 SCENARIO_MUTATIONS = 600
 RUN_BOUND_S = 10
+# What a flip never writes into an index: a tab or newline inside a field,
+# a letter off the hex alphabet in either case, a leading zero, a sign.
+INDEX_SUBSTITUTES = b"\t\nAg0-"
 
 
 @pytest.fixture(scope="module")
@@ -151,15 +155,32 @@ def test_every_snapshot_byte_flip_is_refused_or_located(demo_snapshot, tmp_path,
 
 def snapshot_cases(demo_snapshot: bytes):
     """(name, blob): the demo snapshot, every single-byte flip of its index,
-    and each bad index edit, also where a failing line precedes a
-    malformed one."""
+    every byte of its index replaced by a seeded choice of INDEX_SUBSTITUTES,
+    each index line repeated at the end and each made to end one byte past
+    its device, and each bad index edit, also where a failing line precedes
+    a malformed one. The seed puts each substitute on the first digit of
+    some number."""
     header = SNAPSHOT_HEADER.match(demo_snapshot)
-    start = header.end() + sum(int(n) for n in header[2].split(b",")) + int(header[3])
+    sizes = [int(n) for n in header[2].split(b",")]
+    start = header.end() + sum(sizes) + int(header[3])
+    rng = random.Random(4242)
     yield "demo", demo_snapshot
     for offset in range(start, len(demo_snapshot)):
         mutated = bytearray(demo_snapshot)
         mutated[offset] ^= 0xFF
         yield f"flip at {offset}", bytes(mutated)
+        mutated[offset] = rng.choice(INDEX_SUBSTITUTES)
+        if mutated[offset] != demo_snapshot[offset]:
+            yield f"{bytes(mutated[offset : offset + 1])!r} at {offset}", bytes(mutated)
+    pos = start
+    for n, line in enumerate(demo_snapshot[start:].splitlines(keepends=True)):
+        yield f"line {n} repeated", demo_snapshot + line
+        key, device, offset, _, rest = line.split(b"\t")
+        past = b"%d" % (sizes[int(device)] - int(offset) + 1)
+        edited = b"\t".join([key, device, offset, past, rest])
+        end = pos + len(line)
+        yield f"line {n} past its device", demo_snapshot[:pos] + edited + demo_snapshot[end:]
+        pos = end
     blob, junk = two_device_snapshot(), b"not an index line\n"
     yield "two-device", blob
     for edit, transform in sorted(BAD_INDEX_EDITS.items()):

@@ -537,17 +537,35 @@ def long_index_snapshot() -> bytes:
     return save_snapshot(cluster)
 
 
+def measure_matches(monkeypatch, name: str) -> list[int]:
+    """Wrap the parity pattern called name; return the list each of its
+    matches appends its tracemalloc peak to."""
+    pattern, peaks = getattr(parity, name), []
+
+    class Measured:
+        def match(self, *args):
+            tracemalloc.start()
+            try:
+                return pattern.match(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+    monkeypatch.setattr(parity, name, Measured())
+    return peaks
+
+
 class TestOneIndexMatch:
     def test_one_match_per_chunk(self, monkeypatch, demo_snapshot, long_index_snapshot):
-        """load_snapshot matches the index grammar once per INDEX_CHUNK lines."""
-        pattern, calls = parity.INDEX_LINES, []
+        """load_snapshot matches the index shape once per INDEX_CHUNK lines."""
+        pattern, calls = parity.INDEX_SHAPE, []
 
         class Counted:
             def match(self, *args):
                 calls.append(args)
                 return pattern.match(*args)
 
-        monkeypatch.setattr(parity, "INDEX_LINES", Counted())
+        monkeypatch.setattr(parity, "INDEX_SHAPE", Counted())
         for blob in (two_device_snapshot(), demo_snapshot, long_index_snapshot):
             calls.clear()
             lines = len(record_index(load_snapshot(blob)))
@@ -556,20 +574,25 @@ class TestOneIndexMatch:
     def test_each_match_keeps_one_chunk_of_state(self, monkeypatch, long_index_snapshot):
         """A match's regex state grows with INDEX_CHUNK, not with the index:
         one match of the whole 20,000-line index peaked at about 10 MB."""
-        pattern, peaks = parity.INDEX_LINES, []
-
-        class Measured:
-            def match(self, *args):
-                tracemalloc.start()
-                try:
-                    return pattern.match(*args)
-                finally:
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                    tracemalloc.stop()
-
-        monkeypatch.setattr(parity, "INDEX_LINES", Measured())
+        peaks = measure_matches(monkeypatch, "INDEX_SHAPE")
         load_snapshot(long_index_snapshot)
         assert len(peaks) == math.ceil(LONG_INDEX_LINES / parity.INDEX_CHUNK)
+        assert max(peaks) < 3_000_000
+
+    def test_strict_grammar_runs_only_on_a_broken_index(
+        self, monkeypatch, demo_snapshot, long_index_snapshot
+    ):
+        """A clean index passes the byte-class check, so INDEX_LINES never
+        runs; a hash off the hex alphabet fails it, and the strict grammar
+        then matches the good lines a chunk at a time, stopping at the
+        broken one, with one chunk of regex state per match."""
+        peaks = measure_matches(monkeypatch, "INDEX_LINES")
+        for blob in (demo_snapshot, long_index_snapshot):
+            load_snapshot(blob)
+        assert peaks == []
+        with pytest.raises(ClusterError, match="malformed snapshot index line"):
+            load_snapshot(long_index_snapshot[:-2] + b"X\n")
+        assert len(peaks) == math.ceil((LONG_INDEX_LINES - 1) / parity.INDEX_CHUNK) + 1
         assert max(peaks) < 3_000_000
 
     def test_long_index_loads_and_scrubs_clean(self, long_index_snapshot):
