@@ -5,8 +5,9 @@ Three layers, one library:
 1. ``dht`` — every module self-identifies with metadata hashes into an
    in-vehicle distributed hash table with bounded per-node stores, backed
    by ``parity`` clusters that detect and repair single-device damage.
-2. ``masternode`` — the head unit mirrors the table, captures order-free
-   meta-hash checkpoints, and buffers them through connectivity outages.
+2. ``masternode`` — the head unit mirrors the table, chains meta-hash
+   checkpoints over the mirror's increments, and buffers them through
+   connectivity outages.
 3. ``ledger`` — a simulated OEM full node chains the checkpoints into an
    append-only tamper-evident ledger and issues verdicts against a library
    of approved configurations.

@@ -151,8 +151,8 @@ def write_artifacts(result: ScenarioResult, outdir: Path) -> dict:
     """Write every machine artifact of a run into the existing ``outdir``;
     returns the report that report.json holds.
 
-    The ledger, verdicts and ground truth are streamed: no file's whole
-    text, nor an encoded copy of it, is ever held in memory."""
+    Every file but the snapshots is streamed: no file's whole text, nor
+    an encoded copy of it, is ever held in memory."""
     report = _build_report(result)
     with open(outdir / LEDGER_FILE, "wb") as f:
         f.writelines(block.file_record() for block in result.blocks)
@@ -160,8 +160,10 @@ def write_artifacts(result: ScenarioResult, outdir: Path) -> dict:
     _write_lines(outdir / GROUND_TRUTH_FILE, result.ground_truth)
     for name, blob in result.cluster_snapshots:
         (outdir / name).write_bytes(blob)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    (outdir / REPORT_FILE).write_bytes(text.encode("utf-8"))
+    with open(outdir / REPORT_FILE, "wb") as f:  # ASCII: json escapes the rest
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        f.writelines(chunk.encode() for chunk in chunks)
+        f.write(b"\n")
     return report
 
 

@@ -82,6 +82,7 @@ class StoreReceipt(NamedTuple):
     hops: int
     fallback: bool
     evicted: tuple[str, ...] = ()
+    stored: bool = True  # False when ``stored_at`` already held the key
 
 
 class DhtNode:
@@ -125,11 +126,12 @@ class DhtNode:
             evicted.append(record_key)
         return evicted
 
-    def insert(self, record: AuditRecord) -> list[str]:
+    def insert(self, record: AuditRecord) -> list[str] | None:
         """Store a record at the end, evicting covered records first if
-        space demands. A stored key stays as it is."""
+        space demands; returns the evicted keys. A stored key stays as it
+        is, and returns None."""
         if record.record_key in self._store:
-            return []
+            return None
         evicted = self.evict(len(record.line))
         self._store[record.record_key] = record
         self._used += len(record.line)
@@ -207,8 +209,9 @@ class DhtNetwork:
 
         Raises NodeUnavailable for an unknown origin or when no node is live.
         May raise CheckpointRequired from the target store; the caller is
-        expected to capture a checkpoint and retry. Re-putting a stored key
-        is idempotent: the stored record, and whether it is covered, stay.
+        expected to capture a checkpoint and retry. Re-putting a key its
+        target already stores is idempotent: the stored record, and whether
+        it is covered, stay, and the receipt says ``stored=False``.
         """
         target, hops = self.locate(origin, record.record_key)
         # Placed away from its owner exactly when a failed node is closer.
@@ -218,6 +221,8 @@ class DhtNetwork:
             distance = self._live[target] ^ key_int
             fallback = any(value ^ key_int < distance for value in self._failed.values())
         evicted = self._nodes[target].insert(record)
+        if evicted is None:
+            return StoreReceipt(target, hops, fallback, stored=False)
         return StoreReceipt(target, hops, fallback, tuple(evicted))
 
     def cover(self) -> None:

@@ -325,14 +325,24 @@ class FullNode:
         self.critical_variants = critical_variants
         self.chain: list[LedgerBlock] = []
         self._last_seq: dict[str, int] = {}
-        self._variants: dict[str, str] = {}
+        # Vehicle key -> its registered variants, sorted; two mean a clone.
+        self._variants: dict[str, tuple[str, ...]] = {}
 
     # -- registration ------------------------------------------------------
 
-    def register_vehicle(self, vehicle_key: str, variant: str) -> None:
-        self._variants[vehicle_key] = variant
+    def register_vehicle(self, vehicle_key: str, variant: str) -> str | None:
+        """Register a vehicle key for a variant, never replacing one: a key
+        registered for a second variant keeps both, and the alert naming the
+        conflict is returned. Otherwise returns None."""
+        held = self._variants.get(vehicle_key, ())
+        if variant in held:
+            return None
+        variants = self._variants[vehicle_key] = tuple(sorted((*held, variant)))
+        if len(variants) == 1:
+            return None
+        return f"vehicle key {vehicle_key[:12]}… registered for variants {' and '.join(variants)}"
 
-    def variant_of(self, vehicle_key: str) -> str:
+    def variants_of(self, vehicle_key: str) -> tuple[str, ...]:
         try:
             return self._variants[vehicle_key]
         except KeyError:
@@ -371,14 +381,23 @@ class FullNode:
     # -- verdicts ------------------------------------------------------------
 
     def evaluate(self, submission: Submission, *, tamper_flag: bool = False) -> Verdict:
-        """Run the OEM checksum for a submission's registered variant."""
+        """Run the OEM checksum for a submission's registered variant.
+
+        A conflicted key is judged against none of its variants: its
+        checkpoints are ``ServiceNeeded``, or ``Immobilize`` with the tamper
+        flag set, whatever their digest.
+        """
         if self.library is None:
             raise UnknownVariantError("no approved library configured")
-        variant = self.variant_of(submission.vehicle_key)
+        variants = self.variants_of(submission.vehicle_key)
+        if len(variants) > 1:
+            status = VerdictStatus.IMMOBILIZE if tamper_flag else VerdictStatus.SERVICE_NEEDED
+            reason = f"vehicle key registered for variants {' and '.join(variants)}"
+            return Verdict(status, reason, submission.vehicle_key, submission.checkpoint_seq)
         return oem_checksum(
             submission,
             self.library,
-            variant,
+            variants[0],
             critical_variants=self.critical_variants,
             tamper_flag=tamper_flag,
         )

@@ -1,23 +1,22 @@
-"""Master unit: full mirror, checkpoint meta-hashes, buffered uplink.
+"""Master unit: mirror, chained checkpoint meta-hashes, buffered uplink.
 
 The master mirrors, captures, queues and drains. When to checkpoint (each
 interval, each mileage stride, each service or reflash event, and a store
 too full of uncovered records to take the next one) is the vehicle
 timeline's call; ``capture_meta_hash`` captures whenever asked.
 
-Every record enters the in-vehicle table through ``MasterNode.put``, which
-mirrors what the table accepts, so the mirror never lags the table and a
-checkpoint is a pure function of the mirror: the meta digest folds the
-(record key, payload hash) pairs in key order, making it independent of
-insertion order and reproducible from any node dump. It is a two-level
-hash (``meta_digest``): the pairs fall into 64 buckets by the top six bits
-of their key, each bucket hashes its pairs, and the top level hashes the
-digests of the non-empty buckets. The mirror holds each bucket as raw
-64-byte ``key‖payload_hash`` strings in sorted order, and keeps each
-bucket's digest, so a capture re-hashes only the buckets that gained a
-pair since the last capture. Capturing a checkpoint is also what unlocks
-eviction down in the node stores: the capture covers every record stored
-so far, and only covered records may be dropped.
+Every record enters the in-vehicle table through ``MasterNode.put``,
+which mirrors the (record key, payload hash) pair of each record a store
+takes as new (``StoreReceipt.stored``): a re-put that finds its key in its
+target store mirrors nothing, one that lands on another store is mirrored
+again. The checkpoints chain the mirror's increments: capture s hashes
+capture s-1's raw digest (nothing before the first) and the pairs mirrored
+since, as raw 64-byte ``key‖payload_hash`` strings in sorted order
+(``meta_digest``). A capture thus costs its own segment, not the history,
+and the master keeps only the chain head, the pairs since and a count,
+``covered_records``. Capturing also unlocks eviction in the node stores:
+only covered records may be dropped, so an evicted record is always
+vouched for by a checkpoint already queued.
 
 Outbound, the master feeds a light client buffer. Each checkpoint queues
 as the Submission the full node will receive, stamped with the vehicle key
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -50,7 +48,7 @@ from .dht import DhtNetwork, StoreReceipt
 
 @dataclass(frozen=True, slots=True)
 class MetaHash:
-    """One checkpoint: a digest over the entire mirrored table."""
+    """One checkpoint: a link of the chain over the mirror's increments."""
 
     digest: str
     covered_records: int
@@ -115,28 +113,17 @@ class LightClientBuffer:
     pending: list[Submission] = field(default_factory=list)
 
 
-BUCKETS = 64  # a pair's bucket is the top six bits of its raw key
+def meta_digest(pairs: Iterable[tuple[str, str]], prev: bytes = b"") -> str:
+    """One link of the checkpoint chain: the SHA-256 of ``prev``, then the
+    (record_key, payload_hash) pairs as raw 64-byte strings in sorted order.
 
-
-def meta_digest(pairs: Iterable[tuple[str, str]]) -> str:
-    """Fold (record_key, payload_hash) pairs into one order-free digest.
-
-    Each pair goes, as its raw 64 bytes, to bucket ``key[0] >> 2``. A
-    bucket's digest is the SHA-256 of its pairs sorted by key; the meta
-    digest is the SHA-256 of the 32-byte digests of the non-empty buckets,
-    in bucket order. The empty set hashes to SHA-256 of the empty byte
-    string. This is the reference definition; ``MasterNode`` computes the
-    same value incrementally.
+    ``prev`` is the previous link's 32-byte digest, or empty for the first.
+    Keys and payload hashes are 64 lowercase hex characters, so the pairs'
+    text order is their byte order. With no pairs and no ``prev`` this is
+    the SHA-256 of the empty byte string.
     """
-    buckets: list[list[bytes]] = [[] for _ in range(BUCKETS)]
-    for key, payload in pairs:
-        pair = bytes.fromhex(key + payload)
-        buckets[pair[0] >> 2].append(pair)
-    top = hashlib.sha256()
-    for bucket in buckets:
-        if bucket:
-            top.update(hashlib.sha256(b"".join(sorted(bucket))).digest())
-    return top.hexdigest()
+    raw = bytes.fromhex("".join(k + p for k, p in sorted(pairs)))
+    return hashlib.sha256(prev + raw).hexdigest()
 
 
 class MasterNode:
@@ -147,61 +134,34 @@ class MasterNode:
         self.buffer = LightClientBuffer()
         self.online = True  # uplink state; offline, the backlog waits
         self.captures: list[MetaHash] = []  # every checkpoint taken, in order
-        # Raw key‖payload_hash pairs per bucket, sorted by key; each bucket's
-        # digest as of the last capture (b"" while empty), and the buckets
-        # that gained a pair since.
-        self._buckets: list[list[bytes]] = [[] for _ in range(BUCKETS)]
-        self._digests: list[bytes] = [b""] * BUCKETS
-        self._dirty: set[int] = set()
+        # The chain head (b"" before the first capture), the pairs mirrored
+        # since, and how many pairs the captures so far cover.
+        self._head = b""
+        self._pending: list[tuple[str, str]] = []
+        self._covered = 0
 
     # -- mirror -----------------------------------------------------------
 
     def put(self, origin: str, record: AuditRecord) -> StoreReceipt:
-        """The one way into the table: store from ``origin``, then mirror."""
+        """The one way into the table: store from ``origin``, then mirror
+        the record if its store took it as new."""
         receipt = self.network.put(origin, record)
-        self.mirror_update(record)
+        if receipt.stored:
+            self._pending.append((record.record_key, record.payload_hash))
         return receipt
-
-    def mirror_update(self, record: AuditRecord) -> None:
-        """Fold one accepted record into the full mirror (idempotent).
-
-        Keys are fixed-length lowercase hex, so raw-byte order is the key
-        order ``meta_digest`` sorts by; a key already mirrored is kept.
-        """
-        pair = bytes.fromhex(record.record_key + record.payload_hash)
-        key = pair[:32]
-        n = pair[0] >> 2
-        bucket = self._buckets[n]
-        i = bisect_left(bucket, key)
-        if i == len(bucket) or bucket[i][:32] != key:
-            bucket.insert(i, pair)
-            self._dirty.add(n)
-
-    @property
-    def mirror_size(self) -> int:
-        return sum(map(len, self._buckets))
-
-    def mirrored(self, record_key: str) -> str | None:
-        """Payload hash mirrored under a record key, or None."""
-        key = bytes.fromhex(record_key)
-        bucket = self._buckets[key[0] >> 2]
-        i = bisect_left(bucket, key)
-        if i < len(bucket) and bucket[i][:32] == key:
-            return bucket[i][32:].hex()
-        return None
 
     # -- checkpoints --------------------------------------------------------
 
     def capture_meta_hash(self, trigger: EventType, sim_time: int, vehicle_key: str) -> MetaHash:
         """Checkpoint the mirror, unlock eviction of everything covered and
         queue the checkpoint for the full node, stamped with ``vehicle_key``."""
-        for n in self._dirty:
-            self._digests[n] = hashlib.sha256(b"".join(self._buckets[n])).digest()
-        self._dirty.clear()
-        digest = hashlib.sha256(b"".join(self._digests)).hexdigest()
+        digest = meta_digest(self._pending, self._head)
+        self._head = bytes.fromhex(digest)
+        self._covered += len(self._pending)
+        self._pending.clear()
         mh = MetaHash(
             digest=digest,
-            covered_records=self.mirror_size,
+            covered_records=self._covered,
             checkpoint_seq=len(self.captures) + 1,
             sim_time=sim_time,
             trigger=trigger,

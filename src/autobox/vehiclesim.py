@@ -30,7 +30,8 @@ Fleet runs share one full node. Vehicles are simulated one at a time, and
 each is dropped once its timeline ends and its outcome, alerts, snapshots
 and drained batches are kept. The batches are then merged by (sim_time,
 vehicle_key, VIN) and every vehicle key is registered in VIN order before
-blocks are appended, so results are independent of vehicle order.
+blocks are appended, so results are independent of vehicle order. A key
+registered for two variants is a conflict: an alert and a finding.
 """
 
 from __future__ import annotations
@@ -938,18 +939,21 @@ class ScenarioResult:
     ground_truth: tuple[str, ...]
     cluster_snapshots: tuple[tuple[str, bytes], ...] = ()  # (filename, blob)
     rejected_checkpoints: int = 0  # submissions the full node refused
+    key_conflicts: int = 0  # registrations of a key for a second variant
 
     @property
     def findings(self) -> bool:
-        """A verdict other than Approved, a rejected checkpoint, a latched tamper
-        flag, or, in a run with a library, an accepted checkpoint with no verdict."""
+        """A verdict other than Approved, a rejected checkpoint, a key
+        registered for two variants, a latched tamper flag, or, in a run with
+        a library, an accepted checkpoint with no verdict."""
         if any(v.status is not VerdictStatus.APPROVED for v in self.verdicts):
             return True
         if self.scenario.approved_library is not None and len(self.verdicts) < sum(
             len(block.entries) for block in self.blocks
         ):
             return True
-        return self.rejected_checkpoints > 0 or any(v.tamper_flag for v in self.vehicles)
+        problems = self.rejected_checkpoints + self.key_conflicts
+        return problems > 0 or any(v.tamper_flag for v in self.vehicles)
 
     def observed_library(self) -> dict[str, tuple[str, ...]]:
         """Capture digests per variant, for seeding an approved library."""
@@ -1007,11 +1011,14 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         library=scenario.approved_library,
         critical_variants=scenario.critical_variants,
     )
-    # VIN order, so a key two vehicles share maps to one variant whatever
-    # the lane order.
+    # VIN order, so the alerts come in one order whatever the lane order.
+    conflicts = 0
     for outcome in sorted(outcomes, key=lambda o: o.vin):
         for key in outcome.vehicle_keys:
-            full_node.register_vehicle(key, outcome.variant_code)
+            conflict = full_node.register_vehicle(key, outcome.variant_code)
+            if conflict:
+                alerts.append(conflict)
+                conflicts += 1
 
     # The newest submission carries the key of the last capture, not the
     # vehicle's current key, which a silent swap since may have changed.
@@ -1049,4 +1056,5 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         ground_truth=tuple(ground_truth),
         cluster_snapshots=tuple(snapshots),
         rejected_checkpoints=rejected,
+        key_conflicts=conflicts,
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import re
 import sys
@@ -176,6 +177,21 @@ def stored_records(node: DhtNode) -> dict[str, AuditRecord]:
 
 def store_bytes(node: DhtNode) -> int:
     return node._used
+
+
+# -- the checkpoint chain, folded from its capture segments ------------------
+
+
+def chain_digests(segments: Iterable[Iterable[tuple[str, str]]]) -> list[str]:
+    """The meta digest of each capture, from the (record_key, payload_hash)
+    pairs mirrored in each capture segment: every link hashes the previous
+    link's raw digest, then its segment's raw 64-byte pairs in byte order."""
+    digests, head = [], b""
+    for pairs in segments:
+        raw = sorted(bytes.fromhex(key) + bytes.fromhex(payload) for key, payload in pairs)
+        head = hashlib.sha256(head + b"".join(raw)).digest()
+        digests.append(head.hex())
+    return digests
 
 
 # -- cluster state, read where ParityCluster keeps it ------------------------

@@ -144,7 +144,8 @@ def test_criterion_3_constrained_memory_budget():
             puts += 1
         assert puts == 10_000
         assert evictions > 0
-        assert master.mirror_size == 10_000
+        last = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10_000, "ab" * 32)
+        assert last.covered_records == 10_000  # every put mirrored, once
 
 
 def test_criterion_4_meta_hash_invariance():

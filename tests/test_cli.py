@@ -14,7 +14,7 @@ import pytest
 from autobox import cli, parity
 from autobox.ledger import load_ledger
 from autobox.parity import ParityCluster, save_snapshot
-from autobox.vehiclesim import parse_scenario, run_scenario
+from autobox.vehiclesim import load_scenario, parse_scenario, run_scenario
 
 from conftest import BAD_INDEX_EDITS, VIN, load_from_file, two_device_snapshot
 
@@ -695,6 +695,24 @@ class TestStreamedArtifacts:
         assert written == sum(len(line) + 1 for line in result.ground_truth)
         assert peak < written / 4, (peak, written)
 
+    def test_report_streamed_with_the_bytes_of_one_dump(self, tmp_path):
+        """report.json is encoded a chunk at a time, into the bytes one
+        ``json.dumps`` would give: a report of many alerts costs the writer a
+        fraction of its size."""
+        result = run_scenario(load_scenario(DEMO_SCENARIO))
+        alerts = tuple(f"t={t} alert {'x' * 80}" for t in range(2_000))
+        result = replace(result, alerts=alerts, ground_truth=())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = cli.write_artifacts(result, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        written = (tmp_path / cli.REPORT_FILE).read_bytes()
+        assert written == (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+        assert peak < len(written) / 4, (peak, len(written))
+
 
 class TestVerify:
     def fresh_ledger(self, tmp_path):
@@ -770,11 +788,11 @@ class TestHistory:
         assert capsys.readouterr().out == (
             "seq  meta_digest                                                       "
             "trigger           sim_time  block\n"
-            "3    7440f2e2773b4be843526ccc1ac3897a50e38496a30dcb8d0de6f8a9af038bea  "
+            "3    b6b4d4f346e3047a0752f1a934ed810713bd66d00daf260e7d144995c7195068  "
             "Reflash           6000      2\n"
-            "4    75d6908237450269a80c2d6c8a1a2dab7579defbf83a07225e720c2729cfc0f1  "
+            "4    239a85aecd8cfb7da722a3b3950937b25c37e579993c0608997cc93d5bfcf4e5  "
             "MileageThreshold  9000      3\n"
-            "5    3bcb8955be1d34d1a40f5aabeb4908819b9c937f894631432b1d7104037550a7  "
+            "5    64bfb0607e6493c92a2faeb4613427733e2e2fad3fc02186822957b3a0cc22f0  "
             "PeriodicInterval  12600     4\n"
         )
 

@@ -147,7 +147,8 @@ class TestPutGet:
         record = make_record()
         first = network.put(node, record)
         second = network.put(node, record)
-        assert second == first
+        assert first.stored and not second.stored
+        assert second == first._replace(stored=False)
         assert len(stored_records(dht_node(network, node))) == 1
 
     def test_fallback_placement_and_recovery_read(self):

@@ -313,6 +313,32 @@ class TestFullNodeEvaluateAndHistory:
         verdict = node.evaluate(make_submission(digest="aa" * 32))
         assert verdict.status is VerdictStatus.APPROVED
 
+    def test_key_registered_for_two_variants_is_a_conflict(self):
+        """A second variant never replaces the first: the key keeps both, the
+        registration returns the alert, and its checkpoints are judged
+        against neither variant."""
+        lib = {"EU-BASE": ["aa" * 32], "EU-SPORT": ["bb" * 32]}
+        node = FullNode(library=lib)
+        assert node.register_vehicle("ab" * 32, "EU-SPORT") is None
+        assert node.register_vehicle("ab" * 32, "EU-SPORT") is None  # same variant: silent
+        assert node.register_vehicle("ab" * 32, "EU-BASE") == (
+            "vehicle key abababababab… registered for variants EU-BASE and EU-SPORT"
+        )
+        assert node.register_vehicle("ab" * 32, "EU-BASE") is None
+        assert node.variants_of("ab" * 32) == ("EU-BASE", "EU-SPORT")
+        for digest in ("aa" * 32, "bb" * 32, "cc" * 32):
+            for tamper_flag, status in (
+                (False, VerdictStatus.SERVICE_NEEDED),
+                (True, VerdictStatus.IMMOBILIZE),
+            ):
+                verdict = node.evaluate(make_submission(digest=digest), tamper_flag=tamper_flag)
+                assert verdict.status is status
+                assert verdict.reason == "vehicle key registered for variants EU-BASE and EU-SPORT"
+        node.register_vehicle("cd" * 32, "EU-BASE")
+        assert node.evaluate(make_submission(key="cd" * 32, digest="aa" * 32)).status is (
+            VerdictStatus.APPROVED
+        )
+
     def test_unregistered_vehicle_raises(self):
         node = FullNode(library={"EU-BASE": ["aa" * 32]})
         with pytest.raises(UnknownVehicleError):

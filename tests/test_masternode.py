@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
+import sys
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from autobox.auditcore import AuditRecord, EventType, compute_record_key, identity_hash
 from autobox import masternode
 from autobox.dht import CheckpointRequired, DhtNetwork, node_id_for_serial
+from autobox.vehiclesim import Vehicle, parse_scenario, run_scenario
 from autobox.masternode import (
     MasterNode,
     Submission,
@@ -17,9 +21,19 @@ from autobox.masternode import (
     meta_digest,
 )
 
-from conftest import EMPTY_SHA256, dht_node, make_metadata, store_bytes, stored_records
+from conftest import (
+    EMPTY_SHA256,
+    chain_digests,
+    dht_node,
+    load_from_file,
+    make_metadata,
+    owner_of,
+    store_bytes,
+    stored_records,
+)
 
 VKEY = "ab" * 32
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 
 def single_node_setup(store_limit=1 << 20):
@@ -43,52 +57,62 @@ class TestMetaDigest:
     def test_order_free(self):
         pairs = [("aa" * 32, "bb" * 32), ("cc" * 32, "dd" * 32)]
         assert meta_digest(pairs) == meta_digest(reversed(pairs))
+        assert meta_digest(pairs, b"\x01" * 32) == meta_digest(reversed(pairs), b"\x01" * 32)
 
-    def test_matches_two_level_oracle(self):
-        """Independent oracle: bucket the dump pairs by the top six bits of
-        the key, hash each bucket's sorted pairs, hash the non-empty ones."""
+    def test_matches_chain_link_oracle(self):
+        """Independent oracle: the previous raw digest, then the segment's
+        raw pairs sorted as bytes, hashed once."""
         rng = random.Random(60)
-        for size in (1, 3, 40, 300):
+        for size in (0, 1, 3, 40, 300):
             pairs = [
                 (f"{rng.getrandbits(256):064x}", f"{rng.getrandbits(256):064x}")
                 for _ in range(size)
             ]
-            buckets: dict[int, list[tuple[str, str]]] = {}
-            for key, payload in pairs:
-                buckets.setdefault(int(key[:2], 16) // 4, []).append((key, payload))
-            top = b"".join(
-                hashlib.sha256(
-                    b"".join(bytes.fromhex(k + p) for k, p in sorted(buckets[n]))
-                ).digest()
-                for n in sorted(buckets)
-            )
-            assert meta_digest(pairs) == hashlib.sha256(top).hexdigest()
+            for prev in (b"", rng.randbytes(32)):
+                raw = sorted(bytes.fromhex(k) + bytes.fromhex(p) for k, p in pairs)
+                expected = hashlib.sha256(prev + b"".join(raw)).hexdigest()
+                assert meta_digest(pairs, prev) == expected
 
     def test_hand_computed_vector(self):
-        """Keys 0x00.. and 0x03.. share bucket 0; 0xfc.. is alone in bucket 63."""
+        """Two links: keys 0x00.. and 0x03.. in the first segment, 0xfc.. in
+        the second, hashed after the first link's raw digest."""
         k0, p0 = "00" * 32, "11" * 32
         k1, p1 = "03" + "ff" * 31, "22" * 32
         k2, p2 = "fc" + "00" * 31, "33" * 32
-        bucket_0 = hashlib.sha256(bytes.fromhex(k0 + p0 + k1 + p1)).digest()
-        bucket_63 = hashlib.sha256(bytes.fromhex(k2 + p2)).digest()
-        expected = hashlib.sha256(bucket_0 + bucket_63).hexdigest()
-        assert expected == "17bf767b6e4bcd006216823fbb2d9c963098540400fbf746bf7df86eb9ced28b"
-        assert meta_digest([(k2, p2), (k1, p1), (k0, p0)]) == expected
+        first = hashlib.sha256(bytes.fromhex(k0 + p0 + k1 + p1)).hexdigest()
+        assert first == "d160fc092046aa999eff35166124b797b439ccb208b07a39b5a5a44beac5f962"
+        assert meta_digest([(k1, p1), (k0, p0)]) == first
+        second = hashlib.sha256(bytes.fromhex(first + k2 + p2)).hexdigest()
+        assert second == "d6d31a79d13f0b90121b7dd18e3cca0e0bf40a52f738daef8e248d3e7ece336e"
+        assert meta_digest([(k2, p2)], bytes.fromhex(first)) == second
+        assert chain_digests([[(k0, p0), (k1, p1)], [(k2, p2)]]) == [first, second]
 
 
 class TestMirror:
-    def test_put_then_mirror_contains_record(self):
+    def test_put_mirrors_a_new_record(self):
         _, node, master = single_node_setup()
         record = make_record(sim_time=1)
-        master.put(node, record)
-        assert master.mirrored(record.record_key) == record.payload_hash
+        assert master.put(node, record).stored
+        mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 2, VKEY)
+        assert mh.digest == meta_digest([(record.record_key, record.payload_hash)])
+        assert mh.covered_records == 1
 
-    def test_duplicate_mirror_update_idempotent(self):
-        _, node, master = single_node_setup()
+    def test_re_put_of_a_stored_key_mirrors_nothing(self):
+        """Idempotent re-put: the store keeps its record, the receipt says
+        nothing was stored, and the mirror does not grow, before a capture
+        and after one."""
+        network, node, master = single_node_setup()
         record = make_record(sim_time=1)
-        master.put(node, record)
-        master.mirror_update(record)
-        assert master.mirror_size == 1
+        first = master.put(node, record)
+        assert not master.put(node, record).stored
+        mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 2, VKEY)
+        assert not master.put(node, record).stored
+        assert mh.covered_records == 1
+        after = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 3, VKEY)
+        assert after.covered_records == 1
+        assert after.digest == meta_digest([], bytes.fromhex(mh.digest))
+        assert stored_records(dht_node(network, node)) == {record.record_key: record}
+        assert first.stored
 
     def test_mirror_counts_all_records_across_nodes(self):
         rng = random.Random(61)
@@ -102,11 +126,12 @@ class TestMirror:
         for i in range(100):
             record = make_record("ECU", sim_time=i)
             master.put(nodes[rng.randrange(8)], record)
-        assert master.mirror_size == 100
+        mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 100, VKEY)
+        assert mh.covered_records == 100
 
     def test_repeated_record_is_mirrored_once(self):
         """A key fixes its payload hash: a forged twin cannot be made."""
-        _, _, master = single_node_setup()
+        _, node, master = single_node_setup()
         record = make_record(sim_time=1)
         forged = replace(record, payload_hash="00" * 32)
         assert forged.record_key == compute_record_key(
@@ -121,32 +146,78 @@ class TestMirror:
                 sim_time=record.sim_time,
                 payload_hash="00" * 32,
             )
-        master.mirror_update(record)
-        master.mirror_update(make_record(sim_time=1))
-        assert master.mirror_size == 1
-        assert master.mirrored(record.record_key) == record.payload_hash
-
-    def test_unknown_key_not_mirrored(self):
-        _, _, master = single_node_setup()
-        master.mirror_update(make_record(sim_time=1))
-        assert master.mirrored("00" * 32) is None
-        assert master.mirrored("ff" * 32) is None
+        master.put(node, record)
+        master.put(node, make_record(sim_time=1))
+        mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 2, VKEY)
+        assert mh.covered_records == 1
+        assert mh.digest == meta_digest([(record.record_key, record.payload_hash)])
 
     def test_random_orders_with_repeats_match_reference_digest(self):
-        """Any insertion order, keys repeated: the capture equals meta_digest."""
+        """Any insertion order, keys repeated, captures at random points: each
+        capture equals the reference fold over the segments of new records."""
         rng = random.Random(62)
         records = [make_record("ECU", sim_time=t) for t in range(40)]
-        reference = meta_digest((r.record_key, r.payload_hash) for r in records)
+        pair = {r.record_key: (r.record_key, r.payload_hash) for r in records}
         for _ in range(8):
-            _, _, master = single_node_setup()
+            _, node, master = single_node_setup()
             feed = records + [rng.choice(records) for _ in range(25)]
             rng.shuffle(feed)
+            segments: list[list[tuple[str, str]]] = [[]]
+            seen: set[str] = set()
             for record in feed:
-                master.mirror_update(record)
-            assert master.mirror_size == len(records)
+                master.put(node, record)
+                if record.record_key not in seen:
+                    seen.add(record.record_key)
+                    segments[-1].append(pair[record.record_key])
+                if rng.random() < 0.1:
+                    master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10, VKEY)
+                    segments.append([])
             mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10, VKEY)
-            assert mh.digest == reference
+            assert [c.digest for c in master.captures] == chain_digests(segments)
             assert mh.covered_records == len(records)
+
+
+class TestReputAcrossNodeFailure:
+    """One record put twice at one sim_time, its store failed in between: the
+    second put lands on another store, which takes it as new, so its pair
+    is mirrored again, in whichever segment the second put falls."""
+
+    def two_node_setup(self):
+        network = DhtNetwork(store_limit_bytes=1 << 20)
+        nodes = [node_id_for_serial(f"pair-{i}") for i in range(2)]
+        for node in nodes:
+            network.add_node(node)
+        return network, nodes, MasterNode(network)
+
+    def fail_holder_and_re_put(self, network, nodes, master, record):
+        holder = owner_of(record.record_key, nodes)
+        network.fail_node(holder)
+        receipt = master.put(holder, record)
+        assert receipt.stored and receipt.fallback and receipt.stored_at != holder
+        network.recover_node(holder)
+        # Back on the owner, which still holds the key: nothing new is stored.
+        assert not master.put(holder, record).stored
+
+    def test_inside_one_capture_segment(self):
+        network, nodes, master = self.two_node_setup()
+        record = make_record(sim_time=7)
+        pair = (record.record_key, record.payload_hash)
+        assert master.put(nodes[0], record).stored
+        self.fail_holder_and_re_put(network, nodes, master, record)
+        mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 7, VKEY)
+        assert mh.covered_records == 2
+        assert [mh.digest] == chain_digests([[pair, pair]])
+
+    def test_across_a_capture(self):
+        network, nodes, master = self.two_node_setup()
+        record = make_record(sim_time=7)
+        pair = (record.record_key, record.payload_hash)
+        assert master.put(nodes[0], record).stored
+        assert master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 7, VKEY).covered_records == 1
+        self.fail_holder_and_re_put(network, nodes, master, record)
+        mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 7, VKEY)
+        assert mh.covered_records == 2
+        assert [c.digest for c in master.captures] == chain_digests([[pair], [pair]])
 
 
 class TestCapture:
@@ -196,9 +267,9 @@ class TestCapture:
         for record in later:
             assert stored_records(store).get(record.record_key) == record
 
-    def test_capture_hashes_only_the_touched_buckets(self, monkeypatch):
-        """Each capture hashes the buckets that gained a pair since the last
-        one, in full, plus the 32-byte digest of every non-empty bucket."""
+    def test_capture_hashes_only_its_segment(self, monkeypatch):
+        """Each capture hashes the previous 32-byte digest, if any, and the
+        64-byte pairs mirrored since, whatever the history before them."""
         hashed = [0]
 
         class CountingSha256:
@@ -217,24 +288,21 @@ class TestCapture:
                 return self._h.hexdigest()
 
         records = [make_record("ECU", sim_time=t) for t in range(230)]
-        _, _, master = single_node_setup()
+        _, node, master = single_node_setup()
         monkeypatch.setattr(masternode, "hashlib", SimpleNamespace(sha256=CountingSha256))
-        sizes: dict[int, int] = {}  # bucket -> pairs in it
+        segments = []
         for batch in (records[:200], records[200:203], [], records[:5], records[203:]):
-            touched = set()
+            segment = []
             for record in batch:
-                bucket = int(record.record_key[:2], 16) >> 2
-                if master.mirrored(record.record_key) is None:
-                    sizes[bucket] = sizes.get(bucket, 0) + 1
-                    touched.add(bucket)
-                master.mirror_update(record)
+                if master.put(node, record).stored:
+                    segment.append((record.record_key, record.payload_hash))
+            segments.append(segment)
             hashed[0] = 0
             mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, 10, VKEY)
-            assert hashed[0] == sum(64 * sizes[n] for n in touched) + 32 * len(sizes)
-            assert mh.covered_records == sum(sizes.values())
+            assert hashed[0] == 64 * len(segment) + 32 * (len(segments) > 1)
+            assert mh.covered_records == sum(map(len, segments))
         monkeypatch.undo()
-        reference = meta_digest((r.record_key, r.payload_hash) for r in records)
-        assert master.captures[-1].digest == reference
+        assert [mh.digest for mh in master.captures] == chain_digests(segments)
 
     def test_capture_retained_and_buffered(self):
         _, _, master = single_node_setup()
@@ -242,6 +310,91 @@ class TestCapture:
         assert master.buffer.pending == [
             Submission(VKEY, mh.checkpoint_seq, mh.digest, mh.trigger, mh.sim_time)
         ]
+
+
+class TestChainCost:
+    """Long-haul-like runs of 2, 4 and 8 days: captures cost their
+    increments, so what they hash grows linearly with the horizon, and the
+    master keeps nothing but its capture list that grows with it."""
+
+    def test_capture_bytes_linear_and_state_flat(self, monkeypatch):
+        workloads = load_from_file("perfbench_workloads", WORKLOADS)
+        hashed = [0]
+        sha256 = hashlib.sha256
+
+        class CountingSha256:
+            def __init__(self, data=b""):
+                self._h = sha256()
+                self.update(data)
+
+            def update(self, data):
+                hashed[0] += len(data)
+                self._h.update(data)
+
+            def digest(self):
+                return self._h.digest()
+
+            def hexdigest(self):
+                return self._h.hexdigest()
+
+        monkeypatch.setattr(masternode, "hashlib", SimpleNamespace(sha256=CountingSha256))
+        costs, states = [], []
+        for days in (2, 4, 8):
+            monkeypatch.setattr(workloads, "LONG_HAUL_DAYS", days)
+            scenario = parse_scenario(workloads.build("long-haul", 1).scenario)
+            (lane,) = scenario.lanes
+            vehicle = Vehicle(lane.config, [])
+            hashed[0] = 0
+            vehicle.run(lane.events, scenario.duration_s)
+            costs.append(hashed[0])
+            master = vehicle.master
+            assert len(master.captures) >= 24 * days
+            kept = vars(master).keys() - {"captures", "network"}
+            states.append({name: deep_size(getattr(master, name)) for name in sorted(kept)})
+        assert all(later <= 2.2 * earlier for earlier, later in zip(costs, costs[1:])), costs
+        assert states[0] == states[1] == states[2]
+
+
+    def test_long_haul_digests_fold_from_the_mirrors_increments(self, monkeypatch):
+        """A whole run, a node failure and its recovery included: the digests
+        are the reference fold over the pairs each store took as new."""
+        workloads = load_from_file("perfbench_workloads", WORKLOADS)
+        monkeypatch.setattr(workloads, "LONG_HAUL_DAYS", 2)
+        segments: list[list[tuple[str, str]]] = [[]]
+        put, capture = MasterNode.put, MasterNode.capture_meta_hash
+
+        def logged_put(master, origin, record):
+            receipt = put(master, origin, record)
+            if receipt.stored:
+                segments[-1].append((record.record_key, record.payload_hash))
+            return receipt
+
+        def logged_capture(master, *args):
+            segments.append([])
+            return capture(master, *args)
+
+        monkeypatch.setattr(MasterNode, "put", logged_put)
+        monkeypatch.setattr(MasterNode, "capture_meta_hash", logged_capture)
+        result = run_scenario(parse_scenario(workloads.build("long-haul", 1).scenario))
+        assert any('"node_failure"' in line for line in result.ground_truth)
+        (outcome,) = result.vehicles
+        assert [mh.digest for mh in outcome.captures] == chain_digests(segments[:-1])
+        assert outcome.captures[-1].covered_records == sum(map(len, segments[:-1]))
+
+
+def deep_size(value) -> int:
+    """Bytes of a value and of the containers, dataclasses and values inside
+    it; an enum member, shared by every holder, counts nothing."""
+    if isinstance(value, Enum):
+        return 0
+    size = sys.getsizeof(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        size += sum(map(deep_size, value))
+    elif isinstance(value, dict):
+        size += sum(deep_size(k) + deep_size(v) for k, v in value.items())
+    elif is_dataclass(value):
+        size += sum(deep_size(getattr(value, f.name)) for f in fields(value))
+    return size
 
 
 class TestSubmitPending:
@@ -298,32 +451,37 @@ class TestEvictionCoupling:
     def test_record_evicted_only_after_coverage(self):
         """Cross-module: eviction at level 1 requires checkpoint coverage.
 
-        Every evicted key must already sit in the master mirror, i.e. some
-        pending-or-submitted meta-hash covered it before it was dropped.
+        Every evicted key must have been mirrored before the latest capture,
+        i.e. some pending-or-submitted meta-hash covered it before it was
+        dropped.
         """
         network = DhtNetwork(store_limit_bytes=512)
         node = node_id_for_serial("solo")
         network.add_node(node)
         master = MasterNode(network)
         evicted_keys: list[str] = []
-        mirror_at_eviction: dict[str, bool] = {}
+        mirrored: list[str] = []  # keys in the order their pairs were mirrored
+        covered = 0  # how many of them the latest capture covers
         for t in range(40):
             record = make_record("ECU", sim_time=t)
             try:
                 receipt = master.put(node, record)
             except CheckpointRequired:
-                master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t, VKEY)
+                covered = master.capture_meta_hash(
+                    EventType.PERIODIC_INTERVAL, t, VKEY
+                ).covered_records
                 receipt = master.put(node, record)
-            for key in receipt.evicted:
-                mirror_at_eviction[key] = master.mirrored(key) is not None
+            assert set(receipt.evicted) <= set(mirrored[:covered])
+            if receipt.stored:
+                mirrored.append(record.record_key)
             evicted_keys.extend(receipt.evicted)
         assert evicted_keys, "scenario never filled the store"
-        assert all(mirror_at_eviction.values())
         assert master.buffer.pending  # captures queued, none lost
 
     def test_evictions_follow_the_latest_capture_on_random_networks(self):
         """Random puts, re-puts and captures on 2-6 nodes: a store drops only
-        records mirrored at the most recent capture, never one stored since."""
+        records stored by the most recent capture, never one stored since;
+        a put is mirrored exactly when its target did not hold the key."""
         rng = random.Random(64)
         evictions = 0
         for trial in range(30):
@@ -332,15 +490,14 @@ class TestEvictionCoupling:
             for node in nodes:
                 network.add_node(node)
             master = MasterNode(network)
-            mirrored: set[str] = set()
-            at_capture: set[str] = set()  # the mirror at the most recent capture
+            mirrored = 0  # puts whose target took the record as new
+            at_capture: set[str] = set()  # keys stored by the most recent capture
             since_capture: set[str] = set()  # keys stored after that capture
 
             def capture(t):
                 mh = master.capture_meta_hash(EventType.PERIODIC_INTERVAL, t, VKEY)
-                assert mh.covered_records == len(mirrored)
-                at_capture.clear()
-                at_capture.update(mirrored)
+                assert mh.covered_records == mirrored
+                at_capture.update(since_capture)
                 since_capture.clear()
 
             pool = []
@@ -353,8 +510,9 @@ class TestEvictionCoupling:
                     record = make_record("ECU", sim_time=t)
                     pool.append(record)
                 key = record.record_key
-                stored = any(stored_records(dht_node(network, n)).get(key) for n in nodes)
                 origin = rng.choice(nodes)
+                target, _ = network.locate(origin, key)
+                held = key in stored_records(dht_node(network, target))
                 try:
                     receipt = master.put(origin, record)
                 except CheckpointRequired:
@@ -363,8 +521,10 @@ class TestEvictionCoupling:
                 evicted = set(receipt.evicted)
                 assert evicted <= at_capture
                 assert not evicted & since_capture
+                at_capture -= evicted
                 evictions += len(evicted)
-                mirrored.add(key)
-                if not stored:
+                assert receipt.stored is not held
+                mirrored += receipt.stored
+                if receipt.stored:
                     since_capture.add(key)
         assert evictions > 100

@@ -991,8 +991,9 @@ class TestFleet:
     def test_fleet_vehicle_order_irrelevant_when_two_carry_one_key(self, reflash, library):
         """Same time, same key: the VIN decides which batch the chain takes
         first. Reflashed, both vehicles flash one module to one version, so
-        both register the key they share, each for its own variant; the VIN
-        decides which variant the full node keeps too."""
+        both register the key they share, each for its own variant: in either
+        lane order the key is a conflict, an alert and a finding, and none of
+        its checkpoints is judged Approved."""
         scenario = self.clone_scenario(variant_code="EU-SPORT")
         if reflash:
             flash = event(ScenarioEventKind.UDS_REFLASH, 200, module_id="ECU", new_version="2.0")
@@ -1007,6 +1008,16 @@ class TestFleet:
         assert result.verdicts == reversed_result.verdicts
         assert sorted(result.alerts) == sorted(reversed_result.alerts)
         assert len(result.verdicts) == 2 * library
+        conflict = "vehicle key 9aa9ba6be1b2… registered for variants EU-BASE and EU-SPORT"
+        for outcome in (result, reversed_result):
+            assert outcome.findings
+            assert outcome.key_conflicts == reflash
+            assert [a for a in outcome.alerts if "variants" in a] == [conflict] * reflash
+        reason = "vehicle key registered for variants EU-BASE and EU-SPORT"
+        if reflash:
+            assert {(v.status, v.reason) for v in result.verdicts} <= {
+                (VerdictStatus.SERVICE_NEEDED, reason)
+            }
 
     def test_one_vehicle_alive_at_a_time(self, monkeypatch):
         """A lane's Vehicle is dropped as soon as its run returns: when the

@@ -10,11 +10,12 @@ is only a call of ``.add``, ``.clear``, ``.append`` or ``.extend``
 dropped, which leaves a collection as it was. For each mutant the
 runner copies the tree into a temporary directory, splices the mutated
 expression into that copy's source and runs ``pytest -x -q`` there; the
-working tree is never written. A mutant is killed when the run fails (or
-times out). The report, ``tools/mutants.json`` beside this script, lists
-every mutant, the first failing test of each killed one, and for each
-survivor the note in ``NOTES`` that explains it: an equivalent mutant
-and why, or an open gap. Usage, from anywhere:
+working tree is never written. A mutant is killed when the run fails, or
+when it takes more than ``TIMEOUT_FACTOR`` times as long as the unmutated
+run, which is timed first. The report, ``tools/mutants.json`` beside this
+script, lists every mutant, the first failing test of each killed one,
+and for each survivor the note in ``NOTES`` that explains it: an
+equivalent mutant and why, or an open gap. Usage, from anywhere:
 
     python3 tools/mutants.py    # every mutant, two pytest runs at a time
 
@@ -34,6 +35,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -41,14 +43,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPORT = Path(__file__).resolve().parent / "mutants.json"
 MAX_JOBS = 2
-TIMEOUT_S = 120
+# A mutant's run may take this many times the unmutated run's time before
+# it counts as killed (a mutant that loops forever).
+TIMEOUT_FACTOR = 3
 
 # module -> the functions on the tamper-evidence path, by qualified name.
 TARGETS = {
     "ledger": [
         "read_library", "oem_checksum", "merkle_root", "_seal", "LedgerBlock.build",
         "_advance", "_walk", "load_ledger", "FullNode.append_submissions",
-        "history_from_file",
+        "FullNode.register_vehicle", "FullNode.evaluate", "history_from_file",
     ],
     "parity": [
         "ParityCluster._resolve", "ParityCluster._data_index",
@@ -62,10 +66,7 @@ TARGETS = {
         "DhtNetwork.remove_node", "DhtNetwork.fail_node", "DhtNetwork.recover_node",
         "DhtNetwork.is_live", "DhtNetwork.locate", "DhtNetwork.put",
     ],
-    "masternode": [
-        "meta_digest", "MasterNode.mirror_update", "MasterNode.mirrored",
-        "MasterNode.capture_meta_hash",
-    ],
+    "masternode": ["meta_digest", "MasterNode.put", "MasterNode.capture_meta_hash"],
     "vehiclesim": [
         "ScenarioEvent.__post_init__", "VehicleConfig.__post_init__", "Scenario.__post_init__",
         "Vehicle.startup_consistency_check", "Vehicle.clear_tamper_flag",
@@ -216,8 +217,9 @@ def _copy_tree(root: Path, dest: Path) -> None:
     )
 
 
-def run_tests(tree: Path) -> tuple[bool, str | None]:
-    """(passed, first failing test) of ``pytest -x -q`` in ``tree``."""
+def run_tests(tree: Path, timeout_s: float | None = None) -> tuple[bool, str | None]:
+    """(passed, first failing test) of ``pytest -x -q`` in ``tree``, or
+    (False, the timeout) when the run takes longer than ``timeout_s``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
@@ -225,22 +227,22 @@ def run_tests(tree: Path) -> tuple[bool, str | None]:
         start_new_session=True,
     )
     try:
-        out, _ = proc.communicate(timeout=TIMEOUT_S)
+        out, _ = proc.communicate(timeout=timeout_s)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        return False, f"timeout after {TIMEOUT_S} s"
+        return False, f"timeout after {timeout_s:.0f} s"
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", out, re.M)
     return proc.returncode == 0, failed[1] if failed else None
 
 
-def run_mutant(base: Path, mutant: dict) -> dict:
+def run_mutant(base: Path, timeout_s: float, mutant: dict) -> dict:
     """Run the tests on a copy of ``base`` with ``mutant`` spliced in."""
     with tempfile.TemporaryDirectory(prefix="autobox-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         _copy_tree(base, tree)
         (tree / mutant["file"]).write_text(mutant["source"], encoding="utf-8")
-        passed, failed = run_tests(tree)
+        passed, failed = run_tests(tree, timeout_s)
     entry = {"id": mutant["id"], "file": mutant["file"], "line": mutant["line"]}
     if passed:
         entry.update(status="survived", note=NOTES.get(mutant["id"]))
@@ -253,13 +255,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="autobox-base-") as tmp:
         base = Path(tmp) / "tree"  # one snapshot, so edits during the run do not leak in
         _copy_tree(ROOT, base)
+        start = time.monotonic()
         if not run_tests(base)[0]:
             print("the unmutated tree fails its tests", file=sys.stderr)
             return 2
+        timeout_s = TIMEOUT_FACTOR * (time.monotonic() - start)
         mutants = find_mutants(base)
         with ThreadPoolExecutor(max_workers=MAX_JOBS) as pool:
             results = []
-            for entry in pool.map(partial(run_mutant, base), mutants):
+            for entry in pool.map(partial(run_mutant, base, timeout_s), mutants):
                 results.append(entry)
                 print(f"{entry['status']:8} {entry['id']}", flush=True)
     survivors = [e for e in results if e["status"] == "survived"]
