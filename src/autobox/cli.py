@@ -14,11 +14,11 @@ outputs are deterministic for identical inputs; wall timing appears only
 in the human summary on stdout.
 
 Exit codes: 0 clean, 1 findings or corruption (a ledger ``verify`` finds
-broken), 2 bad input (a missing or unreadable file, an output path that
-cannot be written, a malformed snapshot or scenario, a broken ledger given
-to ``history``), 3 internal
-error (an exception no command handles: a defect in autobox, reported as
-one ``internal error:`` line on stderr instead of a traceback).
+broken), 2 bad input (a missing or unreadable file, an empty path, an output
+path that cannot be written, a malformed snapshot or scenario, a broken
+ledger given to ``history``), 3 internal error (an exception no command
+handles: a defect in autobox, reported as one ``internal error:`` line on
+stderr instead of a traceback).
 """
 
 from __future__ import annotations
@@ -104,6 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    out = os.environ.get("AUTOBOX_OUT", "autobox-out") if args.out is None else args.out
+    paths = {"output directory": out, "--library": args.library, "--emit-library": args.emit_library}
+    for name, path in paths.items():
+        if path == "":  # Path("") reads as ".", and a truth test as no path at all
+            print(f"error: {name} is an empty path", file=sys.stderr)
+            return 2
     try:
         scenario = load_scenario(args.scenario)
     except OSError as exc:
@@ -119,7 +125,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         scenario = replace(scenario, approved_library=library)
 
-    out = os.environ.get("AUTOBOX_OUT", "autobox-out") if args.out is None else args.out
     outdir = Path(out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

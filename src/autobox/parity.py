@@ -19,16 +19,14 @@ a snapshot has no write history: all of its devices take the per-record
 check, and parity is checked by folding every device.
 
 Loading a snapshot checks its record index in bulk. A shape match (the
-line grammar with any 64 bytes but a newline in each digest field) ends
-where the first misshapen line starts. One byte-class check then finds
-that the lines before it hold only hex digits, tabs and newlines, four
-tabs a line, which makes each of them a line of the grammar; only when
-that check fails does the strict grammar run, to find the first malformed
-line. The index is built from slices of the fields of all lines at once.
-A repeated key or a span outside its device, also checked over all lines
-at once, sends a walk over the lines that names the first failing one,
-and it is refused before any malformed line, so the first failing line
-names the error.
+line grammar with any 64 bytes but a newline in each digest field) must
+reach the end of the blob, and one byte-class check must find that those
+lines hold only hex digits, tabs and newlines, four tabs a line, which
+makes each of them a line of the grammar. The index is built from slices
+of the fields of all lines at once, and repeated keys and spans outside
+their device are checked over all lines at once too. When any of these
+checks fails, one walk matches the strict grammar a line at a time and
+refuses the first line that is malformed or names no record.
 
 One device list holds the data devices at 0..d-1 and parity at d, where
 the PARITY sentinel resolves; lists beside it hold recorded lengths and
@@ -51,7 +49,7 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, le
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, NoReturn, Union
 
 from .auditcore import HEX_DIGEST, NUMBER
 
@@ -301,58 +299,47 @@ def save_snapshot(cluster: ParityCluster) -> bytes:
 
 
 # The header and index lines in the one spelling save_snapshot writes:
-# auditcore's canonical numbers, and 64-hex record keys and hashes. Each
-# INDEX_LINES match checks up to INDEX_CHUNK lines, so the regex engine
-# keeps the backtracking state of one chunk, not of the whole index.
-# INDEX_SHAPE is that grammar with any 64 bytes but a newline in the two
-# digest fields, a repeat the engine runs in one tight loop. A run of
-# shaped lines is a run of index lines exactly when it holds no byte but
-# INDEX_BYTES (the hex alphabet, tab and newline) and four tabs a line.
+# auditcore's canonical numbers, and 64-hex record keys and hashes.
+# INDEX_SHAPE matches up to INDEX_CHUNK index lines with any 64 bytes but a
+# newline in each digest field, a repeat the engine runs in one tight loop
+# with the backtracking state of one chunk. A run of shaped lines is a run
+# of index lines exactly when it holds no byte but INDEX_BYTES (the hex
+# alphabet, tab and newline) and four tabs a line. INDEX_LINE, one strict
+# line with its key, device, offset and length as groups, runs only to
+# name the first failing line of an index those checks refuse.
 SNAPSHOT_HEADER = re.compile(
     rb"d=(%s) lengths=(%s(?:,%s)*) parity_len=(%s)\n" % ((NUMBER,) * 4)
 )
 INDEX_CHUNK = 4096
-_INDEX_LINE = rb"(?:%s\t%s\t%s\t%s\t%s\n){0,%d}"
-INDEX_LINES = re.compile(
-    _INDEX_LINE % (HEX_DIGEST, NUMBER, NUMBER, NUMBER, HEX_DIGEST, INDEX_CHUNK)
-)
 INDEX_SHAPE = re.compile(
-    _INDEX_LINE % (rb".{64}", NUMBER, NUMBER, NUMBER, rb".{64}", INDEX_CHUNK)
+    rb"(?:.{64}\t%s\t%s\t%s\t.{64}\n){0,%d}" % (NUMBER, NUMBER, NUMBER, INDEX_CHUNK)
 )
 INDEX_BYTES = b"0123456789abcdef\t\n"
+INDEX_LINE = re.compile(
+    rb"(%s)\t(%s)\t(%s)\t(%s)\t%s\n" % (HEX_DIGEST, NUMBER, NUMBER, NUMBER, HEX_DIGEST)
+)
 
 
-def _lines_end(pattern: re.Pattern[bytes], blob: bytes, pos: int, endpos: int) -> int:
-    """End of the run of lines from pos to at most endpos that pattern
-    matches, one match per INDEX_CHUNK lines."""
-    while pos < endpos and (end := pattern.match(blob, pos, endpos).end()) > pos:
+def _lines_end(blob: bytes, pos: int) -> int:
+    """End of the run of shaped lines from pos, one match per INDEX_CHUNK
+    lines: the start of the first line off the shape, or the blob's end."""
+    while pos < len(blob) and (end := INDEX_SHAPE.match(blob, pos).end()) > pos:
         pos = end
     return pos
 
 
-def _index_end(blob: bytes, pos: int) -> int:
-    """End of the run of index lines from pos: the start of the first line
-    off the grammar, or of the blob."""
-    end = _lines_end(INDEX_SHAPE, blob, pos, len(blob))
-    lines = blob[pos:end]
-    if lines.translate(None, INDEX_BYTES) or lines.count(b"\t") != 4 * lines.count(b"\n"):
-        # A field is off its alphabet: the strict grammar finds the first such line.
-        return _lines_end(INDEX_LINES, blob, pos, end)
-    return end
-
-
-def _refuse_unrecorded(fields: list[str], lengths: list[int]) -> None:
-    """Refuse the first index line, given as its fields, whose key repeats
-    or whose span lies outside its data device."""
-    seen: set[str] = set()
-    lines = iter(fields)
-    for line in zip(lines, lines, lines, lines, lines):
-        key, device, offset, length, _ = line
+def _refuse_index(blob: bytes, pos: int, lengths: list[int]) -> NoReturn:
+    """Refuse the first index line from pos that is off the grammar, or
+    whose key repeats or whose span lies outside its data device."""
+    seen: set[bytes] = set()
+    while line := INDEX_LINE.match(blob, pos):
+        key, device, offset, length = line.groups()
         device = int(device)
         if key in seen or device >= len(lengths) or int(offset) + int(length) > lengths[device]:
-            text = "\t".join(line)[:80].encode()
-            raise ClusterError(f"snapshot index line names no record {text!r}")
+            raise ClusterError(f"snapshot index line names no record {blob[pos : pos + 80]!r}")
         seen.add(key)
+        pos = line.end()
+    raise ClusterError(f"malformed snapshot index line {blob[pos : pos + 80]!r}")
 
 
 def load_snapshot(blob: bytes) -> ParityCluster:
@@ -373,8 +360,15 @@ def load_snapshot(blob: bytes) -> ParityCluster:
             pos += n
     cluster._lengths = lengths + [max(lengths)]
     cluster._written = None
-    end = _index_end(blob, pos)
-    fields = blob[pos:end].decode().split()
+    end = _lines_end(blob, pos)
+    lines = blob[pos:end]
+    if (
+        end < len(blob)
+        or lines.translate(None, INDEX_BYTES)
+        or lines.count(b"\t") != 4 * lines.count(b"\n")
+    ):
+        _refuse_index(blob, pos, lengths)
+    fields = lines.decode().split()
     keys, hashes = fields[0::5], fields[4::5]
     devices, offsets, sizes = (list(map(int, fields[i::5])) for i in (1, 2, 3))
     if (
@@ -382,10 +376,8 @@ def load_snapshot(blob: bytes) -> ParityCluster:
         or max(devices, default=0) >= device_count
         or not all(map(le, map(add, offsets, sizes), map(lengths.__getitem__, devices)))
     ):
-        _refuse_unrecorded(fields, lengths)
+        _refuse_index(blob, pos, lengths)
     # RecordLocation._make, less its Python-level call per line.
     records = map(tuple.__new__, repeat(RecordLocation), zip(devices, offsets, sizes, hashes))
     cluster._index = dict(zip(keys, records))
-    if end < len(blob):
-        raise ClusterError(f"malformed snapshot index line {blob[end : end + 80]!r}")
     return cluster

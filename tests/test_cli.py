@@ -610,6 +610,30 @@ class TestRun:
         assert err.startswith(f"{lib}: error: ") and len(err.splitlines()) == 1, err
         assert not any((tmp_path / "out").glob("*")), "a failed run writes no artifact"
 
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (["-o", ""], None),
+            ([], ""),
+            (["-o", "out", "--library", ""], None),
+            (["-o", "out", "--emit-library", ""], None),
+        ],
+        ids=["out", "autobox-out-env", "library", "emit-library"],
+    )
+    def test_empty_path_exit_two(self, tmp_path, capsys, monkeypatch, args, env):
+        """Path("") is the current directory: an empty path is refused
+        before anything is written, not read as "." or as no path."""
+        if env is None:
+            monkeypatch.delenv("AUTOBOX_OUT", raising=False)
+        else:
+            monkeypatch.setenv("AUTOBOX_OUT", env)
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["run", str(DEMO_SCENARIO), *args])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_autobox_out_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AUTOBOX_OUT", str(tmp_path / "env-out"))
         monkeypatch.chdir(tmp_path)

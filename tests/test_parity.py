@@ -525,6 +525,53 @@ class TestSnapshot:
             load_snapshot(blob)
 
 
+# Faults of one index line, each a transform of its fields (the first line's
+# key passed along). A record fault keeps the line on the grammar but names
+# no record of the cluster; a grammar fault takes the line off the grammar.
+RECORD_FAULTS = {
+    "repeated-key": lambda fields, first_key: [first_key, *fields[1:]],
+    "device-past-d": lambda fields, first_key: [fields[0], "2", *fields[2:]],
+    "span-past-device": lambda fields, first_key: [*fields[:3], "1000", fields[4]],
+}
+GRAMMAR_FAULTS = {
+    "non-hex-byte": lambda fields: [*fields[:4], fields[4][:-1] + "A"],
+    "leading-zero": lambda fields: [*fields[:2], "0" + fields[2], *fields[3:]],
+    "19-digit-number": lambda fields: [*fields[:3], "1" + "0" * 18, fields[4]],
+    "missing-field": lambda fields: fields[:4],
+    "extra-tab": lambda fields: [*fields, ""],
+    "tab-in-hash": lambda fields: [*fields[:4], "\t" + fields[4][1:]],
+}
+
+
+class TestFirstFailingLine:
+    """A record fault and a grammar fault on two lines of one index: the
+    refusal names the earlier line, with the message of its own fault."""
+
+    @pytest.mark.parametrize("record", sorted(RECORD_FAULTS))
+    @pytest.mark.parametrize("grammar", sorted(GRAMMAR_FAULTS))
+    @pytest.mark.parametrize("record_first", [True, False], ids=["record-first", "grammar-first"])
+    def test_earlier_line_named(self, record, grammar, record_first):
+        cluster = ParityCluster(2)
+        for n in range(4):  # devices of 12 and 14 bytes
+            cluster.append_record(n % 2, str(n + 1) * 64, bytes(5 + n))
+        blob = save_snapshot(cluster)
+        head = blob[: blob.index(b"1" * 64)]
+        lines = [line.split("\t") for line in blob[len(head) :].decode().splitlines()]
+        at_record, at_grammar = (1, 2) if record_first else (2, 1)
+        lines[at_record] = RECORD_FAULTS[record](lines[at_record], lines[0][0])
+        lines[at_grammar] = GRAMMAR_FAULTS[grammar](lines[at_grammar])
+        index = [("\t".join(fields) + "\n").encode() for fields in lines]
+        broken = head + b"".join(index)
+        start = len(head) + len(b"".join(index[: min(at_record, at_grammar)]))
+        named = broken[start : start + 80]
+        with pytest.raises(ClusterError) as refused:
+            load_snapshot(broken)
+        if record_first:
+            assert str(refused.value) == f"snapshot index line names no record {named!r}"
+        else:
+            assert str(refused.value) == f"malformed snapshot index line {named!r}"
+
+
 LONG_INDEX_LINES = 20_000
 
 
@@ -579,20 +626,20 @@ class TestOneIndexMatch:
         assert len(peaks) == math.ceil(LONG_INDEX_LINES / parity.INDEX_CHUNK)
         assert max(peaks) < 3_000_000
 
-    def test_strict_grammar_runs_only_on_a_broken_index(
+    def test_walk_runs_only_on_a_broken_index(
         self, monkeypatch, demo_snapshot, long_index_snapshot
     ):
-        """A clean index passes the byte-class check, so INDEX_LINES never
-        runs; a hash off the hex alphabet fails it, and the strict grammar
-        then matches the good lines a chunk at a time, stopping at the
-        broken one, with one chunk of regex state per match."""
-        peaks = measure_matches(monkeypatch, "INDEX_LINES")
+        """A clean index passes the bulk checks, so INDEX_LINE never runs;
+        a hash off the hex alphabet fails them, and the walk then matches
+        the lines one at a time up to the broken one, each match under the
+        bound of one shape match."""
+        peaks = measure_matches(monkeypatch, "INDEX_LINE")
         for blob in (demo_snapshot, long_index_snapshot):
             load_snapshot(blob)
         assert peaks == []
         with pytest.raises(ClusterError, match="malformed snapshot index line"):
             load_snapshot(long_index_snapshot[:-2] + b"X\n")
-        assert len(peaks) == math.ceil((LONG_INDEX_LINES - 1) / parity.INDEX_CHUNK) + 1
+        assert len(peaks) == LONG_INDEX_LINES
         assert max(peaks) < 3_000_000
 
     def test_long_index_loads_and_scrubs_clean(self, long_index_snapshot):

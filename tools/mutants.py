@@ -58,8 +58,8 @@ TARGETS = {
         "ParityCluster._resolve", "ParityCluster._data_index",
         "ParityCluster.is_erased", "ParityCluster.append_record",
         "ParityCluster.corrupt_byte", "ParityCluster.write_back", "_suspects",
-        "_stale_records", "scrub", "reconstruct", "_lines_end", "_index_end",
-        "_refuse_unrecorded", "load_snapshot",
+        "_stale_records", "scrub", "reconstruct", "_lines_end", "_refuse_index",
+        "load_snapshot",
     ],
     "dht": [
         "detect_discrepancy", "DhtNode.cover", "DhtNode.evict", "DhtNode.insert",
