@@ -1,4 +1,4 @@
-"""Canonical domain types and hashing for the in-vehicle audit trail.
+"""The hashed domain types of the in-vehicle audit trail, and their hashing.
 
 Everything downstream keys off the digests produced here: DHT placement
 uses record keys, parity clusters index record payload hashes, checkpoint
@@ -31,6 +31,9 @@ the value is made. That is safe because both types are frozen and every
 mutation (reflash, tamper, swap) replaces the instance, so the new one,
 ``dataclasses.replace``'s too, derives afresh. They are attributes, not
 fields: ``==``, ``hash`` and ``repr`` cover the fields only.
+
+Only what is hashed lives here: the vehicle data every module replicates
+enters no digest, and its tables and their vote are ``vehiclesim``'s.
 """
 
 from __future__ import annotations
@@ -92,12 +95,6 @@ class EventType(str, Enum):
     STORE_FULL = "StoreFull"  # a checkpoint trigger only: no record carries it
 
 
-class AirbagStatus(str, Enum):
-    OK = "Ok"
-    DEPLOYED = "Deployed"
-    FAULT_LATCHED = "FaultLatched"
-
-
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -149,20 +146,6 @@ class ModuleMetadata:
             if isinstance(value, str) and "\n" in value:
                 raise MetadataError(f"newline in field {name!r} breaks canonical form")
         object.__setattr__(self, "payload_hash", sha256_hex(canonical_serialize(self)))
-
-
-@dataclass(frozen=True)
-class SharedCriticalData:
-    """Protected vehicle data replicated across modules.
-
-    Legitimate histories only ever move odometer_km up; the consistency
-    check flags replicas that disagree, it does not repair them.
-    """
-
-    vin: str
-    odometer_km: int
-    airbag_status: AirbagStatus
-    service_event_count: int
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -183,16 +182,13 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 def _build_report(result: ScenarioResult) -> dict:
     """The run report; its vehicles keep the scenario's order."""
-    by_key: dict[str, Counter] = {}
-    for verdict in result.verdicts:
-        by_key.setdefault(verdict.vehicle_key, Counter())[verdict.status.value] += 1
     vehicles = {}
     for v in result.vehicles:
         vehicles[v.vin] = {
             "variant_code": v.variant_code,
             "vehicle_keys": list(v.vehicle_keys),
             "checkpoints": len(v.captures),
-            "verdicts": sum((by_key.get(k, Counter()) for k in v.vehicle_keys), Counter()),
+            "verdicts": v.verdicts,
             "tamper_flag": v.tamper_flag,
             "tamper_fields": {
                 f: sorted(mods) for f, mods in sorted(v.tamper_details.items())

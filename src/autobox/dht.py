@@ -21,13 +21,15 @@ the eviction order, with their byte count. Records enter a store only at
 the end, a re-put is a no-op and only covered records leave, so the
 covered records are always the first ``len(_queue)`` in insertion order,
 and a cover pushes only the records past them.
+
+The replicated vehicle data and its vote are ``vehiclesim``'s, not the table's.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Hashable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .auditcore import AuditRecord, sha256_hex
 
@@ -57,24 +59,6 @@ class CheckpointRequired(RuntimeError):
 def node_id_for_serial(serial_number: str) -> str:
     """Derive a node id from the hosting module's serial number."""
     return sha256_hex(serial_number.encode("utf-8"))
-
-
-def detect_discrepancy(readings: Mapping[str, Hashable]) -> frozenset[str]:
-    """Modules whose replica of a shared field departs from the majority.
-
-    Empty when every replica agrees. An exact tie between leading values is
-    still evidence of interference, so a tie returns every participant
-    rather than designating a minority.
-    """
-    if len(readings) < 2:
-        raise ValueError("need readings from at least 2 modules")
-    groups: dict[Hashable, set[str]] = {}
-    for module_id, value in readings.items():
-        groups.setdefault(value, set()).add(module_id)
-    best = max(len(g) for g in groups.values())
-    if sum(len(g) == best for g in groups.values()) > 1:
-        return frozenset(readings)
-    return frozenset(m for g in groups.values() if len(g) < best for m in g)
 
 
 class StoreReceipt(NamedTuple):

@@ -26,6 +26,10 @@ every service or reflash event below. Event handling in one line each:
 * Reboot re-runs the startup sweep and consistency check.
 * ClearTamperFlag models the authorized service tool.
 
+Every module keeps a replica of the shared critical data: ``Vehicle.scd``
+holds one table per field of ``SCD_FIELDS``, module id -> replica, and the
+startup check is a majority vote over each table (``detect_discrepancy``).
+
 Fleet runs share one full node. Vehicles are simulated one at a time, and
 each is dropped once its timeline ends and its outcome, alerts, snapshots
 and drained batches are kept. The batches are then merged by (sim_time,
@@ -38,19 +42,18 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import MISSING, dataclass, fields, replace
+from collections import Counter
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .auditcore import (
-    AirbagStatus,
     AuditRecord,
     EventType,
     ModuleMetadata,
     ScenarioError,
-    SharedCriticalData,
     VIN_RE,
     derive_vehicle_key,
     identity_hash,
@@ -62,7 +65,6 @@ from .dht import (
     CheckpointRequired,
     DhtNetwork,
     NodeUnavailable,
-    detect_discrepancy,
     node_id_for_serial,
 )
 from .ledger import (
@@ -93,6 +95,12 @@ NUMBER_LIMIT = 10**18
 _encode_ground_truth = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), check_circular=False
 ).encode
+
+
+class AirbagStatus(str, Enum):
+    OK = "Ok"
+    DEPLOYED = "Deployed"
+    FAULT_LATCHED = "FaultLatched"
 
 
 class ScenarioEventKind(str, Enum):
@@ -311,6 +319,24 @@ class DrainBatch:
     submissions: tuple[Submission, ...]
 
 
+def detect_discrepancy(readings: Mapping[str, Hashable]) -> frozenset[str]:
+    """Modules whose replica of a shared field departs from the majority.
+
+    Empty when every replica agrees. An exact tie between leading values is
+    still evidence of interference, so a tie returns every participant
+    rather than designating a minority.
+    """
+    if len(readings) < 2:
+        raise ValueError("need readings from at least 2 modules")
+    groups: dict[Hashable, set[str]] = {}
+    for module_id, value in readings.items():
+        groups.setdefault(value, set()).add(module_id)
+    best = max(len(g) for g in groups.values())
+    if sum(len(g) == best for g in groups.values()) > 1:
+        return frozenset(readings)
+    return frozenset(m for g in groups.values() if len(g) < best for m in g)
+
+
 class Vehicle:
     """One assembled vehicle under simulation."""
 
@@ -330,14 +356,13 @@ class Vehicle:
         self.modules: dict[str, ModuleMetadata] = {
             m.module_id: m for m in config.modules
         }
-        self.scd: dict[str, SharedCriticalData] = {
-            m.module_id: SharedCriticalData(
-                vin=config.vin,
-                odometer_km=config.initial_odometer_km,
-                airbag_status=AirbagStatus.OK,
-                service_event_count=0,
-            )
-            for m in config.modules
+        # The replicated vehicle data, one table per field of SCD_FIELDS, in
+        # its order: field -> module id -> that module's replica.
+        self.scd: dict[str, dict[str, Any]] = {
+            "vin": dict.fromkeys(self.modules, config.vin),
+            "odometer_km": dict.fromkeys(self.modules, config.initial_odometer_km),
+            "airbag_status": dict.fromkeys(self.modules, AirbagStatus.OK),
+            "service_event_count": dict.fromkeys(self.modules, 0),
         }
         self.network = DhtNetwork(store_limit_bytes=config.dht_store_limit_bytes)
         self.node_of: dict[str, str] = {}
@@ -503,9 +528,8 @@ class Vehicle:
                 )
         flagged: dict[str, frozenset[str]] = {}
         if len(live) >= 2:
-            for field_name in SCD_FIELDS:
-                readings = {m: getattr(self.scd[m], field_name) for m in live}
-                minority = detect_discrepancy(readings)
+            for field_name, replicas in self.scd.items():
+                minority = detect_discrepancy({m: replicas[m] for m in live})
                 if minority:
                     flagged[field_name] = minority
         if flagged:
@@ -522,15 +546,14 @@ class Vehicle:
             return False
         self.tamper_details = {}
         self._log("tamper_flag_cleared")
-        self._bump_service_count()
+        self._add_to_replicas("service_event_count", 1)
         self._checkpoint(EventType.SERVICE_NOTICE)
         return True
 
-    def _bump_service_count(self) -> None:
-        for module_id, data in self.scd.items():
-            self.scd[module_id] = replace(
-                data, service_event_count=data.service_event_count + 1
-            )
+    def _add_to_replicas(self, field_name: str, amount: int) -> None:
+        replicas = self.scd[field_name]
+        for module_id in replicas:
+            replicas[module_id] += amount
 
     # -- event dispatch ---------------------------------------------------------
 
@@ -544,8 +567,7 @@ class Vehicle:
         stride = self.config.mileage_stride_km
         crossed = (self.true_odometer + km) // stride > self.true_odometer // stride
         self.true_odometer += km
-        for module_id, data in self.scd.items():
-            self.scd[module_id] = replace(data, odometer_km=data.odometer_km + km)
+        self._add_to_replicas("odometer_km", km)
         self._log("drive", km=km, odometer_km=self.true_odometer)
         if crossed:
             self._checkpoint(EventType.MILEAGE_THRESHOLD)
@@ -559,7 +581,7 @@ class Vehicle:
         self._checkpoint(EventType.CONFIG_CHANGE)
 
     def _on_service_notice(self, event: ScenarioEvent) -> None:
-        self._bump_service_count()
+        self._add_to_replicas("service_event_count", 1)
         self._log("service_notice")
         self._checkpoint(EventType.SERVICE_NOTICE)
 
@@ -584,16 +606,19 @@ class Vehicle:
 
     def _on_eeprom_tamper(self, event: ScenarioEvent) -> None:
         module_id = self._require_module(event.module_id)
-        store = self.scd if event.field in SCD_FIELDS else self.modules
-        old = store[module_id]
-        store[module_id] = replace(old, **{event.field: event.forged_value})
-        if store is self.modules:  # a forged serial_number changes the key
-            self.vehicle_key = self._derive_key()
+        if event.field in self.scd:
+            replicas = self.scd[event.field]
+            pre, replicas[module_id] = replicas[module_id], event.forged_value
+        else:
+            old = self.modules[module_id]
+            pre = getattr(old, event.field)
+            self.modules[module_id] = replace(old, **{event.field: event.forged_value})
+            self.vehicle_key = self._derive_key()  # a forged serial_number changes it
         self._log(
             "eeprom_tamper",
             module=module_id,
             field=event.field,
-            pre=_jsonable(getattr(old, event.field)),
+            pre=_jsonable(pre),
             post=_jsonable(event.forged_value),
         )
 
@@ -616,7 +641,7 @@ class Vehicle:
         self.modules[module_id] = replacement
         self.vehicle_key = self._derive_key()
         # The donor unit arrives with its donor vehicle's protected data.
-        self.scd[module_id] = replace(self.scd[module_id], vin=replacement.vin)
+        self.scd["vin"][module_id] = replacement.vin
         # Its audit-store bytes did not make the trip; redundancy rebuilds them.
         if module_id in self.slot_of:
             cluster, device = self.slot_of[module_id]
@@ -927,6 +952,8 @@ class VehicleOutcome:
     captures: tuple[MetaHash, ...]
     tamper_flag: bool
     tamper_details: dict[str, frozenset[str]]
+    # Verdict status -> count, over the checkpoints this vehicle submitted.
+    verdicts: Counter[str] = field(default_factory=Counter)
 
 
 @dataclass(frozen=True)
@@ -975,7 +1002,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     key in VIN order, merges deliveries by (sim_time, vehicle_key, VIN),
     appends them as blocks to the shared full node, and runs the OEM
     checksum on every accepted submission (skipped when the scenario has
-    no approved library, which is how golden libraries get seeded).
+    no approved library, which is how golden libraries get seeded), counting
+    each verdict under the VIN whose batch carried it.
     Nothing is written to disk; ``cli.write_artifacts`` renders the result.
     """
     ground_truth: list[str] = []
@@ -1027,8 +1055,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     drained.sort(key=lambda vb: (vb[1].sim_time, vb[1].submissions[-1].vehicle_key, vb[0]))
 
     verdicts: list[Verdict] = []
+    counts = {outcome.vin: outcome.verdicts for outcome in outcomes}
     rejected = 0
-    for _, batch in drained:
+    for vin, batch in drained:
         result = full_node.append_submissions(list(batch.submissions))
         rejected += len(result.rejected)
         for submission, reason in result.rejected:
@@ -1046,6 +1075,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 )
                 continue
             verdicts.append(verdict)
+            counts[vin][verdict.status.value] += 1
 
     return ScenarioResult(
         scenario=scenario,

@@ -9,7 +9,6 @@ from autobox.dht import (
     CheckpointRequired,
     DhtNetwork,
     NodeUnavailable,
-    detect_discrepancy,
     node_id_for_serial,
 )
 
@@ -166,35 +165,6 @@ class TestPutGet:
         live = [n for n in ids if n != ideal]
         assert receipt.stored_at == owner_of(record.record_key, live)
         assert stored_records(dht_node(network, receipt.stored_at)).get(record.record_key) == record
-
-
-class TestDetectDiscrepancy:
-    def test_consistent(self):
-        assert detect_discrepancy({"ECU": 50000, "TCM": 50000, "BCM": 50000}) == frozenset()
-
-    def test_minority_flagged(self):
-        readings = {"ECU": 20000, "TCM": 50000, "BCM": 50000}
-        minority = detect_discrepancy(readings)
-        assert minority == frozenset({"ECU"})
-        assert minority != frozenset(readings)  # not a tie
-
-    def test_exact_tie_flags_everyone(self):
-        readings = {"A": 1, "B": 2}
-        assert detect_discrepancy(readings) == frozenset(readings) == frozenset({"A", "B"})
-
-    def test_fewer_than_two_rejected(self):
-        with pytest.raises(ValueError):
-            detect_discrepancy({"ECU": "X"})
-
-    def test_permutation_invariance(self):
-        rng = random.Random(16)
-        readings = {f"M{i}": (1 if i < 3 else 2) for i in range(7)}
-        reference = detect_discrepancy(readings)
-        assert reference == frozenset({"M0", "M1", "M2"})
-        items = list(readings.items())
-        for _ in range(20):
-            rng.shuffle(items)
-            assert detect_discrepancy(dict(items)) == reference
 
 
 class TestEviction:

@@ -339,6 +339,12 @@ class TestFullNodeEvaluateAndHistory:
             VerdictStatus.APPROVED
         )
 
+    def test_no_library_raises(self):
+        node = FullNode()
+        node.register_vehicle("ab" * 32, "EU-BASE")
+        with pytest.raises(UnknownVariantError, match="no approved library configured"):
+            node.evaluate(make_submission())
+
     def test_unregistered_vehicle_raises(self):
         node = FullNode(library={"EU-BASE": ["aa" * 32]})
         with pytest.raises(UnknownVehicleError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import weakref
 from dataclasses import fields, replace
 from datetime import date
@@ -10,16 +11,18 @@ from pathlib import Path
 import pytest
 
 from autobox.auditcore import (
-    AirbagStatus,
     EventType,
     MetadataError,
     derive_vehicle_key,
 )
+from autobox.cli import write_artifacts
 from autobox.ledger import FullNode, VerdictStatus, history_from_file
 from autobox.masternode import MetaHash
 from autobox.vehiclesim import (
+    AirbagStatus,
     KIND_FIELDS,
     MAX_PERIODIC_CAPTURES,
+    SCD_FIELDS,
     Scenario,
     ScenarioError,
     ScenarioEvent,
@@ -31,6 +34,7 @@ from autobox.vehiclesim import (
     VehicleLane,
     VehicleOutcome,
     _encode_ground_truth,
+    detect_discrepancy,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -317,6 +321,35 @@ class TestLatestVersion:
     def test_version_not_dotted_decimal_refused(self, version):
         with pytest.raises(ScenarioError, match="dotted decimal"):
             config_with_versions(ECU=version)
+
+
+class TestDetectDiscrepancy:
+    def test_consistent(self):
+        assert detect_discrepancy({"ECU": 50000, "TCM": 50000, "BCM": 50000}) == frozenset()
+
+    def test_minority_flagged(self):
+        readings = {"ECU": 20000, "TCM": 50000, "BCM": 50000}
+        minority = detect_discrepancy(readings)
+        assert minority == frozenset({"ECU"})
+        assert minority != frozenset(readings)  # not a tie
+
+    def test_exact_tie_flags_everyone(self):
+        readings = {"A": 1, "B": 2}
+        assert detect_discrepancy(readings) == frozenset(readings) == frozenset({"A", "B"})
+
+    def test_fewer_than_two_rejected(self):
+        with pytest.raises(ValueError):
+            detect_discrepancy({"ECU": "X"})
+
+    def test_permutation_invariance(self):
+        rng = random.Random(16)
+        readings = {f"M{i}": (1 if i < 3 else 2) for i in range(7)}
+        reference = detect_discrepancy(readings)
+        assert reference == frozenset({"M0", "M1", "M2"})
+        items = list(readings.items())
+        for _ in range(20):
+            rng.shuffle(items)
+            assert detect_discrepancy(dict(items)) == reference
 
 
 class TestTamperDetection:
@@ -852,6 +885,31 @@ class TestGroundTruthTemplates:
         for line, entry in zip(vehicle.ground_truth, logged):
             assert line == _encode_ground_truth(entry)
 
+    def test_eviction_lines_carry_what_each_store_dropped(self):
+        """An eviction line holds the time, the VIN, the module whose store
+        evicted and the keys it dropped, each in its own field."""
+        vehicle = Vehicle(make_vehicle_config(dht_store_limit_bytes=512))
+        dropped, put = [], vehicle.master.put
+
+        def recording_put(origin, record):
+            receipt = put(origin, record)
+            if receipt.evicted:
+                module_id = vehicle.module_of[receipt.stored_at]
+                dropped.append((vehicle.clock, VIN, module_id, sorted(receipt.evicted)))
+            return receipt
+
+        vehicle.master.put = recording_put
+        vehicle.boot()
+        for t in range(600, 6_600, 600):
+            vehicle.clock = t
+            vehicle._checkpoint(EventType.OBD_PLUG_IN)
+        logged = [json.loads(line) for line in vehicle.ground_truth]
+        assert dropped
+        assert dropped == [
+            (e["sim_time"], e["vin"], e["node_module"], e["evicted"])
+            for e in logged if e["event"] == "eviction"
+        ]
+
 
 class TestReleasedAfterRun:
     def test_no_vehicle_outlives_the_run_without_cyclic_gc(self):
@@ -1018,6 +1076,24 @@ class TestFleet:
             assert {(v.status, v.reason) for v in result.verdicts} <= {
                 (VerdictStatus.SERVICE_NEEDED, reason)
             }
+
+    @pytest.mark.parametrize("order", ["a-first", "b-first"])
+    def test_report_counts_each_verdict_under_one_vehicle(self, order, tmp_path):
+        """Both reflashed clones carry one key, yet each checkpoint came from
+        one vehicle: the per-vehicle verdict counts sum to the run's verdicts."""
+        flash = event(ScenarioEventKind.UDS_REFLASH, 200, module_id="ECU", new_version="2.0")
+        scenario = self.clone_scenario(variant_code="EU-SPORT")
+        lanes = tuple(replace(lane, events=lane.events + (flash,)) for lane in scenario.lanes)
+        scenario = replace(scenario, lanes=lanes)
+        scenario = replace(scenario, approved_library=seeded_library(scenario))
+        if order == "b-first":
+            scenario = replace(scenario, lanes=tuple(reversed(scenario.lanes)))
+        result = run_scenario(scenario)
+        report = write_artifacts(result, tmp_path)
+        counts = {vin: v["verdicts"] for vin, v in report["vehicles"].items()}
+        assert len(result.verdicts) == 2
+        assert sum(sum(c.values()) for c in counts.values()) == len(result.verdicts)
+        assert counts == {VIN: {"ServiceNeeded": 2}, FLEET_VIN_2: {}}
 
     def test_one_vehicle_alive_at_a_time(self, monkeypatch):
         """A lane's Vehicle is dropped as soon as its run returns: when the
@@ -1562,7 +1638,8 @@ class TestRefusedEventsLeaveStateAlone:
     def test_bad_event_value_is_scenario_error(self, kind, fields):
         vehicle = Vehicle(make_vehicle_config())
         vehicle.boot()
-        scd, modules = dict(vehicle.scd), dict(vehicle.modules)
+        scd = {field: dict(replicas) for field, replicas in vehicle.scd.items()}
+        modules = dict(vehicle.modules)
         with pytest.raises(ScenarioError):
             vehicle.handle_event(event(kind, 100, **fields))
         assert (vehicle.scd, vehicle.modules) == (scd, modules)
@@ -1639,6 +1716,42 @@ class TestDetectionCompleteness:
         vehicle = result.vehicles[0]
         assert vehicle.tamper_flag
         assert vehicle.tamper_details[field] == frozenset({module_id})
+
+
+class TestReplicaTables:
+    """Each replicated field is one table: module id -> that module's replica."""
+
+    FORGED = {**TestDetectionCompleteness.FORGED, "serial_number": "ECU-SN-FORGED"}
+
+    @staticmethod
+    def replicas(vehicle: Vehicle) -> dict[tuple[str, str], object]:
+        return {(f, m): value for f, table in vehicle.scd.items() for m, value in table.items()}
+
+    def test_one_table_per_replicated_field(self):
+        """In SCD_FIELDS order, which is the order a tamper alert names them."""
+        assert list(Vehicle(make_vehicle_config()).scd) == list(SCD_FIELDS)
+
+    @pytest.mark.parametrize("field", [*SCD_FIELDS, "serial_number"])
+    def test_tamper_writes_one_replica_or_the_metadata(self, field):
+        vehicle = Vehicle(make_vehicle_config())
+        vehicle.boot()
+        replicas, modules, key = self.replicas(vehicle), dict(vehicle.modules), vehicle.vehicle_key
+        tamper = event(ScenarioEventKind.EEPROM_TAMPER, 100, module_id="ECU", field=field,
+                       forged_value=self.FORGED[field])
+        vehicle.handle_event(tamper)
+        if field in SCD_FIELDS:
+            pre = replicas[field, "ECU"]
+            replicas[field, "ECU"] = tamper.forged_value
+        else:
+            pre = getattr(modules["ECU"], field)
+            modules["ECU"] = replace(modules["ECU"], serial_number=tamper.forged_value)
+        assert (self.replicas(vehicle), vehicle.modules) == (replicas, modules)
+        assert (vehicle.vehicle_key != key) == (field not in SCD_FIELDS)
+        logged = json.loads(vehicle.ground_truth[-1])
+        pre_json = pre.value if isinstance(pre, AirbagStatus) else pre
+        assert (logged["event"], logged["field"], logged["pre"], logged["post"]) == (
+            "eeprom_tamper", field, pre_json, self.FORGED[field]
+        )
 
 
 class TestAirbagTamper:

@@ -7,7 +7,9 @@ operator to its boundary or negated twin (``<`` and ``<=``, ``>`` and
 0 to 3 that a function returns to its neighbour (0 and 1, 1 and 2, 2 and
 3), which moves an exit code of the ``cli`` commands; or a statement that
 is only a call of ``.add``, ``.clear``, ``.append`` or ``.extend``
-dropped, which leaves a collection as it was. For each mutant the
+dropped, which leaves a collection as it was; or, in the targets whose
+f-strings write artifact bytes (``FSTRING_TARGETS``), two adjacent values
+of an f-string swapped or one dropped. For each mutant the
 runner copies the tree into a temporary directory, splices the mutated
 expression into that copy's source and runs ``pytest -x -q`` there; the
 working tree is never written. A mutant is killed when the run fails, or
@@ -62,14 +64,14 @@ TARGETS = {
         "load_snapshot",
     ],
     "dht": [
-        "detect_discrepancy", "DhtNode.cover", "DhtNode.evict", "DhtNode.insert",
+        "DhtNode.cover", "DhtNode.evict", "DhtNode.insert",
         "DhtNetwork.remove_node", "DhtNetwork.fail_node", "DhtNetwork.recover_node",
         "DhtNetwork.is_live", "DhtNetwork.locate", "DhtNetwork.put",
     ],
     "masternode": ["meta_digest", "MasterNode.put", "MasterNode.capture_meta_hash"],
     "vehiclesim": [
         "ScenarioEvent.__post_init__", "VehicleConfig.__post_init__", "Scenario.__post_init__",
-        "Vehicle.startup_consistency_check", "Vehicle.clear_tamper_flag",
+        "detect_discrepancy", "Vehicle.startup_consistency_check", "Vehicle.clear_tamper_flag",
         "Vehicle._put_record", "Vehicle._capture", "Vehicle._drain", "Vehicle.run",
         "ScenarioResult.findings", "_dataclass", "run_scenario",
     ],
@@ -92,6 +94,13 @@ _SYMBOL = {
 }
 # Methods whose call, as a statement of its own, a mutant drops.
 _DROPPED_CALLS = {"add", "clear", "append", "extend"}
+# The targets whose f-strings write artifact bytes (ground-truth lines,
+# alerts, record keys and lines): in these, a mutant swaps two adjacent
+# values of an f-string or drops one. Elsewhere f-strings are left alone.
+FSTRING_TARGETS = {
+    "vehiclesim.Vehicle._put_record", "vehiclesim.Vehicle._capture",
+    "vehiclesim.Vehicle._drain", "auditcore.AuditRecord.__post_init__",
+}
 
 # Survivors, by mutant id: why each is equivalent or which gap it leaves.
 NOTES = {
@@ -140,6 +149,17 @@ def _mutations(node: ast.AST, returned: bool):
         and isinstance(node.value.func, ast.Attribute) and node.value.func.attr in _DROPPED_CALLS
     ):
         yield "call dropped", ast.Constant(None)
+    elif isinstance(node, ast.JoinedStr):
+        slots = [i for i, part in enumerate(node.values) if isinstance(part, ast.FormattedValue)]
+        name = {i: f"{{{ast.unparse(node.values[i].value)}}}" for i in slots}
+        for i, j in zip(slots, slots[1:]):
+            mutated = copy.deepcopy(node)
+            mutated.values[i], mutated.values[j] = mutated.values[j], mutated.values[i]
+            yield f"swap {name[i]} and {name[j]}", mutated
+        for i in slots:
+            mutated = copy.deepcopy(node)
+            del mutated.values[i]
+            yield f"drop {name[i]}", mutated
 
 
 def _returned(value: ast.AST | None) -> list[ast.AST | None]:
@@ -149,13 +169,16 @@ def _returned(value: ast.AST | None) -> list[ast.AST | None]:
     return [value]
 
 
-def _expressions(function: ast.AST):
-    """Expression nodes of a function, skipping f-strings, whose inner
-    positions are not source positions on every Python version."""
+def _expressions(function: ast.AST, fstrings: bool):
+    """Expression nodes of a function. Nothing inside an f-string: its inner
+    positions are not source positions on every Python version, so a mutant
+    of one replaces it whole, and only when ``fstrings`` is set."""
     stack = [function]
     while stack:
         node = stack.pop()
         if isinstance(node, ast.JoinedStr):
+            if fstrings:
+                yield node
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
@@ -185,8 +208,9 @@ def find_mutants(root: Path) -> list[dict]:
         if missing:
             raise SystemExit(f"{module}: no function {missing}")
         for name in names:
+            fstrings = f"{module}.{name}" in FSTRING_TARGETS
             nodes = sorted(
-                (n for n in _expressions(found[name]) if hasattr(n, "lineno")),
+                (n for n in _expressions(found[name], fstrings) if hasattr(n, "lineno")),
                 key=lambda n: (n.lineno, n.col_offset),
             )
             # Integer constants returned as they are, named by their return statement.
