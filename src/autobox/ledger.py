@@ -1,5 +1,9 @@
 """Simulated OEM full node: hash-chained block ledger plus verdict policy.
 
+The verdict policy is one method, ``FullNode.evaluate``, which decides
+every outcome of a checkpoint in one chain of branches: a missing library,
+registration or variant raises, and otherwise it gives one ``Verdict``.
+
 The chain is the local stand-in for a public ledger, with the same
 submission interface a real chain client would sit behind; swapping in an
 external chain means replacing FullNode while keeping Submission and the
@@ -51,7 +55,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .auditcore import POSITIVE_NUMBER, is_hex_digest
 from .masternode import ENTRY_LINES, WIRE_LINE, Submission
@@ -122,41 +126,6 @@ def library_text(library: Mapping[str, Iterable[str]]) -> str:
         f"{variant}\t{digest}\n"
         for variant in sorted(library)
         for digest in sorted(set(library[variant]))
-    )
-
-
-def oem_checksum(
-    submission: Submission,
-    library: Mapping[str, Collection[str]],
-    variant: str,
-    *,
-    critical_variants: frozenset[str] = frozenset(),
-    tamper_flag: bool = False,
-) -> Verdict:
-    """Check a submitted meta digest against the approved set for a variant.
-
-    A failed check escalates: a tamper-flagged vehicle immobilizes, a
-    critical variant warrants an emergency update, anything else is routed
-    to service.
-    """
-    if variant not in library:
-        raise UnknownVariantError(f"no approved digests on file for variant {variant!r}")
-    if submission.meta_digest in library[variant]:
-        status, reason = VerdictStatus.APPROVED, f"meta digest approved for variant {variant}"
-    elif tamper_flag:
-        status = VerdictStatus.IMMOBILIZE
-        reason = f"tamper flag set and meta digest not approved for variant {variant}"
-    elif variant in critical_variants:
-        status = VerdictStatus.EMERGENCY_OTA
-        reason = f"meta digest not approved for critical variant {variant}"
-    else:
-        status = VerdictStatus.SERVICE_NEEDED
-        reason = f"meta digest not in approved set for variant {variant}"
-    return Verdict(
-        status=status,
-        reason=reason,
-        vehicle_key=submission.vehicle_key,
-        checkpoint_seq=submission.checkpoint_seq,
     )
 
 
@@ -308,7 +277,9 @@ def load_ledger(path: str | Path) -> list[LedgerBlock]:
 
 
 class FullNode:
-    """Append-only ledger authority with per-vehicle sequence tracking.
+    """Append-only ledger authority with per-vehicle sequence tracking, and
+    the one judge of a checkpoint: ``evaluate`` reads the approved library,
+    the critical variants and each key's registered variants held here.
 
     Appends are serialized (single writer).
     """
@@ -342,14 +313,6 @@ class FullNode:
             return None
         return f"vehicle key {vehicle_key[:12]}… registered for variants {' and '.join(variants)}"
 
-    def variants_of(self, vehicle_key: str) -> tuple[str, ...]:
-        try:
-            return self._variants[vehicle_key]
-        except KeyError:
-            raise UnknownVehicleError(
-                f"vehicle key {vehicle_key[:12]}… has no registered variant"
-            ) from None
-
     # -- appends -----------------------------------------------------------
 
     def append_submissions(self, submissions: Sequence[Submission]) -> AppendResult:
@@ -381,26 +344,42 @@ class FullNode:
     # -- verdicts ------------------------------------------------------------
 
     def evaluate(self, submission: Submission, *, tamper_flag: bool = False) -> Verdict:
-        """Run the OEM checksum for a submission's registered variant.
+        """The OEM verdict on a submission: the one place each outcome is
+        decided, one branch each, in the order they are tried.
 
-        A conflicted key is judged against none of its variants: its
-        checkpoints are ``ServiceNeeded``, or ``Immobilize`` with the tamper
-        flag set, whatever their digest.
+        With no library, no registration for the key, or no approved
+        digests for its one variant, there is nothing to judge against, and
+        it raises. A conflicted key is judged against none of its variants:
+        ``ServiceNeeded``, or ``Immobilize`` with the tamper flag set,
+        whatever the digest. Otherwise an approved digest is ``Approved``,
+        and a failed check escalates: a tamper-flagged vehicle immobilizes,
+        a critical variant warrants an emergency update, anything else is
+        routed to service.
         """
+        variants = self._variants.get(submission.vehicle_key, ())
         if self.library is None:
             raise UnknownVariantError("no approved library configured")
-        variants = self.variants_of(submission.vehicle_key)
-        if len(variants) > 1:
+        elif not variants:
+            raise UnknownVehicleError(
+                f"vehicle key {submission.vehicle_key[:12]}… has no registered variant"
+            )
+        elif len(variants) > 1:
             status = VerdictStatus.IMMOBILIZE if tamper_flag else VerdictStatus.SERVICE_NEEDED
             reason = f"vehicle key registered for variants {' and '.join(variants)}"
-            return Verdict(status, reason, submission.vehicle_key, submission.checkpoint_seq)
-        return oem_checksum(
-            submission,
-            self.library,
-            variants[0],
-            critical_variants=self.critical_variants,
-            tamper_flag=tamper_flag,
-        )
+        elif (variant := variants[0]) not in self.library:
+            raise UnknownVariantError(f"no approved digests on file for variant {variant!r}")
+        elif submission.meta_digest in self.library[variant]:
+            status, reason = VerdictStatus.APPROVED, f"meta digest approved for variant {variant}"
+        elif tamper_flag:
+            status = VerdictStatus.IMMOBILIZE
+            reason = f"tamper flag set and meta digest not approved for variant {variant}"
+        elif variant in self.critical_variants:
+            status = VerdictStatus.EMERGENCY_OTA
+            reason = f"meta digest not approved for critical variant {variant}"
+        else:
+            status = VerdictStatus.SERVICE_NEEDED
+            reason = f"meta digest not in approved set for variant {variant}"
+        return Verdict(status, reason, submission.vehicle_key, submission.checkpoint_seq)
 
 
 def history_from_file(path: str | Path, vehicle_key: str) -> list[tuple[int, Submission]]:

@@ -57,6 +57,7 @@ from .auditcore import (
     VIN_RE,
     derive_vehicle_key,
     identity_hash,
+    is_hex_digest,
     _json,
     validate_vin,
 )
@@ -301,6 +302,14 @@ class Scenario:
                 )
         if self.duration_s >= NUMBER_LIMIT:
             raise ScenarioError("duration_s must have at most 18 digits")
+        # The shape read_library and observed_library give: a string would
+        # be judged as the set of its characters.
+        if self.approved_library is not None:
+            for variant, digests in _mapping("approved_library", self.approved_library).items():
+                name = f"approved_library[{_string('approved_library variant', variant)!r}]"
+                for digest in _tuple(name, digests):
+                    if not is_hex_digest(_string(f"{name} digest", digest)):
+                        raise ScenarioError(f"{name} holds {digest!r}, not a hex digest")
         for lane in self.lanes:
             longest = lane.config.longest_record_line(self.duration_s)
             if lane.config.dht_store_limit_bytes < longest:
@@ -967,19 +976,16 @@ class ScenarioResult:
     cluster_snapshots: tuple[tuple[str, bytes], ...] = ()  # (filename, blob)
     rejected_checkpoints: int = 0  # submissions the full node refused
     key_conflicts: int = 0  # registrations of a key for a second variant
+    unjudged_checkpoints: int = 0  # accepted, but the library could not judge them
 
     @property
     def findings(self) -> bool:
         """A verdict other than Approved, a rejected checkpoint, a key
-        registered for two variants, a latched tamper flag, or, in a run with
-        a library, an accepted checkpoint with no verdict."""
+        registered for two variants, an accepted checkpoint left unjudged,
+        or a latched tamper flag."""
         if any(v.status is not VerdictStatus.APPROVED for v in self.verdicts):
             return True
-        if self.scenario.approved_library is not None and len(self.verdicts) < sum(
-            len(block.entries) for block in self.blocks
-        ):
-            return True
-        problems = self.rejected_checkpoints + self.key_conflicts
+        problems = self.rejected_checkpoints + self.key_conflicts + self.unjudged_checkpoints
         return problems > 0 or any(v.tamper_flag for v in self.vehicles)
 
     def observed_library(self) -> dict[str, tuple[str, ...]]:
@@ -1000,10 +1006,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     ``Vehicle`` with its stores, mirror and parity devices is dropped, so
     a fleet holds one vehicle at a time. Phase 2 registers every vehicle
     key in VIN order, merges deliveries by (sim_time, vehicle_key, VIN),
-    appends them as blocks to the shared full node, and runs the OEM
-    checksum on every accepted submission (skipped when the scenario has
-    no approved library, which is how golden libraries get seeded), counting
-    each verdict under the VIN whose batch carried it.
+    appends them as blocks to the shared full node, and has it judge every
+    accepted submission (skipped when the scenario has no approved library,
+    which is how golden libraries get seeded), counting each verdict under
+    the VIN whose batch carried it and each checkpoint left unjudged.
     Nothing is written to disk; ``cli.write_artifacts`` renders the result.
     """
     ground_truth: list[str] = []
@@ -1056,7 +1062,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     verdicts: list[Verdict] = []
     counts = {outcome.vin: outcome.verdicts for outcome in outcomes}
-    rejected = 0
+    rejected = unjudged = 0
     for vin, batch in drained:
         result = full_node.append_submissions(list(batch.submissions))
         rejected += len(result.rejected)
@@ -1073,6 +1079,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 alerts.append(
                     f"t={batch.sim_time} checkpoint {submission.checkpoint_seq}: {exc}"
                 )
+                unjudged += 1
                 continue
             verdicts.append(verdict)
             counts[vin][verdict.status.value] += 1
@@ -1087,4 +1094,5 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         cluster_snapshots=tuple(snapshots),
         rejected_checkpoints=rejected,
         key_conflicts=conflicts,
+        unjudged_checkpoints=unjudged,
     )

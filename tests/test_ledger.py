@@ -13,13 +13,13 @@ from autobox.ledger import (
     LedgerFormatError,
     UnknownVariantError,
     UnknownVehicleError,
+    Verdict,
     VerdictStatus,
     VerifyResult,
     history_from_file,
     library_text,
     load_ledger,
     merkle_root,
-    oem_checksum,
     read_library,
     verify_chain,
 )
@@ -264,55 +264,71 @@ class TestApprovedLibrary:
             read_library("X\tnothex\n")
 
 
-class TestOemChecksum:
-    LIB = {"EU-BASE": ("aa" * 32,), "CRIT": ("aa" * 32,)}
-
-    def test_approved(self):
-        verdict = oem_checksum(make_submission(digest="aa" * 32), self.LIB, "EU-BASE")
-        assert verdict.status is VerdictStatus.APPROVED
-
-    def test_absent_digest_service_needed_names_variant(self):
-        verdict = oem_checksum(make_submission(digest="bb" * 32), self.LIB, "EU-BASE")
-        assert verdict.status is VerdictStatus.SERVICE_NEEDED
-        assert "EU-BASE" in verdict.reason
-
-    def test_absent_digest_with_tamper_flag_immobilizes(self):
-        verdict = oem_checksum(
-            make_submission(digest="bb" * 32), self.LIB, "EU-BASE", tamper_flag=True
+# The verdict table of ``FullNode.evaluate``, one row per outcome. The node
+# registers BASE_KEY for EU-BASE, CRIT_KEY for the critical variant CRIT,
+# CLONE_KEY for both CRIT and EU-SPORT (a conflict), GAP_KEY for EU-GAP,
+# which the library lacks, and SOUND_KEY for V, which approves 3 of the 6
+# digests in SOUND. A row is (key, digest, tamper flag, library given) and
+# the exact (status, reason), or the exact (exception type, message).
+BASE_KEY, CRIT_KEY, CLONE_KEY = "ab" * 32, "cd" * 32, "ef" * 32
+GAP_KEY, SOUND_KEY, UNKNOWN_KEY = "12" * 32, "34" * 32, "99" * 32
+AA, BB, SOUND = "aa" * 32, "bb" * 32, [f"{i:064x}" for i in range(6)]
+VERDICT_LIBRARY = {"EU-BASE": (AA,), "CRIT": (AA,), "EU-SPORT": (BB,), "V": SOUND[:3]}
+REGISTRATIONS = [
+    (BASE_KEY, "EU-BASE"), (CRIT_KEY, "CRIT"), (CLONE_KEY, "CRIT"), (CLONE_KEY, "EU-SPORT"),
+    (GAP_KEY, "EU-GAP"), (SOUND_KEY, "V"),
+]
+APPROVED_BASE = (VerdictStatus.APPROVED, "meta digest approved for variant EU-BASE")
+CONFLICT = "vehicle key registered for variants CRIT and EU-SPORT"
+VERDICT_TABLE = {
+    "approved": (BASE_KEY, AA, False, True, *APPROVED_BASE),
+    "approved-tamper-flag": (BASE_KEY, AA, True, True, *APPROVED_BASE),
+    "missing": (BASE_KEY, BB, False, True, VerdictStatus.SERVICE_NEEDED,
+                "meta digest not in approved set for variant EU-BASE"),
+    "missing-tamper-flag-over-critical": (
+        CRIT_KEY, BB, True, True, VerdictStatus.IMMOBILIZE,
+        "tamper flag set and meta digest not approved for variant CRIT",
+    ),
+    "missing-critical": (CRIT_KEY, BB, False, True, VerdictStatus.EMERGENCY_OTA,
+                         "meta digest not approved for critical variant CRIT"),
+    "conflict": (CLONE_KEY, BB, False, True, VerdictStatus.SERVICE_NEEDED, CONFLICT),
+    "conflict-tamper-flag": (CLONE_KEY, BB, True, True, VerdictStatus.IMMOBILIZE, CONFLICT),
+    "variant-missing": (GAP_KEY, AA, False, True, UnknownVariantError,
+                        "no approved digests on file for variant 'EU-GAP'"),
+    "unregistered-key": (UNKNOWN_KEY, AA, False, True, UnknownVehicleError,
+                         "vehicle key 999999999999… has no registered variant"),
+    "no-library": (BASE_KEY, AA, False, False, UnknownVariantError,
+                   "no approved library configured"),
+    # Soundness, exhaustive on a small library: Approved iff the digest is
+    # in the variant's approved set.
+    **{
+        f"soundness-{i}": (SOUND_KEY, digest, False, True) + (
+            (VerdictStatus.APPROVED, "meta digest approved for variant V") if i < 3
+            else (VerdictStatus.SERVICE_NEEDED, "meta digest not in approved set for variant V")
         )
-        assert verdict.status is VerdictStatus.IMMOBILIZE
+        for i, digest in enumerate(SOUND)
+    },
+}
 
-    def test_critical_variant_emergency_ota(self):
-        verdict = oem_checksum(
-            make_submission(digest="bb" * 32),
-            self.LIB,
-            "CRIT",
-            critical_variants=frozenset({"CRIT"}),
-        )
-        assert verdict.status is VerdictStatus.EMERGENCY_OTA
 
-    def test_unknown_variant_is_error_not_service_verdict(self):
-        with pytest.raises(UnknownVariantError):
-            oem_checksum(make_submission(), self.LIB, "NOPE")
-
-    def test_soundness_exhaustive_on_small_library(self):
-        """Approved iff digest in the variant's approved set."""
-        digests = [f"{i:064x}" for i in range(6)]
-        lib = {"V": digests[:3]}
-        for digest in digests:
-            verdict = oem_checksum(make_submission(digest=digest), lib, "V")
-            expected = digest in digests[:3]
-            assert (verdict.status is VerdictStatus.APPROVED) == expected
+@pytest.mark.parametrize(
+    "key, digest, tamper_flag, with_library, outcome, text",
+    VERDICT_TABLE.values(), ids=VERDICT_TABLE.keys(),
+)
+def test_verdict_table(key, digest, tamper_flag, with_library, outcome, text):
+    node = FullNode(VERDICT_LIBRARY if with_library else None, frozenset({"CRIT"}))
+    for registered, variant in REGISTRATIONS:
+        node.register_vehicle(registered, variant)
+    submission = make_submission(seq=7, key=key, digest=digest)
+    if isinstance(outcome, VerdictStatus):
+        assert node.evaluate(submission, tamper_flag=tamper_flag) == Verdict(outcome, text, key, 7)
+    else:
+        with pytest.raises(outcome) as raised:
+            node.evaluate(submission, tamper_flag=tamper_flag)
+        assert type(raised.value) is outcome and str(raised.value) == text
 
 
 class TestFullNodeEvaluateAndHistory:
-    def test_evaluate_uses_registration(self):
-        lib = {"EU-BASE": ["aa" * 32]}
-        node = FullNode(library=lib)
-        node.register_vehicle("ab" * 32, "EU-BASE")
-        verdict = node.evaluate(make_submission(digest="aa" * 32))
-        assert verdict.status is VerdictStatus.APPROVED
-
     def test_key_registered_for_two_variants_is_a_conflict(self):
         """A second variant never replaces the first: the key keeps both, the
         registration returns the alert, and its checkpoints are judged
@@ -325,7 +341,6 @@ class TestFullNodeEvaluateAndHistory:
             "vehicle key abababababab… registered for variants EU-BASE and EU-SPORT"
         )
         assert node.register_vehicle("ab" * 32, "EU-BASE") is None
-        assert node.variants_of("ab" * 32) == ("EU-BASE", "EU-SPORT")
         for digest in ("aa" * 32, "bb" * 32, "cc" * 32):
             for tamper_flag, status in (
                 (False, VerdictStatus.SERVICE_NEEDED),
@@ -338,17 +353,6 @@ class TestFullNodeEvaluateAndHistory:
         assert node.evaluate(make_submission(key="cd" * 32, digest="aa" * 32)).status is (
             VerdictStatus.APPROVED
         )
-
-    def test_no_library_raises(self):
-        node = FullNode()
-        node.register_vehicle("ab" * 32, "EU-BASE")
-        with pytest.raises(UnknownVariantError, match="no approved library configured"):
-            node.evaluate(make_submission())
-
-    def test_unregistered_vehicle_raises(self):
-        node = FullNode(library={"EU-BASE": ["aa" * 32]})
-        with pytest.raises(UnknownVehicleError):
-            node.evaluate(make_submission())
 
     def test_history_ordered_and_complete(self, tmp_path):
         node = FullNode()

@@ -819,6 +819,14 @@ class TestOutage:
             (8000, "connectivity_up"),
         ]
 
+    def test_outage_may_start_at_time_zero(self):
+        """The first event may come at boot, offline from the start."""
+        events = (event(ScenarioEventKind.CONNECTIVITY_OUTAGE, 0, end=1000),)
+        result = run_scenario(make_scenario(events=events, duration_s=3600))
+        gt = [json.loads(line) for line in result.ground_truth]
+        links = [(g["sim_time"], g["event"]) for g in gt if g["event"].startswith("connectivity")]
+        assert links == [(0, "connectivity_down"), (1000, "connectivity_up")]
+
     def test_outage_may_end_as_it_starts(self):
         events = (event(ScenarioEventKind.CONNECTIVITY_OUTAGE, 1000, end=1000),)
         result = run_scenario(make_scenario(events=events, duration_s=3600))
@@ -925,6 +933,19 @@ class TestReleasedAfterRun:
             gc.enable()
         assert result.blocks
         assert alive == []
+
+
+def test_checkpoints_left_unjudged_are_counted_and_are_findings():
+    """A library without the variant judges none of the accepted
+    checkpoints: the run counts each, and that alone makes a finding."""
+    scenario = load_scenario(DEMO_SCENARIO)
+    calibration = run_scenario(scenario)
+    clean = run_scenario(replace(scenario, approved_library=calibration.observed_library()))
+    assert clean.unjudged_checkpoints == 0 and not clean.findings
+    gap = run_scenario(replace(scenario, approved_library={"US-BASE": ()}))
+    accepted = sum(len(block.entries) for block in gap.blocks)
+    assert gap.verdicts == () and gap.unjudged_checkpoints == accepted > 0
+    assert gap.findings
 
 
 def test_observed_library_keeps_each_digest_once_in_first_seen_order():
@@ -1413,6 +1434,27 @@ class TestLibraryPathValidation:
         scenario = load_scenario(DEMO_SCENARIO)
         with pytest.raises(ScenarioError, match="VINs must be unique"):
             replace(scenario, lanes=scenario.lanes * 2)
+
+    @pytest.mark.parametrize(
+        "library, message",
+        [
+            ({"EU-BASE": "ab" * 32}, r"approved_library\['EU-BASE'\] must be a tuple"),
+            ({"EU-BASE": ("AB" * 32,)}, r"approved_library\['EU-BASE'\] holds 'ABAB.*not a hex"),
+            ({"EU-BASE": (b"ab" * 32,)}, r"approved_library\['EU-BASE'\] digest must be a string"),
+            ({1: ("ab" * 32,)}, "approved_library variant must be a string, got 1"),
+            ({"EU-BASE": None}, r"approved_library\['EU-BASE'\] must be a tuple, got None"),
+            ({"EU-BASE": ["ab" * 32]}, r"approved_library\['EU-BASE'\] must be a tuple, got \["),
+            ([("EU-BASE", ("ab" * 32,))], "approved_library must be an object"),
+        ],
+        ids=["string", "uppercase", "bytes", "int-variant", "none", "list", "pairs"],
+    )
+    def test_approved_library_takes_only_variants_to_digest_tuples(self, library, message):
+        """Only what ``read_library`` and ``observed_library`` give: a string,
+        say, would be judged as a set of characters, so every checkpoint of
+        the variant would need service."""
+        scenario = load_scenario(DEMO_SCENARIO)
+        with pytest.raises(ScenarioError, match=message):
+            replace(scenario, approved_library=library)
 
     def test_unprintable_variant_code_refused_on_replace(self):
         """A tab would split the variant's library line into three fields."""

@@ -3,14 +3,16 @@
 Each mutant changes one operator in one target function: a comparison
 operator to its boundary or negated twin (``<`` and ``<=``, ``>`` and
 ``>=``, ``==`` and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``),
-``and`` to ``or`` and back, or a ``not`` dropped; an integer constant
-0 to 3 that a function returns to its neighbour (0 and 1, 1 and 2, 2 and
-3), which moves an exit code of the ``cli`` commands; or a statement that
-is only a call of ``.add``, ``.clear``, ``.append`` or ``.extend``
-dropped, which leaves a collection as it was; or, in the targets whose
-f-strings write artifact bytes (``FSTRING_TARGETS``), two adjacent values
-of an f-string swapped or one dropped. For each mutant the
-runner copies the tree into a temporary directory, splices the mutated
+``and`` to ``or`` and back, or a ``not`` dropped; a value that a return or
+an assignment gives, as it is, in a conditional's branch or in a tuple,
+swapped for its neighbour: an integer constant 0 to 3 (0 and 1, 1 and 2,
+2 and 3), which moves an exit code of the ``cli`` commands, or a
+``VerdictStatus`` member, in the enum's order, which moves a verdict; or a
+statement that is only a call of ``.add``, ``.clear``, ``.append``,
+``.extend`` or ``.pop`` dropped, which leaves a collection as it was; or,
+in the targets whose f-strings write artifact bytes (``FSTRING_TARGETS``),
+two adjacent values of an f-string swapped or one dropped. For each mutant
+the runner copies the tree into a temporary directory, splices the mutated
 expression into that copy's source and runs ``pytest -x -q`` there; the
 working tree is never written. A mutant is killed when the run fails, or
 when it takes more than ``TIMEOUT_FACTOR`` times as long as the unmutated
@@ -21,8 +23,10 @@ equivalent mutant and why, or an open gap. Usage, from anywhere:
 
     python3 tools/mutants.py    # every mutant, two pytest runs at a time
 
-Stdlib only; not part of the Tier-1 tests. A full run takes about 20
-minutes on two vCPUs.
+Stdlib only. A full run takes about 20 minutes on two vCPUs; enumerating
+the mutants (``find_mutants``) takes a tenth of a second, and the Tier-1
+test ``tests/test_mutants.py`` checks it: every target yields a mutant,
+and every name in ``NOTES`` and ``FSTRING_TARGETS`` is one.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT = Path(__file__).resolve().parent / "mutants.json"
+GUARD = "tests/test_mutants.py"  # the Tier-1 test of find_mutants
 MAX_JOBS = 2
 # A mutant's run may take this many times the unmutated run's time before
 # it counts as killed (a mutant that loops forever).
@@ -52,9 +57,9 @@ TIMEOUT_FACTOR = 3
 # module -> the functions on the tamper-evidence path, by qualified name.
 TARGETS = {
     "ledger": [
-        "read_library", "oem_checksum", "merkle_root", "_seal", "LedgerBlock.build",
-        "_advance", "_walk", "load_ledger", "FullNode.append_submissions",
-        "FullNode.register_vehicle", "FullNode.evaluate", "history_from_file",
+        "read_library", "merkle_root", "_seal", "_advance", "_walk", "load_ledger",
+        "FullNode.append_submissions", "FullNode.register_vehicle", "FullNode.evaluate",
+        "history_from_file",
     ],
     "parity": [
         "ParityCluster._resolve", "ParityCluster._data_index",
@@ -64,11 +69,11 @@ TARGETS = {
         "load_snapshot",
     ],
     "dht": [
-        "DhtNode.cover", "DhtNode.evict", "DhtNode.insert",
+        "DhtNode.evict", "DhtNode.insert",
         "DhtNetwork.remove_node", "DhtNetwork.fail_node", "DhtNetwork.recover_node",
         "DhtNetwork.is_live", "DhtNetwork.locate", "DhtNetwork.put",
     ],
-    "masternode": ["meta_digest", "MasterNode.put", "MasterNode.capture_meta_hash"],
+    "masternode": ["MasterNode.put", "MasterNode.capture_meta_hash"],
     "vehiclesim": [
         "ScenarioEvent.__post_init__", "VehicleConfig.__post_init__", "Scenario.__post_init__",
         "detect_discrepancy", "Vehicle.startup_consistency_check", "Vehicle.clear_tamper_flag",
@@ -93,7 +98,7 @@ _SYMBOL = {
     ast.IsNot: "is not", ast.And: "and", ast.Or: "or",
 }
 # Methods whose call, as a statement of its own, a mutant drops.
-_DROPPED_CALLS = {"add", "clear", "append", "extend"}
+_DROPPED_CALLS = {"add", "clear", "append", "extend", "pop"}
 # The targets whose f-strings write artifact bytes (ground-truth lines,
 # alerts, record keys and lines): in these, a mutant swaps two adjacent
 # values of an f-string or drops one. Elsewhere f-strings are left alone.
@@ -126,13 +131,20 @@ def _functions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _mutations(node: ast.AST, returned: bool):
-    """(description, mutated copy) for each operator of one node;
-    ``returned`` when the node is an integer constant of a returned value."""
-    if returned:
+def _mutations(node: ast.AST, given: bool, statuses: list[str]):
+    """(description, mutated copy) for each operator of one node. ``given``
+    says the node is an integer constant or a ``VerdictStatus`` member that
+    a return or an assignment gives: it is swapped for its neighbour among
+    0 to 3, or among ``statuses``, the members in the enum's order."""
+    if given and isinstance(node, ast.Constant):
         for value in (node.value - 1, node.value + 1):
             if 0 <= value <= 3:
                 yield f"{node.value} -> {value}", ast.Constant(value)
+    elif given:
+        i = statuses.index(node.attr)
+        for j in (i - 1, i + 1):
+            if 0 <= j < len(statuses):
+                yield f"{node.attr} -> {statuses[j]}", ast.Attribute(node.value, statuses[j])
     elif isinstance(node, ast.Compare):
         for i, op in enumerate(node.ops):
             mutated = copy.deepcopy(node)
@@ -162,11 +174,24 @@ def _mutations(node: ast.AST, returned: bool):
             yield f"drop {name[i]}", mutated
 
 
-def _returned(value: ast.AST | None) -> list[ast.AST | None]:
-    """The expressions whose value a return statement's value may be."""
+def _given(value: ast.AST | None) -> list[ast.AST | None]:
+    """The expressions a returned or assigned value may be, or be a part
+    of: both branches of a conditional, each element of a tuple."""
     if isinstance(value, ast.IfExp):
-        return _returned(value.body) + _returned(value.orelse)
+        return _given(value.body) + _given(value.orelse)
+    if isinstance(value, ast.Tuple):
+        return [part for element in value.elts for part in _given(element)]
     return [value]
+
+
+def _swappable(node: ast.AST | None) -> bool:
+    """An integer constant, or a member of ``VerdictStatus``."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    return (
+        isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "VerdictStatus"
+    )
 
 
 def _expressions(function: ast.AST, fstrings: bool):
@@ -184,7 +209,8 @@ def _expressions(function: ast.AST, fstrings: bool):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _splice(source: str, node: ast.AST, text: str) -> str:
+def _spans(source: str):
+    """A function from a node to its (start, end) offsets in ``source``."""
     lines = source.splitlines(keepends=True)
     offsets = [0]
     for line in lines:
@@ -193,17 +219,22 @@ def _splice(source: str, node: ast.AST, text: str) -> str:
     def at(lineno: int, col: int) -> int:  # ast columns count UTF-8 bytes
         return offsets[lineno - 1] + len(lines[lineno - 1].encode()[:col].decode())
 
-    start = at(node.lineno, node.col_offset)
-    end = at(node.end_lineno, node.end_col_offset)
-    return source[:start] + "(" + text + ")" + source[end:]
+    return lambda node: (at(node.lineno, node.col_offset), at(node.end_lineno, node.end_col_offset))
 
 
 def find_mutants(root: Path) -> list[dict]:
+    sources = {
+        module: (root / "src" / "autobox" / f"{module}.py").read_text(encoding="utf-8")
+        for module in TARGETS
+    }
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    enum = next(n for n in trees["ledger"].body if getattr(n, "name", "") == "VerdictStatus")
+    statuses = [n.targets[0].id for n in enum.body if isinstance(n, ast.Assign)]
     mutants = []
     for module, names in TARGETS.items():
-        path = root / "src" / "autobox" / f"{module}.py"
-        source = path.read_text(encoding="utf-8")
-        found = dict(_functions(ast.parse(source)))
+        source = sources[module]
+        span = _spans(source)
+        found = dict(_functions(trees[module]))
         missing = sorted(set(names) - set(found))
         if missing:
             raise SystemExit(f"{module}: no function {missing}")
@@ -213,23 +244,30 @@ def find_mutants(root: Path) -> list[dict]:
                 (n for n in _expressions(found[name], fstrings) if hasattr(n, "lineno")),
                 key=lambda n: (n.lineno, n.col_offset),
             )
-            # Integer constants returned as they are, named by their return statement.
-            returns = {
-                id(c): r
-                for r in ast.walk(found[name]) if isinstance(r, ast.Return)
-                for c in _returned(r.value) if isinstance(c, ast.Constant) and type(c.value) is int
+            # Integer constants and statuses returned or assigned as they
+            # are, named by their statement.
+            given = {
+                id(part): statement
+                for statement in ast.walk(found[name])
+                if isinstance(statement, (ast.Return, ast.Assign, ast.AnnAssign))
+                for part in _given(statement.value) if _swappable(part)
             }
             seen: dict[str, int] = {}
             for node in nodes:
-                original = ast.get_source_segment(source, returns.get(id(node), node))
-                for change, mutated in _mutations(node, id(node) in returns):
-                    base = f"{module}.{name}: {' '.join(original.split())}: {change}"
+                changes = list(_mutations(node, id(node) in given, statuses))
+                if not changes:
+                    continue
+                first, last = span(given.get(id(node), node))
+                original = " ".join(source[first:last].split())
+                start, end = span(node)
+                for change, mutated in changes:
+                    base = f"{module}.{name}: {original}: {change}"
                     seen[base] = seen.get(base, 0) + 1
                     mutants.append({
                         "id": base if seen[base] == 1 else f"{base} #{seen[base]}",
                         "file": f"src/autobox/{module}.py",
                         "line": node.lineno,
-                        "source": _splice(source, node, ast.unparse(mutated)),
+                        "source": f"{source[:start]}({ast.unparse(mutated)}){source[end:]}",
                     })
     return mutants
 
@@ -246,7 +284,10 @@ def run_tests(tree: Path, timeout_s: float | None = None) -> tuple[bool, str | N
     (False, the timeout) when the run takes longer than ``timeout_s``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        # The guard of this enumeration would read a mutant's source and
+        # fail on it, whatever the program's tests say.
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         f"--ignore={GUARD}"],
         cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         start_new_session=True,
     )
