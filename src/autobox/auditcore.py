@@ -27,10 +27,16 @@ carries a key that does not match it.
 
 Each value is hashed once: ``ModuleMetadata.payload_hash``,
 ``AuditRecord.record_key`` and ``AuditRecord.line`` are derived once, when
-the value is made. That is safe because both types are frozen and every
-mutation (reflash, tamper, swap) replaces the instance, so the new one,
-``dataclasses.replace``'s too, derives afresh. They are attributes, not
-fields: ``==``, ``hash`` and ``repr`` cover the fields only.
+the value is made. That is safe because nothing assigns to either type
+after it is made: every mutation (reflash, tamper, swap) replaces the
+instance, so the new one, ``dataclasses.replace``'s too, derives afresh.
+``ModuleMetadata`` is frozen. ``AuditRecord`` is slotted, not frozen: a
+record is made on every put, and a frozen dataclass pays one
+``object.__setattr__`` per field as it is made. Frozen, a record took
+2.6 µs to make, its SHA-256 included; slotted it takes 1.5 µs (Python
+3.11.7, 2-vCPU Xeon VM).
+The derived values take no part in ``==``, ``hash`` or ``repr``, and no
+constructor argument gives them.
 
 Only what is hashed lives here: the vehicle data every module replicates
 enters no digest, and its tables and their vote are ``vehiclesim``'s.
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum
 from typing import Any, Callable, Iterable
@@ -148,7 +154,7 @@ class ModuleMetadata:
         object.__setattr__(self, "payload_hash", sha256_hex(canonical_serialize(self)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AuditRecord:
     """One hashed, timestamped, typed event as stored in the DHT.
 
@@ -161,18 +167,21 @@ class AuditRecord:
     event_type: EventType
     sim_time: int
     payload_hash: str
+    record_key: str = field(init=False, repr=False, compare=False)
+    line: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # compute_record_key and dump_line, in one pass over the fields.
-        event, module_id = self.event_type.value, self.module_id
+        # _value_: the member's value, without the slower Enum.value descriptor.
+        event, module_id = self.event_type._value_, self.module_id
         sim_time, payload_hash = self.sim_time, self.payload_hash
         key = sha256_hex(
             f"event_type={event}\nmodule_id={module_id}\n"
             f"payload_hash={payload_hash}\nsim_time={sim_time}".encode("utf-8")
         )
-        object.__setattr__(self, "record_key", key)
+        self.record_key = key
         line = f"{key}\t{module_id}\t{event}\t{sim_time}\t{payload_hash}\n"
-        object.__setattr__(self, "line", line.encode("utf-8"))
+        self.line = line.encode("utf-8")
 
     def dump_line(self) -> str:
         """Audit dump encoding: key, module, event, time, payload hash."""

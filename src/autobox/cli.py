@@ -244,7 +244,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
     rows = [
-        (str(sub.checkpoint_seq), sub.meta_digest, sub.trigger.value, str(sub.sim_time),
+        (str(sub.checkpoint_seq), sub.meta_digest, sub.trigger._value_, str(sub.sim_time),
          str(block))
         for block, sub in history
     ]

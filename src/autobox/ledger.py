@@ -43,16 +43,16 @@ entry-line bytes: ``verify_chain`` builds no object and turns the error
 into its verdict, ``history_from_file`` builds a ``Submission``
 (``Submission.from_line``) only for the lines whose first 64 bytes are
 the asked key, and ``load_ledger`` every ``LedgerBlock`` and entry; those
-two raise the walker's error as it is. ``LedgerBlock`` and ``Submission``
-are ``NamedTuple``s: immutable and hashable like a frozen dataclass, but
-built by one tuple allocation instead of a setattr per field.
+two raise the walker's error as it is. ``LedgerBlock``, ``Submission``,
+``Verdict``, ``AppendResult`` and ``VerifyResult`` are ``NamedTuple``s:
+immutable and hashable like a frozen dataclass, but built by one tuple
+allocation instead of a setattr per field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -87,8 +87,7 @@ class VerdictStatus(str, Enum):
     IMMOBILIZE = "Immobilize"
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: VerdictStatus
     reason: str
     vehicle_key: str
@@ -185,8 +184,7 @@ class LedgerBlock(NamedTuple):
 RECORD_HEAD = re.compile(rb"(%s)\n([^\n]*)\n" % POSITIVE_NUMBER)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     valid: bool
     broken_at: int | None = None
 
@@ -194,8 +192,7 @@ class VerifyResult:
         return "valid" if self.valid else f"broken-at {self.broken_at}"
 
 
-@dataclass(frozen=True)
-class AppendResult:
+class AppendResult(NamedTuple):
     block: LedgerBlock | None
     rejected: tuple[tuple[Submission, str], ...]
 

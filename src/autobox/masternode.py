@@ -46,8 +46,7 @@ from .auditcore import HEX_DIGEST, NUMBER, POSITIVE_NUMBER, AuditRecord, EventTy
 from .dht import DhtNetwork, StoreReceipt
 
 
-@dataclass(frozen=True, slots=True)
-class MetaHash:
+class MetaHash(NamedTuple):
     """One checkpoint: a link of the chain over the mirror's increments."""
 
     digest: str
@@ -73,7 +72,7 @@ class Submission(NamedTuple):
     def wire_line(self) -> str:
         return (
             f"{self.vehicle_key}|{self.checkpoint_seq}|{self.meta_digest}"
-            f"|{self.trigger.value}|{self.sim_time}"
+            f"|{self.trigger._value_}|{self.sim_time}"
         )
 
     @classmethod

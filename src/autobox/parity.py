@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, le
 from typing import Iterable, NamedTuple, NoReturn, Union
@@ -93,8 +92,7 @@ class RecordLocation(NamedTuple):
     record_hash: str
 
 
-@dataclass(frozen=True)
-class ScrubReport:
+class ScrubReport(NamedTuple):
     clean: bool
     device: DeviceRef | None = None
     records: frozenset[str] = frozenset()

@@ -47,7 +47,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .auditcore import (
     AuditRecord,
@@ -310,6 +310,9 @@ class Scenario:
                 for digest in _tuple(name, digests):
                     if not is_hex_digest(_string(f"{name} digest", digest)):
                         raise ScenarioError(f"{name} holds {digest!r}, not a hex digest")
+        # The shape _POLICY gives: a string would be judged by substring.
+        for variant in _frozenset("critical_variants", self.critical_variants):
+            _string("critical_variants variant", variant)
         for lane in self.lanes:
             longest = lane.config.longest_record_line(self.duration_s)
             if lane.config.dht_store_limit_bytes < longest:
@@ -319,8 +322,7 @@ class Scenario:
                 )
 
 
-@dataclass(frozen=True, slots=True)
-class DrainBatch:
+class DrainBatch(NamedTuple):
     """One uplink delivery: what arrived at the full node, and when."""
 
     sim_time: int
@@ -797,6 +799,7 @@ def _fields(obj: Any, table: dict[str, tuple[Shape, Any]], noun: str) -> dict[st
 _integer, _string = _json(int, "an integer"), _json(str, "a string")
 _array, _mapping = _json(list, "a list"), _json(dict, "an object")
 _tuple, _metadata = _json(tuple, "a tuple"), _json(ModuleMetadata, "a ModuleMetadata")
+_frozenset = _json(frozenset, "a frozenset")
 
 
 def _as_is(name: str, value: Any) -> Any:

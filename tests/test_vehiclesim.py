@@ -10,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from autobox import parity
 from autobox.auditcore import (
     EventType,
     MetadataError,
     derive_vehicle_key,
 )
 from autobox.cli import write_artifacts
-from autobox.ledger import FullNode, VerdictStatus, history_from_file
+from autobox.ledger import FullNode, VerdictStatus, history_from_file, verify_chain
 from autobox.masternode import MetaHash
 from autobox.vehiclesim import (
     AirbagStatus,
@@ -1456,6 +1457,25 @@ class TestLibraryPathValidation:
         with pytest.raises(ScenarioError, match=message):
             replace(scenario, approved_library=library)
 
+    @pytest.mark.parametrize(
+        "variants, message",
+        [
+            ("NOT-EU-BASE", "critical_variants must be a frozenset, got 'NOT-EU-BASE'"),
+            (None, "critical_variants must be a frozenset, got None"),
+            ([1], r"critical_variants must be a frozenset, got \[1\]"),
+            ({"EU-BASE"}, r"critical_variants must be a frozenset, got \{'EU-BASE'\}"),
+            (frozenset({1}), "critical_variants variant must be a string, got 1"),
+        ],
+        ids=["string", "none", "list", "set", "int-variant"],
+    )
+    def test_critical_variants_takes_only_a_frozenset_of_strings(self, variants, message):
+        """Only what a scenario file's policy gives: a string would be judged
+        by substring, so "NOT-EU-BASE" would make every EU-BASE checkpoint
+        an EmergencyOta."""
+        scenario = replace(load_scenario(DEMO_SCENARIO), approved_library={"EU-BASE": ()})
+        with pytest.raises(ScenarioError, match=message):
+            replace(scenario, critical_variants=variants)
+
     def test_unprintable_variant_code_refused_on_replace(self):
         """A tab would split the variant's library line into three fields."""
         (lane,) = load_scenario(DEMO_SCENARIO).lanes
@@ -1810,3 +1830,41 @@ class TestAirbagTamper:
         )
         result = run_with_seeded_library(events=events, duration_s=300)
         assert result.vehicles[0].tamper_details["airbag_status"] == frozenset({"BCM"})
+
+
+class TestPerRecordValues:
+    """The values a run makes per record, capture, scrub, drain and verdict
+    hold no per-instance ``__dict__``: a frozen dataclass would pay one
+    setattr per field as each is made. ``AuditRecord`` is a slotted
+    dataclass, the others are ``NamedTuple``s, which take no assignment.
+    Equal values hash equal."""
+
+    def test_demo_values_are_slotted_and_hash_as_they_compare(self, tmp_path):
+        scenario = load_scenario(DEMO_SCENARIO)
+        (lane,) = scenario.lanes
+        vehicle = Vehicle(lane.config)
+        vehicle.run(lane.events, scenario.duration_s)
+        (record, *_) = stored_records(dht_node(vehicle.network, vehicle.node_of["ECU"])).values()
+        result = run_scenario(replace(scenario, approved_library=seeded_library(scenario)))
+        batch = vehicle.batches[0]
+        tuples = {
+            "MetaHash": vehicle.master.captures[0],
+            "ScrubReport": parity.scrub(vehicle.clusters[0]),
+            "DrainBatch": batch,
+            "Verdict": result.verdicts[0],
+            "AppendResult": FullNode().append_submissions(list(batch.submissions)),
+            "VerifyResult": verify_chain(write_chain(tmp_path / "ledger.txt", result.blocks)),
+        }
+        assert {name: type(value).__name__ for name, value in tuples.items()} == {
+            name: name for name in tuples
+        }
+        for value in (record, *tuples.values()):
+            assert not hasattr(value, "__dict__"), type(value)
+        for name, value in tuples.items():
+            assert isinstance(value, tuple), name
+            with pytest.raises(AttributeError):
+                setattr(value, value._fields[0], None)
+        twins = [(record, replace(record))]
+        twins += [(value, value._replace()) for value in tuples.values()]
+        for value, twin in twins:
+            assert twin is not value and twin == value and hash(twin) == hash(value)
