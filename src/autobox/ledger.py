@@ -24,29 +24,30 @@ duplicate-last when a level is odd), so the root of a one-entry block is
 its line's SHA-256. Block 0 links from 64 zero hex chars.
 
 One walker, ``_walk``, reads the file and makes every check in place,
-without parsing and re-encoding, at the cost of two matches and the
-block's SHA-256s: ``RECORD_HEAD``, beside ``LedgerBlock.file_record``,
-matches the length and header lines, and ``masternode.ENTRY_LINES``, built
-from the fields of ``WIRE_LINE`` beside ``Submission.wire_line``, all the
-entry lines at once, numbers only as ``auditcore.NUMBER`` spells them
-(canonical, at most 18 digits). The entries match is bounded by the
-length line and must end exactly there: a record needs an entry line, and
-its length line counts the payload exactly. The header must equal the one
-``_seal`` formats from the raw entry bytes, the seal ``LedgerBlock.build``
-writes. Per vehicle key, checkpoint_seq must strictly increase along the
-chain, as on append: that rejects a duplicated last entry line, which
-keeps the Merkle root. An empty file is a valid chain of 0 blocks, the
-truncation at boundary 0. The walker stops at the first block that fails,
-with one error, ``LedgerFormatError``, whose ``broken_at`` names that
-block. Each reader drives the walker, which yields the checked header and
-entry-line bytes: ``verify_chain`` builds no object and turns the error
-into its verdict, ``history_from_file`` builds a ``Submission``
-(``Submission.from_line``) only for the lines whose first 64 bytes are
-the asked key, and ``load_ledger`` every ``LedgerBlock`` and entry; those
-two raise the walker's error as it is. ``LedgerBlock``, ``Submission``,
-``Verdict``, ``AppendResult`` and ``VerifyResult`` are ``NamedTuple``s:
-immutable and hashable like a frozen dataclass, but built by one tuple
-allocation instead of a setattr per field.
+without parsing and re-encoding, at the cost of a match for the record's
+head, one per entry line and the block's SHA-256s: ``RECORD_HEAD``, beside
+``LedgerBlock.file_record``, matches the length and header lines, and
+``masternode.ENTRY_LINE``, built from ``WIRE_LINE`` beside
+``Submission.wire_line``, each entry line in turn, numbers only as
+``auditcore.NUMBER`` spells them (canonical, at most 18 digits), and gives
+its key and checkpoint_seq. The entry matches are bounded by the length
+line and the last must end exactly there: a record needs an entry line,
+and its length line counts the payload exactly. The header must equal the
+one ``_seal`` formats from the raw entry bytes, the seal
+``LedgerBlock.build`` writes. Per vehicle key, checkpoint_seq must
+strictly increase along the chain, as on append: that rejects a duplicated
+last entry line, which keeps the Merkle root. An empty file is a valid
+chain of 0 blocks, the truncation at boundary 0. The walker stops at the
+first block that fails, with one error, ``LedgerFormatError``, whose
+``broken_at`` names that block. Each reader drives the walker, which
+yields the checked header and entry-line bytes: ``verify_chain`` builds no
+object and turns the error into its verdict, ``history_from_file`` builds
+a ``Submission`` (``Submission.from_line``) only for the lines whose first
+64 bytes are the asked key, and ``load_ledger`` every ``LedgerBlock`` and
+entry; those two raise the walker's error as it is. ``LedgerBlock``,
+``Submission``, ``Verdict``, ``AppendResult`` and ``VerifyResult`` are
+``NamedTuple``s: immutable and hashable like a frozen dataclass, but built
+by one tuple allocation instead of a setattr per field.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .auditcore import POSITIVE_NUMBER, is_hex_digest
-from .masternode import ENTRY_LINES, WIRE_LINE, Submission
+from .masternode import ENTRY_LINE, WIRE_LINE, Submission
 
 GENESIS_PREV = "0" * 64
 
@@ -72,12 +73,10 @@ class LedgerFormatError(ValueError):
         self.broken_at = broken_at
 
 
-class UnknownVariantError(ValueError):
-    """The approved library has no entry for this variant (library gap)."""
-
-
-class UnknownVehicleError(ValueError):
-    """No variant registration exists for this vehicle key."""
+class CannotJudgeError(ValueError):
+    """Nothing to judge a checkpoint against: no approved library, no
+    variant registered for its key, or no approved digests for its variant
+    (a library gap)."""
 
 
 class VerdictStatus(str, Enum):
@@ -204,8 +203,8 @@ class AppendResult(NamedTuple):
 def _advance(last_seq: dict[Any, int], vehicle_key: str | bytes, seq: int) -> str | None:
     """Record ``seq`` as the vehicle's latest, or say why it is a replay.
 
-    With the wire grammar (``WIRE_LINE`` on append, ``ENTRY_LINES`` on
-    read) this is the admission rule.
+    With the wire grammar (``WIRE_LINE`` on append, ``ENTRY_LINE`` for
+    each entry line on read) this is the admission rule.
     """
     last = last_seq.get(vehicle_key, 0)
     if seq <= last:
@@ -227,26 +226,19 @@ def _walk(path: str | Path) -> Iterator[tuple[int, bytes, list[bytes]]]:
         if head is None:
             raise LedgerFormatError(path, index)
         pos, end = head.end(), head.start(2) + int(head[1])
-        # Bounded by the length line, so it cannot run on into the next record.
-        entries = ENTRY_LINES.match(blob, pos, end)
-        if (
-            entries is None
-            or entries.end() != end
-            or _advance(last_seq, entries[2], int(entries[3]))
-        ):
-            raise LedgerFormatError(path, index)
-        if entries.end(1) + 1 == end:  # one entry: its line ends the record
-            lines = [entries[1]]
-        else:  # the grammar is checked: read each later key and seq by position
-            lines = blob[pos : end - 1].split(b"\n")
-            for line in lines[1:]:
-                if _advance(last_seq, line[:64], int(line[65 : line.index(b"|", 65)])):
-                    raise LedgerFormatError(path, index)
+        lines: list[bytes] = []
+        while True:  # bounded by the length line, so no line runs into the next record
+            entry = ENTRY_LINE.match(blob, pos, end)
+            if entry is None or _advance(last_seq, entry[2], int(entry[3])):
+                raise LedgerFormatError(path, index)
+            lines.append(entry[1])
+            if (pos := entry.end()) == end:
+                break
         header = _seal(index, prev, lines)
         if header != head[2]:
             raise LedgerFormatError(path, index)
         yield index, header, lines
-        prev, pos, index = header[-64:].decode(), end, index + 1
+        prev, index = header[-64:].decode(), index + 1
 
 
 def verify_chain(path: str | Path) -> VerifyResult:
@@ -355,16 +347,16 @@ class FullNode:
         """
         variants = self._variants.get(submission.vehicle_key, ())
         if self.library is None:
-            raise UnknownVariantError("no approved library configured")
+            raise CannotJudgeError("no approved library configured")
         elif not variants:
-            raise UnknownVehicleError(
+            raise CannotJudgeError(
                 f"vehicle key {submission.vehicle_key[:12]}… has no registered variant"
             )
         elif len(variants) > 1:
             status = VerdictStatus.IMMOBILIZE if tamper_flag else VerdictStatus.SERVICE_NEEDED
             reason = f"vehicle key registered for variants {' and '.join(variants)}"
         elif (variant := variants[0]) not in self.library:
-            raise UnknownVariantError(f"no approved digests on file for variant {variant!r}")
+            raise CannotJudgeError(f"no approved digests on file for variant {variant!r}")
         elif submission.meta_digest in self.library[variant]:
             status, reason = VerdictStatus.APPROVED, f"meta digest approved for variant {variant}"
         elif tamper_flag:

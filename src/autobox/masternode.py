@@ -21,12 +21,12 @@ vouched for by a checkpoint already queued.
 Outbound, the master feeds a light client buffer. Each checkpoint queues
 as the Submission the full node will receive, stamped with the vehicle key
 the caller passes to that capture. A Submission is a ``NamedTuple``, an
-immutable value. This module owns its wire grammar: one table of field
-patterns gives ``WIRE_LINE``, one admissible line, which the full node
-fullmatches on append, and ``ENTRY_LINES``, all the entry lines of a
-ledger record, which ``ledger`` matches on read. ``Submission.from_line``
-builds the value from line bytes the grammar has checked:
-``ledger.load_ledger`` builds one for every entry it loads,
+immutable value. This module owns its wire grammar, one pattern:
+``WIRE_LINE`` is one admissible line, which the full node fullmatches on
+append, and ``ENTRY_LINE``, built from it, one entry line of a ledger
+record with its newline, which ``ledger`` matches once per line on read.
+``Submission.from_line`` builds the value from line bytes the grammar has
+checked: ``ledger.load_ledger`` builds one for every entry it loads,
 ``ledger.history_from_file`` only for the asked key's entries.
 Submissions queue while connectivity is down and drain strictly in order
 once it returns: each drain returns the whole backlog to the vehicle,
@@ -85,24 +85,16 @@ class Submission(NamedTuple):
 _TRIGGERS = {t.value.encode(): t for t in EventType}
 
 # The wire grammar, in the one spelling ``wire_line`` writes: 64-hex key,
-# checkpoint_seq >= 1, 64-hex digest, trigger, sim_time >= 0.
-_FIELDS = (
-    HEX_DIGEST, POSITIVE_NUMBER, HEX_DIGEST, b"|".join(map(re.escape, _TRIGGERS)), NUMBER
+# checkpoint_seq >= 1, 64-hex digest, trigger, sim_time >= 0. One admissible
+# wire line; its two groups, the key and checkpoint_seq, feed the admission
+# rule on read.
+WIRE_LINE = re.compile(
+    rb"(%s)\|(%s)\|%s\|(?:%s)\|%s"
+    % (HEX_DIGEST, POSITIVE_NUMBER, HEX_DIGEST, b"|".join(map(re.escape, _TRIGGERS)), NUMBER)
 )
-
-
-def _wire_pattern(captured: int) -> bytes:
-    """The wire line's pattern, with its first ``captured`` fields as groups."""
-    return rb"\|".join(
-        (b"(%s)" if n < captured else b"(?:%s)") % f for n, f in enumerate(_FIELDS)
-    )
-
-
-# One admissible wire line; its groups are the five fields.
-WIRE_LINE = re.compile(_wire_pattern(5))
-# A ledger record's entry lines, one or more, each ended by a newline; the
-# groups are the first entry's line, key and checkpoint_seq.
-ENTRY_LINES = re.compile(rb"(%s)\n(?:%s\n)*" % (_wire_pattern(2), _wire_pattern(0)))
+# One entry line of a ledger record, ended by a newline; group 1 is the line,
+# groups 2 and 3 its key and checkpoint_seq.
+ENTRY_LINE = re.compile(rb"(%s)\n" % WIRE_LINE.pattern)
 
 
 @dataclass

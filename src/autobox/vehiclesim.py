@@ -69,10 +69,9 @@ from .dht import (
     node_id_for_serial,
 )
 from .ledger import (
+    CannotJudgeError,
     FullNode,
     LedgerBlock,
-    UnknownVariantError,
-    UnknownVehicleError,
     Verdict,
     VerdictStatus,
 )
@@ -85,9 +84,11 @@ TAMPER_CLEAR_TOKEN = "SERVICE-TOOL"  # what the authorized service tool presents
 # capture_interval_s): about 13 months at hourly captures. A longer
 # scenario is refused rather than left to run for days.
 MAX_PERIODIC_CAPTURES = 10_000
-# Every number a scenario writes keeps to auditcore.NUMBER, at most 18
+# Every number a scenario gives keeps to auditcore.NUMBER, at most 18
 # digits: its duration, so each sim_time, and each km and odometer reading
-# the ground truth logs as it was given.
+# as it is given. The running odometer, a sum of drives, is not bounded: two
+# Drives of 10**18 - 1 km log an odometer_km of 19 digits, which a later
+# odometer EepromTamper also logs as its pre.
 NUMBER_LIMIT = 10**18
 
 # One ground_truth.jsonl line: compact, keys sorted. Built once, since
@@ -1078,7 +1079,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         for submission in result.block.entries:
             try:
                 verdict = full_node.evaluate(submission, tamper_flag=batch.tamper_flag)
-            except (UnknownVariantError, UnknownVehicleError) as exc:
+            except CannotJudgeError as exc:
                 alerts.append(
                     f"t={batch.sim_time} checkpoint {submission.checkpoint_seq}: {exc}"
                 )

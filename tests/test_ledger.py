@@ -8,11 +8,10 @@ import pytest
 from autobox.auditcore import EventType
 from autobox.ledger import (
     GENESIS_PREV,
+    CannotJudgeError,
     FullNode,
     LedgerBlock,
     LedgerFormatError,
-    UnknownVariantError,
-    UnknownVehicleError,
     Verdict,
     VerdictStatus,
     VerifyResult,
@@ -293,11 +292,11 @@ VERDICT_TABLE = {
                          "meta digest not approved for critical variant CRIT"),
     "conflict": (CLONE_KEY, BB, False, True, VerdictStatus.SERVICE_NEEDED, CONFLICT),
     "conflict-tamper-flag": (CLONE_KEY, BB, True, True, VerdictStatus.IMMOBILIZE, CONFLICT),
-    "variant-missing": (GAP_KEY, AA, False, True, UnknownVariantError,
+    "variant-missing": (GAP_KEY, AA, False, True, CannotJudgeError,
                         "no approved digests on file for variant 'EU-GAP'"),
-    "unregistered-key": (UNKNOWN_KEY, AA, False, True, UnknownVehicleError,
+    "unregistered-key": (UNKNOWN_KEY, AA, False, True, CannotJudgeError,
                          "vehicle key 999999999999… has no registered variant"),
-    "no-library": (BASE_KEY, AA, False, False, UnknownVariantError,
+    "no-library": (BASE_KEY, AA, False, False, CannotJudgeError,
                    "no approved library configured"),
     # Soundness, exhaustive on a small library: Approved iff the digest is
     # in the variant's approved set.

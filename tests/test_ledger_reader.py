@@ -164,7 +164,9 @@ def seal(records) -> bytes:
     with roots, hashes and links recomputed over the bytes as spelled."""
     out, prev = [], GENESIS_PREV.encode()
     for index, lines, spell in records:
-        root = merkle_root([hashlib.sha256(line).digest() for line in lines]).hex().encode()
+        # No writer seals a record of no entry line: root it at an empty line's leaf.
+        leaves = [hashlib.sha256(line).digest() for line in lines] or [hashlib.sha256().digest()]
+        root = merkle_root(leaves).hex().encode()
         block_hash = hashlib.sha256(b"|".join((index, prev, root))).hexdigest().encode()
         payload = b"".join(
             line + b"\n" for line in [b"|".join((index, prev, root, block_hash)), *lines]
@@ -177,7 +179,8 @@ def seal(records) -> bytes:
 @pytest.fixture
 def records(tmp_path):
     """Twelve blocks; block EDITED carries vehicle A's seq 11 at sim_time 110,
-    then entries of vehicles B and C, and a length line of three digits."""
+    then vehicle B's seq 6 and vehicle C's seq 3, and a length line of three
+    digits."""
     node = FullNode()
     for i in range(12):
         subs = [make_submission(seq=i + 1, key=KEY_A, t=10 * (i + 1))]
@@ -192,6 +195,7 @@ def records(tmp_path):
     ]
     assert seal(records) == write_chain(tmp_path / "source.txt", node.chain).read_bytes()
     assert len(records[EDITED][1]) == 3 and records[EDITED][1][0].split(b"|")[1] == b"11"
+    assert records[EDITED][1][-1].split(b"|")[:2] == [KEY_C.encode(), b"3"]
     return records
 
 
@@ -212,11 +216,11 @@ SPELLINGS = {
 }
 
 
-def _entry_field(field: int, edit):
+def _entry_field(field: int, edit, line: int = 0):
     def apply(records):
-        fields = records[EDITED][1][0].split(b"|")
+        fields = records[EDITED][1][line].split(b"|")
         fields[field] = edit(fields[field])
-        records[EDITED][1][0] = b"|".join(fields)
+        records[EDITED][1][line] = b"|".join(fields)
 
     return apply
 
@@ -237,6 +241,10 @@ def _length(edit):
 
 def _append_line(records):
     records[EDITED][1].append(records[EDITED][1][-1])
+
+
+def _no_entries(records):
+    records[EDITED][1] = []
 
 
 def _crlf_entries(records):
@@ -266,6 +274,12 @@ TARGETED_EDITS = {
     "seq-19-digits": _entry_field(1, lambda v: b"1" * 19),
     "sim-time-19-digits": _entry_field(4, lambda v: b"1" * 19),
     "two-blocks-swapped": _swap_blocks,
+    "no-entry-line": _no_entries,
+    # The last entry line, vehicle C's seq 3, is checked as the first is.
+    "last-line-uppercase-key": _entry_field(0, bytes.upper, line=-1),
+    "last-line-unknown-trigger": _entry_field(3, lambda v: b"Bogus", line=-1),
+    "last-line-seq-19-digits": _entry_field(1, lambda v: b"1" * 19, line=-1),
+    "last-line-replayed-seq": _entry_field(1, lambda v: b"2", line=-1),  # block 5's seq
     "right-prev-wrong-index": _index(lambda v: b"11"),
 }
 
